@@ -1,0 +1,164 @@
+"""ctypes front end of the compiled statevector kernel ``_sv_c.c``.
+
+``build`` compiles the C file into a cache directory, and ``Kernel`` wraps
+the library with the contract of ``_sv_numpy``: ``zero_state``,
+``apply_ops``, ``run``, ``expval_z``, ``run_expval_z`` and
+``expval_z_and_grad``. The C code takes raw pointers, so each argument is
+checked first: dtype, 1-D, equal gate-array lengths, ``len(amps) ==
+2**n_qubits``, and C-contiguous, writable amplitudes where they change in
+place. Inputs reach the C code as C-contiguous copies, and the C code itself
+rejects unknown gate kinds and qubits outside the register. A failed check
+raises ``ValueError`` and computes nothing.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import subprocess
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from . import _sv_numpy
+
+SOURCE = Path(__file__).with_name("_sv_c.c")
+# -ffp-contract=off keeps multiply-adds unfused, so results are the same on
+# every target; -ffast-math or -march=native could change the last bits.
+CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def build(cache_dir: Path) -> Path:
+    """Compile ``_sv_c.c`` into ``cache_dir`` unless it is there already.
+
+    The library's name carries a hash of the source and the flags. It is
+    written under a temporary name and then renamed, so concurrent builds
+    into one cache cannot see each other's partial files. Raises ``OSError``
+    when there is no compiler or the cache cannot be written, and
+    ``subprocess.CalledProcessError`` when the compiler fails.
+    """
+    digest = hashlib.sha256(SOURCE.read_bytes() + " ".join(CFLAGS).encode()).hexdigest()
+    lib = cache_dir / f"_sv_c-{digest[:16]}.so"
+    if lib.exists():
+        return lib
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=lib.stem, suffix=".tmp", dir=cache_dir)
+    os.close(fd)
+    try:
+        subprocess.run(["cc", *CFLAGS, "-o", tmp, str(SOURCE), "-lm"], check=True, capture_output=True)
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return lib
+
+
+_C128 = np.dtype(np.complex128)
+_F64 = np.dtype(np.float64)
+_I8 = np.dtype(np.int8)
+_I32 = np.dtype(np.int32)
+
+# A zero-length ctypes array made over a numpy buffer passes the buffer's
+# address at a fraction of the cost of ``ndarray.ctypes``, which would
+# dominate a call on 16 amplitudes.
+_Memory = ctypes.c_char * 0
+
+
+def _input(arr, dtype: np.dtype, name: str) -> bytes:
+    """A C-contiguous copy of a 1-D input array; a bytes object passes as a
+    pointer more cheaply than any view of the array itself."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.ndim == 1):
+        raise ValueError(f"{name} must be a 1-D {dtype} array")
+    return arr.tobytes()
+
+
+# The C code sizes its scratch states from n_qubits; 2**32 amplitudes
+# already take 64 GiB.
+MAX_QUBITS = 32
+
+
+def _gates(n_qubits, kinds, qa, qb, angles):
+    """The register size and the gate arrays as the C functions take them."""
+    if not 0 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must lie in [0, {MAX_QUBITS}], got {n_qubits}")
+    data = (_input(kinds, _I8, "kinds"), _input(qa, _I32, "qa"), _input(qb, _I32, "qb"),
+            _input(angles, _F64, "angles"))
+    if not len(kinds) == len(qa) == len(qb) == len(angles):
+        raise ValueError("kinds, qa, qb and angles must have equal lengths")
+    return (n_qubits, *data, len(kinds))
+
+
+def _check_length(amps: np.ndarray, n_qubits: int) -> None:
+    if len(amps) != 1 << n_qubits:
+        raise ValueError(f"amps must have 2**{n_qubits} entries, got {len(amps)}")
+
+
+def _check_status(status: int, n_qubits: int) -> None:
+    if status == -2:
+        raise MemoryError("no memory for the scratch statevectors")
+    if status >= 0:
+        raise ValueError(f"gate {status}: unknown kind or qubit outside {n_qubits} qubits")
+
+
+class Kernel:
+    """The compiled kernel loaded from the library at ``path``."""
+
+    def __init__(self, path: Path):
+        lib = ctypes.CDLL(str(path))
+        ptr, n, size = ctypes.c_void_p, ctypes.c_int, ctypes.c_ssize_t
+        self._apply_ops = lib.apply_ops
+        self._apply_ops.argtypes = [ptr, n, ptr, ptr, ptr, ptr, size]
+        self._apply_ops.restype = size
+        self._expval_z = lib.expval_z
+        self._expval_z.argtypes = [ptr, n]
+        self._expval_z.restype = ctypes.c_double
+        self._expval_z_and_grad = lib.expval_z_and_grad
+        self._expval_z_and_grad.argtypes = [n, ptr, ptr, ptr, ptr, size, ptr, ptr]
+        self._expval_z_and_grad.restype = size
+
+    zero_state = staticmethod(_sv_numpy.zero_state)
+
+    def apply_ops(self, amps, n_qubits, kinds, qa, qb, angles) -> None:
+        """Apply the packed gate list to ``amps`` in place."""
+        if not (isinstance(amps, np.ndarray) and amps.dtype == _C128 and amps.ndim == 1
+                and amps.flags.c_contiguous and amps.flags.writeable):
+            raise ValueError("amps must be a writable 1-D C-contiguous complex128 array")
+        _check_length(amps, n_qubits)
+        status = self._apply_ops(_Memory.from_buffer(amps), *_gates(n_qubits, kinds, qa, qb, angles))
+        _check_status(status, n_qubits)
+
+    def run(self, n_qubits, kinds, qa, qb, angles) -> np.ndarray:
+        """Evolve |0...0> through the packed gate list."""
+        amps = self.zero_state(n_qubits)
+        self.apply_ops(amps, n_qubits, kinds, qa, qb, angles)
+        return amps
+
+    def expval_z(self, amps, n_qubits) -> float:
+        """<Z tensor ... tensor Z>; exactly real by construction."""
+        data = _input(amps, _C128, "amps")
+        _check_length(amps, n_qubits)
+        return self._expval_z(data, n_qubits)
+
+    def run_expval_z(self, n_qubits, kinds, qa, qb, angles) -> float:
+        """``expval_z(run(...))`` in one call, without the state round trip."""
+        expval = ctypes.c_double()
+        status = self._expval_z_and_grad(*_gates(n_qubits, kinds, qa, qb, angles), None,
+                                         ctypes.byref(expval))
+        _check_status(status, n_qubits)
+        return expval.value
+
+    def expval_z_and_grad(self, n_qubits, kinds, qa, qb, angles):
+        """Forward expectation of Z^n plus its adjoint (reverse-sweep) gradient.
+
+        Returns ``(expval, grads)`` with one gradient entry per rotation gate,
+        in gate order.
+        """
+        gates = _gates(n_qubits, kinds, qa, qb, angles)
+        kind_bytes = gates[1]  # the C code counts rotations by the same rule
+        grads = np.zeros(kind_bytes.count(_sv_numpy.KIND_RY) + kind_bytes.count(_sv_numpy.KIND_RZ))
+        expval = ctypes.c_double()
+        status = self._expval_z_and_grad(*gates, _Memory.from_buffer(grads), ctypes.byref(expval))
+        _check_status(status, n_qubits)
+        return expval.value, grads

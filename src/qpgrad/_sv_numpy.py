@@ -1,8 +1,9 @@
 """Pure-numpy statevector kernels (fallback backend).
 
-Same contract as the compiled ``_sv_cython`` module: gates are packed into
-parallel arrays (kind, target, other-qubit, angle) and applied to a dense
-complex128 amplitude vector. Qubit ``q`` is bit ``q`` of the basis index.
+Same contract as the compiled kernel ``_sv_c``, and the oracle it is tested
+against: gates are packed into parallel arrays (kind, target, other-qubit,
+angle) and applied to a dense complex128 amplitude vector. Qubit ``q`` is
+bit ``q`` of the basis index.
 
 Gate conventions (fixed package-wide):
     RY(a) = [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]]
@@ -110,6 +111,11 @@ def expval_z(amps: np.ndarray, n_qubits: int) -> float:
     """<Z tensor ... tensor Z>; exactly real by construction."""
     probs = amps.real**2 + amps.imag**2
     return float(np.dot(parity_signs(n_qubits), probs))
+
+
+def run_expval_z(n_qubits, kinds, qa, qb, angles) -> float:
+    """``expval_z(run(...))``; one call, which saves the compiled kernel a round trip."""
+    return expval_z(run(n_qubits, kinds, qa, qb, angles), n_qubits)
 
 
 def _grad_dot(lam: np.ndarray, psi: np.ndarray, kind: int, q: int, angle: float) -> float:

@@ -33,6 +33,8 @@ TIME_STEP = 0.02
 
 X_LIMIT = 2.4
 THETA_LIMIT = 0.2095
+# Initial pole angles may start anywhere up to the normalization scale.
+THETA_INIT_LIMIT = 0.21
 HORIZON = 200
 
 # Feature order everywhere: (x, x_dot, theta, theta_dot).
@@ -64,8 +66,10 @@ class InitRanges:
                 raise ConfigurationError(f"init range for {name} must be a finite interval, got [{lo}, {hi}]")
         if self.x[0] < -X_LIMIT or self.x[1] > X_LIMIT:
             raise ConfigurationError(f"init range for x must lie inside [-{X_LIMIT}, {X_LIMIT}]")
-        if self.theta[0] < -0.21 or self.theta[1] > 0.21:
-            raise ConfigurationError("init range for theta must lie inside [-0.21, 0.21]")
+        if self.theta[0] < -THETA_INIT_LIMIT or self.theta[1] > THETA_INIT_LIMIT:
+            raise ConfigurationError(
+                f"init range for theta must lie inside [-{THETA_INIT_LIMIT}, {THETA_INIT_LIMIT}]"
+            )
 
     def items(self):
         return (("x", self.x), ("x_dot", self.x_dot), ("theta", self.theta), ("theta_dot", self.theta_dot))

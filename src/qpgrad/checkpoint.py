@@ -44,6 +44,27 @@ def save_checkpoint(path, ansatz: AnsatzSpec, params: PolicyParams, lam: float, 
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _field(path: Path, doc: dict, name: str, check=lambda value: isinstance(value, str)):
+    """``doc[name]`` if it passes ``check`` (by default: is a string); errors name the file and the field."""
+    if name not in doc:
+        raise ConfigurationError(f"checkpoint {path}: missing field {name!r}")
+    if not check(doc[name]):
+        raise ConfigurationError(f"checkpoint {path}: field {name!r} has the wrong type: {doc[name]!r}")
+    return doc[name]
+
+
 def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
     if not path.exists():
@@ -52,22 +73,25 @@ def load_checkpoint(path) -> Checkpoint:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"checkpoint {path} is not a JSON object")
     if doc.get("format") != FORMAT_TAG:
         raise ConfigurationError(f"checkpoint {path} has unknown format {doc.get('format')!r}")
     ansatz = AnsatzSpec(
-        n_qubits=int(doc["n_qubits"]),
-        n_layers=int(doc["n_layers"]),
-        entangler=doc["entangler"],
-        encoding=doc["encoding"],
-        generator_norm=float(doc["generator_norm"]),
+        n_qubits=_field(path, doc, "n_qubits", _is_int),
+        n_layers=_field(path, doc, "n_layers", _is_int),
+        entangler=_field(path, doc, "entangler"),
+        encoding=_field(path, doc, "encoding"),
+        generator_norm=float(_field(path, doc, "generator_norm", _is_number)),
     )
     shape = ansatz.param_shape
     n = ansatz.n_params_each
-    nu = np.asarray(doc["nu"], dtype=np.float64)
-    omega = np.asarray(doc["omega"], dtype=np.float64)
+    nu = np.asarray(_field(path, doc, "nu", _is_numbers), dtype=np.float64)
+    omega = np.asarray(_field(path, doc, "omega", _is_numbers), dtype=np.float64)
     if nu.shape != (n,) or omega.shape != (n,):
         raise ConfigurationError(
             f"checkpoint {path}: parameter length {nu.shape}/{omega.shape} does not match ansatz ({n},)"
         )
     params = PolicyParams(nu.reshape(shape), omega.reshape(shape))
-    return Checkpoint(ansatz=ansatz, params=params, lam=float(doc["lambda"]), seed=int(doc["seed"]))
+    lam = float(_field(path, doc, "lambda", _is_number))
+    return Checkpoint(ansatz=ansatz, params=params, lam=lam, seed=_field(path, doc, "seed", _is_int))

@@ -16,6 +16,7 @@ reproduces the run.
 from __future__ import annotations
 
 import difflib
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -112,9 +113,12 @@ def _parse_int(key: str, raw: str) -> int:
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigurationError(f"{key}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_float_list(key: str, raw: str) -> tuple:
@@ -122,6 +126,13 @@ def _parse_float_list(key: str, raw: str) -> tuple:
     if not items:
         raise ConfigurationError(f"{key}: expected a comma-separated list of numbers")
     return tuple(_parse_float(key, s) for s in items)
+
+
+def _parse_sigmas(key: str, raw: str) -> tuple:
+    sigmas = _parse_float_list(key, raw)
+    if min(sigmas) < 0:
+        raise ConfigurationError(f"{key}: noise levels must be >= 0, got {raw!r}")
+    return sigmas
 
 
 def _parse_choice(key: str, raw: str, choices) -> str:
@@ -175,7 +186,7 @@ _KEYS: dict = {
     "init.theta_dot_low": (_parse_float, lambda c: c.init.theta_dot[0]),
     "init.theta_dot_high": (_parse_float, lambda c: c.init.theta_dot[1]),
     "eval.checkpoints": (lambda k, v: v, lambda c: c.eval_checkpoints),
-    "eval.sigmas": (_parse_float_list, lambda c: c.eval_sigmas),
+    "eval.sigmas": (_parse_sigmas, lambda c: c.eval_sigmas),
     "eval.episodes": (_parse_int, lambda c: c.eval_episodes),
     "grid.angle_edges": (_parse_float_list, lambda c: _bins_to_edges(c.grid.angle_bins)),
     "grid.velocity_edges": (_parse_float_list, lambda c: _bins_to_edges(c.grid.velocity_bins)),

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cartpole import HORIZON, InitRanges, NoiseModel
+from .cartpole import HORIZON, THETA_INIT_LIMIT, InitRanges, NoiseModel
 from .errors import ConfigurationError, UsageError
 from .policy import AnsatzSpec, PolicyParams
 from .seeding import STREAM_EVAL, substream
@@ -39,6 +39,9 @@ def _default_angle_bins():
 def _default_velocity_bins():
     edges = [round(0.02 * i, 2) for i in range(14)]
     return tuple((lo, hi) for lo, hi in zip(edges, edges[1:]))
+
+
+_DEG = np.pi / 180.0
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,15 @@ class EvalGridSpec:
             for (_, hi), (lo, _) in zip(bins, bins[1:]):
                 if lo < hi:
                     raise ConfigurationError(f"{name} bins must be ordered and non-overlapping")
+        for lo, hi in self.angle_bins:
+            if lo * _DEG < -THETA_INIT_LIMIT or hi * _DEG > THETA_INIT_LIMIT:
+                raise ConfigurationError(
+                    f"grid.angle_edges: bin [{lo}, {hi}] deg leaves the admissible initial pole "
+                    f"angles [-{THETA_INIT_LIMIT}, {THETA_INIT_LIMIT}] rad "
+                    f"(+-{THETA_INIT_LIMIT / _DEG:.2f} deg)"
+                )
         if self.episodes_per_cell < 1:
-            raise ConfigurationError("grid.episodes_per_cell must be >= 1")
+            raise ConfigurationError("grid.cell_episodes must be >= 1")
 
     def cells(self):
         """(angle_bin, velocity_bin) pairs, angle-major order."""
@@ -143,9 +153,8 @@ def _sim_cell(angle_bin, velocity_bin, base: InitRanges) -> InitRanges:
     if v_hi <= 0 and v_lo < 0:
         a_lo, a_hi = -a_hi, -a_lo
         v_lo, v_hi = -v_hi, -v_lo
-    deg = np.pi / 180.0
     return InitRanges(
-        x=base.x, x_dot=base.x_dot, theta=(a_lo * deg, a_hi * deg), theta_dot=(v_lo, v_hi)
+        x=base.x, x_dot=base.x_dot, theta=(a_lo * _DEG, a_hi * _DEG), theta_dot=(v_lo, v_hi)
     )
 
 

@@ -2,14 +2,18 @@
 
 The heavy lifting happens in one of two interchangeable kernel backends:
 
-* ``qpgrad._sv_cython`` — compiled extension, used when importable;
-* ``qpgrad._sv_numpy`` — pure-numpy fallback, always available.
+* ``c`` — the hand-written C kernel ``_sv_c.c``, called through ctypes
+  (``_sv_c.py``). The first import compiles it with ``cc`` into
+  ``__pycache__`` next to this file; later imports load the cached library.
+* ``numpy`` — the pure-numpy ``_sv_numpy``, always available and the oracle
+  the C kernel is tested against.
 
-Selection happens at import time and can be forced with the environment
-variable ``QPGRAD_BACKEND`` set to ``cython`` or ``numpy``. Both backends
-produce identical results up to the last few ulps; within a backend the
-simulation is fully deterministic (identical gate lists give bit-identical
-statevectors).
+Selection happens at import time. The environment variable
+``QPGRAD_BACKEND`` is ``auto`` (the default: ``c``, or ``numpy`` with one
+line on stderr when the C kernel cannot be built), ``c`` or ``numpy``. Both
+backends produce identical results up to the last few ulps; within a backend
+the simulation is fully deterministic (identical gate lists give
+bit-identical statevectors).
 
 Gate conventions (the generator of every rotation has spectral norm 1/2):
     RY(a) = exp(-i a Y / 2),  RZ(a) = exp(-i a Z / 2)
@@ -19,34 +23,43 @@ from __future__ import annotations
 
 import enum
 import os
+import subprocess
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from . import _sv_numpy
+from . import _sv_c, _sv_numpy
 from .errors import InvalidGateError
 
-try:
-    from . import _sv_cython  # type: ignore[attr-defined]
-except ImportError:  # extension not built
-    _sv_cython = None
+_CACHE_DIR = Path(__file__).with_name("__pycache__")
 
-_requested = os.environ.get("QPGRAD_BACKEND", "auto").lower()
-if _requested in ("", "auto"):
-    _kernel = _sv_cython if _sv_cython is not None else _sv_numpy
-elif _requested == "cython":
-    if _sv_cython is None:
-        raise ImportError(
-            "QPGRAD_BACKEND=cython but the compiled kernel is not available; "
-            "build it with `pip install -e . --no-build-isolation`"
-        )
-    _kernel = _sv_cython
-elif _requested == "numpy":
-    _kernel = _sv_numpy
-else:
-    raise ImportError(f"QPGRAD_BACKEND must be 'auto', 'cython' or 'numpy', got {_requested!r}")
 
-BACKEND = "cython" if _kernel is _sv_cython else "numpy"
+def load_kernel(requested: str, cache_dir: Path = _CACHE_DIR):
+    """The kernel for a ``QPGRAD_BACKEND`` value, building the C one if needed.
+
+    ``auto`` falls back to ``_sv_numpy`` with one line on stderr when the C
+    kernel cannot be built or loaded, for example with no compiler or a
+    cache directory that cannot be written; ``c`` raises ``ImportError``.
+    """
+    if requested == "numpy":
+        return _sv_numpy
+    if requested not in ("auto", "c"):
+        raise ImportError(f"QPGRAD_BACKEND must be 'auto', 'c' or 'numpy', got {requested!r}")
+    try:
+        return _sv_c.Kernel(_sv_c.build(cache_dir))
+    except (OSError, subprocess.CalledProcessError) as exc:
+        if requested == "c":
+            raise ImportError(f"the C kernel could not be built: {exc}") from exc
+        print(f"qpgrad: the C kernel could not be built ({exc}); using the numpy backend",
+              file=sys.stderr)
+        return _sv_numpy
+
+
+_kernel = load_kernel(os.environ.get("QPGRAD_BACKEND", "auto").lower() or "auto")
+
+BACKEND = "numpy" if _kernel is _sv_numpy else "c"
 
 KIND_H = _sv_numpy.KIND_H
 KIND_RY = _sv_numpy.KIND_RY
@@ -55,13 +68,14 @@ KIND_CZ = _sv_numpy.KIND_CZ
 
 
 def backend_module(name: str):
-    """Kernel module by name ('cython' or 'numpy'); used by the benchmark."""
+    """Kernel by name ('c' or 'numpy'); used by the benchmark and the tests.
+
+    Raises ``ImportError`` when the C kernel cannot be built.
+    """
     if name == "numpy":
         return _sv_numpy
-    if name == "cython":
-        if _sv_cython is None:
-            raise ImportError("compiled kernel not available")
-        return _sv_cython
+    if name == "c":
+        return _kernel if BACKEND == "c" else load_kernel("c")
     raise ValueError(f"unknown backend {name!r}")
 
 
@@ -213,16 +227,16 @@ def parameter_shift_gradient(gates, n_qubits: int) -> np.ndarray:
     for r, i in enumerate(rot_idx):
         shifted = angles.copy()
         shifted[i] = angles[i] + np.pi / 2
-        e_plus = _kernel.expval_z(_kernel.run(n_qubits, kinds, qa, qb, shifted), n_qubits)
+        e_plus = _kernel.run_expval_z(n_qubits, kinds, qa, qb, shifted)
         shifted[i] = angles[i] - np.pi / 2
-        e_minus = _kernel.expval_z(_kernel.run(n_qubits, kinds, qa, qb, shifted), n_qubits)
+        e_minus = _kernel.run_expval_z(n_qubits, kinds, qa, qb, shifted)
         grads[r] = 0.5 * (e_plus - e_minus)
     return grads
 
 
 def packed_expval(n_qubits, kinds, qa, qb, angles) -> float:
     """Forward expectation for pre-packed arrays (hot path, skips GateOp objects)."""
-    return _kernel.expval_z(_kernel.run(n_qubits, kinds, qa, qb, angles), n_qubits)
+    return _kernel.run_expval_z(n_qubits, kinds, qa, qb, angles)
 
 
 def packed_expval_and_grad(n_qubits, kinds, qa, qb, angles):

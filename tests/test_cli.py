@@ -1,5 +1,7 @@
 """End-to-end CLI runs: outputs, exit codes, manifests, and reproducibility."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,24 @@ class TestCheckpointRoundTrip:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_checkpoint(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize(
+        "field", ["n_qubits", "n_layers", "entangler", "encoding", "generator_norm", "nu", "omega", "lambda", "seed"]
+    )
+    def test_missing_or_mistyped_field_named(self, tmp_path, field):
+        spec = AnsatzSpec()
+        path = tmp_path / "checkpoint_3.json"
+        save_checkpoint(path, spec, PolicyParams(np.zeros(spec.param_shape), np.zeros(spec.param_shape)), 0.1, 5)
+        doc = json.loads(path.read_text())
+        for bad in (None, True):  # None deletes the field
+            broken = dict(doc)
+            if bad is None:
+                del broken[field]
+            else:
+                broken[field] = bad
+            path.write_text(json.dumps(broken))
+            with pytest.raises(ConfigurationError, match=f"checkpoint_3.json: .*'{field}'"):
+                load_checkpoint(path)
 
 
 class TestTrainCommand:
@@ -206,6 +226,14 @@ class TestCurriculumCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "setting", ["eval.sigmas=-0.5,0.0", "train.learning_rate=nan", "grid.angle_edges=-13,0,13"]
+    )
+    def test_bad_value_is_config_error_naming_key(self, tmp_path, capsys, setting):
+        assert run_cli(*tiny_train_args(tmp_path / "out", extra=("--set", setting))) == 1
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_error_is_one(self, tmp_path):
         assert run_cli("train", "--out", str(tmp_path), "--set", "train.lambda=-1") == 1
         assert run_cli("train", "--out", str(tmp_path), "--set", "train.lamda=0.1") == 1

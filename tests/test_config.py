@@ -76,6 +76,30 @@ class TestStrictParsing:
         with pytest.raises(ConfigurationError, match="grid.angle_edges"):
             build_config({"grid.angle_edges": "0.0,1.0,0.5"})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("train.learning_rate", "nan"),
+            ("train.lambda", "inf"),
+            ("train.gamma", "-inf"),
+            ("init.theta_dot_high", "nan"),
+            ("curriculum.validation_threshold", "nan"),
+            ("curriculum.ranges", "0.25,inf"),
+            ("grid.velocity_edges", "0,nan"),
+            ("eval.sigmas", "nan"),
+            ("eval.sigmas", "-0.5,0.0"),
+            ("grid.angle_edges", "-13,0,13"),
+            ("grid.angle_edges", "0,12.04"),
+        ],
+    )
+    def test_bad_float_rejected_naming_key(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            build_config({key: value})
+
+    def test_angle_edges_at_the_theta_limit_accepted(self):
+        cfg = build_config({"grid.angle_edges": "-12.03,0,12.03"})
+        assert cfg.grid.angle_bins == ((-12.03, 0.0), (0.0, 12.03))
+
     def test_curriculum_ranges_must_increase(self):
         with pytest.raises(ConfigurationError, match="curriculum.ranges"):
             build_config({"curriculum.ranges": "0.75,0.25"})

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpgrad import qsim
 from qpgrad.errors import InvalidGateError
@@ -220,19 +222,65 @@ class TestProperties:
             np.testing.assert_allclose(adj, shift, atol=1e-10)
 
 
+def _packed(gates, n_qubits):
+    """Packed arrays for (kind, qubit, other, angle) tuples drawn freely.
+
+    Qubits are folded into the register and CZ gets a distinct partner
+    (or becomes H on one qubit), so every drawn list is a valid circuit.
+    """
+    kinds, qa, qb, angles = [], [], [], []
+    for kind, q, other, angle in gates:
+        q %= n_qubits
+        if kind == qsim.KIND_CZ and n_qubits == 1:
+            kind = qsim.KIND_H
+        if kind == qsim.KIND_CZ:
+            other = (q + 1 + other % (n_qubits - 1)) % n_qubits
+        else:
+            other = -1
+        kinds.append(kind)
+        qa.append(q)
+        qb.append(other)
+        angles.append(angle if kind in (qsim.KIND_RY, qsim.KIND_RZ) else 0.0)
+    return (
+        np.array(kinds, dtype=np.int8),
+        np.array(qa, dtype=np.int32),
+        np.array(qb, dtype=np.int32),
+        np.array(angles, dtype=np.float64),
+    )
+
+
+_gate_tuples = st.tuples(
+    st.sampled_from([qsim.KIND_H, qsim.KIND_RY, qsim.KIND_RZ, qsim.KIND_CZ]),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.floats(-7.0, 7.0),
+)
+
+
 class TestBackendParity:
-    @pytest.mark.skipif(qsim.BACKEND != "cython", reason="compiled backend not built")
+    """The compiled kernel against the numpy oracle."""
+
+    def _assert_agree(self, n_qubits, kinds, qa, qb, angles):
+        c = qsim.backend_module("c")
+        np_ = qsim.backend_module("numpy")
+        a1 = c.run(n_qubits, kinds, qa, qb, angles)
+        a2 = np_.run(n_qubits, kinds, qa, qb, angles)
+        np.testing.assert_allclose(a1, a2, atol=1e-13)
+        assert c.expval_z(a1, n_qubits) == pytest.approx(np_.expval_z(a2, n_qubits), abs=1e-13)
+        assert c.run_expval_z(n_qubits, kinds, qa, qb, angles) == c.expval_z(a1, n_qubits)
+        e1, g1 = c.expval_z_and_grad(n_qubits, kinds, qa, qb, angles)
+        e2, g2 = np_.expval_z_and_grad(n_qubits, kinds, qa, qb, angles)
+        assert e1 == pytest.approx(e2, abs=1e-13)
+        assert g1.shape == g2.shape
+        np.testing.assert_allclose(g1, g2, atol=1e-12)
+
     def test_backends_agree(self):
         rng = np.random.default_rng(5)
-        cy = qsim.backend_module("cython")
-        np_ = qsim.backend_module("numpy")
         for _ in range(25):
             gates = random_circuit(rng, n_qubits=4, n_gates=40)
-            kinds, qa, qb, angles = qsim.pack_gates(gates, 4)
-            a1 = cy.run(4, kinds, qa, qb, angles)
-            a2 = np_.run(4, kinds, qa, qb, angles)
-            np.testing.assert_allclose(a1, a2, atol=1e-13)
-            e1, g1 = cy.expval_z_and_grad(4, kinds, qa, qb, angles)
-            e2, g2 = np_.expval_z_and_grad(4, kinds, qa, qb, angles)
-            assert e1 == pytest.approx(e2, abs=1e-13)
-            np.testing.assert_allclose(g1, g2, atol=1e-12)
+            self._assert_agree(4, *qsim.pack_gates(gates, 4))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 5), st.lists(_gate_tuples, max_size=40))
+    def test_backends_agree_on_random_circuits(self, n_qubits, gates):
+        self._assert_agree(n_qubits, *_packed(gates, n_qubits))
