@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .cartpole import EnvState, InitRanges, NoiseModel
 from .policy import AnsatzSpec, PolicyParams
-from .qsim import BACKEND, GateKind, GateOp, Statevector
+from .qsim import BACKEND
 from .trainer import TrainConfig
 
 __all__ = [
@@ -19,11 +19,8 @@ __all__ = [
     "AnsatzSpec",
     "BACKEND",
     "EnvState",
-    "GateKind",
-    "GateOp",
     "InitRanges",
     "NoiseModel",
     "PolicyParams",
-    "Statevector",
     "TrainConfig",
 ]

@@ -3,7 +3,9 @@
 Same contract as the compiled kernel ``_sv_c``, and the oracle it is tested
 against: gates are packed into parallel arrays (kind, target, other-qubit,
 angle) and applied to a dense complex128 amplitude vector. Qubit ``q`` is
-bit ``q`` of the basis index.
+bit ``q`` of the basis index. A gate of unknown kind, a target outside the
+register or a CZ partner outside it raises ``ValueError`` before any
+amplitude changes, as in the C kernel.
 
 Gate conventions (fixed package-wide):
     RY(a) = [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]]
@@ -88,14 +90,21 @@ def _apply_one(amps: np.ndarray, n_qubits: int, kind: int, qa: int, qb: int, ang
         _apply_rz(amps, qa, angle)
     elif kind == KIND_H:
         _apply_h(amps, qa)
-    elif kind == KIND_CZ:
-        amps[_cz_mask(n_qubits, qa, qb)] *= -1.0
     else:
-        raise ValueError(f"unknown gate kind {kind}")
+        amps[_cz_mask(n_qubits, qa, qb)] *= -1.0
+
+
+def _check_gates(n_qubits, kinds, qa, qb) -> None:
+    kinds, qa, qb = np.asarray(kinds), np.asarray(qa), np.asarray(qb)
+    bad = (kinds < KIND_H) | (kinds > KIND_CZ) | (qa < 0) | (qa >= n_qubits)
+    bad |= (kinds == KIND_CZ) & ((qb < 0) | (qb >= n_qubits))
+    if bad.any():
+        raise ValueError(f"gate {int(np.argmax(bad))}: unknown kind or qubit outside {n_qubits} qubits")
 
 
 def apply_ops(amps, n_qubits, kinds, qa, qb, angles) -> None:
     """Apply the packed gate list to ``amps`` in place."""
+    _check_gates(n_qubits, kinds, qa, qb)
     for g in range(len(kinds)):
         _apply_one(amps, n_qubits, int(kinds[g]), int(qa[g]), int(qb[g]), float(angles[g]))
 
@@ -139,7 +148,7 @@ def expval_z_and_grad(n_qubits, kinds, qa, qb, angles):
     """Forward expectation of Z^n plus its adjoint (reverse-sweep) gradient.
 
     Returns ``(expval, grads)`` where ``grads`` holds d<Z^n>/d(angle) for
-    every rotation gate, in gate order.
+    every rotation gate, in gate order. ``run`` checks the gate arrays.
     """
     psi = run(n_qubits, kinds, qa, qb, angles)
     signs = parity_signs(n_qubits)

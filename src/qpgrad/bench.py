@@ -15,14 +15,14 @@ from . import qsim
 from .policy import AnsatzSpec, get_template
 
 
-def _available_backends():
-    names = ["numpy"]
+def _available_kernels() -> dict:
+    kernels = {}
     try:
-        qsim.backend_module("c")
-        names.insert(0, "c")
+        kernels["c"] = qsim.load_kernel("c")
     except ImportError:
         pass
-    return names
+    kernels["numpy"] = qsim.load_kernel("numpy")
+    return kernels
 
 
 def run_benchmark(repeats: int = 2000, spec: AnsatzSpec = AnsatzSpec(), seed: int = 7) -> list[dict]:
@@ -35,8 +35,7 @@ def run_benchmark(repeats: int = 2000, spec: AnsatzSpec = AnsatzSpec(), seed: in
     angles = tpl.angles(nu, omega, obs)
 
     rows = []
-    for name in _available_backends():
-        kernel = qsim.backend_module(name)
+    for name, kernel in _available_kernels().items():
         t0 = time.perf_counter()
         for _ in range(repeats):
             kernel.run_expval_z(spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb, angles)

@@ -3,7 +3,9 @@
 A checkpoint is a small JSON document holding the ansatz shape, both
 parameter tensors flattened in row-major layer/qubit/slot order at full
 double precision (JSON floats round-trip exactly), the regularization rate
-used in training, and the RNG seed of the run that produced it.
+used in training, and the RNG seed of the run that produced it. It also
+records the norm of the rotation generators, which is fixed at 0.5; a
+checkpoint with any other value is rejected.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .policy import AnsatzSpec, PolicyParams
+from .policy import GENERATOR_NORM, AnsatzSpec, PolicyParams
 
 FORMAT_TAG = "qpgrad-checkpoint-v1"
 
@@ -35,7 +37,7 @@ def save_checkpoint(path, ansatz: AnsatzSpec, params: PolicyParams, lam: float, 
         "n_layers": ansatz.n_layers,
         "entangler": ansatz.entangler,
         "encoding": ansatz.encoding,
-        "generator_norm": ansatz.generator_norm,
+        "generator_norm": GENERATOR_NORM,
         "nu": params.nu.reshape(-1).tolist(),
         "omega": params.omega.reshape(-1).tolist(),
         "lambda": lam,
@@ -82,8 +84,11 @@ def load_checkpoint(path) -> Checkpoint:
         n_layers=_field(path, doc, "n_layers", _is_int),
         entangler=_field(path, doc, "entangler"),
         encoding=_field(path, doc, "encoding"),
-        generator_norm=float(_field(path, doc, "generator_norm", _is_number)),
     )
+    if _field(path, doc, "generator_norm", _is_number) != GENERATOR_NORM:
+        raise ConfigurationError(
+            f"checkpoint {path}: field 'generator_norm' must be {GENERATOR_NORM}, got {doc['generator_norm']!r}"
+        )
     shape = ansatz.param_shape
     n = ansatz.n_params_each
     nu = np.asarray(_field(path, doc, "nu", _is_numbers), dtype=np.float64)
@@ -94,4 +99,7 @@ def load_checkpoint(path) -> Checkpoint:
         )
     params = PolicyParams(nu.reshape(shape), omega.reshape(shape))
     lam = float(_field(path, doc, "lambda", _is_number))
-    return Checkpoint(ansatz=ansatz, params=params, lam=lam, seed=_field(path, doc, "seed", _is_int))
+    seed = _field(path, doc, "seed", _is_int)
+    if seed < 0:  # the seed keys random streams, whose path components must be >= 0
+        raise ConfigurationError(f"checkpoint {path}: field 'seed' must be >= 0, got {seed}")
+    return Checkpoint(ansatz=ansatz, params=params, lam=lam, seed=seed)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -28,7 +27,7 @@ from .config import (
 )
 from .curriculum import run_curriculum
 from .errors import ConfigurationError
-from .evalharness import generalization_grid, robustness_sweep
+from .evalharness import generalization_grid, map_jobs, robustness_sweep
 from .seeding import derive_run_seeds
 from .trainer import train
 
@@ -117,13 +116,6 @@ def _curriculum_job(payload):
     return run_seed, result
 
 
-def _run_jobs(job, payloads, workers: int):
-    if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(job, payloads))
-    return [job(p) for p in payloads]
-
-
 def _load_models(config: ExperimentConfig):
     ckpt_dir = Path(config.eval_checkpoints)
     if not config.eval_checkpoints or not ckpt_dir.is_dir():
@@ -153,7 +145,7 @@ def run_experiment(config: ExperimentConfig) -> None:
     run_seeds = derive_run_seeds(config.seed, config.n_seeds)
 
     if config.command == "train":
-        results = _run_jobs(_train_job, [(config, s) for s in run_seeds], config.workers)
+        results = map_jobs(_train_job, [(config, s) for s in run_seeds], config.workers)
         rows = []
         for run_seed, params, records in results:
             save_checkpoint(
@@ -166,7 +158,7 @@ def run_experiment(config: ExperimentConfig) -> None:
             rows.extend(reports.telemetry_rows(run_seed, records))
         reports.write_csv(out_dir / "telemetry.csv", reports.TELEMETRY_HEADER, rows)
     elif config.command == "curriculum":
-        results = _run_jobs(_curriculum_job, [(config, s) for s in run_seeds], config.workers)
+        results = map_jobs(_curriculum_job, [(config, s) for s in run_seeds], config.workers)
         rows = []
         for run_seed, result in results:
             rows.extend(reports.curriculum_rows(run_seed, result))

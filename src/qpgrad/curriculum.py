@@ -93,25 +93,6 @@ class CurriculumResult:
     episodes: int  # training episodes rolled out
 
 
-def _run_validation(
-    spec: AnsatzSpec,
-    params: PolicyParams,
-    ranges: InitRanges,
-    n_episodes: int,
-    threshold: float,
-    horizon: int,
-    seed: int,
-    tag: int,
-):
-    rewards = np.empty(n_episodes)
-    for j in range(n_episodes):
-        rng = substream(seed, STREAM_VALIDATION, tag, j)
-        tr = rollout(spec, params, ranges, rng, horizon=horizon, collect_grads=False)
-        rewards[j] = tr.total_reward
-    mean = float(rewards.mean())
-    return mean, mean > threshold, int(np.sum(rewards < horizon))
-
-
 def validate(
     spec: AnsatzSpec,
     params: PolicyParams,
@@ -121,12 +102,20 @@ def validate(
     horizon: int = HORIZON,
     seed: int = 0,
     tag: int = 0,
-) -> tuple[float, bool]:
-    """Noise-free evaluation on ``ranges``; passes iff mean reward strictly exceeds ``threshold``."""
+) -> tuple[float, bool, int]:
+    """Noise-free evaluation on ``ranges``: (mean reward, passed, episodes that ended early).
+
+    Passes iff the mean reward strictly exceeds ``threshold``.
+    """
     if n_episodes < 1:
         raise ConfigurationError("validation needs at least one episode")
-    mean, passed, _ = _run_validation(spec, params, ranges, n_episodes, threshold, horizon, seed, tag)
-    return mean, passed
+    rewards = np.empty(n_episodes)
+    for j in range(n_episodes):
+        rng = substream(seed, STREAM_VALIDATION, tag, j)
+        tr = rollout(spec, params, ranges, rng, horizon=horizon, collect_grads=False)
+        rewards[j] = tr.total_reward
+    mean = float(rewards.mean())
+    return mean, mean > threshold, int(np.sum(rewards < horizon))
 
 
 def run_curriculum(
@@ -169,7 +158,7 @@ def run_curriculum(
         if since_validation < schedule.validation_period:
             continue
         since_validation = 0
-        mean, passed, val_failed = _run_validation(
+        mean, passed, val_failed = validate(
             spec,
             params,
             schedule.ranges[range_idx],

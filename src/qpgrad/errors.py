@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class InvalidGateError(ValueError):
-    """A gate references a qubit outside the register or is malformed."""
-
-
 class ConfigurationError(ValueError):
     """A config file, flag, checkpoint, or parameter shape is invalid."""
 

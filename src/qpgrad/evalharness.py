@@ -12,8 +12,10 @@ be compared with the non-overlap significance rule: candidate considerably
 better than baseline when the mean +- std intervals are disjoint, slightly
 better when only the mean +- std/2 intervals are.
 
-Every (model, point, episode) draws from its own counter-based substream, so
-campaigns are deterministic and parallelizable across models.
+Every (model, point, episode) draws from its own counter-based substream,
+keyed by the model's label (a checkpoint's seed), so campaigns are
+deterministic and parallelizable across models, and a model's results do not
+depend on which other models are evaluated beside it.
 """
 
 from __future__ import annotations
@@ -165,31 +167,32 @@ def _rollout_reward(spec, params, ranges, rng, horizon, sigma) -> float:
 
 
 def _sweep_model(args):
-    spec, nu, omega, m, sigmas, episodes, ranges, horizon, seed = args
+    spec, nu, omega, label, sigmas, episodes, ranges, horizon, seed = args
     params = PolicyParams(nu, omega)
     rewards = np.empty((len(sigmas), episodes))
     for k, sigma in enumerate(sigmas):
         for e in range(episodes):
-            rng = substream(seed, STREAM_EVAL, m, k, e)
+            rng = substream(seed, STREAM_EVAL, label, k, e)
             rewards[k, e] = _rollout_reward(spec, params, ranges, rng, horizon, sigma)
     return rewards
 
 
 def _grid_model(args):
-    spec, nu, omega, m, cells, episodes, base, horizon, seed = args
+    spec, nu, omega, label, cells, episodes, base, horizon, seed = args
     params = PolicyParams(nu, omega)
     rates = np.empty(len(cells))
     for c, (angle_bin, velocity_bin) in enumerate(cells):
         ranges = _sim_cell(angle_bin, velocity_bin, base)
         rewards = np.empty(episodes)
         for e in range(episodes):
-            rng = substream(seed, STREAM_EVAL, m, c, e)
+            rng = substream(seed, STREAM_EVAL, label, c, e)
             rewards[e] = _rollout_reward(spec, params, ranges, rng, horizon, 0.0)
         rates[c] = attraction_rate(rewards, horizon)
     return rates
 
 
-def _map_models(fn, tasks, workers: int):
+def map_jobs(fn, tasks, workers: int) -> list:
+    """``[fn(t) for t in tasks]``, over a pool of ``workers`` processes when there is more than one."""
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
@@ -213,10 +216,10 @@ def robustness_sweep(
     sigmas = [float(s) for s in sigmas]
     labels = list(model_labels) if model_labels is not None else list(range(len(models)))
     tasks = [
-        (spec, p.nu, p.omega, m, sigmas, episodes_per_point, init_ranges, horizon, seed)
-        for m, p in enumerate(models)
+        (spec, p.nu, p.omega, label, sigmas, episodes_per_point, init_ranges, horizon, seed)
+        for label, p in zip(labels, models, strict=True)
     ]
-    per_model = _map_models(_sweep_model, tasks, workers)
+    per_model = map_jobs(_sweep_model, tasks, workers)
     episode_rewards = np.stack(per_model)  # (models, sigmas, episodes)
     return EvalReport(
         kind="robustness",
@@ -243,10 +246,10 @@ def generalization_grid(
     cells = grid.cells()
     labels = list(model_labels) if model_labels is not None else list(range(len(models)))
     tasks = [
-        (spec, p.nu, p.omega, m, cells, grid.episodes_per_cell, base_ranges, horizon, seed)
-        for m, p in enumerate(models)
+        (spec, p.nu, p.omega, label, cells, grid.episodes_per_cell, base_ranges, horizon, seed)
+        for label, p in zip(labels, models, strict=True)
     ]
-    per_model = _map_models(_grid_model, tasks, workers)
+    per_model = map_jobs(_grid_model, tasks, workers)
     return EvalReport(
         kind="generalization",
         model_labels=labels,

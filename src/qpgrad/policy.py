@@ -8,6 +8,11 @@ per qubit an encoding block followed by a variational block,
 with CZ entanglers on every qubit pair between layers. The measured Z^n
 expectation ``e`` maps to action probabilities [(e+1)/2, (1-e)/2].
 
+The circuit exists only in packed form: ``CircuitTemplate`` lays it out once
+per ``AnsatzSpec`` as the parallel gate arrays (kind, qubit, CZ partner) the
+kernels in ``qsim`` take, plus the index arrays that fill each step's angle
+vector from nu, omega and the observation.
+
 The ``rz_rz`` encoding variant applies the second encoding rotation around Z
 as well; two successive RZ collapse to one effective angle, which makes one
 weight per qubit-layer redundant, so ``rz_ry`` is the default.
@@ -19,14 +24,13 @@ to sums of |omega| entries; see ``lipschitz_bound``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from . import qsim
 from .errors import ConfigurationError, DegeneratePolicyError
-from .qsim import AngleSource, GateKind, GateOp
 
 # Spectral norm of the generator of RY/RZ under the e^{-i a G} convention.
 GENERATOR_NORM = 0.5
@@ -47,7 +51,6 @@ class AnsatzSpec:
     n_layers: int = 3
     entangler: str = ENTANGLE_BETWEEN
     encoding: str = ENCODING_RZ_RY
-    generator_norm: float = GENERATOR_NORM
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -58,8 +61,6 @@ class AnsatzSpec:
             raise ConfigurationError(f"unknown entangler placement {self.entangler!r}")
         if self.encoding not in (ENCODING_RZ_RY, ENCODING_RZ_RZ):
             raise ConfigurationError(f"unknown encoding variant {self.encoding!r}")
-        if self.generator_norm <= 0:
-            raise ConfigurationError("generator_norm must be positive")
 
     @property
     def param_shape(self) -> tuple[int, int, int]:
@@ -94,20 +95,6 @@ class PolicyParams:
 
 
 @dataclass(frozen=True)
-class ObservableSpec:
-    """Spectral norms of the two action projectors (I + Z^n)/2, (I - Z^n)/2."""
-
-    projector_norms: tuple[float, float] = (1.0, 1.0)
-
-
-@dataclass
-class PolicyOutput:
-    probs: np.ndarray
-    expectation: float
-    grad_log_prob: tuple[np.ndarray, np.ndarray] | None = None
-
-
-@dataclass(frozen=True)
 class LipschitzBound:
     per_action: tuple[float, float]
     total: float
@@ -131,88 +118,51 @@ def init_params(spec: AnsatzSpec, rng: np.random.Generator) -> PolicyParams:
     return PolicyParams(nu, omega)
 
 
-def _entangler_gates(n_qubits: int):
-    # CZ commutes with CZ, so lexicographic pair order is canonical.
-    return [GateOp(GateKind.CZ, target=b, control=a) for a, b in combinations(range(n_qubits), 2)]
-
-
-def circuit_layout(spec: AnsatzSpec) -> list[GateOp]:
-    """Gate list with angle sources attached and all angles zero."""
-    second_enc = GateKind.RZ if spec.encoding == ENCODING_RZ_RZ else GateKind.RY
-    gates = [GateOp(GateKind.H, q) for q in range(spec.n_qubits)]
-    for layer in range(spec.n_layers):
-        for q in range(spec.n_qubits):
-            gates.append(GateOp(GateKind.RZ, q, source=AngleSource("omega", layer, q, 0, feature=q)))
-            gates.append(GateOp(second_enc, q, source=AngleSource("omega", layer, q, 1, feature=q)))
-            gates.append(GateOp(GateKind.RZ, q, source=AngleSource("nu", layer, q, 0)))
-            gates.append(GateOp(GateKind.RY, q, source=AngleSource("nu", layer, q, 1)))
-        last = layer == spec.n_layers - 1
-        if spec.entangler == ENTANGLE_EVERY or not last:
-            gates.extend(_entangler_gates(spec.n_qubits))
-    return gates
-
-
-def build_circuit(spec: AnsatzSpec, params: PolicyParams, obs) -> list[GateOp]:
-    """Concrete gate list for one input; mainly a reference/inspection path."""
-    check_params(spec, params)
-    obs = np.asarray(obs, dtype=np.float64)
-    if obs.shape != (spec.n_qubits,):
-        raise ConfigurationError(f"observation must have {spec.n_qubits} entries, got {obs.shape}")
-    out = []
-    for g in circuit_layout(spec):
-        if g.source is None:
-            out.append(g)
-            continue
-        src = g.source
-        if src.kind == "nu":
-            angle = params.nu[src.layer, src.qubit, src.slot]
-        else:
-            angle = params.omega[src.layer, src.qubit, src.slot] * obs[src.feature]
-        out.append(GateOp(g.kind, g.target, angle=float(angle), source=src))
-    return out
-
-
 class CircuitTemplate:
     """Packed, input-independent form of the ansatz for fast repeated evaluation.
 
-    ``angles`` fills the per-gate angle vector from parameter tensors and an
-    observation; ``grad_to_params`` pulls per-rotation angle gradients back
-    onto nu/omega (chain factor s_i for encoding weights).
+    ``kinds``, ``qa`` and ``qb`` are the gate arrays the kernels take; the
+    index arrays record which gates take a variational angle nu and which an
+    encoding angle omega * s_i. ``angles`` fills the per-gate angle vector
+    from parameter tensors and an observation; ``grad_to_params`` pulls
+    per-rotation angle gradients back onto nu/omega (chain factor s_i for
+    encoding weights).
     """
 
     def __init__(self, spec: AnsatzSpec):
         self.spec = spec
-        layout = circuit_layout(spec)
-        self.kinds, self.qa, self.qb, _ = qsim.pack_gates(layout, spec.n_qubits)
-        self.n_gates = len(layout)
-
-        def flat(s: AngleSource) -> int:
-            return (s.layer * spec.n_qubits + s.qubit) * PARAM_SLOTS + s.slot
-
-        var_g, var_p, enc_g, enc_p, enc_f = [], [], [], [], []
-        var_r, enc_r = [], []
-        rot = 0
-        for i, g in enumerate(layout):
-            if not g.is_rotation:
-                continue
-            if g.source.kind == "nu":
-                var_g.append(i)
-                var_p.append(flat(g.source))
-                var_r.append(rot)
-            else:
-                enc_g.append(i)
-                enc_p.append(flat(g.source))
-                enc_f.append(g.source.feature)
-                enc_r.append(rot)
-            rot += 1
-        self.n_rotations = rot
-        self._var_gate = np.asarray(var_g, dtype=np.intp)
-        self._var_param = np.asarray(var_p, dtype=np.intp)
-        self._var_rot = np.asarray(var_r, dtype=np.intp)
-        self._enc_gate = np.asarray(enc_g, dtype=np.intp)
-        self._enc_param = np.asarray(enc_p, dtype=np.intp)
-        self._enc_feature = np.asarray(enc_f, dtype=np.intp)
-        self._enc_rot = np.asarray(enc_r, dtype=np.intp)
+        n = spec.n_qubits
+        second_enc = qsim.KIND_RZ if spec.encoding == ENCODING_RZ_RZ else qsim.KIND_RY
+        kinds, qa, qb = [qsim.KIND_H] * n, list(range(n)), [-1] * n
+        var, enc = ([], []), ([], [])  # (gate indices, flat parameter indices)
+        for layer in range(spec.n_layers):
+            for q in range(n):
+                flat = (layer * n + q) * PARAM_SLOTS
+                for (gates, params), kind, slot in (
+                    (enc, qsim.KIND_RZ, 0), (enc, second_enc, 1), (var, qsim.KIND_RZ, 0), (var, qsim.KIND_RY, 1)
+                ):
+                    gates.append(len(kinds))
+                    params.append(flat + slot)
+                    kinds.append(kind)
+                    qa.append(q)
+                    qb.append(-1)
+            if spec.entangler == ENTANGLE_EVERY or layer < spec.n_layers - 1:
+                # CZ is symmetric and CZs commute, so lexicographic pair order is canonical.
+                for a, b in combinations(range(n), 2):
+                    kinds.append(qsim.KIND_CZ)
+                    qa.append(b)
+                    qb.append(a)
+        self.kinds = np.asarray(kinds, dtype=np.int8)
+        self.qa = np.asarray(qa, dtype=np.int32)
+        self.qb = np.asarray(qb, dtype=np.int32)
+        self.n_gates = len(kinds)
+        # Rotation r is the r-th RY/RZ in gate order, as the kernels number their gradients.
+        rot = np.cumsum((self.kinds == qsim.KIND_RY) | (self.kinds == qsim.KIND_RZ)) - 1
+        self._var_gate, self._var_param = (np.asarray(v, dtype=np.intp) for v in var)
+        self._enc_gate, self._enc_param = (np.asarray(v, dtype=np.intp) for v in enc)
+        self._var_rot = rot[self._var_gate]
+        self._enc_rot = rot[self._enc_gate]
+        self._enc_feature = self._enc_param // PARAM_SLOTS % n  # encoding on qubit i reads s_i
 
     def angles(self, nu_flat: np.ndarray, omega_flat: np.ndarray, obs: np.ndarray) -> np.ndarray:
         a = np.zeros(self.n_gates)
@@ -255,13 +205,19 @@ def probs_from_expectation(e: float) -> np.ndarray:
     return np.array([(e + 1.0) / 2.0, (1.0 - e) / 2.0])
 
 
-def policy_probs(spec: AnsatzSpec, params: PolicyParams, obs) -> PolicyOutput:
-    """Action distribution for one observation."""
-    check_params(spec, params)
+def _check_obs(spec: AnsatzSpec, obs) -> np.ndarray:
     obs = np.asarray(obs, dtype=np.float64)
-    tpl = get_template(spec)
-    e = tpl.expval(params.nu.reshape(-1), params.omega.reshape(-1), obs)
-    return PolicyOutput(probs=probs_from_expectation(e), expectation=e)
+    if obs.shape != (spec.n_qubits,):
+        raise ConfigurationError(f"observation must have {spec.n_qubits} entries, got {obs.shape}")
+    return obs
+
+
+def policy_probs(spec: AnsatzSpec, params: PolicyParams, obs) -> np.ndarray:
+    """Action distribution [pi(0|obs), pi(1|obs)] for one observation."""
+    check_params(spec, params)
+    obs = _check_obs(spec, obs)
+    e = get_template(spec).expval(params.nu.reshape(-1), params.omega.reshape(-1), obs)
+    return probs_from_expectation(e)
 
 
 def grad_log_policy(spec: AnsatzSpec, params: PolicyParams, obs, action: int):
@@ -272,7 +228,7 @@ def grad_log_policy(spec: AnsatzSpec, params: PolicyParams, obs, action: int):
     check_params(spec, params)
     if action not in (0, 1):
         raise ValueError(f"action must be 0 or 1, got {action}")
-    obs = np.asarray(obs, dtype=np.float64)
+    obs = _check_obs(spec, obs)
     tpl = get_template(spec)
     e, gnu, gom = tpl.expval_and_grad(params.nu.reshape(-1), params.omega.reshape(-1), obs)
     probs = probs_from_expectation(e)
@@ -284,9 +240,7 @@ def grad_log_policy(spec: AnsatzSpec, params: PolicyParams, obs, action: int):
     return (coeff * gnu).reshape(shape), (coeff * gom).reshape(shape)
 
 
-def lipschitz_bound(
-    spec: AnsatzSpec, params: PolicyParams, obs_spec: ObservableSpec = ObservableSpec()
-) -> LipschitzBound:
+def lipschitz_bound(spec: AnsatzSpec, params: PolicyParams) -> LipschitzBound:
     """Certified bound on how fast the policy can change per unit input change.
 
     Each encoding rotation contributes 2 * ||P_a|| * |omega| * ||H|| to the
@@ -294,23 +248,24 @@ def lipschitz_bound(
     vector per l2 change of the input. Independent of nu.
     """
     check_params(spec, params)
-    weight_sum = float(np.sum(np.abs(params.omega))) * spec.generator_norm * 2.0
-    per_action = tuple(norm * weight_sum for norm in obs_spec.projector_norms)
-    return LipschitzBound(per_action=per_action, total=float(sum(per_action)))
+    # Both action projectors (I +- Z^n)/2 are orthogonal projectors of
+    # spectral norm 1, so ||P_a|| drops out of each per-action bound.
+    weight_sum = float(np.sum(np.abs(params.omega))) * GENERATOR_NORM * 2.0
+    return LipschitzBound(per_action=(weight_sum, weight_sum), total=weight_sum + weight_sum)
 
 
-def regularization_penalty(params: PolicyParams, lam: float, generator_norm: float = GENERATOR_NORM) -> float:
+def regularization_penalty(params: PolicyParams, lam: float) -> float:
     """lambda * sum_g omega_g^2 * ||H||^2, the term subtracted from the objective."""
     if lam < 0:
         raise ConfigurationError(f"regularization rate must be >= 0, got {lam}")
-    return float(lam * generator_norm**2 * np.sum(params.omega**2))
+    return float(lam * GENERATOR_NORM**2 * np.sum(params.omega**2))
 
 
-def penalty_gradient(params: PolicyParams, lam: float, generator_norm: float = GENERATOR_NORM) -> np.ndarray:
+def penalty_gradient(params: PolicyParams, lam: float) -> np.ndarray:
     """Gradient of the penalty w.r.t. omega: 2 * lambda * ||H||^2 * omega."""
     if lam < 0:
         raise ConfigurationError(f"regularization rate must be >= 0, got {lam}")
-    return 2.0 * lam * generator_norm**2 * params.omega
+    return 2.0 * lam * GENERATOR_NORM**2 * params.omega
 
 
 def empirical_lipschitz_check(

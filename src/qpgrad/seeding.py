@@ -43,8 +43,10 @@ def derive_run_seeds(master_seed: int, n: int) -> list[int]:
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent Philox stream for one consumer identified by ``path``.
 
-    Path components must be non-negative ints < 2**32 (stream-kind tag
-    followed by indices such as episode or model number).
+    Path components are non-negative ints of any size (stream-kind tag
+    followed by indices such as episode number or a checkpoint's 64-bit
+    seed); ``SeedSequence`` keeps every bit, so 2**40 and 0 name different
+    streams. A negative component raises ``ValueError``.
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
     return np.random.Generator(np.random.Philox(ss))

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: outputs, exit codes, manifests, and reproducibility."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -68,7 +69,8 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "checkpoint_3.json"
         save_checkpoint(path, spec, PolicyParams(np.zeros(spec.param_shape), np.zeros(spec.param_shape)), 0.1, 5)
         doc = json.loads(path.read_text())
-        for bad in (None, True):  # None deletes the field
+        out_of_range = {"generator_norm": (0.25, 1), "seed": (-1,)}.get(field, ())
+        for bad in (None, True, *out_of_range):  # None deletes the field
             broken = dict(doc)
             if bad is None:
                 del broken[field]
@@ -176,6 +178,34 @@ class TestEvalCommands:
             "vel_bin_high",
             "attraction_rate",
         }
+
+    def test_model_rows_do_not_depend_on_other_checkpoints(self, tmp_path):
+        # eval streams are keyed by the checkpoint's seed, not its place in the directory
+        train_out = tmp_path / "train"
+        assert run_cli(*tiny_train_args(train_out, seeds=2)) == 0
+        campaigns = (
+            ("eval-robustness", "robustness.csv", ("eval.sigmas=0.0,0.5", "eval.episodes=4")),
+            ("eval-generalization", "generalization.csv",
+             ("grid.angle_edges=-2,0,2", "grid.velocity_edges=0.0,0.1", "grid.cell_episodes=3")),
+        )
+        for command, csv, settings in campaigns:
+
+            def rows(checkpoint_dir, out):
+                sets = [arg for kv in settings for arg in ("--set", kv)]
+                code = run_cli(command, "--seed", "5", "--out", str(out), "--set",
+                               f"eval.checkpoints={checkpoint_dir}", *sets)
+                assert code == 0
+                return read_csv(out / csv)
+
+            both = rows(train_out, tmp_path / command / "both")
+            for checkpoint in sorted(train_out.glob("checkpoint_*.json")):
+                alone_dir = tmp_path / command / checkpoint.stem
+                alone_dir.mkdir(parents=True)
+                shutil.copy(checkpoint, alone_dir)
+                alone = rows(alone_dir, alone_dir / "out")
+                seed = checkpoint.stem.removeprefix("checkpoint_")
+                assert alone and {r["seed"] for r in alone} == {seed}
+                assert alone == [r for r in both if r["seed"] == seed]
 
     def test_ansatz_mismatch_is_runtime_error(self, tmp_path):
         train_out = tmp_path / "train"

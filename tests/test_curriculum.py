@@ -49,9 +49,10 @@ class TestSchedule:
 
 class TestValidate:
     def test_random_policy_fails_validation(self):
-        mean, passed = validate(SPEC, zero_params(SPEC), InitRanges(), 30, seed=5)
+        mean, passed, failures = validate(SPEC, zero_params(SPEC), InitRanges(), 30, seed=5)
         assert not passed
         assert mean < 100.0
+        assert 0 < failures <= 30
 
     def test_needs_episodes(self):
         with pytest.raises(ConfigurationError):
@@ -115,13 +116,13 @@ class TestWithTrainedPolicy:
 
     def test_trained_policy_validates_on_default_range(self, trained_policy):
         params, _ = trained_policy
-        mean, passed = validate(SPEC, params, InitRanges(), 50, seed=11)
+        mean, passed, _ = validate(SPEC, params, InitRanges(), 50, seed=11)
         assert passed
         assert mean > 195.0
 
     def test_threshold_is_strict(self, trained_policy):
         # a mean exactly at the threshold must not pass ("exceeds" is strict)
         params, _ = trained_policy
-        mean, _ = validate(SPEC, params, InitRanges(), 50, seed=11)
-        _, passed_at_mean = validate(SPEC, params, InitRanges(), 50, threshold=mean, seed=11)
+        mean, _, _ = validate(SPEC, params, InitRanges(), 50, seed=11)
+        _, passed_at_mean, _ = validate(SPEC, params, InitRanges(), 50, threshold=mean, seed=11)
         assert not passed_at_mean

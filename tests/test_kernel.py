@@ -10,17 +10,16 @@ import pytest
 
 import qpgrad
 from qpgrad import _sv_numpy, qsim
-from qpgrad.qsim import GateKind, GateOp
 
 
 def _circuit():
-    gates = [
-        GateOp(GateKind.H, 0),
-        GateOp(GateKind.RY, 1, angle=0.4),
-        GateOp(GateKind.CZ, target=1, control=0),
-        GateOp(GateKind.RZ, 0, angle=-1.3),
-    ]
-    return qsim.pack_gates(gates, 2)
+    """H(0), RY(0.4) on 1, CZ(1, 0), RZ(-1.3) on 0, as the kernels' gate arrays."""
+    return (
+        np.array([qsim.KIND_H, qsim.KIND_RY, qsim.KIND_CZ, qsim.KIND_RZ], dtype=np.int8),
+        np.array([0, 1, 1, 0], dtype=np.int32),
+        np.array([-1, -1, 0, -1], dtype=np.int32),
+        np.array([0.0, 0.4, 0.0, -1.3]),
+    )
 
 
 class TestLoader:
@@ -84,7 +83,7 @@ class TestArgumentChecks:
 
     @pytest.fixture
     def kernel(self):
-        return qsim.backend_module("c")
+        return qsim.load_kernel("c")
 
     def test_bad_amplitudes_rejected(self, kernel):
         kinds, qa, qb, angles = _circuit()
@@ -107,27 +106,31 @@ class TestArgumentChecks:
 
     def test_bad_gate_arrays_rejected(self, kernel):
         kinds, qa, qb, angles = _circuit()
-        bad = (
+        bad_gates = (  # rejected by both kernels
+            (np.array([0, 1, 2, 7], dtype=np.int8), qa, qb, angles),  # unknown kind
+            (kinds, np.array([0, 1, 0, 2], dtype=np.int32), qb, angles),  # qubit 2 of 2
+            (kinds, qa, np.array([-1, -1, -1, -1], dtype=np.int32), angles),  # CZ without partner
+            (kinds, qa, np.array([-1, -1, 3, -1], dtype=np.int32), angles),  # CZ partner 3 of 2
+        )
+        bad_buffers = (  # the C kernel's pointer arguments
             (kinds.astype(np.int32), qa, qb, angles),
             (kinds, qa.astype(np.int64), qb, angles),
             (kinds, qa, qb.reshape(2, 2), angles),
             (kinds, qa, qb, angles.astype(np.float32)),
             (kinds, qa, qb, angles[:-1]),
             (kinds, qa, qb, list(angles)),
-            (np.array([0, 1, 2, 7], dtype=np.int8), qa, qb, angles),  # unknown kind
-            (kinds, np.array([0, 1, 0, 2], dtype=np.int32), qb, angles),  # qubit 2 of 2
-            (kinds, qa, np.array([-1, -1, -1, -1], dtype=np.int32), angles),  # CZ without partner
         )
-        for args in bad:
-            amps = kernel.zero_state(2)
-            for call in (
-                lambda: kernel.apply_ops(amps, 2, *args),
-                lambda: kernel.run_expval_z(2, *args),
-                lambda: kernel.expval_z_and_grad(2, *args),
-            ):
-                with pytest.raises(ValueError):
-                    call()
-            np.testing.assert_array_equal(amps, kernel.zero_state(2))
+        for k, bad in ((kernel, bad_gates + bad_buffers), (_sv_numpy, bad_gates)):
+            for args in bad:
+                amps = k.zero_state(2)
+                for call in (
+                    lambda: k.apply_ops(amps, 2, *args),
+                    lambda: k.run_expval_z(2, *args),
+                    lambda: k.expval_z_and_grad(2, *args),
+                ):
+                    with pytest.raises(ValueError):
+                        call()
+                np.testing.assert_array_equal(amps, k.zero_state(2))
 
     def test_strided_and_read_only_inputs_are_read_correctly(self, kernel):
         kinds, qa, qb, angles = _circuit()

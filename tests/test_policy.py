@@ -8,8 +8,8 @@ from qpgrad.policy import (
     ENCODING_RZ_RZ,
     ENTANGLE_EVERY,
     AnsatzSpec,
+    CircuitTemplate,
     PolicyParams,
-    build_circuit,
     empirical_lipschitz_check,
     grad_log_policy,
     init_params,
@@ -19,7 +19,7 @@ from qpgrad.policy import (
     regularization_penalty,
     zero_params,
 )
-from qpgrad.qsim import GateKind
+from qpgrad.qsim import KIND_CZ, KIND_H, KIND_RY, KIND_RZ
 
 
 def random_params(spec, rng, omega_scale=1.0):
@@ -30,49 +30,61 @@ def random_params(spec, rng, omega_scale=1.0):
 
 
 class TestBuildCircuit:
+    """The template's packed gate arrays and the angles it fills in."""
+
     def test_default_gate_counts(self):
-        spec = AnsatzSpec()  # L=3, n=4, entangler between layers
-        gates = build_circuit(spec, zero_params(spec), np.zeros(4))
-        kinds = [g.kind for g in gates]
-        assert kinds.count(GateKind.H) == 4
-        assert sum(k in (GateKind.RY, GateKind.RZ) for k in kinds) == 48
-        assert kinds.count(GateKind.CZ) == 2 * 6
+        kinds = CircuitTemplate(AnsatzSpec()).kinds.tolist()  # L=3, n=4, entangler between layers
+        assert kinds.count(KIND_H) == 4
+        assert kinds.count(KIND_RY) + kinds.count(KIND_RZ) == 48
+        assert kinds.count(KIND_CZ) == 2 * 6
 
     def test_entangler_after_every_layer(self):
-        spec = AnsatzSpec(entangler=ENTANGLE_EVERY)
-        gates = build_circuit(spec, zero_params(spec), np.zeros(4))
-        assert sum(g.kind == GateKind.CZ for g in gates) == 3 * 6
+        kinds = CircuitTemplate(AnsatzSpec(entangler=ENTANGLE_EVERY)).kinds.tolist()
+        assert kinds.count(KIND_CZ) == 3 * 6
+
+    def test_packed_arrays_pinned(self):
+        tpl = CircuitTemplate(AnsatzSpec(n_qubits=1, n_layers=1))
+        assert tpl.kinds.tolist() == [KIND_H, KIND_RZ, KIND_RY, KIND_RZ, KIND_RY]
+        assert tpl.qa.tolist() == [0] * 5
+        assert tpl.qb.tolist() == [-1] * 5
+        tpl = CircuitTemplate(AnsatzSpec(n_qubits=2, n_layers=2, entangler=ENTANGLE_EVERY))
+        layer = [KIND_RZ, KIND_RY, KIND_RZ, KIND_RY] * 2 + [KIND_CZ]
+        assert tpl.kinds.tolist() == [KIND_H, KIND_H] + layer + layer
+        assert tpl.qa.tolist() == [0, 1] + ([0] * 4 + [1] * 4 + [1]) * 2  # CZ pair (0, 1): target 1 ...
+        assert tpl.qb.tolist() == [-1, -1] + ([-1] * 8 + [0]) * 2  # ... partner 0
+        assert (tpl.kinds.dtype, tpl.qa.dtype, tpl.qb.dtype) == (np.int8, np.int32, np.int32)
 
     def test_gate_order_within_layer(self):
         # per qubit: encoding RZ, encoding RY, variational RZ, variational RY
-        spec = AnsatzSpec(n_qubits=1, n_layers=1)
-        gates = build_circuit(spec, zero_params(spec), np.zeros(1))
-        assert [g.kind for g in gates] == [GateKind.H, GateKind.RZ, GateKind.RY, GateKind.RZ, GateKind.RY]
-        assert [g.source.kind for g in gates[1:]] == ["omega", "omega", "nu", "nu"]
+        tpl = CircuitTemplate(AnsatzSpec(n_qubits=1, n_layers=1))
+        angles = tpl.angles(np.array([10.0, 20.0]), np.array([1.0, 2.0]), np.array([3.0]))
+        np.testing.assert_array_equal(angles, [0.0, 3.0, 6.0, 10.0, 20.0])
 
     def test_double_rz_encoding_variant(self):
-        spec = AnsatzSpec(n_qubits=1, n_layers=1, encoding=ENCODING_RZ_RZ)
-        gates = build_circuit(spec, zero_params(spec), np.zeros(1))
-        assert [g.kind for g in gates[1:3]] == [GateKind.RZ, GateKind.RZ]
+        tpl = CircuitTemplate(AnsatzSpec(n_qubits=1, n_layers=1, encoding=ENCODING_RZ_RZ))
+        assert tpl.kinds[1:3].tolist() == [KIND_RZ, KIND_RZ]
 
     def test_zero_params_balanced_policy(self):
         # rotations vanish and the CZ blocks cancel pairwise: <Z^4> = 0
         spec = AnsatzSpec()
-        out = policy_probs(spec, zero_params(spec), np.array([0.3, -0.2, 0.9, 0.1]))
-        assert out.expectation == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(out.probs, [0.5, 0.5], atol=1e-12)
+        probs = policy_probs(spec, zero_params(spec), np.array([0.3, -0.2, 0.9, 0.1]))
+        np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
 
     def test_zero_observation_kills_encoding_angles(self):
         spec = AnsatzSpec()
+        tpl = CircuitTemplate(spec)
         params = random_params(spec, np.random.default_rng(0))
-        gates = build_circuit(spec, params, np.zeros(4))
-        enc = [g for g in gates if g.source is not None and g.source.kind == "omega"]
-        assert enc and all(g.angle == 0.0 for g in enc)
+        nu, omega = params.nu.reshape(-1), params.omega.reshape(-1)
+        no_omega = np.zeros_like(omega)
+        np.testing.assert_array_equal(tpl.angles(nu, omega, np.zeros(4)), tpl.angles(nu, no_omega, np.zeros(4)))
+        assert not np.array_equal(tpl.angles(nu, omega, np.ones(4)), tpl.angles(nu, no_omega, np.ones(4)))
 
     def test_observation_shape_checked(self):
         spec = AnsatzSpec()
         with pytest.raises(ConfigurationError):
-            build_circuit(spec, zero_params(spec), np.zeros(3))
+            policy_probs(spec, zero_params(spec), np.zeros(3))
+        with pytest.raises(ConfigurationError):
+            grad_log_policy(spec, zero_params(spec), np.zeros(5), 0)
 
     def test_param_shape_checked(self):
         spec = AnsatzSpec()
@@ -95,7 +107,7 @@ class TestProbs:
         for _ in range(300):
             params = random_params(spec, rng)
             obs = rng.uniform(-1, 1, 4)
-            probs = policy_probs(spec, params, obs).probs
+            probs = policy_probs(spec, params, obs)
             assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
             assert abs(probs.sum() - 1.0) < 1e-12
 
@@ -114,7 +126,7 @@ class TestGradLogPolicy:
         for _ in range(10):
             params = random_params(spec, rng)
             obs = rng.uniform(-1, 1, 4)
-            probs = policy_probs(spec, params, obs).probs
+            probs = policy_probs(spec, params, obs)
             g0 = grad_log_policy(spec, params, obs, 0)
             g1 = grad_log_policy(spec, params, obs, 1)
             for a, b in zip(g0, g1):
@@ -128,12 +140,12 @@ class TestGradLogPolicy:
             params = random_params(spec, rng, omega_scale=0.5)
             obs = rng.uniform(-1, 1, 3)
             action = int(rng.integers(0, 2))
-            if policy_probs(spec, params, obs).probs[action] < 1e-3:
+            if policy_probs(spec, params, obs)[action] < 1e-3:
                 continue
             gnu, gom = grad_log_policy(spec, params, obs, action)
 
             def log_pi(p):
-                return np.log(policy_probs(spec, p, obs).probs[action])
+                return np.log(policy_probs(spec, p, obs)[action])
 
             for tensor, grad in (("nu", gnu), ("omega", gom)):
                 flat_idx = rng.integers(0, spec.n_params_each)
@@ -150,8 +162,7 @@ class TestGradLogPolicy:
         params = zero_params(spec)
         # H then RY(pi/2) rotates |+> onto |1>: pi(0|s) = 0
         params.nu[0, 0, 1] = np.pi / 2
-        out = policy_probs(spec, params, np.zeros(1))
-        assert out.probs[0] < 1e-12
+        assert policy_probs(spec, params, np.zeros(1))[0] < 1e-12
         with pytest.raises(DegeneratePolicyError):
             grad_log_policy(spec, params, np.zeros(1), 0)
 

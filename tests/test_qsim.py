@@ -1,4 +1,11 @@
-"""Simulator correctness: gate semantics, expectation, and the three gradient paths."""
+"""Simulator correctness: gate semantics, expectation, and the three gradient paths.
+
+Circuits are packed gate arrays, the only form the kernels take. Every
+gate-semantics check runs on both kernels, the compiled one and the numpy
+oracle.
+"""
+
+from functools import cache
 
 import numpy as np
 import pytest
@@ -6,34 +13,46 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpgrad import qsim
-from qpgrad.errors import InvalidGateError
-from qpgrad.qsim import (
-    GateKind,
-    GateOp,
-    Statevector,
-    apply_gate,
-    apply_hadamard_all,
-    expectation_z_all,
-    gradient_z_expectation,
-    parameter_shift_gradient,
-    run_circuit,
-)
+from qpgrad.qsim import parameter_shift_gradient
+
+
+@cache
+def kernels():
+    """Both kernels; building the C one fails the calling test if it cannot be built."""
+    return (qsim.load_kernel("c"), qsim.load_kernel("numpy"))
 
 
 def h(q):
-    return GateOp(GateKind.H, q)
+    return (qsim.KIND_H, q, -1, 0.0)
 
 
 def ry(q, a):
-    return GateOp(GateKind.RY, q, angle=a)
+    return (qsim.KIND_RY, q, -1, a)
 
 
 def rz(q, a):
-    return GateOp(GateKind.RZ, q, angle=a)
+    return (qsim.KIND_RZ, q, -1, a)
 
 
 def cz(a, b):
-    return GateOp(GateKind.CZ, target=b, control=a)
+    return (qsim.KIND_CZ, b, a, 0.0)
+
+
+def pack(gates):
+    """(kind, qubit, partner, angle) tuples as the kernels' four gate arrays."""
+    return (
+        np.array([g[0] for g in gates], dtype=np.int8),
+        np.array([g[1] for g in gates], dtype=np.int32),
+        np.array([g[2] for g in gates], dtype=np.int32),
+        np.array([g[3] for g in gates], dtype=np.float64),
+    )
+
+
+def evolve(kernel, gates, n_qubits, amps=None):
+    """The state ``gates`` make from ``amps`` (default |0...0>); ``amps`` itself is left alone."""
+    amps = kernel.zero_state(n_qubits) if amps is None else np.array(amps, dtype=np.complex128)
+    kernel.apply_ops(amps, n_qubits, *pack(gates))
+    return amps
 
 
 def random_circuit(rng, n_qubits=3, n_gates=30):
@@ -58,147 +77,152 @@ def random_circuit(rng, n_qubits=3, n_gates=30):
 
 class TestGates:
     def test_ry_pi_flips_zero(self):
-        state = apply_gate(Statevector(1), ry(0, np.pi))
-        np.testing.assert_allclose(state.amplitudes, [0.0, 1.0], atol=1e-15)
+        for kernel in kernels():
+            np.testing.assert_allclose(evolve(kernel, [ry(0, np.pi)], 1), [0.0, 1.0], atol=1e-15)
 
     def test_cz_phases_one_one(self):
-        state = Statevector(2, np.array([0, 0, 0, 1], dtype=complex))
-        out = apply_gate(state, cz(0, 1))
-        np.testing.assert_allclose(out.amplitudes, [0, 0, 0, -1], atol=0)
+        for kernel in kernels():
+            out = evolve(kernel, [cz(0, 1)], 2, amps=[0, 0, 0, 1])
+            np.testing.assert_allclose(out, [0, 0, 0, -1], atol=0)
 
     def test_cz_leaves_other_basis_states(self):
-        for idx in range(3):
-            amps = np.zeros(4, dtype=complex)
-            amps[idx] = 1.0
-            out = apply_gate(Statevector(2, amps), cz(0, 1))
-            np.testing.assert_allclose(out.amplitudes, amps)
+        for kernel in kernels():
+            for idx in range(3):
+                amps = np.zeros(4, dtype=complex)
+                amps[idx] = 1.0
+                np.testing.assert_allclose(evolve(kernel, [cz(0, 1)], 2, amps), amps)
 
     def test_rz_is_pure_phase_on_zero(self):
         phi = 0.731
-        out = apply_gate(Statevector(1), rz(0, phi))
-        assert out.amplitudes[0] == pytest.approx(np.exp(-0.5j * phi))
-        np.testing.assert_allclose(np.abs(out.amplitudes) ** 2, [1.0, 0.0], atol=1e-15)
+        for kernel in kernels():
+            out = evolve(kernel, [rz(0, phi)], 1)
+            assert out[0] == pytest.approx(np.exp(-0.5j * phi))
+            np.testing.assert_allclose(np.abs(out) ** 2, [1.0, 0.0], atol=1e-15)
 
     def test_ry_matrix_convention(self):
         # RY(a)|0> = [cos(a/2), sin(a/2)]
         a = 1.234
-        out = apply_gate(Statevector(1), ry(0, a))
-        np.testing.assert_allclose(out.amplitudes, [np.cos(a / 2), np.sin(a / 2)], atol=1e-15)
+        for kernel in kernels():
+            out = evolve(kernel, [ry(0, a)], 1)
+            np.testing.assert_allclose(out, [np.cos(a / 2), np.sin(a / 2)], atol=1e-15)
 
     def test_apply_gate_does_not_mutate_input(self):
-        state = Statevector(2)
-        before = state.amplitudes.copy()
-        apply_gate(state, h(0))
-        np.testing.assert_array_equal(state.amplitudes, before)
+        # the kernels write only the amplitudes, never the gate arrays
+        gates = pack([h(0), ry(1, 0.4), cz(0, 1), rz(0, -1.3)])
+        before = [a.copy() for a in gates]
+        for kernel in kernels():
+            kernel.apply_ops(kernel.zero_state(2), 2, *gates)
+            kernel.expval_z_and_grad(2, *gates)
+            for a, b in zip(gates, before):
+                np.testing.assert_array_equal(a, b)
 
     def test_target_out_of_range_rejected(self):
-        with pytest.raises(InvalidGateError):
-            apply_gate(Statevector(2), h(2))
-        with pytest.raises(InvalidGateError):
-            run_circuit([cz(0, 3)], 2)
-
-    def test_control_equal_target_rejected(self):
-        with pytest.raises(InvalidGateError):
-            GateOp(GateKind.CZ, target=1, control=1)
-
-    def test_control_required_only_for_cz(self):
-        with pytest.raises(InvalidGateError):
-            GateOp(GateKind.CZ, target=0)
-        with pytest.raises(InvalidGateError):
-            GateOp(GateKind.RY, target=0, control=1)
+        for kernel in kernels():
+            for gates in ([h(2)], [ry(-1, 0.3)], [cz(0, 3)], [cz(3, 1)], [cz(-1, 1)]):
+                amps = kernel.zero_state(2)
+                with pytest.raises(ValueError):
+                    kernel.apply_ops(amps, 2, *pack(gates))
+                np.testing.assert_array_equal(amps, kernel.zero_state(2))
+                with pytest.raises(ValueError):
+                    kernel.expval_z_and_grad(2, *pack(gates))
 
 
 class TestHadamardAll:
     def test_two_qubits_equal_superposition(self):
-        out = apply_hadamard_all(Statevector(2))
-        np.testing.assert_allclose(out.amplitudes, [0.5, 0.5, 0.5, 0.5], atol=1e-15)
+        for kernel in kernels():
+            np.testing.assert_allclose(evolve(kernel, [h(0), h(1)], 2), [0.5] * 4, atol=1e-15)
 
     def test_one_qubit(self):
-        out = apply_hadamard_all(Statevector(1))
-        np.testing.assert_allclose(out.amplitudes, [1 / np.sqrt(2)] * 2, atol=1e-15)
+        for kernel in kernels():
+            np.testing.assert_allclose(evolve(kernel, [h(0)], 1), [1 / np.sqrt(2)] * 2, atol=1e-15)
 
     def test_four_qubits(self):
-        out = apply_hadamard_all(Statevector(4))
-        np.testing.assert_allclose(out.amplitudes, [0.25] * 16, atol=1e-15)
+        for kernel in kernels():
+            np.testing.assert_allclose(evolve(kernel, [h(q) for q in range(4)], 4), [0.25] * 16, atol=1e-15)
 
 
 class TestExpectation:
     def test_all_zeros_eigenstate(self):
-        assert expectation_z_all(Statevector(2)) == pytest.approx(1.0)
+        for kernel in kernels():
+            assert kernel.expval_z(kernel.zero_state(2), 2) == pytest.approx(1.0)
 
     def test_odd_parity(self):
         amps = np.zeros(4, dtype=complex)
         amps[1] = 1.0  # one qubit flipped
-        assert expectation_z_all(Statevector(2, amps)) == pytest.approx(-1.0)
+        for kernel in kernels():
+            assert kernel.expval_z(amps, 2) == pytest.approx(-1.0)
 
     def test_balanced_superposition(self):
-        out = apply_hadamard_all(Statevector(2))
-        assert expectation_z_all(out) == pytest.approx(0.0, abs=1e-15)
+        for kernel in kernels():
+            assert kernel.run_expval_z(2, *pack([h(0), h(1)])) == pytest.approx(0.0, abs=1e-15)
 
     def test_single_ry_gives_cos(self):
-        for a in (0.0, 0.4, 1.1, np.pi / 2, 2.8):
-            state = run_circuit([ry(0, a)], 1)
-            assert expectation_z_all(state) == pytest.approx(np.cos(a), abs=1e-12)
+        for kernel in kernels():
+            for a in (0.0, 0.4, 1.1, np.pi / 2, 2.8):
+                assert kernel.run_expval_z(1, *pack([ry(0, a)])) == pytest.approx(np.cos(a), abs=1e-12)
 
 
 class TestRunCircuit:
     def test_empty_circuit_identity(self):
-        out = run_circuit([], 1)
-        np.testing.assert_allclose(out.amplitudes, [1.0, 0.0])
+        for kernel in kernels():
+            np.testing.assert_allclose(kernel.run(1, *pack([])), [1.0, 0.0])
 
     def test_h_squared_is_identity(self):
-        out = run_circuit([h(0), h(0)], 1)
-        np.testing.assert_allclose(out.amplitudes, [1.0, 0.0], atol=1e-15)
+        for kernel in kernels():
+            np.testing.assert_allclose(kernel.run(1, *pack([h(0), h(0)])), [1.0, 0.0], atol=1e-15)
 
     def test_cz_squared_is_identity(self):
-        out = run_circuit([h(0), h(1), cz(0, 1), cz(0, 1)], 2)
-        np.testing.assert_allclose(out.amplitudes, [0.5] * 4, atol=1e-15)
+        for kernel in kernels():
+            out = kernel.run(2, *pack([h(0), h(1), cz(0, 1), cz(0, 1)]))
+            np.testing.assert_allclose(out, [0.5] * 4, atol=1e-15)
 
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(3)
-        gates = random_circuit(rng, n_qubits=4, n_gates=40)
-        a = run_circuit(gates, 4).amplitudes
-        b = run_circuit(gates, 4).amplitudes
-        assert np.array_equal(a, b)
+        gates = pack(random_circuit(rng, n_qubits=4, n_gates=40))
+        for kernel in kernels():
+            assert np.array_equal(kernel.run(4, *gates), kernel.run(4, *gates))
 
 
 class TestGradients:
     def test_single_ry_at_zero(self):
         # <Z> = cos(a); derivative at 0 is 0
-        g = gradient_z_expectation([ry(0, 0.0)], 1)
-        assert g[0] == pytest.approx(0.0, abs=1e-15)
+        for kernel in kernels():
+            _, g = kernel.expval_z_and_grad(1, *pack([ry(0, 0.0)]))
+            assert g[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_single_ry_at_half_pi(self):
-        g = gradient_z_expectation([ry(0, np.pi / 2)], 1)
-        assert g[0] == pytest.approx(-1.0, abs=1e-12)
+        for kernel in kernels():
+            _, g = kernel.expval_z_and_grad(1, *pack([ry(0, np.pi / 2)]))
+            assert g[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_gradient_length_counts_rotations(self):
-        gates = [h(0), ry(0, 0.3), cz(0, 1), rz(1, 0.2), h(1)]
-        assert len(gradient_z_expectation(gates, 2)) == 2
+        gates = pack([h(0), ry(0, 0.3), cz(0, 1), rz(1, 0.2), h(1)])
+        for kernel in kernels():
+            assert len(kernel.expval_z_and_grad(2, *gates)[1]) == 2
+        assert len(parameter_shift_gradient(2, *gates)) == 2
 
-    def _finite_difference(self, gates, n_qubits, step=1e-5):
+    def _finite_difference(self, kernel, n_qubits, kinds, qa, qb, angles, step=1e-5):
         # independent oracle: central differences through the forward path only
-        rot = [i for i, g in enumerate(gates) if g.is_rotation]
+        rot = np.flatnonzero((kinds == qsim.KIND_RY) | (kinds == qsim.KIND_RZ))
         grads = np.zeros(len(rot))
         for r, i in enumerate(rot):
-            up = list(gates)
-            dn = list(gates)
-            up[i] = GateOp(gates[i].kind, gates[i].target, angle=gates[i].angle + step)
-            dn[i] = GateOp(gates[i].kind, gates[i].target, angle=gates[i].angle - step)
-            e_up = expectation_z_all(run_circuit(up, n_qubits))
-            e_dn = expectation_z_all(run_circuit(dn, n_qubits))
+            up, dn = angles.copy(), angles.copy()
+            up[i] += step
+            dn[i] -= step
+            e_up = kernel.run_expval_z(n_qubits, kinds, qa, qb, up)
+            e_dn = kernel.run_expval_z(n_qubits, kinds, qa, qb, dn)
             grads[r] = (e_up - e_dn) / (2 * step)
         return grads
 
     def test_adjoint_matches_shift_and_finite_difference(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            gates = random_circuit(rng, n_qubits=4, n_gates=35)
-            adj = gradient_z_expectation(gates, 4)
-            shift = parameter_shift_gradient(gates, 4)
-            fd = self._finite_difference(gates, 4)
-            np.testing.assert_allclose(adj, shift, atol=1e-10)
-            np.testing.assert_allclose(adj, fd, atol=1e-5)
+            gates = pack(random_circuit(rng, n_qubits=4, n_gates=35))
+            shift = parameter_shift_gradient(4, *gates)
+            for kernel in kernels():
+                _, adj = kernel.expval_z_and_grad(4, *gates)
+                np.testing.assert_allclose(adj, shift, atol=1e-10)
+                np.testing.assert_allclose(adj, self._finite_difference(kernel, 4, *gates), atol=1e-5)
 
 
 class TestProperties:
@@ -208,18 +232,19 @@ class TestProperties:
         rng = np.random.default_rng(7)
         for _ in range(100):
             n = int(rng.integers(1, 5))
-            gates = random_circuit(rng, n_qubits=n, n_gates=int(rng.integers(1, 50)))
-            state = run_circuit(gates, n)
-            assert abs(state.norm() - 1.0) < 1e-10
-            assert abs(expectation_z_all(state)) <= 1.0 + 1e-12
+            gates = pack(random_circuit(rng, n_qubits=n, n_gates=int(rng.integers(1, 50))))
+            for kernel in kernels():
+                state = kernel.run(n, *gates)
+                assert abs(np.linalg.norm(state) - 1.0) < 1e-10
+                assert abs(kernel.expval_z(state, n)) <= 1.0 + 1e-12
 
     def test_gradient_consistency_random_draws(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
-            gates = random_circuit(rng, n_qubits=3, n_gates=25)
-            adj = gradient_z_expectation(gates, 3)
-            shift = parameter_shift_gradient(gates, 3)
-            np.testing.assert_allclose(adj, shift, atol=1e-10)
+            gates = pack(random_circuit(rng, n_qubits=3, n_gates=25))
+            shift = parameter_shift_gradient(3, *gates)
+            for kernel in kernels():
+                np.testing.assert_allclose(kernel.expval_z_and_grad(3, *gates)[1], shift, atol=1e-10)
 
 
 def _packed(gates, n_qubits):
@@ -261,8 +286,7 @@ class TestBackendParity:
     """The compiled kernel against the numpy oracle."""
 
     def _assert_agree(self, n_qubits, kinds, qa, qb, angles):
-        c = qsim.backend_module("c")
-        np_ = qsim.backend_module("numpy")
+        c, np_ = kernels()
         a1 = c.run(n_qubits, kinds, qa, qb, angles)
         a2 = np_.run(n_qubits, kinds, qa, qb, angles)
         np.testing.assert_allclose(a1, a2, atol=1e-13)
@@ -277,8 +301,7 @@ class TestBackendParity:
     def test_backends_agree(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
-            gates = random_circuit(rng, n_qubits=4, n_gates=40)
-            self._assert_agree(4, *qsim.pack_gates(gates, 4))
+            self._assert_agree(4, *pack(random_circuit(rng, n_qubits=4, n_gates=40)))
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 5), st.lists(_gate_tuples, max_size=40))
