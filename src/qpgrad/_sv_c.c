@@ -13,6 +13,7 @@
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 typedef double complex cplx;
 
@@ -86,16 +87,17 @@ static inline int parity(ptrdiff_t x) {
     return (int)(x & 1);
 }
 
-/* Index of the first gate with an unknown kind or a qubit outside the
- * register, or -1. Checked before any gate is applied, so a bad gate list
- * never indexes outside the amplitude vector. */
+/* Index of the first gate with an unknown kind, a qubit outside the
+ * register or a CZ whose partner is its own target, or -1. Checked before
+ * any gate is applied, so a bad gate list never indexes outside the
+ * amplitude vector. */
 static ptrdiff_t bad_gate(int n_qubits, const int8_t *kinds, const int32_t *qa,
                           const int32_t *qb, ptrdiff_t n_gates) {
     for (ptrdiff_t g = 0; g < n_gates; g++) {
         if (kinds[g] < KIND_H || kinds[g] > KIND_CZ || qa[g] < 0 || qa[g] >= n_qubits) {
             return g;
         }
-        if (kinds[g] == KIND_CZ && (qb[g] < 0 || qb[g] >= n_qubits)) {
+        if (kinds[g] == KIND_CZ && (qb[g] < 0 || qb[g] >= n_qubits || qb[g] == qa[g])) {
             return g;
         }
     }
@@ -173,16 +175,11 @@ double expval_z(const cplx *amps, int n_qubits) {
 
 /* Reverse sweep from the final state psi, which it turns back into
  * |0...0>: d<Z^n>/d(angle) into grads, one entry per rotation gate in gate
- * order. lam is scratch. */
+ * order (n_rot of them). lam is scratch. */
 static void adjoint(cplx *psi, cplx *lam, ptrdiff_t dim, const int8_t *kinds,
                     const int32_t *qa, const int32_t *qb, const double *angles,
-                    ptrdiff_t n_gates, double *grads) {
-    ptrdiff_t r = -1;
-    for (ptrdiff_t g = 0; g < n_gates; g++) {
-        if (kinds[g] == KIND_RY || kinds[g] == KIND_RZ) {
-            r += 1;
-        }
-    }
+                    ptrdiff_t n_gates, ptrdiff_t n_rot, double *grads) {
+    ptrdiff_t r = n_rot - 1;
     for (ptrdiff_t i = 0; i < dim; i++) {
         lam[i] = parity(i) ? -psi[i] : psi[i];
     }
@@ -209,27 +206,40 @@ static void adjoint(cplx *psi, cplx *lam, ptrdiff_t dim, const int8_t *kinds,
     }
 }
 
-/* <Z^n> of |0...0> evolved through the packed gate list, into *expval and,
- * unless grads is NULL, its adjoint gradient into grads. Returns -1; or the
- * index of the first bad gate, or -2 when the scratch states cannot be
- * allocated (nothing computed then). */
-ptrdiff_t expval_z_and_grad(int n_qubits, const int8_t *kinds, const int32_t *qa,
-                            const int32_t *qb, const double *angles, ptrdiff_t n_gates,
-                            double *grads, double *expval) {
+/* One circuit per row of the (n_rows, n_gates) angles block, all sharing
+ * the packed gate list: <Z^n> of |0...0> evolved through row r into
+ * expvals[r] and, unless grads is NULL, its adjoint gradient into row r of
+ * the (n_rows, rotations) grads block. Each row runs exactly as a circuit
+ * alone would, so its results do not depend on the other rows. Returns -1;
+ * or the index of the first bad gate, or -2 when the scratch states cannot
+ * be allocated (nothing computed then). */
+ptrdiff_t expval_z_and_grad_rows(int n_qubits, const int8_t *kinds, const int32_t *qa,
+                                 const int32_t *qb, const double *angles, ptrdiff_t n_gates,
+                                 ptrdiff_t n_rows, double *grads, double *expvals) {
     ptrdiff_t bad = bad_gate(n_qubits, kinds, qa, qb, n_gates);
     if (bad >= 0) {
         return bad;
     }
+    ptrdiff_t n_rot = 0;
+    for (ptrdiff_t g = 0; g < n_gates; g++) {
+        if (kinds[g] == KIND_RY || kinds[g] == KIND_RZ) {
+            n_rot += 1;
+        }
+    }
     ptrdiff_t dim = ((ptrdiff_t)1) << n_qubits;
-    cplx *psi = calloc(grads == NULL ? dim : 2 * dim, sizeof(cplx)); /* all +0.0 */
+    cplx *psi = malloc((grads == NULL ? dim : 2 * dim) * sizeof(cplx));
     if (psi == NULL) {
         return -2;
     }
-    psi[0] = 1.0;
-    apply_all(psi, dim, kinds, qa, qb, angles, n_gates);
-    *expval = expval_z(psi, n_qubits);
-    if (grads != NULL) {
-        adjoint(psi, psi + dim, dim, kinds, qa, qb, angles, n_gates, grads);
+    for (ptrdiff_t r = 0; r < n_rows; r++) {
+        const double *row = angles + r * n_gates;
+        memset(psi, 0, dim * sizeof(cplx)); /* all +0.0 */
+        psi[0] = 1.0;
+        apply_all(psi, dim, kinds, qa, qb, row, n_gates);
+        expvals[r] = expval_z(psi, n_qubits);
+        if (grads != NULL) {
+            adjoint(psi, psi + dim, dim, kinds, qa, qb, row, n_gates, n_rot, grads + r * n_rot);
+        }
     }
     free(psi);
     return -1;

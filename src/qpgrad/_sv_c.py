@@ -2,13 +2,15 @@
 
 ``build`` compiles the C file into a cache directory, and ``Kernel`` wraps
 the library with the contract of ``_sv_numpy``: ``zero_state``,
-``apply_ops``, ``run``, ``expval_z``, ``run_expval_z`` and
-``expval_z_and_grad``. The C code takes raw pointers, so each argument is
-checked first: dtype, 1-D, equal gate-array lengths, ``len(amps) ==
-2**n_qubits``, and C-contiguous, writable amplitudes where they change in
-place. Inputs reach the C code as C-contiguous copies, and the C code itself
-rejects unknown gate kinds and qubits outside the register. A failed check
-raises ``ValueError`` and computes nothing.
+``apply_ops``, ``run``, ``expval_z``, ``expval_z_rows`` and
+``expval_z_and_grad_rows``. The C code takes raw pointers, so each argument
+is checked first: dtype, 1-D gate arrays of equal length, an angle vector of
+that length (a 2-D block with that many columns for the row-batched calls),
+``len(amps) == 2**n_qubits``, and C-contiguous, writable amplitudes where
+they change in place. Inputs reach the C code as C-contiguous copies, and
+the C code itself rejects unknown gate kinds, qubits outside the register
+and a CZ on one qubit. A failed check raises ``ValueError`` and computes
+nothing.
 """
 
 from __future__ import annotations
@@ -66,11 +68,11 @@ _I32 = np.dtype(np.int32)
 _Memory = ctypes.c_char * 0
 
 
-def _input(arr, dtype: np.dtype, name: str) -> bytes:
-    """A C-contiguous copy of a 1-D input array; a bytes object passes as a
-    pointer more cheaply than any view of the array itself."""
-    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.ndim == 1):
-        raise ValueError(f"{name} must be a 1-D {dtype} array")
+def _input(arr, dtype: np.dtype, name: str, ndim: int = 1) -> bytes:
+    """A C-contiguous copy of an ``ndim``-D input array; a bytes object passes
+    as a pointer more cheaply than any view of the array itself."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.ndim == ndim):
+        raise ValueError(f"{name} must be a {ndim}-D {dtype} array")
     return arr.tobytes()
 
 
@@ -79,15 +81,22 @@ def _input(arr, dtype: np.dtype, name: str) -> bytes:
 MAX_QUBITS = 32
 
 
-def _gates(n_qubits, kinds, qa, qb, angles):
+def _gates(n_qubits, kinds, qa, qb):
     """The register size and the gate arrays as the C functions take them."""
     if not 0 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must lie in [0, {MAX_QUBITS}], got {n_qubits}")
-    data = (_input(kinds, _I8, "kinds"), _input(qa, _I32, "qa"), _input(qb, _I32, "qb"),
-            _input(angles, _F64, "angles"))
-    if not len(kinds) == len(qa) == len(qb) == len(angles):
-        raise ValueError("kinds, qa, qb and angles must have equal lengths")
-    return (n_qubits, *data, len(kinds))
+    data = (_input(kinds, _I8, "kinds"), _input(qa, _I32, "qa"), _input(qb, _I32, "qb"))
+    if not len(kinds) == len(qa) == len(qb):
+        raise ValueError("kinds, qa and qb must have equal lengths")
+    return (n_qubits, *data)
+
+
+def _angle_rows(angles, n_gates: int) -> bytes:
+    """The (rows, n_gates) angle block as the C functions take it."""
+    data = _input(angles, _F64, "angles", ndim=2)
+    if angles.shape[1] != n_gates:
+        raise ValueError(f"angles must have one column per gate ({n_gates}), got {angles.shape[1]}")
+    return data
 
 
 def _check_length(amps: np.ndarray, n_qubits: int) -> None:
@@ -99,7 +108,7 @@ def _check_status(status: int, n_qubits: int) -> None:
     if status == -2:
         raise MemoryError("no memory for the scratch statevectors")
     if status >= 0:
-        raise ValueError(f"gate {status}: unknown kind or qubit outside {n_qubits} qubits")
+        raise ValueError(f"gate {status}: unknown kind, qubit outside {n_qubits} qubits or CZ on one qubit")
 
 
 class Kernel:
@@ -114,9 +123,9 @@ class Kernel:
         self._expval_z = lib.expval_z
         self._expval_z.argtypes = [ptr, n]
         self._expval_z.restype = ctypes.c_double
-        self._expval_z_and_grad = lib.expval_z_and_grad
-        self._expval_z_and_grad.argtypes = [n, ptr, ptr, ptr, ptr, size, ptr, ptr]
-        self._expval_z_and_grad.restype = size
+        self._rows = lib.expval_z_and_grad_rows
+        self._rows.argtypes = [n, ptr, ptr, ptr, ptr, size, size, ptr, ptr]
+        self._rows.restype = size
 
     zero_state = staticmethod(_sv_numpy.zero_state)
 
@@ -126,7 +135,11 @@ class Kernel:
                 and amps.flags.c_contiguous and amps.flags.writeable):
             raise ValueError("amps must be a writable 1-D C-contiguous complex128 array")
         _check_length(amps, n_qubits)
-        status = self._apply_ops(_Memory.from_buffer(amps), *_gates(n_qubits, kinds, qa, qb, angles))
+        gates = _gates(n_qubits, kinds, qa, qb)
+        data = _input(angles, _F64, "angles")
+        if len(angles) != len(kinds):
+            raise ValueError("kinds, qa, qb and angles must have equal lengths")
+        status = self._apply_ops(_Memory.from_buffer(amps), *gates, data, len(kinds))
         _check_status(status, n_qubits)
 
     def run(self, n_qubits, kinds, qa, qb, angles) -> np.ndarray:
@@ -141,24 +154,29 @@ class Kernel:
         _check_length(amps, n_qubits)
         return self._expval_z(data, n_qubits)
 
-    def run_expval_z(self, n_qubits, kinds, qa, qb, angles) -> float:
-        """``expval_z(run(...))`` in one call, without the state round trip."""
-        expval = ctypes.c_double()
-        status = self._expval_z_and_grad(*_gates(n_qubits, kinds, qa, qb, angles), None,
-                                         ctypes.byref(expval))
+    def expval_z_rows(self, n_qubits, kinds, qa, qb, angles) -> np.ndarray:
+        """``expval_z(run(...))`` for each row of the (B, n_gates) ``angles``, in one call."""
+        gates = _gates(n_qubits, kinds, qa, qb)
+        data = _angle_rows(angles, len(kinds))
+        expvals = np.empty(len(angles))
+        status = self._rows(*gates, data, len(kinds), len(angles), None, _Memory.from_buffer(expvals))
         _check_status(status, n_qubits)
-        return expval.value
+        return expvals
 
-    def expval_z_and_grad(self, n_qubits, kinds, qa, qb, angles):
-        """Forward expectation of Z^n plus its adjoint (reverse-sweep) gradient.
+    def expval_z_and_grad_rows(self, n_qubits, kinds, qa, qb, angles):
+        """Forward expectation of Z^n plus its adjoint (reverse-sweep) gradient,
+        for each row of the (B, n_gates) ``angles``, in one call.
 
-        Returns ``(expval, grads)`` with one gradient entry per rotation gate,
-        in gate order.
+        Returns ``(expvals, grads)``: shape (B,), and (B, rotations) with one
+        gradient entry per rotation gate, in gate order.
         """
-        gates = _gates(n_qubits, kinds, qa, qb, angles)
+        gates = _gates(n_qubits, kinds, qa, qb)
+        data = _angle_rows(angles, len(kinds))
         kind_bytes = gates[1]  # the C code counts rotations by the same rule
-        grads = np.zeros(kind_bytes.count(_sv_numpy.KIND_RY) + kind_bytes.count(_sv_numpy.KIND_RZ))
-        expval = ctypes.c_double()
-        status = self._expval_z_and_grad(*gates, _Memory.from_buffer(grads), ctypes.byref(expval))
+        n_rot = kind_bytes.count(_sv_numpy.KIND_RY) + kind_bytes.count(_sv_numpy.KIND_RZ)
+        expvals = np.empty(len(angles))
+        grads = np.empty((len(angles), n_rot))
+        status = self._rows(*gates, data, len(kinds), len(angles), _Memory.from_buffer(grads),
+                            _Memory.from_buffer(expvals))
         _check_status(status, n_qubits)
-        return expval.value, grads
+        return expvals, grads

@@ -4,8 +4,15 @@ Same contract as the compiled kernel ``_sv_c``, and the oracle it is tested
 against: gates are packed into parallel arrays (kind, target, other-qubit,
 angle) and applied to a dense complex128 amplitude vector. Qubit ``q`` is
 bit ``q`` of the basis index. A gate of unknown kind, a target outside the
-register or a CZ partner outside it raises ``ValueError`` before any
-amplitude changes, as in the C kernel.
+register, or a CZ partner outside it or equal to the target raises
+``ValueError`` before any amplitude changes, as in the C kernel.
+
+The row-batched calls evaluate one circuit per row of a (B, n_gates) angle
+block by running each row through the single-circuit code, so a row gets
+the bits of the same circuit alone. Stacking the rows into one (B, 2**n)
+block of states would not: numpy's complex product of two arrays (the
+per-row RZ phases against the amplitudes) can round differently from its
+product of an array and a scalar.
 
 Gate conventions (fixed package-wide):
     RY(a) = [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]]
@@ -97,9 +104,16 @@ def _apply_one(amps: np.ndarray, n_qubits: int, kind: int, qa: int, qb: int, ang
 def _check_gates(n_qubits, kinds, qa, qb) -> None:
     kinds, qa, qb = np.asarray(kinds), np.asarray(qa), np.asarray(qb)
     bad = (kinds < KIND_H) | (kinds > KIND_CZ) | (qa < 0) | (qa >= n_qubits)
-    bad |= (kinds == KIND_CZ) & ((qb < 0) | (qb >= n_qubits))
+    bad |= (kinds == KIND_CZ) & ((qb < 0) | (qb >= n_qubits) | (qb == qa))
     if bad.any():
-        raise ValueError(f"gate {int(np.argmax(bad))}: unknown kind or qubit outside {n_qubits} qubits")
+        raise ValueError(
+            f"gate {int(np.argmax(bad))}: unknown kind, qubit outside {n_qubits} qubits or CZ on one qubit"
+        )
+
+
+def _check_rows(angles, n_gates: int) -> None:
+    if not (isinstance(angles, np.ndarray) and angles.ndim == 2 and angles.shape[1] == n_gates):
+        raise ValueError(f"angles must be a 2-D array with one column per gate ({n_gates})")
 
 
 def apply_ops(amps, n_qubits, kinds, qa, qb, angles) -> None:
@@ -122,9 +136,11 @@ def expval_z(amps: np.ndarray, n_qubits: int) -> float:
     return float(np.dot(parity_signs(n_qubits), probs))
 
 
-def run_expval_z(n_qubits, kinds, qa, qb, angles) -> float:
-    """``expval_z(run(...))``; one call, which saves the compiled kernel a round trip."""
-    return expval_z(run(n_qubits, kinds, qa, qb, angles), n_qubits)
+def expval_z_rows(n_qubits, kinds, qa, qb, angles) -> np.ndarray:
+    """``expval_z(run(...))`` for each row of the (B, n_gates) ``angles``."""
+    _check_gates(n_qubits, kinds, qa, qb)
+    _check_rows(angles, len(kinds))
+    return np.array([expval_z(run(n_qubits, kinds, qa, qb, row), n_qubits) for row in angles], dtype=np.float64)
 
 
 def _grad_dot(lam: np.ndarray, psi: np.ndarray, kind: int, q: int, angle: float) -> float:
@@ -144,12 +160,8 @@ def _grad_dot(lam: np.ndarray, psi: np.ndarray, kind: int, q: int, angle: float)
     return 2.0 * float(dot.real)
 
 
-def expval_z_and_grad(n_qubits, kinds, qa, qb, angles):
-    """Forward expectation of Z^n plus its adjoint (reverse-sweep) gradient.
-
-    Returns ``(expval, grads)`` where ``grads`` holds d<Z^n>/d(angle) for
-    every rotation gate, in gate order. ``run`` checks the gate arrays.
-    """
+def _expval_z_and_grad(n_qubits, kinds, qa, qb, angles):
+    """Forward expectation of Z^n and its adjoint gradient for one circuit."""
     psi = run(n_qubits, kinds, qa, qb, angles)
     signs = parity_signs(n_qubits)
     probs = psi.real**2 + psi.imag**2
@@ -182,3 +194,20 @@ def expval_z_and_grad(n_qubits, kinds, qa, qb, angles):
         else:
             lam[_cz_mask(n_qubits, q, other)] *= -1.0
     return expval, grads
+
+
+def expval_z_and_grad_rows(n_qubits, kinds, qa, qb, angles):
+    """Forward expectation of Z^n plus its adjoint (reverse-sweep) gradient,
+    for each row of the (B, n_gates) ``angles``.
+
+    Returns ``(expvals, grads)``: shape (B,), and (B, rotations) holding
+    d<Z^n>/d(angle) for every rotation gate, in gate order.
+    """
+    _check_gates(n_qubits, kinds, qa, qb)
+    _check_rows(angles, len(kinds))
+    n_rot = int(np.count_nonzero((np.asarray(kinds) == KIND_RY) | (np.asarray(kinds) == KIND_RZ)))
+    expvals = np.empty(len(angles))
+    grads = np.empty((len(angles), n_rot))
+    for r, row in enumerate(angles):
+        expvals[r], grads[r] = _expval_z_and_grad(n_qubits, kinds, qa, qb, row)
+    return expvals, grads

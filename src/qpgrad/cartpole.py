@@ -11,13 +11,17 @@ velocity factors only hold for typically encountered values, so normalized
 velocities may leave [-1, 1] and are deliberately not clipped. Observation
 noise is additive zero-mean Gaussian per normalized feature and never
 touches the underlying state.
+
+``step_batch`` steps a (B, 4) block of raw states (rows in feature order)
+at once, with the expressions of a single step applied element by element;
+``step`` is one row of it. numpy's ``cos``, ``sin`` and ``float_power(., 2)``
+give the bits of ``math.cos``, ``math.sin`` and ``float ** 2`` on the
+platforms the tests pin, so a row's result does not depend on the block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, sin
-
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
@@ -39,6 +43,7 @@ HORIZON = 200
 
 # Feature order everywhere: (x, x_dot, theta, theta_dot).
 NORM_FACTORS = np.array([2.4, 2.5, 0.21, 2.5])
+_BOUNDS = np.array([X_LIMIT, THETA_LIMIT])  # on |x| and |theta|
 
 
 @dataclass(frozen=True)
@@ -91,6 +96,10 @@ class NoiseModel:
         if self.sigma < 0:
             raise ConfigurationError(f"noise sigma must be >= 0, got {self.sigma}")
 
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """One perturbation of the four normalized features."""
+        return rng.normal(0.0, self.sigma, size=4)
+
 
 def reset(ranges: InitRanges, rng: np.random.Generator) -> EnvState:
     """Fresh state with features drawn independently and uniformly; draw order x, x_dot, theta, theta_dot."""
@@ -104,38 +113,54 @@ def reset(ranges: InitRanges, rng: np.random.Generator) -> EnvState:
     return EnvState(x, x_dot, theta, theta_dot, terminated=done)
 
 
+def step_batch(states: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One explicit-Euler step of every row of a (B, 4) block of raw states
+    under its action, 0 or False (push left) or 1 or True (push right).
+
+    Returns the new (B, 4) states and the (B,) mask of rows that left the
+    bounds (|x| > 2.4 or |theta| > 0.2095); the horizon is the caller's.
+    """
+    theta, theta_dot = states[:, 2], states[:, 3]
+    force = np.where(actions, FORCE_MAG, -FORCE_MAG)
+    ct, st = np.cos(theta), np.sin(theta)
+    temp = (force + POLE_MASS_LENGTH * np.float_power(theta_dot, 2) * st) / TOTAL_MASS
+    theta_acc = (GRAVITY * st - ct * temp) / (
+        HALF_POLE_LENGTH * (4.0 / 3.0 - POLE_MASS * ct * ct / TOTAL_MASS)
+    )
+    x_acc = temp - POLE_MASS_LENGTH * theta_acc * ct / TOTAL_MASS
+    # Positions move with the old velocities: d/dt (x, x_dot, theta, theta_dot).
+    rates = np.empty(states.shape)
+    rates[:, 0::2] = states[:, 1::2]
+    rates[:, 1] = x_acc
+    rates[:, 3] = theta_acc
+    new = states + TIME_STEP * rates
+    out = np.abs(new[:, 0::2]) > _BOUNDS
+    return new, out[:, 0] | out[:, 1]
+
+
 def step(state: EnvState, action: int, horizon: int = HORIZON) -> tuple[EnvState, float]:
     """One explicit-Euler step under action 0 (push left) or 1 (push right)."""
     if state.terminated:
         raise UsageError("cannot step a terminated state")
     if action not in (0, 1):
         raise ValueError(f"action must be 0 or 1, got {action}")
-    force = FORCE_MAG if action == 1 else -FORCE_MAG
-    ct, st = cos(state.theta), sin(state.theta)
-    temp = (force + POLE_MASS_LENGTH * state.theta_dot**2 * st) / TOTAL_MASS
-    theta_acc = (GRAVITY * st - ct * temp) / (
-        HALF_POLE_LENGTH * (4.0 / 3.0 - POLE_MASS * ct * ct / TOTAL_MASS)
-    )
-    x_acc = temp - POLE_MASS_LENGTH * theta_acc * ct / TOTAL_MASS
-
-    x = state.x + TIME_STEP * state.x_dot
-    x_dot = state.x_dot + TIME_STEP * x_acc
-    theta = state.theta + TIME_STEP * state.theta_dot
-    theta_dot = state.theta_dot + TIME_STEP * theta_acc
-
+    raw = np.array([[state.x, state.x_dot, state.theta, state.theta_dot]])
+    new, out = step_batch(raw, np.array([action]))
     steps = state.step_count + 1
-    done = abs(x) > X_LIMIT or abs(theta) > THETA_LIMIT or steps >= horizon
-    return EnvState(x, x_dot, theta, theta_dot, steps, done), 1.0
+    return EnvState(*new[0].tolist(), steps, bool(out[0]) or steps >= horizon), 1.0
 
 
-def normalize(state: EnvState) -> np.ndarray:
-    """(x/2.4, x_dot/2.5, theta/0.21, theta_dot/2.5)."""
-    return np.array([state.x, state.x_dot, state.theta, state.theta_dot]) / NORM_FACTORS
+def normalize(state) -> np.ndarray:
+    """(x/2.4, x_dot/2.5, theta/0.21, theta_dot/2.5) of an ``EnvState``, or
+    of each row of raw states in feature order."""
+    if isinstance(state, EnvState):
+        state = np.array([state.x, state.x_dot, state.theta, state.theta_dot])
+    return state / NORM_FACTORS
 
 
-def observe(state: EnvState, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
+def observe(state, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
     """Normalized observation with additive Gaussian perturbation; the state itself is untouched."""
     obs = normalize(state)
     if noise.sigma == 0.0:
         return obs
-    return obs + rng.normal(0.0, noise.sigma, size=4)
+    return obs + noise.draw(rng)

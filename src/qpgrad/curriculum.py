@@ -1,13 +1,15 @@
 """Curriculum training over an expanding schedule of initial-condition ranges.
 
-Training rolls out one episode at a time from the current range, counting
-every early-terminated training episode as a failure against a global budget
-``f_max``. After each batch update (and at least ``validation_period``
-training episodes since the last check), the policy is validated on the
-current range with noise-free episodes; passing validation snapshots the
-policy and advances to the next range. The run ends when the final range
-passes (converged) or the failure budget is exhausted — non-convergence is a
-normal outcome, not an error.
+Training rolls out one batch of episodes at a time from the current range,
+in lockstep, counting every early-terminated training episode as a failure
+against a global budget ``f_max``. Failures are counted in episode order,
+and the episodes after the one that uses up the budget are dropped, so a run
+ends exactly where one episode at a time would end it. After each batch
+update (and at least ``validation_period`` training episodes since the last
+check), the policy is validated on the current range with noise-free
+episodes; passing validation snapshots the policy and advances to the next
+range. The run ends when the final range passes (converged) or the failure
+budget is exhausted — non-convergence is a normal outcome, not an error.
 
 Validation episodes never increment the failure counter; their failure count
 is tracked separately for reporting.
@@ -24,7 +26,7 @@ from .cartpole import HORIZON, InitRanges
 from .errors import ConfigurationError
 from .policy import AnsatzSpec, PolicyParams
 from .seeding import STREAM_EPISODE, STREAM_INIT, STREAM_VALIDATION, substream
-from .trainer import AdamState, TrainConfig, apply_update, batch_gradient, rollout
+from .trainer import AdamState, TrainConfig, apply_update, batch_gradient, episode_rewards, rollouts
 
 DEFAULT_THETA_DOT_LIMITS = (0.25, 0.75, 1.25, 1.75)
 VALIDATION_THRESHOLD = 195.0
@@ -109,11 +111,8 @@ def validate(
     """
     if n_episodes < 1:
         raise ConfigurationError("validation needs at least one episode")
-    rewards = np.empty(n_episodes)
-    for j in range(n_episodes):
-        rng = substream(seed, STREAM_VALIDATION, tag, j)
-        tr = rollout(spec, params, ranges, rng, horizon=horizon, collect_grads=False)
-        rewards[j] = tr.total_reward
+    rngs = (substream(seed, STREAM_VALIDATION, tag, j) for j in range(n_episodes))
+    rewards = episode_rewards(spec, params, rngs, [ranges] * n_episodes, horizon)
     mean = float(rewards.mean())
     return mean, mean > threshold, int(np.sum(rewards < horizon))
 
@@ -139,22 +138,24 @@ def run_curriculum(
     since_validation = 0
     val_tag = 0
     converged = False
-    batch = []
 
     while failures < schedule.f_max:
-        rng = substream(config.seed, STREAM_EPISODE, episode)
-        tr = rollout(spec, params, schedule.ranges[range_idx], rng, horizon=config.horizon)
-        episode += 1
-        since_validation += 1
-        if tr.failed:
-            failures += 1
-            outcomes[range_idx].failures += 1
-        batch.append(tr)
-        if len(batch) < config.batch_size:
-            continue
+        n = config.batch_size
+        rngs = (substream(config.seed, STREAM_EPISODE, episode + i) for i in range(n))
+        batch = []
+        for tr in rollouts(spec, params, rngs, [schedule.ranges[range_idx]] * n, config.horizon):
+            batch.append(tr)
+            if tr.failed:
+                failures += 1
+                outcomes[range_idx].failures += 1
+                if failures == schedule.f_max:
+                    break  # the budget ends the run here; later episodes never happened
+        episode += len(batch)
+        since_validation += len(batch)
+        if len(batch) < n:
+            break
         grad = batch_gradient(batch, config.gamma, config.baseline, config.grad_norm)
         params, opt_state = apply_update(params, grad, config, opt_state)
-        batch = []
         if since_validation < schedule.validation_period:
             continue
         since_validation = 0

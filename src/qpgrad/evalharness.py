@@ -26,11 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cartpole import HORIZON, THETA_INIT_LIMIT, InitRanges, NoiseModel
+from .cartpole import HORIZON, THETA_INIT_LIMIT, InitRanges
 from .errors import ConfigurationError, UsageError
 from .policy import AnsatzSpec, PolicyParams
 from .seeding import STREAM_EVAL, substream
-from .trainer import rollout
+from .trainer import episode_rewards
 
 
 def _default_angle_bins():
@@ -160,35 +160,25 @@ def _sim_cell(angle_bin, velocity_bin, base: InitRanges) -> InitRanges:
     )
 
 
-def _rollout_reward(spec, params, ranges, rng, horizon, sigma) -> float:
-    noise = NoiseModel(sigma) if sigma > 0 else None
-    tr = rollout(spec, params, ranges, rng, horizon=horizon, collect_grads=False, noise=noise)
-    return tr.total_reward
-
-
 def _sweep_model(args):
+    """One model's rewards at every (noise level, episode), as one lockstep batch."""
     spec, nu, omega, label, sigmas, episodes, ranges, horizon, seed = args
-    params = PolicyParams(nu, omega)
-    rewards = np.empty((len(sigmas), episodes))
-    for k, sigma in enumerate(sigmas):
-        for e in range(episodes):
-            rng = substream(seed, STREAM_EVAL, label, k, e)
-            rewards[k, e] = _rollout_reward(spec, params, ranges, rng, horizon, sigma)
-    return rewards
+    rngs = (substream(seed, STREAM_EVAL, label, k, e) for k in range(len(sigmas)) for e in range(episodes))
+    per_episode = [s for s in sigmas for _ in range(episodes)]
+    rewards = episode_rewards(
+        spec, PolicyParams(nu, omega), rngs, [ranges] * len(per_episode), horizon, sigmas=per_episode
+    )
+    return rewards.reshape(len(sigmas), episodes)
 
 
 def _grid_model(args):
+    """One model's attraction rate in every grid cell, all cells' episodes as one lockstep batch."""
     spec, nu, omega, label, cells, episodes, base, horizon, seed = args
-    params = PolicyParams(nu, omega)
-    rates = np.empty(len(cells))
-    for c, (angle_bin, velocity_bin) in enumerate(cells):
-        ranges = _sim_cell(angle_bin, velocity_bin, base)
-        rewards = np.empty(episodes)
-        for e in range(episodes):
-            rng = substream(seed, STREAM_EVAL, label, c, e)
-            rewards[e] = _rollout_reward(spec, params, ranges, rng, horizon, 0.0)
-        rates[c] = attraction_rate(rewards, horizon)
-    return rates
+    rngs = (substream(seed, STREAM_EVAL, label, c, e) for c in range(len(cells)) for e in range(episodes))
+    cell_ranges = [_sim_cell(a, v, base) for a, v in cells]
+    ranges = [r for r in cell_ranges for _ in range(episodes)]
+    rewards = episode_rewards(spec, PolicyParams(nu, omega), rngs, ranges, horizon)
+    return np.array([attraction_rate(row, horizon) for row in rewards.reshape(len(cells), episodes)])
 
 
 def map_jobs(fn, tasks, workers: int) -> list:

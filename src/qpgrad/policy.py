@@ -123,10 +123,10 @@ class CircuitTemplate:
 
     ``kinds``, ``qa`` and ``qb`` are the gate arrays the kernels take; the
     index arrays record which gates take a variational angle nu and which an
-    encoding angle omega * s_i. ``angles`` fills the per-gate angle vector
-    from parameter tensors and an observation; ``grad_to_params`` pulls
-    per-rotation angle gradients back onto nu/omega (chain factor s_i for
-    encoding weights).
+    encoding angle omega * s_i. ``angles`` fills the per-gate angle vectors
+    from parameter tensors and a block of observations, one row per
+    observation; ``grad_to_params`` pulls per-rotation angle gradients back
+    onto nu/omega (chain factor s_i for encoding weights), row by row.
     """
 
     def __init__(self, spec: AnsatzSpec):
@@ -160,33 +160,39 @@ class CircuitTemplate:
         rot = np.cumsum((self.kinds == qsim.KIND_RY) | (self.kinds == qsim.KIND_RZ)) - 1
         self._var_gate, self._var_param = (np.asarray(v, dtype=np.intp) for v in var)
         self._enc_gate, self._enc_param = (np.asarray(v, dtype=np.intp) for v in enc)
-        self._var_rot = rot[self._var_gate]
-        self._enc_rot = rot[self._enc_gate]
         self._enc_feature = self._enc_param // PARAM_SLOTS % n  # encoding on qubit i reads s_i
+        # Each flat parameter drives exactly one gate: the rotation and the
+        # feature that parameter p reads, for the gather in grad_to_params.
+        self._nu_rot = np.empty(spec.n_params_each, dtype=np.intp)
+        self._nu_rot[self._var_param] = rot[self._var_gate]
+        self._omega_rot = np.empty(spec.n_params_each, dtype=np.intp)
+        self._omega_rot[self._enc_param] = rot[self._enc_gate]
+        self._omega_feature = np.empty(spec.n_params_each, dtype=np.intp)
+        self._omega_feature[self._enc_param] = self._enc_feature
 
     def angles(self, nu_flat: np.ndarray, omega_flat: np.ndarray, obs: np.ndarray) -> np.ndarray:
-        a = np.zeros(self.n_gates)
-        a[self._var_gate] = nu_flat[self._var_param]
-        a[self._enc_gate] = omega_flat[self._enc_param] * obs[self._enc_feature]
+        """Gate angles for observations ``obs`` of shape (..., n_qubits): shape (..., n_gates)."""
+        a = np.zeros(obs.shape[:-1] + (self.n_gates,))
+        a[..., self._var_gate] = nu_flat[self._var_param]
+        a[..., self._enc_gate] = omega_flat[self._enc_param] * obs[..., self._enc_feature]
         return a
 
-    def expval(self, nu_flat, omega_flat, obs) -> float:
+    def expval(self, nu_flat, omega_flat, obs) -> np.ndarray:
+        """<Z^n> for each row of the (B, n_qubits) observations: shape (B,)."""
         a = self.angles(nu_flat, omega_flat, obs)
         return qsim.packed_expval(self.spec.n_qubits, self.kinds, self.qa, self.qb, a)
 
     def expval_and_grad(self, nu_flat, omega_flat, obs):
-        """Returns (expectation, nu-flat gradient, omega-flat gradient)."""
+        """For (B, n_qubits) observations: (expectations (B,), nu-flat
+        gradients (B, P), omega-flat gradients (B, P))."""
         a = self.angles(nu_flat, omega_flat, obs)
         e, grot = qsim.packed_expval_and_grad(self.spec.n_qubits, self.kinds, self.qa, self.qb, a)
         gnu, gom = self.grad_to_params(grot, obs)
         return e, gnu, gom
 
     def grad_to_params(self, grad_rot: np.ndarray, obs: np.ndarray):
-        gnu = np.zeros(self.spec.n_params_each)
-        gom = np.zeros(self.spec.n_params_each)
-        gnu[self._var_param] = grad_rot[self._var_rot]
-        gom[self._enc_param] = grad_rot[self._enc_rot] * obs[self._enc_feature]
-        return gnu, gom
+        """(B, rotations) angle gradients as (B, P) nu and omega gradients."""
+        return grad_rot[:, self._nu_rot], grad_rot[:, self._omega_rot] * obs[:, self._omega_feature]
 
 
 _templates: dict[AnsatzSpec, CircuitTemplate] = {}
@@ -199,10 +205,13 @@ def get_template(spec: AnsatzSpec) -> CircuitTemplate:
     return tpl
 
 
-def probs_from_expectation(e: float) -> np.ndarray:
-    """[(e+1)/2, (1-e)/2]; e is clamped to [-1, 1] against roundoff."""
-    e = min(1.0, max(-1.0, e))
-    return np.array([(e + 1.0) / 2.0, (1.0 - e) / 2.0])
+def probs_from_expectation(e) -> np.ndarray:
+    """[(e+1)/2, (1-e)/2] along a new last axis; e is clamped to [-1, 1] against roundoff."""
+    e = np.minimum(np.maximum(e, -1.0), 1.0)
+    probs = np.empty(np.shape(e) + (2,))
+    probs[..., 0] = (e + 1.0) / 2.0
+    probs[..., 1] = (1.0 - e) / 2.0
+    return probs
 
 
 def _check_obs(spec: AnsatzSpec, obs) -> np.ndarray:
@@ -216,8 +225,8 @@ def policy_probs(spec: AnsatzSpec, params: PolicyParams, obs) -> np.ndarray:
     """Action distribution [pi(0|obs), pi(1|obs)] for one observation."""
     check_params(spec, params)
     obs = _check_obs(spec, obs)
-    e = get_template(spec).expval(params.nu.reshape(-1), params.omega.reshape(-1), obs)
-    return probs_from_expectation(e)
+    e = get_template(spec).expval(params.nu.reshape(-1), params.omega.reshape(-1), obs[None])
+    return probs_from_expectation(e[0])
 
 
 def grad_log_policy(spec: AnsatzSpec, params: PolicyParams, obs, action: int):
@@ -230,14 +239,13 @@ def grad_log_policy(spec: AnsatzSpec, params: PolicyParams, obs, action: int):
         raise ValueError(f"action must be 0 or 1, got {action}")
     obs = _check_obs(spec, obs)
     tpl = get_template(spec)
-    e, gnu, gom = tpl.expval_and_grad(params.nu.reshape(-1), params.omega.reshape(-1), obs)
-    probs = probs_from_expectation(e)
-    p = probs[action]
+    e, gnu, gom = tpl.expval_and_grad(params.nu.reshape(-1), params.omega.reshape(-1), obs[None])
+    p = probs_from_expectation(e[0])[action]
     if p < 1e-12:
         raise DegeneratePolicyError(f"pi({action}|s) = {p:.3e}; gradient of log pi undefined")
     coeff = (1.0 if action == 0 else -1.0) / (2.0 * p)
     shape = spec.param_shape
-    return (coeff * gnu).reshape(shape), (coeff * gom).reshape(shape)
+    return (coeff * gnu[0]).reshape(shape), (coeff * gom[0]).reshape(shape)
 
 
 def lipschitz_bound(spec: AnsatzSpec, params: PolicyParams) -> LipschitzBound:
@@ -288,8 +296,7 @@ def empirical_lipschitz_check(
         x2 = rng.uniform(-1.0, 1.0, size=spec.n_qubits)
         while np.array_equal(x, x2):
             x2 = rng.uniform(-1.0, 1.0, size=spec.n_qubits)
-        p = probs_from_expectation(tpl.expval(nu_flat, om_flat, x))
-        p2 = probs_from_expectation(tpl.expval(nu_flat, om_flat, x2))
+        p, p2 = probs_from_expectation(tpl.expval(nu_flat, om_flat, np.stack([x, x2])))
         ratio = float(np.sum(np.abs(p - p2)) / np.linalg.norm(x - x2))
         if ratio > worst:
             worst = ratio

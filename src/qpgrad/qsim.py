@@ -6,7 +6,14 @@ partner, -1 for one-qubit gates) and ``angles`` (float64, ignored for H and
 CZ). ``policy.CircuitTemplate`` builds them for the policy circuit. Qubit
 ``q`` is bit ``q`` of the basis index. Both kernels reject, with
 ``ValueError`` and before any amplitude changes, a gate of unknown kind, a
-target outside the register and a CZ partner outside it.
+target outside the register and a CZ partner outside it or equal to the
+target.
+
+The hot path evaluates many circuits that share one gate list and differ
+only in their angles, such as one circuit per episode of a batch stepped in
+lockstep: ``packed_expval`` and ``packed_expval_and_grad`` take a
+(B, n_gates) angle block and evaluate each row exactly as it would run
+alone, so a row's result never depends on the other rows.
 
 The heavy lifting happens in one of two interchangeable kernel backends:
 
@@ -76,22 +83,21 @@ def parameter_shift_gradient(n_qubits, kinds, qa, qb, angles) -> np.ndarray:
     """d<Z^n>/d(angle) for every rotation gate, in gate order, by the exact
     +-pi/2 parameter-shift rule; the reference the adjoint gradient is tested against."""
     rotations = np.flatnonzero((kinds == KIND_RY) | (kinds == KIND_RZ))
-    grads = np.zeros(len(rotations))
-    for r, i in enumerate(rotations):
-        shifted = angles.copy()
-        shifted[i] = angles[i] + np.pi / 2
-        e_plus = _kernel.run_expval_z(n_qubits, kinds, qa, qb, shifted)
-        shifted[i] = angles[i] - np.pi / 2
-        e_minus = _kernel.run_expval_z(n_qubits, kinds, qa, qb, shifted)
-        grads[r] = 0.5 * (e_plus - e_minus)
-    return grads
+    n, rows = len(rotations), np.arange(len(rotations))
+    plus, minus = np.tile(angles, (n, 1)), np.tile(angles, (n, 1))
+    plus[rows, rotations] += np.pi / 2
+    minus[rows, rotations] -= np.pi / 2
+    e = _kernel.expval_z_rows(n_qubits, kinds, qa, qb, np.vstack([plus, minus]))
+    return 0.5 * (e[:n] - e[n:])
 
 
-def packed_expval(n_qubits, kinds, qa, qb, angles) -> float:
-    """Forward expectation <Z^n> of |0...0> evolved through the gate arrays (hot path)."""
-    return _kernel.run_expval_z(n_qubits, kinds, qa, qb, angles)
+def packed_expval(n_qubits, kinds, qa, qb, angles) -> np.ndarray:
+    """Forward expectations <Z^n> of |0...0> evolved through the gate arrays,
+    one per row of the (B, n_gates) ``angles`` (hot path)."""
+    return _kernel.expval_z_rows(n_qubits, kinds, qa, qb, angles)
 
 
 def packed_expval_and_grad(n_qubits, kinds, qa, qb, angles):
-    """Forward expectation and its adjoint gradient, one entry per rotation in gate order (hot path)."""
-    return _kernel.expval_z_and_grad(n_qubits, kinds, qa, qb, angles)
+    """Forward expectations and their adjoint gradients, one row per row of
+    ``angles``, one gradient entry per rotation in gate order (hot path)."""
+    return _kernel.expval_z_and_grad_rows(n_qubits, kinds, qa, qb, angles)

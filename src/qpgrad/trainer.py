@@ -22,6 +22,14 @@ renormalized away. The variational angles nu never see the penalty.
 Everything is seeded: parameter init and each episode draw from dedicated
 Philox substreams of the run seed, so training is bit-reproducible and
 episodes are independent of collection order.
+
+Episodes run in lockstep batches (``rollouts``, and ``episode_rewards`` for
+forward-only evaluation): every live episode of the batch takes its t-th
+step at once, with one kernel call for the whole batch. Each episode draws
+from its own generator exactly what it would draw alone, in the same order,
+and every per-episode value is computed element by element with the
+expressions of a lone episode, so an episode's results do not depend on the
+batch it runs in.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import policy as pol
-from .cartpole import HORIZON, InitRanges, NoiseModel, normalize, observe, reset, step
+from .cartpole import HORIZON, InitRanges, NoiseModel, normalize, reset, step_batch
 from .errors import ConfigurationError, UsageError
 from .policy import AnsatzSpec, PolicyParams
 from .seeding import STREAM_EPISODE, STREAM_INIT, substream
@@ -128,55 +136,126 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def rollout(
-    spec: AnsatzSpec,
-    params: PolicyParams,
-    ranges: InitRanges,
-    rng: np.random.Generator,
-    horizon: int = HORIZON,
-    collect_grads: bool = True,
-    noise: NoiseModel | None = None,
-) -> Trajectory:
-    """Play one episode; optionally record grad log pi(a_t|s_t) per step.
+def _lockstep(spec, params, rngs, ranges, horizon, sigmas, collect_grads):
+    """Plays one episode per entry of ``ranges`` in lockstep.
 
-    Per step the RNG is consumed in a fixed order (observation noise draw if
-    any, then one uniform for the action), keeping episodes reproducible.
+    Episode i starts from ``ranges[i]``, sees observation noise of std
+    ``sigmas[i]`` (none when 0 or when ``sigmas`` is None) and draws from
+    the i-th generator of the iterable ``rngs``: its reset draws, then per
+    step its noise draw if noisy and one uniform for the action. A
+    noise-free episode draws the uniforms of the whole horizon right after
+    its reset: numpy's ``random(n)`` gives the same values as n single
+    draws, and nothing else is drawn after. Only the noisy episodes'
+    generators are kept past that, so a large batch of noise-free episodes
+    does not hold one generator per episode.
+
+    Returns the (B,) episode lengths and, when ``collect_grads``, the
+    per-step records ``(observations, actions, glp_nu, glp_omega)``, each
+    indexed by step then episode.
     """
     tpl = pol.get_template(spec)
     nu_flat = params.nu.reshape(-1)
     om_flat = params.omega.reshape(-1)
-    n_params = spec.n_params_each
+    n = len(ranges)
+    noise = [None] * n if sigmas is None else [NoiseModel(s) if s > 0 else None for s in sigmas]
+    noisy = np.array([m is not None for m in noise], dtype=bool)
+    any_noisy = noisy.any()
+    uniforms = np.empty((horizon, n))
+    starts, noisy_rngs = [], {}
+    for i, (r, rng) in enumerate(zip(ranges, rngs, strict=True)):
+        starts.append(reset(r, rng))
+        if noisy[i]:
+            noisy_rngs[i] = rng
+        else:
+            uniforms[:, i] = rng.random(horizon)
+    lengths = np.zeros(n, dtype=np.int64)
+    ids = np.array([i for i, s in enumerate(starts) if not s.terminated], dtype=np.intp)
+    states = np.array([(s.x, s.x_dot, s.theta, s.theta_dot) for s in starts]).reshape(n, 4)[ids]
+    if collect_grads:
+        n_params = spec.n_params_each
+        records = (
+            np.empty((horizon, n, 4)),
+            np.empty((horizon, n), dtype=np.int64),
+            np.empty((horizon, n, n_params)),
+            np.empty((horizon, n, n_params)),
+        )
 
-    state = reset(ranges, rng)
-    obs_l, act_l, gnu_l, gom_l = [], [], [], []
-    while not state.terminated:
-        obs = observe(state, noise, rng) if noise is not None else normalize(state)
+    t = 0
+    while len(ids):
+        rows = np.flatnonzero(noisy[ids]).tolist() if any_noisy else []  # the live noisy episodes' rows
+        live_noisy = ids[rows].tolist()
+        obs = normalize(states)
+        if rows:  # as observe() would, without normalizing those rows again
+            obs[rows] += np.array([noise[i].draw(noisy_rngs[i]) for i in live_noisy])
         if collect_grads:
             e, gnu, gom = tpl.expval_and_grad(nu_flat, om_flat, obs)
         else:
             e = tpl.expval(nu_flat, om_flat, obs)
-        p0 = pol.probs_from_expectation(e)[0]
-        action = 0 if rng.random() < p0 else 1
+        p0 = pol.probs_from_expectation(e)[:, 0]
+        u = uniforms[t][ids]
+        for j, i in zip(rows, live_noisy):
+            u[j] = noisy_rngs[i].random()
+        left = u < p0  # action 0
         if collect_grads:
-            p_a = p0 if action == 0 else 1.0 - p0
-            coeff = (1.0 if action == 0 else -1.0) / (2.0 * max(p_a, 1e-12))
-            gnu_l.append(coeff * gnu)
-            gom_l.append(coeff * gom)
-        state, _ = step(state, action, horizon)
-        obs_l.append(obs)
-        act_l.append(action)
+            p_a = np.where(left, p0, 1.0 - p0)
+            coeff = np.where(left, 1.0, -1.0) / (2.0 * np.maximum(p_a, 1e-12))
+            for record, value in zip(records, (obs, ~left, coeff[:, None] * gnu, coeff[:, None] * gom)):
+                record[t][ids] = value
+        states, out = step_batch(states, ~left)
+        t += 1
+        done = out | (t >= horizon)
+        if done.any():
+            lengths[ids[done]] = t
+            ids, states = ids[~done], states[~done]
+    return lengths, (records if collect_grads else None)
 
-    n_steps = len(act_l)
-    empty = np.zeros((0, n_params))
-    return Trajectory(
-        observations=np.asarray(obs_l) if obs_l else np.zeros((0, spec.n_qubits)),
-        actions=np.asarray(act_l, dtype=np.int64),
-        rewards=np.ones(n_steps),
-        glp_nu=np.asarray(gnu_l) if gnu_l else empty,
-        glp_omega=np.asarray(gom_l) if gom_l else empty,
-        total_reward=float(n_steps),
-        failed=n_steps < horizon,
-    )
+
+def rollouts(
+    spec: AnsatzSpec,
+    params: PolicyParams,
+    rngs,
+    ranges,
+    horizon: int = HORIZON,
+    sigmas=None,
+) -> list[Trajectory]:
+    """Play one episode per entry of ``ranges`` in lockstep, recording grad log pi(a_t|s_t) per step.
+
+    ``ranges`` holds each episode's initial-condition ranges, ``rngs`` its
+    generator (any iterable, consumed once) and ``sigmas`` its
+    observation-noise std (None: no noise). Every episode gets exactly the
+    trajectory it would get if it ran alone.
+    """
+    lengths, records = _lockstep(spec, params, rngs, ranges, horizon, sigmas, collect_grads=True)
+    observations, actions, glp_nu, glp_omega = records
+    return [
+        Trajectory(
+            observations=observations[:n_steps, i].copy(),
+            actions=actions[:n_steps, i].copy(),
+            rewards=np.ones(n_steps),
+            glp_nu=glp_nu[:n_steps, i].copy(),
+            glp_omega=glp_omega[:n_steps, i].copy(),
+            total_reward=float(n_steps),
+            failed=n_steps < horizon,
+        )
+        for i, n_steps in enumerate(lengths.tolist())
+    ]
+
+
+def episode_rewards(
+    spec: AnsatzSpec,
+    params: PolicyParams,
+    rngs,
+    ranges,
+    horizon: int = HORIZON,
+    sigmas=None,
+) -> np.ndarray:
+    """Total reward of one episode per entry of ``ranges``, played forward-only in lockstep.
+
+    Arguments as for ``rollouts``; each reward is the one the episode would
+    collect alone.
+    """
+    lengths, _ = _lockstep(spec, params, rngs, ranges, horizon, sigmas, collect_grads=False)
+    return lengths.astype(np.float64)
 
 
 def discounted_returns(rewards, gamma: float) -> np.ndarray:
@@ -301,11 +380,10 @@ def train(
         collected = 0
         while collected < config.batch_size:
             # on-policy: each minibatch is rolled out under the current params
-            batch = []
-            for _ in range(min(minibatch, config.batch_size - collected)):
-                rng = substream(config.seed, STREAM_EPISODE, episode)
-                batch.append(rollout(spec, params, ranges, rng, horizon=config.horizon))
-                episode += 1
+            n = min(minibatch, config.batch_size - collected)
+            rngs = (substream(config.seed, STREAM_EPISODE, episode + i) for i in range(n))
+            batch = rollouts(spec, params, rngs, [ranges] * n, config.horizon)
+            episode += n
             collected += len(batch)
             epoch_trajs.extend(batch)
             if collected == len(batch):  # first minibatch of the epoch

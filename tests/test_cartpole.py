@@ -1,5 +1,6 @@
 """Environment dynamics, normalization, noise, and the brute-force oracle check."""
 
+import math
 from math import cos, sin
 
 import numpy as np
@@ -119,6 +120,20 @@ class TestStep:
             np.testing.assert_allclose(
                 [s.x, s.x_dot, s.theta, s.theta_dot], ref, atol=1e-9, rtol=0
             )
+
+
+    def test_numpy_trig_matches_math_on_angle_range(self):
+        # step_batch takes np.cos/np.sin of a whole block; a row keeps the
+        # bits of math.cos/math.sin only because they agree on this range
+        rng = np.random.default_rng(0)
+        theta = np.concatenate([np.linspace(-0.25, 0.25, 100_001), rng.uniform(-0.25, 0.25, 100_000)])
+        assert np.array_equal(np.cos(theta), [math.cos(t) for t in theta.tolist()])
+        assert np.array_equal(np.sin(theta), [math.sin(t) for t in theta.tolist()])
+
+    def test_float_power_matches_python_square(self):
+        # the same for theta_dot**2; x * x and np.square differ from it in the last bit
+        theta_dot = np.random.default_rng(1).uniform(-10.0, 10.0, 200_000)
+        assert np.array_equal(np.float_power(theta_dot, 2), [v**2 for v in theta_dot.tolist()])
 
 
 class TestNormalize:

@@ -106,10 +106,28 @@ class TestTrainCommand:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_workers_do_not_change_outputs(self, tmp_path):
-        out1, out2 = tmp_path / "w1", tmp_path / "w2"
-        assert run_cli(*tiny_train_args(out1)) == 0
-        assert run_cli(*tiny_train_args(out2, extra=("--workers", "2"))) == 0
-        assert (out1 / "telemetry.csv").read_bytes() == (out2 / "telemetry.csv").read_bytes()
+        # each campaign has two seeds or two checkpoints, so two workers split it
+        models = tmp_path / "models"
+        assert run_cli(*tiny_train_args(models)) == 0
+        checkpoints = f"eval.checkpoints={models}"
+        campaigns = {
+            "train": ("train", "--seed", "99", "--seeds", "2", "--set", "train.epochs=2"),
+            "curriculum": ("curriculum", "--seed", "42", "--seeds", "2", "--set", "curriculum.max_failures=15",
+                           "--set", "curriculum.validation_episodes=5", "--set", "curriculum.ranges=0.25,0.75"),
+            "eval-robustness": ("eval-robustness", "--seed", "5", "--set", checkpoints,
+                                "--set", "eval.sigmas=0.0,0.4", "--set", "eval.episodes=3"),
+            "eval-generalization": ("eval-generalization", "--seed", "6", "--set", checkpoints,
+                                    "--set", "grid.angle_edges=-2,0,2", "--set", "grid.velocity_edges=0.0,0.1",
+                                    "--set", "grid.cell_episodes=3"),
+        }
+        for command, args in campaigns.items():
+            outs = [tmp_path / command / f"workers{w}" for w in (1, 2)]
+            for workers, out in zip((1, 2), outs):
+                assert run_cli(*args, "--out", str(out), "--workers", str(workers)) == 0
+            written = [sorted(p.name for p in out.iterdir() if p.name != "manifest.txt") for out in outs]
+            assert written[0] == written[1] and written[0], command
+            for name in written[0]:
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (command, name)
 
 
 class TestEvalCommands:
@@ -253,6 +271,15 @@ class TestCurriculumCommand:
             "validation_mean",
         }
         assert rows[0]["passed"] in ("true", "false")
+
+
+class TestBenchCommand:
+    def test_reports_each_backend_and_batch_size(self, capsys):
+        assert run_cli("bench", "--repeats", "3") == 0
+        rows = [line.split("|") for line in capsys.readouterr().out.splitlines() if line.count("|") == 3]
+        cells = {(r[0].strip(), r[1].strip()) for r in rows[1:]}
+        assert cells == {(backend, batch) for backend in ("c", "numpy") for batch in ("1", "100")}
+        assert all(float(v) > 0 for r in rows[1:] for v in r[2:])
 
 
 class TestExitCodes:

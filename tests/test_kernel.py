@@ -49,7 +49,9 @@ class TestLoader:
         qsim.load_kernel("c", cache_dir=tmp_path)
         monkeypatch.setenv("PATH", "")  # a rebuild would fail now
         kernel = qsim.load_kernel("c", cache_dir=tmp_path)
-        assert kernel.run_expval_z(2, *_circuit()) == _sv_numpy.run_expval_z(2, *_circuit())
+        kinds, qa, qb, angles = _circuit()
+        assert np.array_equal(kernel.expval_z_rows(2, kinds, qa, qb, angles[None]),
+                              _sv_numpy.expval_z_rows(2, kinds, qa, qb, angles[None]))
         assert len(list(tmp_path.iterdir())) == 1
 
     def test_concurrent_cold_builds_both_succeed(self, tmp_path):
@@ -111,6 +113,7 @@ class TestArgumentChecks:
             (kinds, np.array([0, 1, 0, 2], dtype=np.int32), qb, angles),  # qubit 2 of 2
             (kinds, qa, np.array([-1, -1, -1, -1], dtype=np.int32), angles),  # CZ without partner
             (kinds, qa, np.array([-1, -1, 3, -1], dtype=np.int32), angles),  # CZ partner 3 of 2
+            (kinds, qa, np.array([-1, -1, 1, -1], dtype=np.int32), angles),  # CZ partner is its target
         )
         bad_buffers = (  # the C kernel's pointer arguments
             (kinds.astype(np.int32), qa, qb, angles),
@@ -120,25 +123,35 @@ class TestArgumentChecks:
             (kinds, qa, qb, angles[:-1]),
             (kinds, qa, qb, list(angles)),
         )
+        bad_blocks = (angles, angles[None, None], np.tile(angles, (3, 1))[:, :-1])  # not (B, n_gates)
+
+        def as_rows(a):
+            return a[None] if isinstance(a, np.ndarray) else [a]
+
         for k, bad in ((kernel, bad_gates + bad_buffers), (_sv_numpy, bad_gates)):
-            for args in bad:
+            cases = [(args, as_rows(args[3]), True) for args in bad]
+            cases += [((kinds, qa, qb, angles), block, False) for block in bad_blocks]
+            for args, rows, bad_for_one_circuit in cases:
                 amps = k.zero_state(2)
-                for call in (
-                    lambda: k.apply_ops(amps, 2, *args),
-                    lambda: k.run_expval_z(2, *args),
-                    lambda: k.expval_z_and_grad(2, *args),
-                ):
+                calls = [
+                    lambda: k.expval_z_rows(2, *args[:3], rows),
+                    lambda: k.expval_z_and_grad_rows(2, *args[:3], rows),
+                ]
+                if bad_for_one_circuit:
+                    calls.append(lambda: k.apply_ops(amps, 2, *args))
+                for call in calls:
                     with pytest.raises(ValueError):
                         call()
                 np.testing.assert_array_equal(amps, k.zero_state(2))
 
     def test_strided_and_read_only_inputs_are_read_correctly(self, kernel):
         kinds, qa, qb, angles = _circuit()
-        strided = np.repeat(angles, 2)[::2]
-        read_only = angles.copy()
+        block = np.stack([angles, -angles])
+        strided = np.repeat(block, 2, axis=1)[:, ::2]
+        read_only = block.copy()
         read_only.setflags(write=False)
-        expected = _sv_numpy.expval_z_and_grad(2, kinds, qa, qb, angles)
+        expected = _sv_numpy.expval_z_and_grad_rows(2, kinds, qa, qb, block)
         for a in (strided, read_only):
-            e, g = kernel.expval_z_and_grad(2, kinds, qa, qb, a)
-            assert e == pytest.approx(expected[0], abs=1e-13)
+            e, g = kernel.expval_z_and_grad_rows(2, kinds, qa, qb, a)
+            np.testing.assert_allclose(e, expected[0], atol=1e-13)
             np.testing.assert_allclose(g, expected[1], atol=1e-12)

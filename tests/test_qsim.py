@@ -48,6 +48,17 @@ def pack(gates):
     )
 
 
+def forward(kernel, n_qubits, kinds, qa, qb, angles):
+    """<Z^n> of one circuit, as the one row of a batched call."""
+    return kernel.expval_z_rows(n_qubits, kinds, qa, qb, angles[None])[0]
+
+
+def adjoint(kernel, n_qubits, kinds, qa, qb, angles):
+    """(<Z^n>, adjoint gradient) of one circuit, as the one row of a batched call."""
+    e, g = kernel.expval_z_and_grad_rows(n_qubits, kinds, qa, qb, angles[None])
+    return e[0], g[0]
+
+
 def evolve(kernel, gates, n_qubits, amps=None):
     """The state ``gates`` make from ``amps`` (default |0...0>); ``amps`` itself is left alone."""
     amps = kernel.zero_state(n_qubits) if amps is None else np.array(amps, dtype=np.complex128)
@@ -112,7 +123,7 @@ class TestGates:
         before = [a.copy() for a in gates]
         for kernel in kernels():
             kernel.apply_ops(kernel.zero_state(2), 2, *gates)
-            kernel.expval_z_and_grad(2, *gates)
+            adjoint(kernel, 2, *gates)
             for a, b in zip(gates, before):
                 np.testing.assert_array_equal(a, b)
 
@@ -124,7 +135,7 @@ class TestGates:
                     kernel.apply_ops(amps, 2, *pack(gates))
                 np.testing.assert_array_equal(amps, kernel.zero_state(2))
                 with pytest.raises(ValueError):
-                    kernel.expval_z_and_grad(2, *pack(gates))
+                    adjoint(kernel, 2, *pack(gates))
 
 
 class TestHadamardAll:
@@ -154,12 +165,12 @@ class TestExpectation:
 
     def test_balanced_superposition(self):
         for kernel in kernels():
-            assert kernel.run_expval_z(2, *pack([h(0), h(1)])) == pytest.approx(0.0, abs=1e-15)
+            assert forward(kernel, 2, *pack([h(0), h(1)])) == pytest.approx(0.0, abs=1e-15)
 
     def test_single_ry_gives_cos(self):
         for kernel in kernels():
             for a in (0.0, 0.4, 1.1, np.pi / 2, 2.8):
-                assert kernel.run_expval_z(1, *pack([ry(0, a)])) == pytest.approx(np.cos(a), abs=1e-12)
+                assert forward(kernel, 1, *pack([ry(0, a)])) == pytest.approx(np.cos(a), abs=1e-12)
 
 
 class TestRunCircuit:
@@ -187,18 +198,18 @@ class TestGradients:
     def test_single_ry_at_zero(self):
         # <Z> = cos(a); derivative at 0 is 0
         for kernel in kernels():
-            _, g = kernel.expval_z_and_grad(1, *pack([ry(0, 0.0)]))
+            _, g = adjoint(kernel, 1, *pack([ry(0, 0.0)]))
             assert g[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_single_ry_at_half_pi(self):
         for kernel in kernels():
-            _, g = kernel.expval_z_and_grad(1, *pack([ry(0, np.pi / 2)]))
+            _, g = adjoint(kernel, 1, *pack([ry(0, np.pi / 2)]))
             assert g[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_gradient_length_counts_rotations(self):
         gates = pack([h(0), ry(0, 0.3), cz(0, 1), rz(1, 0.2), h(1)])
         for kernel in kernels():
-            assert len(kernel.expval_z_and_grad(2, *gates)[1]) == 2
+            assert len(adjoint(kernel, 2, *gates)[1]) == 2
         assert len(parameter_shift_gradient(2, *gates)) == 2
 
     def _finite_difference(self, kernel, n_qubits, kinds, qa, qb, angles, step=1e-5):
@@ -209,8 +220,8 @@ class TestGradients:
             up, dn = angles.copy(), angles.copy()
             up[i] += step
             dn[i] -= step
-            e_up = kernel.run_expval_z(n_qubits, kinds, qa, qb, up)
-            e_dn = kernel.run_expval_z(n_qubits, kinds, qa, qb, dn)
+            e_up = forward(kernel, n_qubits, kinds, qa, qb, up)
+            e_dn = forward(kernel, n_qubits, kinds, qa, qb, dn)
             grads[r] = (e_up - e_dn) / (2 * step)
         return grads
 
@@ -220,7 +231,7 @@ class TestGradients:
             gates = pack(random_circuit(rng, n_qubits=4, n_gates=35))
             shift = parameter_shift_gradient(4, *gates)
             for kernel in kernels():
-                _, adj = kernel.expval_z_and_grad(4, *gates)
+                _, adj = adjoint(kernel, 4, *gates)
                 np.testing.assert_allclose(adj, shift, atol=1e-10)
                 np.testing.assert_allclose(adj, self._finite_difference(kernel, 4, *gates), atol=1e-5)
 
@@ -244,7 +255,7 @@ class TestProperties:
             gates = pack(random_circuit(rng, n_qubits=3, n_gates=25))
             shift = parameter_shift_gradient(3, *gates)
             for kernel in kernels():
-                np.testing.assert_allclose(kernel.expval_z_and_grad(3, *gates)[1], shift, atol=1e-10)
+                np.testing.assert_allclose(adjoint(kernel, 3, *gates)[1], shift, atol=1e-10)
 
 
 def _packed(gates, n_qubits):
@@ -291,12 +302,26 @@ class TestBackendParity:
         a2 = np_.run(n_qubits, kinds, qa, qb, angles)
         np.testing.assert_allclose(a1, a2, atol=1e-13)
         assert c.expval_z(a1, n_qubits) == pytest.approx(np_.expval_z(a2, n_qubits), abs=1e-13)
-        assert c.run_expval_z(n_qubits, kinds, qa, qb, angles) == c.expval_z(a1, n_qubits)
-        e1, g1 = c.expval_z_and_grad(n_qubits, kinds, qa, qb, angles)
-        e2, g2 = np_.expval_z_and_grad(n_qubits, kinds, qa, qb, angles)
+        assert forward(c, n_qubits, kinds, qa, qb, angles) == c.expval_z(a1, n_qubits)
+        e1, g1 = adjoint(c, n_qubits, kinds, qa, qb, angles)
+        e2, g2 = adjoint(np_, n_qubits, kinds, qa, qb, angles)
         assert e1 == pytest.approx(e2, abs=1e-13)
         assert g1.shape == g2.shape
         np.testing.assert_allclose(g1, g2, atol=1e-12)
+
+    def test_rows_match_single_circuits(self):
+        # a row of a batched call gives the bits of the same circuit alone
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            kinds, qa, qb, angles = pack(random_circuit(rng, n_qubits=4, n_gates=40))
+            block = np.stack([angles, -angles, rng.uniform(-7, 7, len(angles))])
+            for kernel in kernels():
+                e, g = kernel.expval_z_and_grad_rows(4, kinds, qa, qb, block)
+                assert np.array_equal(kernel.expval_z_rows(4, kinds, qa, qb, block), e)
+                for r, row in enumerate(block):
+                    e_r, g_r = adjoint(kernel, 4, kinds, qa, qb, row)
+                    assert e[r] == e_r
+                    assert np.array_equal(g[r], g_r)
 
     def test_backends_agree(self):
         rng = np.random.default_rng(5)

@@ -1,8 +1,13 @@
 """Returns, REINFORCE estimator, update rules, and short end-to-end training runs."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qpgrad import qsim
 from qpgrad.cartpole import InitRanges
 from qpgrad.errors import UsageError
 from qpgrad.policy import AnsatzSpec, PolicyParams, zero_params
@@ -13,7 +18,8 @@ from qpgrad.trainer import (
     apply_update,
     batch_gradient,
     discounted_returns,
-    rollout,
+    episode_rewards,
+    rollouts,
     train,
 )
 
@@ -148,7 +154,7 @@ class TestApplyUpdate:
 class TestRollout:
     def test_trajectory_shape_consistency(self):
         params = zero_params(SPEC)
-        tr = rollout(SPEC, params, InitRanges(), substream(1, 1, 0))
+        (tr,) = rollouts(SPEC, params, [substream(1, 1, 0)], [InitRanges()])
         assert len(tr) == tr.total_reward
         assert tr.glp_nu.shape == (len(tr), SPEC.n_params_each)
         assert tr.observations.shape == (len(tr), 4)
@@ -156,10 +162,57 @@ class TestRollout:
 
     def test_rollout_deterministic_per_stream(self):
         params = zero_params(SPEC)
-        a = rollout(SPEC, params, InitRanges(), substream(9, 1, 3))
-        b = rollout(SPEC, params, InitRanges(), substream(9, 1, 3))
+        (a,) = rollouts(SPEC, params, [substream(9, 1, 3)], [InitRanges()])
+        (b,) = rollouts(SPEC, params, [substream(9, 1, 3)], [InitRanges()])
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.glp_omega, b.glp_omega)
+
+
+# One episode's settings: its stream index, observation-noise std and the
+# half-widths of its initial pole angle and angular velocity (angles up to
+# 0.21 can start beyond the 0.2095 bound, so some episodes take no step).
+_episode = st.tuples(
+    st.integers(0, 2**40),
+    st.sampled_from([0.0, 0.0, 0.2, 0.8]),
+    st.floats(0.0, 0.21),
+    st.floats(0.0, 2.0),
+)
+
+
+class TestLockstep:
+    """An episode's results do not depend on the batch it runs in."""
+
+    def test_random_block_matches_single_draws(self):
+        # noise-free episodes draw the action uniforms of their horizon at once
+        for k in range(5):
+            block = substream(4, 1, k).random(200)
+            rng = substream(4, 1, k)
+            assert np.array_equal(block, [rng.random() for _ in range(200)])
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.lists(_episode, min_size=1, max_size=4))
+    def test_episode_alone_equals_episode_in_batch(self, param_seed, horizon, episodes):
+        spec = AnsatzSpec(n_layers=1)
+        draw = np.random.default_rng(param_seed)
+        params = PolicyParams(draw.uniform(-np.pi, np.pi, spec.param_shape), draw.normal(0, 1, spec.param_shape))
+        ranges = [InitRanges(theta=(-w, w), theta_dot=(-v, v)) for _, _, w, v in episodes]
+        sigmas = [sigma for _, sigma, _, _ in episodes]
+
+        def streams(picked):
+            return [substream(3, 1, episodes[i][0]) for i in picked]
+
+        everyone = range(len(episodes))
+        for kernel in (qsim.load_kernel("c"), qsim.load_kernel("numpy")):
+            with mock.patch.object(qsim, "_kernel", kernel):
+                batch = rollouts(spec, params, streams(everyone), ranges, horizon, sigmas)
+                rewards = episode_rewards(spec, params, streams(everyone), ranges, horizon, sigmas)
+                for i, tr in enumerate(batch):
+                    (alone,) = rollouts(spec, params, streams([i]), [ranges[i]], horizon, [sigmas[i]])
+                    for name in ("observations", "actions", "rewards", "glp_nu", "glp_omega"):
+                        assert np.array_equal(getattr(tr, name), getattr(alone, name)), name
+                    assert (tr.total_reward, tr.failed) == (alone.total_reward, alone.failed)
+                    reward_alone = episode_rewards(spec, params, streams([i]), [ranges[i]], horizon, [sigmas[i]])
+                    assert rewards[i] == reward_alone[0] == tr.total_reward
 
 
 class TestTrain:
