@@ -9,7 +9,7 @@ driven by a deterministic seeded CLI.
 
 __version__ = "0.1.0"
 
-from .cartpole import EnvState, InitRanges, NoiseModel
+from .cartpole import InitRanges, NoiseModel
 from .policy import AnsatzSpec, PolicyParams
 from .qsim import BACKEND
 from .trainer import TrainConfig
@@ -18,7 +18,6 @@ __all__ = [
     "__version__",
     "AnsatzSpec",
     "BACKEND",
-    "EnvState",
     "InitRanges",
     "NoiseModel",
     "PolicyParams",

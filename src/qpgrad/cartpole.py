@@ -12,11 +12,11 @@ velocities may leave [-1, 1] and are deliberately not clipped. Observation
 noise is additive zero-mean Gaussian per normalized feature and never
 touches the underlying state.
 
-``step_batch`` steps a (B, 4) block of raw states (rows in feature order)
-at once, with the expressions of a single step applied element by element;
-``step`` is one row of it. numpy's ``cos``, ``sin`` and ``float_power(., 2)``
-give the bits of ``math.cos``, ``math.sin`` and ``float ** 2`` on the
-platforms the tests pin, so a row's result does not depend on the block.
+A state is a raw row (x, x_dot, theta, theta_dot); ``step_batch`` steps a
+(B, 4) block of them at once, with the expressions of a single step applied
+element by element. numpy's ``cos``, ``sin`` and ``float_power(., 2)`` give
+the bits of ``math.cos``, ``math.sin`` and ``float ** 2`` on the platforms
+the tests pin, so a row's result does not depend on the block.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError
 
 GRAVITY = 9.8
 CART_MASS = 1.0
@@ -44,16 +44,6 @@ HORIZON = 200
 # Feature order everywhere: (x, x_dot, theta, theta_dot).
 NORM_FACTORS = np.array([2.4, 2.5, 0.21, 2.5])
 _BOUNDS = np.array([X_LIMIT, THETA_LIMIT])  # on |x| and |theta|
-
-
-@dataclass(frozen=True)
-class EnvState:
-    x: float
-    x_dot: float
-    theta: float
-    theta_dot: float
-    step_count: int = 0
-    terminated: bool = False
 
 
 @dataclass(frozen=True)
@@ -101,24 +91,28 @@ class NoiseModel:
         return rng.normal(0.0, self.sigma, size=4)
 
 
-def reset(ranges: InitRanges, rng: np.random.Generator) -> EnvState:
-    """Fresh state with features drawn independently and uniformly; draw order x, x_dot, theta, theta_dot."""
-    x = rng.uniform(*ranges.x)
-    x_dot = rng.uniform(*ranges.x_dot)
-    theta = rng.uniform(*ranges.theta)
-    theta_dot = rng.uniform(*ranges.theta_dot)
-    # ranges may legally touch the sliver between the termination bound and
-    # the admissible range (e.g. theta in (0.2095, 0.21]); keep the invariant
-    done = abs(x) > X_LIMIT or abs(theta) > THETA_LIMIT
-    return EnvState(x, x_dot, theta, theta_dot, terminated=done)
+def reset(ranges: InitRanges, rng: np.random.Generator) -> np.ndarray:
+    """Fresh raw state with features drawn independently and uniformly; draw order x, x_dot, theta, theta_dot.
+
+    Ranges may legally touch the sliver between the termination bound and
+    the admissible range (e.g. theta in (0.2095, 0.21]), so a fresh state
+    can already be ``out_of_bounds``.
+    """
+    return np.array([rng.uniform(*r) for _, r in ranges.items()])
+
+
+def out_of_bounds(states: np.ndarray) -> np.ndarray:
+    """(B,) mask of the rows of a (B, 4) block of raw states with |x| > 2.4 or |theta| > 0.2095."""
+    out = np.abs(states[:, 0::2]) > _BOUNDS
+    return out[:, 0] | out[:, 1]
 
 
 def step_batch(states: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One explicit-Euler step of every row of a (B, 4) block of raw states
     under its action, 0 or False (push left) or 1 or True (push right).
 
-    Returns the new (B, 4) states and the (B,) mask of rows that left the
-    bounds (|x| > 2.4 or |theta| > 0.2095); the horizon is the caller's.
+    Returns the new (B, 4) states and their ``out_of_bounds`` mask; the
+    horizon is the caller's.
     """
     theta, theta_dot = states[:, 2], states[:, 3]
     force = np.where(actions, FORCE_MAG, -FORCE_MAG)
@@ -134,33 +128,10 @@ def step_batch(states: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.
     rates[:, 1] = x_acc
     rates[:, 3] = theta_acc
     new = states + TIME_STEP * rates
-    out = np.abs(new[:, 0::2]) > _BOUNDS
-    return new, out[:, 0] | out[:, 1]
+    return new, out_of_bounds(new)
 
 
-def step(state: EnvState, action: int, horizon: int = HORIZON) -> tuple[EnvState, float]:
-    """One explicit-Euler step under action 0 (push left) or 1 (push right)."""
-    if state.terminated:
-        raise UsageError("cannot step a terminated state")
-    if action not in (0, 1):
-        raise ValueError(f"action must be 0 or 1, got {action}")
-    raw = np.array([[state.x, state.x_dot, state.theta, state.theta_dot]])
-    new, out = step_batch(raw, np.array([action]))
-    steps = state.step_count + 1
-    return EnvState(*new[0].tolist(), steps, bool(out[0]) or steps >= horizon), 1.0
-
-
-def normalize(state) -> np.ndarray:
-    """(x/2.4, x_dot/2.5, theta/0.21, theta_dot/2.5) of an ``EnvState``, or
-    of each row of raw states in feature order."""
-    if isinstance(state, EnvState):
-        state = np.array([state.x, state.x_dot, state.theta, state.theta_dot])
-    return state / NORM_FACTORS
-
-
-def observe(state, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    """Normalized observation with additive Gaussian perturbation; the state itself is untouched."""
-    obs = normalize(state)
-    if noise.sigma == 0.0:
-        return obs
-    return obs + noise.draw(rng)
+def normalize(states: np.ndarray) -> np.ndarray:
+    """(x/2.4, x_dot/2.5, theta/0.21, theta_dot/2.5) of each row of raw
+    states, as a new array: noise added to it never touches the states."""
+    return states / NORM_FACTORS

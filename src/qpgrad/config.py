@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import difflib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .cartpole import InitRanges
-from .curriculum import CurriculumSchedule, default_schedule
+from .curriculum import DEFAULT_THETA_DOT_LIMITS, CurriculumSchedule, default_schedule
 from .errors import ConfigurationError
 from .evalharness import EvalGridSpec
 from .policy import (
@@ -44,9 +44,6 @@ from .trainer import (
 COMMANDS = ("train", "curriculum", "eval-robustness", "eval-generalization")
 
 DEFAULT_SIGMAS = tuple(round(0.1 * i, 1) for i in range(9))
-DEFAULT_ANGLE_EDGES = tuple(round(-2.75 + 0.5 * i, 2) for i in range(12))
-DEFAULT_VELOCITY_EDGES = tuple(round(0.02 * i, 2) for i in range(14))
-DEFAULT_CURRICULUM_LIMITS = (0.25, 0.75, 1.25, 1.75)
 
 
 @dataclass(frozen=True)
@@ -63,11 +60,11 @@ class ExperimentConfig:
     eval_sigmas: tuple = DEFAULT_SIGMAS
     eval_episodes: int = 100
     grid: EvalGridSpec = EvalGridSpec()
-    curr_limits: tuple = DEFAULT_CURRICULUM_LIMITS
-    curr_max_failures: int = 1000
-    curr_validation_episodes: int = 100
-    curr_validation_threshold: float = 195.0
-    curr_validation_period: int = 10
+    curr_limits: tuple = DEFAULT_THETA_DOT_LIMITS
+    curr_max_failures: int = CurriculumSchedule.f_max  # the schedule's own defaults
+    curr_validation_episodes: int = CurriculumSchedule.validation_episodes
+    curr_validation_threshold: float = CurriculumSchedule.validation_threshold
+    curr_validation_period: int = CurriculumSchedule.validation_period
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -287,9 +284,11 @@ def build_config(raw: dict) -> ExperimentConfig:
         ),
     )
     grid = EvalGridSpec(
-        angle_bins=_edges_to_bins("grid.angle_edges", get("grid.angle_edges", DEFAULT_ANGLE_EDGES)),
+        angle_bins=_edges_to_bins(
+            "grid.angle_edges", get("grid.angle_edges", _bins_to_edges(defaults.grid.angle_bins))
+        ),
         velocity_bins=_edges_to_bins(
-            "grid.velocity_edges", get("grid.velocity_edges", DEFAULT_VELOCITY_EDGES)
+            "grid.velocity_edges", get("grid.velocity_edges", _bins_to_edges(defaults.grid.velocity_bins))
         ),
         episodes_per_cell=get("grid.cell_episodes", defaults.grid.episodes_per_cell),
     )

@@ -33,25 +33,17 @@ VALIDATION_THRESHOLD = 195.0
 
 
 def default_schedule(
-    base: InitRanges = InitRanges(),
-    theta_dot_limits=DEFAULT_THETA_DOT_LIMITS,
-    f_max: int = 1000,
-    validation_episodes: int = 100,
-    validation_threshold: float = VALIDATION_THRESHOLD,
-    validation_period: int = 10,
+    base: InitRanges = InitRanges(), theta_dot_limits=DEFAULT_THETA_DOT_LIMITS, **options
 ) -> "CurriculumSchedule":
-    """Schedule expanding only the pole angular-velocity interval (raw rad/s)."""
+    """Schedule expanding only the pole angular-velocity interval (raw rad/s).
+
+    ``options`` are the other fields of ``CurriculumSchedule``.
+    """
     ranges = [
         InitRanges(x=base.x, x_dot=base.x_dot, theta=base.theta, theta_dot=(-lim, lim))
         for lim in theta_dot_limits
     ]
-    return CurriculumSchedule(
-        ranges=ranges,
-        f_max=f_max,
-        validation_episodes=validation_episodes,
-        validation_threshold=validation_threshold,
-        validation_period=validation_period,
-    )
+    return CurriculumSchedule(ranges=ranges, **options)
 
 
 @dataclass(frozen=True)
@@ -142,19 +134,19 @@ def run_curriculum(
     while failures < schedule.f_max:
         n = config.batch_size
         rngs = (substream(config.seed, STREAM_EPISODE, episode + i) for i in range(n))
-        batch = []
-        for tr in rollouts(spec, params, rngs, [schedule.ranges[range_idx]] * n, config.horizon):
-            batch.append(tr)
-            if tr.failed:
-                failures += 1
-                outcomes[range_idx].failures += 1
-                if failures == schedule.f_max:
-                    break  # the budget ends the run here; later episodes never happened
-        episode += len(batch)
-        since_validation += len(batch)
-        if len(batch) < n:
+        ranges = [schedule.ranges[range_idx]] * n
+        lengths, glp_nu, glp_omega = rollouts(spec, params, rngs, ranges, config.horizon)
+        failed = lengths < config.horizon
+        # the episode that uses up the budget ends the run; later episodes never happened
+        kept = min(n, int(np.searchsorted(failures + np.cumsum(failed), schedule.f_max)) + 1)
+        new_failures = int(failed[:kept].sum())
+        failures += new_failures
+        outcomes[range_idx].failures += new_failures
+        episode += kept
+        since_validation += kept
+        if kept < n:
             break
-        grad = batch_gradient(batch, config.gamma, config.baseline, config.grad_norm)
+        grad = batch_gradient(lengths, glp_nu, glp_omega, config)
         params, opt_state = apply_update(params, grad, config, opt_state)
         if since_validation < schedule.validation_period:
             continue

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,14 +33,8 @@ from .seeding import STREAM_EVAL, substream
 from .trainer import episode_rewards
 
 
-def _default_angle_bins():
-    edges = [round(-2.75 + 0.5 * i, 2) for i in range(12)]
-    return tuple((lo, hi) for lo, hi in zip(edges, edges[1:]))
-
-
-def _default_velocity_bins():
-    edges = [round(0.02 * i, 2) for i in range(14)]
-    return tuple((lo, hi) for lo, hi in zip(edges, edges[1:]))
+def _bins(edges) -> tuple:
+    return tuple(zip(edges, edges[1:]))
 
 
 _DEG = np.pi / 180.0
@@ -50,8 +44,8 @@ _DEG = np.pi / 180.0
 class EvalGridSpec:
     """Initial-condition grid: pole angle bins in degrees, angular-velocity bins in rad/s."""
 
-    angle_bins: tuple = field(default_factory=_default_angle_bins)
-    velocity_bins: tuple = field(default_factory=_default_velocity_bins)
+    angle_bins: tuple = _bins([round(-2.75 + 0.5 * i, 2) for i in range(12)])
+    velocity_bins: tuple = _bins([round(0.02 * i, 2) for i in range(14)])
     episodes_per_cell: int = 100
 
     def __post_init__(self):

@@ -30,7 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from . import qsim
-from .errors import ConfigurationError, DegeneratePolicyError
+from .errors import ConfigurationError
 
 # Spectral norm of the generator of RY/RZ under the e^{-i a G} convention.
 GENERATOR_NORM = 0.5
@@ -214,6 +214,17 @@ def probs_from_expectation(e) -> np.ndarray:
     return probs
 
 
+def log_policy_coeff(p0, actions) -> np.ndarray:
+    """Per-row factor c with grad log pi(a|s) = c * grad<Z^n>, for pi(0|s) = ``p0``
+    and ``actions`` 0/False or 1/True.
+
+    grad pi(a|s) = (-1)^a * grad<Z^n> / 2, so c = (-1)^a / (2 pi(a|s)),
+    with pi(1|s) taken as 1 - p0. pi(a|s) is clamped at 1e-12, so an action
+    of probability ~0 gets a large but finite gradient.
+    """
+    return np.where(actions, -1.0, 1.0) / (2.0 * np.maximum(np.where(actions, 1.0 - p0, p0), 1e-12))
+
+
 def _check_obs(spec: AnsatzSpec, obs) -> np.ndarray:
     obs = np.asarray(obs, dtype=np.float64)
     if obs.shape != (spec.n_qubits,):
@@ -232,7 +243,7 @@ def policy_probs(spec: AnsatzSpec, params: PolicyParams, obs) -> np.ndarray:
 def grad_log_policy(spec: AnsatzSpec, params: PolicyParams, obs, action: int):
     """Gradient of log pi(action|obs) w.r.t. (nu, omega), tensors shaped like the params.
 
-    grad pi(a|s) = (-1)^a * grad<Z^n> / 2, so grad log pi = that over pi(a|s).
+    The coefficient is ``log_policy_coeff``'s, as in training.
     """
     check_params(spec, params)
     if action not in (0, 1):
@@ -240,10 +251,7 @@ def grad_log_policy(spec: AnsatzSpec, params: PolicyParams, obs, action: int):
     obs = _check_obs(spec, obs)
     tpl = get_template(spec)
     e, gnu, gom = tpl.expval_and_grad(params.nu.reshape(-1), params.omega.reshape(-1), obs[None])
-    p = probs_from_expectation(e[0])[action]
-    if p < 1e-12:
-        raise DegeneratePolicyError(f"pi({action}|s) = {p:.3e}; gradient of log pi undefined")
-    coeff = (1.0 if action == 0 else -1.0) / (2.0 * p)
+    coeff = log_policy_coeff(probs_from_expectation(e)[:, 0], action)[0]
     shape = spec.param_shape
     return (coeff * gnu[0]).reshape(shape), (coeff * gom[0]).reshape(shape)
 

@@ -24,7 +24,6 @@ STREAM_INIT = 0
 STREAM_EPISODE = 1
 STREAM_VALIDATION = 2
 STREAM_EVAL = 3
-STREAM_PAIRS = 4
 
 
 def splitmix64(seed: int, index: int) -> int:

@@ -25,7 +25,10 @@ episodes are independent of collection order.
 
 Episodes run in lockstep batches (``rollouts``, and ``episode_rewards`` for
 forward-only evaluation): every live episode of the batch takes its t-th
-step at once, with one kernel call for the whole batch. Each episode draws
+step at once, with one kernel call for the whole batch. A batch is only
+ever held as blocks: its episode lengths (every step pays +1, so a length
+is also a total reward) and its per-step log-policy gradients, indexed by
+step, then episode. Each episode draws
 from its own generator exactly what it would draw alone, in the same order,
 and every per-episode value is computed element by element with the
 expressions of a lone episode, so an episode's results do not depend on the
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import policy as pol
-from .cartpole import HORIZON, InitRanges, NoiseModel, normalize, reset, step_batch
+from .cartpole import HORIZON, InitRanges, NoiseModel, normalize, out_of_bounds, reset, step_batch
 from .errors import ConfigurationError, UsageError
 from .policy import AnsatzSpec, PolicyParams
 from .seeding import STREAM_EPISODE, STREAM_INIT, substream
@@ -91,22 +94,6 @@ class TrainConfig:
 
 
 @dataclass
-class Trajectory:
-    """One episode: arrays indexed by step, plus episode-level bookkeeping."""
-
-    observations: np.ndarray   # (T, n_features) as seen by the policy
-    actions: np.ndarray        # (T,)
-    rewards: np.ndarray        # (T,)
-    glp_nu: np.ndarray         # (T, P) log-policy gradients, flat param order
-    glp_omega: np.ndarray      # (T, P)
-    total_reward: float
-    failed: bool               # terminated before the horizon
-
-    def __len__(self) -> int:
-        return len(self.rewards)
-
-
-@dataclass
 class TrainRecord:
     """Per-epoch telemetry; wall_clock is informational and excluded from
     reproducibility comparisons (everything else is bit-deterministic)."""
@@ -150,8 +137,9 @@ def _lockstep(spec, params, rngs, ranges, horizon, sigmas, collect_grads):
     does not hold one generator per episode.
 
     Returns the (B,) episode lengths and, when ``collect_grads``, the
-    per-step records ``(observations, actions, glp_nu, glp_omega)``, each
-    indexed by step then episode.
+    per-step log-policy gradients ``(glp_nu, glp_omega)``, each of shape
+    (horizon, B, P): step t of episode i is ``[t, i]``, set only for t below
+    the episode's length.
     """
     tpl = pol.get_template(spec)
     nu_flat = params.nu.reshape(-1)
@@ -169,23 +157,18 @@ def _lockstep(spec, params, rngs, ranges, horizon, sigmas, collect_grads):
         else:
             uniforms[:, i] = rng.random(horizon)
     lengths = np.zeros(n, dtype=np.int64)
-    ids = np.array([i for i, s in enumerate(starts) if not s.terminated], dtype=np.intp)
-    states = np.array([(s.x, s.x_dot, s.theta, s.theta_dot) for s in starts]).reshape(n, 4)[ids]
+    states = np.array(starts).reshape(n, 4)
+    ids = np.flatnonzero(~out_of_bounds(states))
+    states = states[ids]
     if collect_grads:
-        n_params = spec.n_params_each
-        records = (
-            np.empty((horizon, n, 4)),
-            np.empty((horizon, n), dtype=np.int64),
-            np.empty((horizon, n, n_params)),
-            np.empty((horizon, n, n_params)),
-        )
+        glp = (np.empty((horizon, n, spec.n_params_each)), np.empty((horizon, n, spec.n_params_each)))
 
     t = 0
     while len(ids):
         rows = np.flatnonzero(noisy[ids]).tolist() if any_noisy else []  # the live noisy episodes' rows
         live_noisy = ids[rows].tolist()
         obs = normalize(states)
-        if rows:  # as observe() would, without normalizing those rows again
+        if rows:
             obs[rows] += np.array([noise[i].draw(noisy_rngs[i]) for i in live_noisy])
         if collect_grads:
             e, gnu, gom = tpl.expval_and_grad(nu_flat, om_flat, obs)
@@ -197,17 +180,16 @@ def _lockstep(spec, params, rngs, ranges, horizon, sigmas, collect_grads):
             u[j] = noisy_rngs[i].random()
         left = u < p0  # action 0
         if collect_grads:
-            p_a = np.where(left, p0, 1.0 - p0)
-            coeff = np.where(left, 1.0, -1.0) / (2.0 * np.maximum(p_a, 1e-12))
-            for record, value in zip(records, (obs, ~left, coeff[:, None] * gnu, coeff[:, None] * gom)):
-                record[t][ids] = value
+            coeff = pol.log_policy_coeff(p0, ~left)[:, None]
+            glp[0][t][ids] = coeff * gnu
+            glp[1][t][ids] = coeff * gom
         states, out = step_batch(states, ~left)
         t += 1
         done = out | (t >= horizon)
         if done.any():
             lengths[ids[done]] = t
             ids, states = ids[~done], states[~done]
-    return lengths, (records if collect_grads else None)
+    return lengths, (glp if collect_grads else None)
 
 
 def rollouts(
@@ -217,28 +199,20 @@ def rollouts(
     ranges,
     horizon: int = HORIZON,
     sigmas=None,
-) -> list[Trajectory]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Play one episode per entry of ``ranges`` in lockstep, recording grad log pi(a_t|s_t) per step.
 
     ``ranges`` holds each episode's initial-condition ranges, ``rngs`` its
     generator (any iterable, consumed once) and ``sigmas`` its
-    observation-noise std (None: no noise). Every episode gets exactly the
-    trajectory it would get if it ran alone.
+    observation-noise std (None: no noise). Returns the (B,) episode
+    lengths, which are also the episodes' total rewards, and the
+    (horizon, B, P) blocks of per-step log-policy gradients for nu and
+    omega; entry [t, i] is step t of episode i, set only for t below its
+    length (the rest is left uninitialized).
+    Every episode gets exactly the values it would get if it ran alone.
     """
-    lengths, records = _lockstep(spec, params, rngs, ranges, horizon, sigmas, collect_grads=True)
-    observations, actions, glp_nu, glp_omega = records
-    return [
-        Trajectory(
-            observations=observations[:n_steps, i].copy(),
-            actions=actions[:n_steps, i].copy(),
-            rewards=np.ones(n_steps),
-            glp_nu=glp_nu[:n_steps, i].copy(),
-            glp_omega=glp_omega[:n_steps, i].copy(),
-            total_reward=float(n_steps),
-            failed=n_steps < horizon,
-        )
-        for i, n_steps in enumerate(lengths.tolist())
-    ]
+    lengths, (glp_nu, glp_omega) = _lockstep(spec, params, rngs, ranges, horizon, sigmas, collect_grads=True)
+    return lengths, glp_nu, glp_omega
 
 
 def episode_rewards(
@@ -271,45 +245,53 @@ def discounted_returns(rewards, gamma: float) -> np.ndarray:
     return out
 
 
-def batch_gradient(
-    trajectories, gamma: float, baseline: str = BASELINE_NONE, grad_norm: str = NORM_EPISODES
-) -> tuple[np.ndarray, np.ndarray]:
+def episode_returns(lengths: np.ndarray, gamma: float) -> np.ndarray:
+    """(B, max(t_max, 1)) reward-to-go of episodes of the given lengths, 0 past each end.
+
+    Every step pays +1, so the returns of an episode of L steps are the
+    last L returns of the longest one.
+    """
+    t_max = max(int(lengths.max(initial=0)), 1)
+    full = discounted_returns(np.ones(t_max), gamma)
+    returns = np.zeros((len(lengths), t_max))
+    for i, n_steps in enumerate(lengths.tolist()):
+        returns[i, :n_steps] = full[t_max - n_steps :]
+    return returns
+
+
+def batch_gradient(lengths: np.ndarray, glp_nu: np.ndarray, glp_omega: np.ndarray, config: TrainConfig):
     """REINFORCE estimator sum_ep sum_t G_t grad log pi(a_t|s_t), flat tensors.
 
-    ``grad_norm`` picks the normalizer: "episodes" divides by the batch size
-    (the textbook per-episode mean), "steps" by the total step count across
-    the batch. The two differ only by a positive scalar, but the scalar sets
-    how strongly the regularizer competes with the task gradient inside the
-    update.
+    Takes the episode lengths and gradient blocks of ``rollouts``; the
+    discount, baseline and normalizer come from ``config``.
+    ``config.grad_norm`` picks the normalizer: "episodes" divides by the
+    batch size (the textbook per-episode mean), "steps" by the total step
+    count across the batch. The two differ only by a positive scalar, but
+    the scalar sets how strongly the regularizer competes with the task
+    gradient inside the update.
 
     With the batch-mean baseline, each G_t has the per-timestep batch mean
     subtracted (episodes shorter than t contribute 0 to the mean), so a
     batch of identical-length episodes produces exactly zero gradient.
     """
-    if len(trajectories) == 0:
-        raise UsageError("batch_gradient needs at least one trajectory")
-    returns = [discounted_returns(tr.rewards, gamma) for tr in trajectories]
-    if baseline == BASELINE_BATCH_MEAN:
-        t_max = max((len(g) for g in returns), default=0)
-        if t_max:
-            padded = np.zeros((len(returns), t_max))
-            for i, g in enumerate(returns):
-                padded[i, : len(g)] = g
-            mean_t = padded.mean(axis=0)
-            returns = [g - mean_t[: len(g)] for g in returns]
+    if len(lengths) == 0:
+        raise UsageError("batch_gradient needs at least one episode")
+    returns = episode_returns(lengths, config.gamma)
+    if config.baseline == BASELINE_BATCH_MEAN:
+        returns -= returns.mean(axis=0)
 
-    n_params = trajectories[0].glp_nu.shape[1]
-    gnu = np.zeros(n_params)
-    gom = np.zeros(n_params)
-    for tr, g in zip(trajectories, returns):
-        if len(g) == 0:
+    gnu = np.zeros(glp_nu.shape[-1])
+    gom = np.zeros(glp_omega.shape[-1])
+    for i, n_steps in enumerate(lengths.tolist()):
+        if n_steps == 0:
             continue
-        gnu += g @ tr.glp_nu
-        gom += g @ tr.glp_omega
-    if grad_norm == NORM_STEPS:
-        denom = max(sum(len(tr) for tr in trajectories), 1)
+        g = returns[i, :n_steps]
+        gnu += g @ glp_nu[:n_steps, i]
+        gom += g @ glp_omega[:n_steps, i]
+    if config.grad_norm == NORM_STEPS:
+        denom = max(int(lengths.sum()), 1)
     else:
-        denom = len(trajectories)
+        denom = len(lengths)
     gnu /= denom
     gom /= denom
     return gnu, gom
@@ -376,27 +358,24 @@ def train(
     minibatch = config.minibatch or config.batch_size
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
-        epoch_trajs = []
+        epoch_lengths = []
         collected = 0
         while collected < config.batch_size:
             # on-policy: each minibatch is rolled out under the current params
             n = min(minibatch, config.batch_size - collected)
             rngs = (substream(config.seed, STREAM_EPISODE, episode + i) for i in range(n))
-            batch = rollouts(spec, params, rngs, [ranges] * n, config.horizon)
+            lengths, glp_nu, glp_omega = rollouts(spec, params, rngs, [ranges] * n, config.horizon)
             episode += n
-            collected += len(batch)
-            epoch_trajs.extend(batch)
-            if collected == len(batch):  # first minibatch of the epoch
+            if collected == 0:
                 penalty_before = pol.regularization_penalty(params, config.lam)
-            grad = batch_gradient(batch, config.gamma, config.baseline, config.grad_norm)
+            collected += n
+            epoch_lengths.append(lengths)
+            grad = batch_gradient(lengths, glp_nu, glp_omega, config)
             params, opt_state = apply_update(params, grad, config, opt_state)
 
-        mean_reward = float(np.mean([tr.total_reward for tr in epoch_trajs]))
-        mean_return = float(
-            np.mean(
-                [discounted_returns(tr.rewards, config.gamma)[0] if len(tr) else 0.0 for tr in epoch_trajs]
-            )
-        )
+        lengths = np.concatenate(epoch_lengths)
+        mean_reward = float(np.mean(lengths.astype(np.float64)))
+        mean_return = float(np.mean(episode_returns(lengths, config.gamma)[:, 0]))
         records.append(
             TrainRecord(
                 epoch=epoch,

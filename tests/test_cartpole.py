@@ -8,15 +8,17 @@ import pytest
 
 from qpgrad.cartpole import (
     HORIZON,
-    EnvState,
     InitRanges,
     NoiseModel,
     normalize,
-    observe,
+    out_of_bounds,
     reset,
-    step,
+    step_batch,
 )
-from qpgrad.errors import ConfigurationError, UsageError
+from qpgrad.errors import ConfigurationError
+from qpgrad.policy import AnsatzSpec, PolicyParams
+from qpgrad.seeding import substream
+from qpgrad.trainer import episode_rewards, rollouts
 
 
 def oracle_step(state, action):
@@ -35,27 +37,33 @@ def oracle_step(state, action):
     )
 
 
+def step(state, action):
+    """One row of ``step_batch``: (new raw state, left the bounds)."""
+    new, out = step_batch(np.array([state], dtype=np.float64), np.array([action]))
+    return new[0], bool(out[0])
+
+
 class TestReset:
     def test_default_ranges(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             s = reset(InitRanges(), rng)
-            for v in (s.x, s.x_dot, s.theta, s.theta_dot):
-                assert -0.05 <= v <= 0.05
-            assert s.step_count == 0 and not s.terminated
+            assert s.shape == (4,)
+            assert np.all(np.abs(s) <= 0.05)
+            assert not out_of_bounds(s[None])[0]
 
     def test_degenerate_interval_gives_zero_state(self):
         zeros = InitRanges(x=(0, 0), x_dot=(0, 0), theta=(0, 0), theta_dot=(0, 0))
         s = reset(zeros, np.random.default_rng(1))
-        assert (s.x, s.x_dot, s.theta, s.theta_dot) == (0.0, 0.0, 0.0, 0.0)
+        assert s.tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_curriculum_range_only_widens_theta_dot(self):
         ranges = InitRanges(theta_dot=(-0.25, 0.25))
         rng = np.random.default_rng(2)
-        draws = [reset(ranges, rng) for _ in range(200)]
-        assert all(-0.25 <= s.theta_dot <= 0.25 for s in draws)
-        assert any(abs(s.theta_dot) > 0.05 for s in draws)
-        assert all(abs(s.x) <= 0.05 for s in draws)
+        draws = np.array([reset(ranges, rng) for _ in range(200)])
+        assert np.all(np.abs(draws[:, 3]) <= 0.25)
+        assert np.any(np.abs(draws[:, 3]) > 0.05)
+        assert np.all(np.abs(draws[:, 0]) <= 0.05)
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -68,59 +76,40 @@ class TestReset:
 
 class TestStep:
     def test_first_step_from_zero_state(self):
-        s, reward = step(EnvState(0, 0, 0, 0), 1)
-        assert reward == 1.0
-        assert s.x == pytest.approx(0.0, abs=1e-12)
-        assert s.x_dot == pytest.approx(0.19512, abs=1e-4)
-        assert s.theta == pytest.approx(0.0, abs=1e-12)
-        assert s.theta_dot == pytest.approx(-0.29268, abs=1e-4)
+        s, out = step((0, 0, 0, 0), 1)
+        assert not out
+        assert s[0] == pytest.approx(0.0, abs=1e-12)
+        assert s[1] == pytest.approx(0.19512, abs=1e-4)
+        assert s[2] == pytest.approx(0.0, abs=1e-12)
+        assert s[3] == pytest.approx(-0.29268, abs=1e-4)
 
     def test_theta_beyond_limit_terminates(self):
         # theta > 0.2095 after integration must flag termination
-        s = EnvState(0, 0, 0.208, 0.9)
-        out, _ = step(s, 1)
-        assert out.theta > 0.2095
-        assert out.terminated
+        s, out = step((0, 0, 0.208, 0.9), 1)
+        assert s[2] > 0.2095
+        assert out
 
     def test_full_horizon_reward(self):
         # alternating pushes keep the pole up from the zero state
-        s = EnvState(0, 0, 0, 0)
-        total = 0.0
-        while not s.terminated:
-            action = 0 if s.theta + s.theta_dot < 0 else 1
-            s, r = step(s, action)
-            total += r
-        assert total == 200.0
-        assert s.step_count == HORIZON
-
-    def test_step_terminated_state_raises(self):
-        s = EnvState(0, 0, 0, 0, step_count=200, terminated=True)
-        with pytest.raises(UsageError):
-            step(s, 0)
-
-    def test_bad_action_rejected(self):
-        with pytest.raises(ValueError):
-            step(EnvState(0, 0, 0, 0), 2)
+        s = np.zeros(4)
+        for _ in range(HORIZON):
+            s, out = step(s, 0 if s[2] + s[3] < 0 else 1)
+            assert not out
 
     def test_determinism_bit_exact(self):
-        s = EnvState(0.01, -0.02, 0.015, 0.04)
-        a, _ = step(s, 1)
-        b, _ = step(s, 1)
-        assert (a.x, a.x_dot, a.theta, a.theta_dot) == (b.x, b.x_dot, b.theta, b.theta_dot)
+        s = (0.01, -0.02, 0.015, 0.04)
+        assert step(s, 1)[0].tolist() == step(s, 1)[0].tolist()
 
     def test_fifty_step_rollout_matches_oracle(self):
         actions = [(3 * i + i // 7) % 2 for i in range(50)]
-        s = EnvState(0, 0, 0, 0)
+        s = np.zeros(4)
         ref = (0.0, 0.0, 0.0, 0.0)
         for a in actions:
-            if s.terminated:
-                break
-            s, _ = step(s, a, horizon=10_000)
+            s, out = step(s, a)
             ref = oracle_step(ref, a)
-            np.testing.assert_allclose(
-                [s.x, s.x_dot, s.theta, s.theta_dot], ref, atol=1e-9, rtol=0
-            )
-
+            np.testing.assert_allclose(s, ref, atol=1e-9, rtol=0)
+            if out:
+                break
 
     def test_numpy_trig_matches_math_on_angle_range(self):
         # step_batch takes np.cos/np.sin of a whole block; a row keeps the
@@ -138,46 +127,65 @@ class TestStep:
 
 class TestNormalize:
     def test_x_scale(self):
-        v = normalize(EnvState(1.2, 0, 0, 0))
+        v = normalize(np.array([1.2, 0, 0, 0]))
         np.testing.assert_allclose(v, [0.5, 0, 0, 0])
 
     def test_theta_scale(self):
-        v = normalize(EnvState(0, 0, 0.21, 0))
+        v = normalize(np.array([0, 0, 0.21, 0]))
         assert v[2] == pytest.approx(1.0)
 
     def test_zero_state(self):
-        np.testing.assert_array_equal(normalize(EnvState(0, 0, 0, 0)), np.zeros(4))
+        np.testing.assert_array_equal(normalize(np.zeros((3, 4))), np.zeros((3, 4)))
 
     def test_velocities_not_clipped(self):
-        v = normalize(EnvState(0, 5.0, 0, -7.5))
+        v = normalize(np.array([0, 5.0, 0, -7.5]))
         assert v[1] == pytest.approx(2.0)
         assert v[3] == pytest.approx(-3.0)
 
 
 class TestObserve:
+    """Observation noise: one ``NoiseModel.draw`` per step of a noisy episode."""
+
     def test_zero_sigma_identical(self):
-        s = EnvState(0.3, -0.2, 0.1, 0.05)
-        rng = np.random.default_rng(9)
-        np.testing.assert_array_equal(observe(s, NoiseModel(0.0), rng), normalize(s))
+        # sigma 0 plays the noise-free episode: no draw, same rewards and gradients
+        spec = AnsatzSpec(n_layers=1)
+        params = PolicyParams(np.full(spec.param_shape, 0.3), np.full(spec.param_shape, 0.7))
+
+        def streams():
+            return [substream(6, 1, k) for k in range(3)]
+
+        ranges = [InitRanges()] * 3
+        assert np.array_equal(
+            episode_rewards(spec, params, streams(), ranges, sigmas=[0.0] * 3),
+            episode_rewards(spec, params, streams(), ranges),
+        )
+        lengths, *zero_sigma = rollouts(spec, params, streams(), ranges, sigmas=[0.0] * 3)
+        same_lengths, *noise_free = rollouts(spec, params, streams(), ranges)
+        assert np.array_equal(lengths, same_lengths)
+        for a, b in zip(zero_sigma, noise_free):
+            for i, n_steps in enumerate(lengths):
+                assert np.array_equal(a[:n_steps, i], b[:n_steps, i])
 
     def test_seeded_reproducibility(self):
-        s = EnvState(0.3, -0.2, 0.1, 0.05)
-        a = observe(s, NoiseModel(0.4), np.random.default_rng(77))
-        b = observe(s, NoiseModel(0.4), np.random.default_rng(77))
+        a = NoiseModel(0.4).draw(np.random.default_rng(77))
+        b = NoiseModel(0.4).draw(np.random.default_rng(77))
         np.testing.assert_array_equal(a, b)
 
     def test_state_not_mutated(self):
-        s = EnvState(0.3, -0.2, 0.1, 0.05)
-        observe(s, NoiseModel(0.8), np.random.default_rng(5))
-        assert (s.x, s.x_dot, s.theta, s.theta_dot) == (0.3, -0.2, 0.1, 0.05)
+        # the noisy observation is a new array, so the state block stays as it was
+        states = np.array([[0.3, -0.2, 0.1, 0.05], [0.0, 0.1, -0.1, 0.2]])
+        obs = normalize(states)
+        obs += NoiseModel(0.8).draw(np.random.default_rng(5))
+        assert states.tolist() == [[0.3, -0.2, 0.1, 0.05], [0.0, 0.1, -0.1, 0.2]]
 
     def test_sample_mean_statistics(self):
-        s = EnvState(0.5, 0.1, -0.02, 0.3)
+        s = np.array([0.5, 0.1, -0.02, 0.3])
         sigma, n = 0.2, 100_000
         rng = np.random.default_rng(123)
-        draws = np.stack([observe(s, NoiseModel(sigma), rng) for _ in range(n)])
+        draws = np.stack([normalize(s) + NoiseModel(sigma).draw(rng) for _ in range(n)])
         tol = 3 * sigma / np.sqrt(n)
         np.testing.assert_allclose(draws.mean(axis=0), normalize(s), atol=tol)
+        np.testing.assert_allclose(draws.std(axis=0), sigma, rtol=0.02)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -185,12 +193,11 @@ class TestObserve:
 
 
 def test_episode_reward_equals_length():
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        s = reset(InitRanges(theta=(-0.2, 0.2), theta_dot=(-1.0, 1.0)), rng)
-        total = 0.0
-        while not s.terminated:
-            s, r = step(s, int(rng.integers(0, 2)))
-            total += r
-        assert total == s.step_count
-        assert s.step_count <= HORIZON
+    # a lone episode's reward counts its steps up to the bounds or the horizon
+    spec = AnsatzSpec(n_layers=1)
+    params = PolicyParams(np.full(spec.param_shape, 0.4), np.full(spec.param_shape, -0.9))
+    ranges = InitRanges(theta=(-0.2, 0.2), theta_dot=(-1.0, 1.0))
+    for k in range(20):
+        (reward,) = episode_rewards(spec, params, [substream(31, 1, k)], [ranges])
+        (length,), _, _ = rollouts(spec, params, [substream(31, 1, k)], [ranges])
+        assert reward == length <= HORIZON

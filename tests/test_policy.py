@@ -1,9 +1,12 @@
 """Policy circuit construction, probabilities, gradients, and Lipschitz machinery."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from qpgrad.errors import ConfigurationError, DegeneratePolicyError
+from qpgrad import qsim
+from qpgrad.errors import ConfigurationError
 from qpgrad.policy import (
     ENCODING_RZ_RZ,
     ENTANGLE_EVERY,
@@ -11,6 +14,7 @@ from qpgrad.policy import (
     CircuitTemplate,
     PolicyParams,
     empirical_lipschitz_check,
+    get_template,
     grad_log_policy,
     init_params,
     lipschitz_bound,
@@ -133,38 +137,46 @@ class TestGradLogPolicy:
                 np.testing.assert_allclose(probs[0] * a + probs[1] * b, 0.0, atol=1e-12)
 
     def test_matches_finite_difference(self):
+        # grad_log_policy applies the coefficient the training rollouts use
         spec = AnsatzSpec(n_qubits=3, n_layers=2)
-        rng = np.random.default_rng(17)
         h = 1e-6
-        for _ in range(100):
-            params = random_params(spec, rng, omega_scale=0.5)
-            obs = rng.uniform(-1, 1, 3)
-            action = int(rng.integers(0, 2))
-            if policy_probs(spec, params, obs)[action] < 1e-3:
-                continue
-            gnu, gom = grad_log_policy(spec, params, obs, action)
+        for kernel in (qsim.load_kernel("c"), qsim.load_kernel("numpy")):
+            rng = np.random.default_rng(17)
+            with mock.patch.object(qsim, "_kernel", kernel):
+                for _ in range(100):
+                    params = random_params(spec, rng, omega_scale=0.5)
+                    obs = rng.uniform(-1, 1, 3)
+                    action = int(rng.integers(0, 2))
+                    if policy_probs(spec, params, obs)[action] < 1e-3:
+                        continue
+                    gnu, gom = grad_log_policy(spec, params, obs, action)
 
-            def log_pi(p):
-                return np.log(policy_probs(spec, p, obs)[action])
+                    def log_pi(p):
+                        return np.log(policy_probs(spec, p, obs)[action])
 
-            for tensor, grad in (("nu", gnu), ("omega", gom)):
-                flat_idx = rng.integers(0, spec.n_params_each)
-                idx = np.unravel_index(flat_idx, spec.param_shape)
-                up, dn = params.copy(), params.copy()
-                getattr(up, tensor)[idx] += h
-                getattr(dn, tensor)[idx] -= h
-                fd = (log_pi(up) - log_pi(dn)) / (2 * h)
-                assert grad[idx] == pytest.approx(fd, abs=1e-5)
+                    for tensor, grad in (("nu", gnu), ("omega", gom)):
+                        flat_idx = rng.integers(0, spec.n_params_each)
+                        idx = np.unravel_index(flat_idx, spec.param_shape)
+                        up, dn = params.copy(), params.copy()
+                        getattr(up, tensor)[idx] += h
+                        getattr(dn, tensor)[idx] -= h
+                        fd = (log_pi(up) - log_pi(dn)) / (2 * h)
+                        assert grad[idx] == pytest.approx(fd, abs=1e-5)
 
-    def test_degenerate_probability_raises(self):
-        # RY(pi) on every qubit drives <Z^n> to ... build a 1-qubit certainty case
+    def test_degenerate_probability_clamped(self):
+        # H then RY(+-pi/2) rotates |+> onto |1> or |0>: pi(a|s) ~ 0 is clamped at 1e-12
         spec = AnsatzSpec(n_qubits=1, n_layers=1)
-        params = zero_params(spec)
-        # H then RY(pi/2) rotates |+> onto |1>: pi(0|s) = 0
-        params.nu[0, 0, 1] = np.pi / 2
-        assert policy_probs(spec, params, np.zeros(1))[0] < 1e-12
-        with pytest.raises(DegeneratePolicyError):
-            grad_log_policy(spec, params, np.zeros(1), 0)
+        obs = np.full(1, 0.5)
+        for action, angle, sign in ((0, np.pi / 2, 1.0), (1, -np.pi / 2, -1.0)):
+            params = zero_params(spec)
+            params.nu[0, 0, 1] = angle
+            assert policy_probs(spec, params, obs)[action] < 1e-12
+            nu, omega = params.nu.reshape(-1), params.omega.reshape(-1)
+            _, dz_nu, dz_omega = get_template(spec).expval_and_grad(nu, omega, obs[None])
+            gnu, gom = grad_log_policy(spec, params, obs, action)
+            assert np.all(np.isfinite(gnu)) and np.all(np.isfinite(gom))
+            assert np.array_equal(gnu.reshape(-1), sign / (2.0 * 1e-12) * dz_nu[0])
+            assert np.array_equal(gom.reshape(-1), sign / (2.0 * 1e-12) * dz_omega[0])
 
 
 class TestLipschitz:

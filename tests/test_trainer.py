@@ -14,7 +14,6 @@ from qpgrad.policy import AnsatzSpec, PolicyParams, zero_params
 from qpgrad.seeding import substream
 from qpgrad.trainer import (
     TrainConfig,
-    Trajectory,
     apply_update,
     batch_gradient,
     discounted_returns,
@@ -27,17 +26,18 @@ SPEC = AnsatzSpec()
 
 
 def make_traj(glp_nu, glp_omega):
-    glp_nu = np.asarray(glp_nu, dtype=np.float64)
-    n = len(glp_nu)
-    return Trajectory(
-        observations=np.zeros((n, 4)),
-        actions=np.zeros(n, dtype=np.int64),
-        rewards=np.ones(n),
-        glp_nu=glp_nu,
-        glp_omega=np.asarray(glp_omega, dtype=np.float64),
-        total_reward=float(n),
-        failed=n < 200,
-    )
+    return np.asarray(glp_nu, dtype=np.float64), np.asarray(glp_omega, dtype=np.float64)
+
+
+def gradient(trajs, gamma, baseline="none", grad_norm="episodes"):
+    """``batch_gradient`` of per-episode (T_i, P) gradient arrays, laid out as ``rollouts`` returns them."""
+    lengths = np.array([len(nu) for nu, _ in trajs], dtype=np.int64)
+    blocks = np.zeros((2, max(lengths.max(), 1), len(trajs), trajs[0][0].shape[1]))
+    for i, pair in enumerate(trajs):
+        for block, glp in zip(blocks, pair):
+            block[: len(glp), i] = glp
+    config = TrainConfig(gamma=gamma, baseline=baseline, grad_norm=grad_norm)
+    return batch_gradient(lengths, blocks[0], blocks[1], config)
 
 
 class TestDiscountedReturns:
@@ -57,48 +57,74 @@ class TestDiscountedReturns:
 class TestBatchGradient:
     def test_zero_length_episode_zero_gradient(self):
         tr = make_traj(np.zeros((0, 48)), np.zeros((0, 48)))
-        gnu, gom = batch_gradient([tr], 0.99)
+        gnu, gom = gradient([tr], 0.99)
         assert not gnu.any() and not gom.any()
 
     def test_single_step_unit_return(self):
         glp = np.arange(48, dtype=np.float64)[None, :]
-        gnu, gom = batch_gradient([make_traj(glp, 2 * glp)], gamma=0.99)
+        gnu, gom = gradient([make_traj(glp, 2 * glp)], gamma=0.99)
         np.testing.assert_allclose(gnu, glp[0])
         np.testing.assert_allclose(gom, 2 * glp[0])
 
     def test_duplication_invariance(self):
         rng = np.random.default_rng(0)
         trajs = [make_traj(rng.normal(size=(5, 48)), rng.normal(size=(5, 48))) for _ in range(3)]
-        g1 = batch_gradient(trajs, 0.9)
-        g2 = batch_gradient(trajs + trajs, 0.9)
+        g1 = gradient(trajs, 0.9)
+        g2 = gradient(trajs + trajs, 0.9)
         np.testing.assert_allclose(g1[0], g2[0])
         np.testing.assert_allclose(g1[1], g2[1])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
         trajs = [make_traj(rng.normal(size=(k, 48)), rng.normal(size=(k, 48))) for k in (3, 7, 5)]
-        g1 = batch_gradient(trajs, 0.95)
-        g2 = batch_gradient(trajs[::-1], 0.95)
+        g1 = gradient(trajs, 0.95)
+        g2 = gradient(trajs[::-1], 0.95)
         np.testing.assert_allclose(g1[0], g2[0], atol=1e-12)
 
     def test_empty_batch_raises(self):
         with pytest.raises(UsageError):
-            batch_gradient([], 0.99)
+            empty = np.zeros((200, 0, 48))
+            batch_gradient(np.zeros(0, dtype=np.int64), empty, empty, TrainConfig())
 
     def test_batch_mean_baseline_zeroes_identical_batch(self):
         rng = np.random.default_rng(2)
         glp = rng.normal(size=(6, 48))
         trajs = [make_traj(glp, glp), make_traj(glp, glp)]
-        gnu, gom = batch_gradient(trajs, 0.99, baseline="batch_mean")
+        gnu, gom = gradient(trajs, 0.99, baseline="batch_mean")
         np.testing.assert_allclose(gnu, 0.0, atol=1e-14)
         np.testing.assert_allclose(gom, 0.0, atol=1e-14)
 
     def test_steps_normalization_is_scalar_rescale(self):
         rng = np.random.default_rng(3)
         trajs = [make_traj(rng.normal(size=(k, 48)), rng.normal(size=(k, 48))) for k in (4, 6)]
-        g_ep = batch_gradient(trajs, 0.9, grad_norm="episodes")
-        g_st = batch_gradient(trajs, 0.9, grad_norm="steps")
+        g_ep = gradient(trajs, 0.9, grad_norm="episodes")
+        g_st = gradient(trajs, 0.9, grad_norm="steps")
         np.testing.assert_allclose(g_st[0] * 10, g_ep[0] * 2, atol=1e-12)
+
+
+    def test_matches_per_episode_reference(self):
+        # the block form gives the bits of one contiguous array per episode,
+        # each with its own discounted_returns and padded baseline
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            lengths = rng.integers(0, 40, size=int(rng.integers(1, 8)))
+            trajs = [make_traj(rng.normal(size=(k, 12)), rng.normal(size=(k, 12))) for k in lengths]
+            for baseline in ("none", "batch_mean"):
+                for grad_norm in ("episodes", "steps"):
+                    returns = [discounted_returns(np.ones(k), 0.97) for k in lengths]
+                    if baseline == "batch_mean" and lengths.max() > 0:
+                        padded = np.zeros((len(returns), lengths.max()))
+                        for i, g in enumerate(returns):
+                            padded[i, : len(g)] = g
+                        returns = [g - padded.mean(axis=0)[: len(g)] for g in returns]
+                    ref = [np.zeros(12), np.zeros(12)]
+                    for (nu, om), g in zip(trajs, returns):
+                        if len(g):
+                            ref[0] += g @ nu
+                            ref[1] += g @ om
+                    denom = max(lengths.sum(), 1) if grad_norm == "steps" else len(lengths)
+                    got = gradient(trajs, 0.97, baseline, grad_norm)
+                    assert np.array_equal(got[0], ref[0] / denom) and np.array_equal(got[1], ref[1] / denom)
 
 
 class TestApplyUpdate:
@@ -154,18 +180,20 @@ class TestApplyUpdate:
 class TestRollout:
     def test_trajectory_shape_consistency(self):
         params = zero_params(SPEC)
-        (tr,) = rollouts(SPEC, params, [substream(1, 1, 0)], [InitRanges()])
-        assert len(tr) == tr.total_reward
-        assert tr.glp_nu.shape == (len(tr), SPEC.n_params_each)
-        assert tr.observations.shape == (len(tr), 4)
-        assert tr.failed == (tr.total_reward < 200)
+        lengths, glp_nu, glp_omega = rollouts(SPEC, params, [substream(1, 1, 0)], [InitRanges()])
+        (n_steps,) = lengths
+        assert 0 < n_steps <= 200
+        assert glp_nu.shape == glp_omega.shape == (200, 1, SPEC.n_params_each)
+        assert np.all(np.isfinite(glp_nu[:n_steps])) and np.all(np.isfinite(glp_omega[:n_steps]))
 
     def test_rollout_deterministic_per_stream(self):
         params = zero_params(SPEC)
-        (a,) = rollouts(SPEC, params, [substream(9, 1, 3)], [InitRanges()])
-        (b,) = rollouts(SPEC, params, [substream(9, 1, 3)], [InitRanges()])
-        assert np.array_equal(a.actions, b.actions)
-        assert np.array_equal(a.glp_omega, b.glp_omega)
+        a = rollouts(SPEC, params, [substream(9, 1, 3)], [InitRanges()])
+        b = rollouts(SPEC, params, [substream(9, 1, 3)], [InitRanges()])
+        (n_steps,) = a[0]
+        assert np.array_equal(a[0], b[0])
+        for x, y in zip(a[1:], b[1:]):
+            assert np.array_equal(x[:n_steps], y[:n_steps])
 
 
 # One episode's settings: its stream index, observation-noise std and the
@@ -204,15 +232,18 @@ class TestLockstep:
         everyone = range(len(episodes))
         for kernel in (qsim.load_kernel("c"), qsim.load_kernel("numpy")):
             with mock.patch.object(qsim, "_kernel", kernel):
-                batch = rollouts(spec, params, streams(everyone), ranges, horizon, sigmas)
+                lengths, glp_nu, glp_omega = rollouts(
+                    spec, params, streams(everyone), ranges, horizon, sigmas
+                )
                 rewards = episode_rewards(spec, params, streams(everyone), ranges, horizon, sigmas)
-                for i, tr in enumerate(batch):
-                    (alone,) = rollouts(spec, params, streams([i]), [ranges[i]], horizon, [sigmas[i]])
-                    for name in ("observations", "actions", "rewards", "glp_nu", "glp_omega"):
-                        assert np.array_equal(getattr(tr, name), getattr(alone, name)), name
-                    assert (tr.total_reward, tr.failed) == (alone.total_reward, alone.failed)
+                for i in everyone:
+                    alone = rollouts(spec, params, streams([i]), [ranges[i]], horizon, [sigmas[i]])
+                    n_steps = lengths[i]
+                    assert n_steps == alone[0][0]
+                    assert np.array_equal(glp_nu[:n_steps, i], alone[1][:n_steps, 0])
+                    assert np.array_equal(glp_omega[:n_steps, i], alone[2][:n_steps, 0])
                     reward_alone = episode_rewards(spec, params, streams([i]), [ranges[i]], horizon, [sigmas[i]])
-                    assert rewards[i] == reward_alone[0] == tr.total_reward
+                    assert rewards[i] == reward_alone[0] == lengths[i]
 
 
 class TestTrain:
