@@ -1,12 +1,41 @@
-/* Compiled statevector kernel (hot path), called through ctypes by _sv_c.py.
+/* Compiled hot path, called through ctypes by _sv_c.py. Two entries share
+ * one statevector simulator:
+ *
+ *   expval_z_and_grad_rows  <Z^n>, and optionally its adjoint gradient, of
+ *                           one circuit per row of an angle block; the
+ *                           contract of _sv_numpy's row calls.
+ *   lockstep_step           one step of a batch of CartPole episodes under
+ *                           the policy circuit: normalize and add noise,
+ *                           fill the angles, run the circuit (plus the
+ *                           adjoint when training), pick the actions, write
+ *                           the grad log pi rows and step the cart-poles.
  *
  * Same gates, conventions and packed gate arrays as _sv_numpy; qubit q is
- * bit q of the basis index. Every loop and floating-point expression is
- * spelled as the earlier Cython kernel's generated C spelled it, so results
- * are bit-identical to it: a real factor c enters a complex product as
- * cplx_of(c, 0) = c + 0*I, a full complex product. Build with -O2
- * -ffp-contract=off, never -ffast-math or -march=native: those may change
- * the last bits. */
+ * bit q of the basis index. lockstep_step reproduces, bit for bit,
+ * trainer.policy_step running on expval_z_and_grad_rows: each expression
+ * below is the Python one (cartpole.normalize, CircuitTemplate.angles,
+ * probs_from_expectation, log_policy_coeff, grad_to_params, step_batch)
+ * with its operations in the same order, and a real factor c enters a
+ * complex product as cplx_of(c, 0), a full complex product. What keeps the
+ * bits:
+ *
+ *  - Trig reuse. cos and sin of half of each rotation's angle are computed
+ *    once per row (once per call for the nu angles, which no row changes)
+ *    and reused by the forward pass, the adjoint's undo and grad_dot. The
+ *    undo is the rotation by -angle, applied as (c, -s): glibc's cos is
+ *    even and its sin odd bit for bit, so these are the values that
+ *    cos(-angle/2) and sin(-angle/2) would return.
+ *  - -fcx-limited-range. Without it gcc calls __muldc3 for each complex
+ *    product, which computes the plain four-multiply formula and, only when
+ *    both parts come out NaN, redoes the product by C99 Annex G rules.
+ *    Angles, states and amplitudes are finite here, so the plain formula,
+ *    all the flag leaves, gives the same bits.
+ *  - pow. gcc folds pow(x, 2.0) into x*x even without -ffast-math, but
+ *    glibc's pow(x, 2.0), which numpy's float_power(x, 2) calls, differs
+ *    from x*x in the last bit for about 1 in 1000 inputs. The exponent is
+ *    read from a volatile, so the call stays a call.
+ *  - -ffp-contract=off keeps multiply-adds unfused; never -ffast-math or
+ *    -march=native, which may change the last bits. */
 
 #include <complex.h>
 #include <math.h>
@@ -23,9 +52,12 @@ static inline cplx cplx_of(double x, double y) {
     return x + y * (cplx)_Complex_I;
 }
 
-static inline void ry(cplx *a, ptrdiff_t dim, int q, double angle) {
-    double c = cos(0.5 * angle);
-    double s = sin(0.5 * angle);
+static inline int is_rotation(int kind) {
+    return kind == KIND_RY || kind == KIND_RZ;
+}
+
+/* (c, s) is (cos, sin) of half the rotation angle, in ry, rz and grad_dot. */
+static inline void ry(cplx *a, ptrdiff_t dim, int q, double c, double s) {
     ptrdiff_t stride = ((ptrdiff_t)1) << q;
     ptrdiff_t group = stride << 1;
     for (ptrdiff_t base = 0; base < dim; base += group) {
@@ -38,9 +70,7 @@ static inline void ry(cplx *a, ptrdiff_t dim, int q, double angle) {
     }
 }
 
-static inline void rz(cplx *a, ptrdiff_t dim, int q, double angle) {
-    double c = cos(0.5 * angle);
-    double s = sin(0.5 * angle);
+static inline void rz(cplx *a, ptrdiff_t dim, int q, double c, double s) {
     cplx p0 = cplx_of(c, 0) - cplx_of(0, 1.0) * cplx_of(s, 0); /* exp(-i angle/2) */
     cplx p1 = cplx_of(c, 0) + cplx_of(0, 1.0) * cplx_of(s, 0);
     ptrdiff_t stride = ((ptrdiff_t)1) << q;
@@ -104,27 +134,17 @@ static ptrdiff_t bad_gate(int n_qubits, const int8_t *kinds, const int32_t *qa,
     return -1;
 }
 
-static void apply_all(cplx *a, ptrdiff_t dim, const int8_t *kinds, const int32_t *qa,
-                      const int32_t *qb, const double *angles, ptrdiff_t n_gates) {
+static ptrdiff_t count_rotations(const int8_t *kinds, ptrdiff_t n_gates) {
+    ptrdiff_t n_rot = 0;
     for (ptrdiff_t g = 0; g < n_gates; g++) {
-        int kind = kinds[g];
-        if (kind == KIND_RY) {
-            ry(a, dim, qa[g], angles[g]);
-        } else if (kind == KIND_RZ) {
-            rz(a, dim, qa[g], angles[g]);
-        } else if (kind == KIND_H) {
-            h(a, dim, qa[g]);
-        } else {
-            cz(a, dim, qa[g], qb[g]);
-        }
+        n_rot += is_rotation(kinds[g]);
     }
+    return n_rot;
 }
 
 /* 2 Re <lam| dU/dangle |psi>, psi being the state *before* the gate. */
 static inline double grad_dot(const cplx *lam, const cplx *psi, ptrdiff_t dim, int kind,
-                              int q, double angle) {
-    double c = cos(0.5 * angle);
-    double s = sin(0.5 * angle);
+                              int q, double c, double s) {
     cplx p0 = cplx_of(c, 0) - cplx_of(0, 1.0) * cplx_of(s, 0);
     cplx p1 = cplx_of(c, 0) + cplx_of(0, 1.0) * cplx_of(s, 0);
     ptrdiff_t stride = ((ptrdiff_t)1) << q;
@@ -147,20 +167,8 @@ static inline double grad_dot(const cplx *lam, const cplx *psi, ptrdiff_t dim, i
     return 2.0 * creal(acc);
 }
 
-/* Apply the packed gate list to the 2**n_qubits amplitudes in place.
- * Returns -1, or the index of the first bad gate (nothing applied then). */
-ptrdiff_t apply_ops(cplx *amps, int n_qubits, const int8_t *kinds, const int32_t *qa,
-                    const int32_t *qb, const double *angles, ptrdiff_t n_gates) {
-    ptrdiff_t bad = bad_gate(n_qubits, kinds, qa, qb, n_gates);
-    if (bad < 0) {
-        apply_all(amps, ((ptrdiff_t)1) << n_qubits, kinds, qa, qb, angles, n_gates);
-    }
-    return bad;
-}
-
 /* <Z tensor ... tensor Z>; exactly real by construction. */
-double expval_z(const cplx *amps, int n_qubits) {
-    ptrdiff_t dim = ((ptrdiff_t)1) << n_qubits;
+static double expval_z(const cplx *amps, ptrdiff_t dim) {
     double e = 0.0;
     for (ptrdiff_t i = 0; i < dim; i++) {
         double p = creal(amps[i]) * creal(amps[i]) + cimag(amps[i]) * cimag(amps[i]);
@@ -177,7 +185,7 @@ double expval_z(const cplx *amps, int n_qubits) {
  * |0...0>: d<Z^n>/d(angle) into grads, one entry per rotation gate in gate
  * order (n_rot of them). lam is scratch. */
 static void adjoint(cplx *psi, cplx *lam, ptrdiff_t dim, const int8_t *kinds,
-                    const int32_t *qa, const int32_t *qb, const double *angles,
+                    const int32_t *qa, const int32_t *qb, const double *cs,
                     ptrdiff_t n_gates, ptrdiff_t n_rot, double *grads) {
     ptrdiff_t r = n_rot - 1;
     for (ptrdiff_t i = 0; i < dim; i++) {
@@ -185,17 +193,17 @@ static void adjoint(cplx *psi, cplx *lam, ptrdiff_t dim, const int8_t *kinds,
     }
     for (ptrdiff_t g = n_gates - 1; g > -1; g--) {
         int kind = kinds[g];
-        double angle = angles[g];
+        double c = cs[2 * g], s = cs[2 * g + 1];
         if (kind == KIND_RY) {
-            ry(psi, dim, qa[g], -angle);
-            grads[r] = grad_dot(lam, psi, dim, kind, qa[g], angle);
+            ry(psi, dim, qa[g], c, -s);
+            grads[r] = grad_dot(lam, psi, dim, kind, qa[g], c, s);
             r -= 1;
-            ry(lam, dim, qa[g], -angle);
+            ry(lam, dim, qa[g], c, -s);
         } else if (kind == KIND_RZ) {
-            rz(psi, dim, qa[g], -angle);
-            grads[r] = grad_dot(lam, psi, dim, kind, qa[g], angle);
+            rz(psi, dim, qa[g], c, -s);
+            grads[r] = grad_dot(lam, psi, dim, kind, qa[g], c, s);
             r -= 1;
-            rz(lam, dim, qa[g], -angle);
+            rz(lam, dim, qa[g], c, -s);
         } else if (kind == KIND_H) {
             h(psi, dim, qa[g]);
             h(lam, dim, qa[g]);
@@ -206,13 +214,45 @@ static void adjoint(cplx *psi, cplx *lam, ptrdiff_t dim, const int8_t *kinds,
     }
 }
 
+/* <Z^n> of |0...0> evolved through the gates, cs[2g], cs[2g + 1] holding
+ * rotation g's half-angle cosine and sine; unless grads is NULL, also its
+ * adjoint gradient. psi holds 2 * dim amplitudes of scratch. */
+static double circuit(cplx *psi, ptrdiff_t dim, const int8_t *kinds, const int32_t *qa,
+                      const int32_t *qb, const double *cs, ptrdiff_t n_gates, ptrdiff_t n_rot,
+                      double *grads) {
+    memset(psi, 0, dim * sizeof(cplx)); /* all +0.0 */
+    psi[0] = 1.0;
+    for (ptrdiff_t g = 0; g < n_gates; g++) {
+        int kind = kinds[g];
+        if (kind == KIND_RY) {
+            ry(psi, dim, qa[g], cs[2 * g], cs[2 * g + 1]);
+        } else if (kind == KIND_RZ) {
+            rz(psi, dim, qa[g], cs[2 * g], cs[2 * g + 1]);
+        } else if (kind == KIND_H) {
+            h(psi, dim, qa[g]);
+        } else {
+            cz(psi, dim, qa[g], qb[g]);
+        }
+    }
+    double e = expval_z(psi, dim);
+    if (grads != NULL) {
+        adjoint(psi, psi + dim, dim, kinds, qa, qb, cs, n_gates, n_rot, grads);
+    }
+    return e;
+}
+
+static inline void half_angle_trig(double *cs, double angle) {
+    cs[0] = cos(0.5 * angle);
+    cs[1] = sin(0.5 * angle);
+}
+
 /* One circuit per row of the (n_rows, n_gates) angles block, all sharing
  * the packed gate list: <Z^n> of |0...0> evolved through row r into
  * expvals[r] and, unless grads is NULL, its adjoint gradient into row r of
  * the (n_rows, rotations) grads block. Each row runs exactly as a circuit
  * alone would, so its results do not depend on the other rows. Returns -1;
- * or the index of the first bad gate, or -2 when the scratch states cannot
- * be allocated (nothing computed then). */
+ * or the index of the first bad gate, or -2 when the scratch cannot be
+ * allocated (nothing computed then). */
 ptrdiff_t expval_z_and_grad_rows(int n_qubits, const int8_t *kinds, const int32_t *qa,
                                  const int32_t *qb, const double *angles, ptrdiff_t n_gates,
                                  ptrdiff_t n_rows, double *grads, double *expvals) {
@@ -220,26 +260,148 @@ ptrdiff_t expval_z_and_grad_rows(int n_qubits, const int8_t *kinds, const int32_
     if (bad >= 0) {
         return bad;
     }
-    ptrdiff_t n_rot = 0;
-    for (ptrdiff_t g = 0; g < n_gates; g++) {
-        if (kinds[g] == KIND_RY || kinds[g] == KIND_RZ) {
-            n_rot += 1;
-        }
-    }
+    ptrdiff_t n_rot = count_rotations(kinds, n_gates);
     ptrdiff_t dim = ((ptrdiff_t)1) << n_qubits;
-    cplx *psi = malloc((grads == NULL ? dim : 2 * dim) * sizeof(cplx));
+    cplx *psi = malloc(2 * dim * sizeof(cplx) + 2 * n_gates * sizeof(double));
     if (psi == NULL) {
         return -2;
     }
+    double *cs = (double *)(psi + 2 * dim);
     for (ptrdiff_t r = 0; r < n_rows; r++) {
         const double *row = angles + r * n_gates;
-        memset(psi, 0, dim * sizeof(cplx)); /* all +0.0 */
-        psi[0] = 1.0;
-        apply_all(psi, dim, kinds, qa, qb, row, n_gates);
-        expvals[r] = expval_z(psi, n_qubits);
-        if (grads != NULL) {
-            adjoint(psi, psi + dim, dim, kinds, qa, qb, row, n_gates, n_rot, grads + r * n_rot);
+        for (ptrdiff_t g = 0; g < n_gates; g++) {
+            if (is_rotation(kinds[g])) {
+                half_angle_trig(cs + 2 * g, row[g]);
+            }
         }
+        expvals[r] = circuit(psi, dim, kinds, qa, qb, cs, n_gates, n_rot,
+                             grads == NULL ? NULL : grads + r * n_rot);
+    }
+    free(psi);
+    return -1;
+}
+
+/* cartpole.py's constants and step_batch for one raw state
+ * (x, x_dot, theta, theta_dot). */
+#define GRAVITY 9.8
+#define CART_MASS 1.0
+#define POLE_MASS 0.1
+#define TOTAL_MASS (CART_MASS + POLE_MASS)
+#define HALF_POLE_LENGTH 0.5
+#define POLE_MASS_LENGTH (POLE_MASS * HALF_POLE_LENGTH)
+#define FORCE_MAG 10.0
+#define TIME_STEP 0.02
+#define X_LIMIT 2.4
+#define THETA_LIMIT 0.2095
+#define N_FEATURES 4
+
+static const double NORM_FACTORS[N_FEATURES] = {2.4, 2.5, 0.21, 2.5};
+
+/* The exponent of theta_dot ** 2; volatile, so gcc cannot fold the pow. */
+static volatile double SQUARE = 2.0;
+
+/* One explicit-Euler step of state s under the push (right: +FORCE_MAG)
+ * into next; returns whether next is out of bounds. */
+static int cartpole_step(const double *s, int right, double square, double *next) {
+    double force = right ? FORCE_MAG : -FORCE_MAG;
+    double ct = cos(s[2]), st = sin(s[2]);
+    double temp = (force + POLE_MASS_LENGTH * pow(s[3], square) * st) / TOTAL_MASS;
+    double theta_acc = (GRAVITY * st - ct * temp) /
+                       (HALF_POLE_LENGTH * (4.0 / 3.0 - POLE_MASS * ct * ct / TOTAL_MASS));
+    double x_acc = temp - POLE_MASS_LENGTH * theta_acc * ct / TOTAL_MASS;
+    next[0] = s[0] + TIME_STEP * s[1];
+    next[1] = s[1] + TIME_STEP * x_acc;
+    next[2] = s[2] + TIME_STEP * s[3];
+    next[3] = s[3] + TIME_STEP * theta_acc;
+    return fabs(next[0]) > X_LIMIT || fabs(next[2]) > THETA_LIMIT;
+}
+
+/* One lockstep step of n_rows episodes, row r holding raw state
+ * states[4r..4r+3] (see trainer.policy_step for the contract).
+ *
+ * Rotation g takes the angle nu[param[g]] when feature[g] is -1, else
+ * omega[param[g]] * obs[feature[g]]. A noisy row (noisy[r] != 0) adds the
+ * next 4 entries of noise to its normalized state. Row r pushes right
+ * unless u[r] < p0[r]. Unless glp_nu is NULL, the adjoint runs too and
+ * row r's coeff * d<Z^n>/d(param) go to row ids[r] of the (episodes,
+ * n_params) blocks glp_nu and glp_omega. The next states go to
+ * new_states, their out-of-bounds flags to out.
+ *
+ * Returns -1; or the index of the first bad gate, parameter or feature,
+ * or -2 when the scratch cannot be allocated (nothing computed then). */
+ptrdiff_t lockstep_step(int n_qubits, const int8_t *kinds, const int32_t *qa, const int32_t *qb,
+                        const int32_t *param, const int32_t *feature, ptrdiff_t n_gates,
+                        const double *nu, const double *omega, ptrdiff_t n_params,
+                        ptrdiff_t n_rows, const double *states, const uint8_t *noisy,
+                        const double *noise, const double *u, double *glp_nu, double *glp_omega,
+                        const int64_t *ids, double *p0, double *new_states, uint8_t *out) {
+    ptrdiff_t bad = bad_gate(n_qubits, kinds, qa, qb, n_gates);
+    if (bad >= 0) {
+        return bad;
+    }
+    for (ptrdiff_t g = 0; g < n_gates; g++) {
+        if (is_rotation(kinds[g]) && (param[g] < 0 || param[g] >= n_params ||
+                                      feature[g] < -1 || feature[g] >= N_FEATURES)) {
+            return g;
+        }
+    }
+    ptrdiff_t n_rot = count_rotations(kinds, n_gates);
+    ptrdiff_t dim = ((ptrdiff_t)1) << n_qubits;
+    cplx *psi = malloc(2 * dim * sizeof(cplx) + (2 * n_gates + n_rot) * sizeof(double));
+    if (psi == NULL) {
+        return -2;
+    }
+    double *cs = (double *)(psi + 2 * dim);
+    double *grads = glp_nu == NULL ? NULL : cs + 2 * n_gates;
+    for (ptrdiff_t g = 0; g < n_gates; g++) {
+        if (is_rotation(kinds[g]) && feature[g] < 0) {
+            half_angle_trig(cs + 2 * g, nu[param[g]]);
+        }
+    }
+    double square = SQUARE;
+    for (ptrdiff_t r = 0; r < n_rows; r++) {
+        const double *s = states + N_FEATURES * r;
+        double obs[N_FEATURES];
+        for (int k = 0; k < N_FEATURES; k++) {
+            obs[k] = s[k] / NORM_FACTORS[k];
+        }
+        if (noisy[r]) {
+            for (int k = 0; k < N_FEATURES; k++) {
+                obs[k] = obs[k] + noise[k];
+            }
+            noise += N_FEATURES;
+        }
+        for (ptrdiff_t g = 0; g < n_gates; g++) {
+            if (is_rotation(kinds[g]) && feature[g] >= 0) {
+                half_angle_trig(cs + 2 * g, omega[param[g]] * obs[feature[g]]);
+            }
+        }
+        double e = circuit(psi, dim, kinds, qa, qb, cs, n_gates, n_rot, grads);
+        e = e < -1.0 ? -1.0 : e; /* np.maximum, then np.minimum: NaN stays NaN */
+        e = e > 1.0 ? 1.0 : e;
+        double p = (e + 1.0) / 2.0;
+        int right = !(u[r] < p);
+        p0[r] = p;
+        if (grads != NULL) {
+            double pa = right ? 1.0 - p : p;
+            pa = pa < 1e-12 ? 1e-12 : pa;
+            double coeff = (right ? -1.0 : 1.0) / (2.0 * pa);
+            double *row_nu = glp_nu + ids[r] * n_params;
+            double *row_omega = glp_omega + ids[r] * n_params;
+            ptrdiff_t k = 0;
+            for (ptrdiff_t g = 0; g < n_gates; g++) {
+                if (!is_rotation(kinds[g])) {
+                    continue;
+                }
+                if (feature[g] < 0) {
+                    row_nu[param[g]] = coeff * grads[k];
+                } else {
+                    row_omega[param[g]] = coeff * (grads[k] * obs[feature[g]]);
+                }
+                k += 1;
+            }
+        }
+        out[r] = (uint8_t)cartpole_step(s, right, square, new_states + N_FEATURES * r);
     }
     free(psi);
     return -1;

@@ -1,16 +1,16 @@
-"""ctypes front end of the compiled statevector kernel ``_sv_c.c``.
+"""ctypes front end of the compiled kernel ``_sv_c.c``.
 
 ``build`` compiles the C file into a cache directory, and ``Kernel`` wraps
-the library with the contract of ``_sv_numpy``: ``zero_state``,
-``apply_ops``, ``run``, ``expval_z``, ``expval_z_rows`` and
-``expval_z_and_grad_rows``. The C code takes raw pointers, so each argument
-is checked first: dtype, 1-D gate arrays of equal length, an angle vector of
-that length (a 2-D block with that many columns for the row-batched calls),
-``len(amps) == 2**n_qubits``, and C-contiguous, writable amplitudes where
-they change in place. Inputs reach the C code as C-contiguous copies, and
-the C code itself rejects unknown gate kinds, qubits outside the register
-and a CZ on one qubit. A failed check raises ``ValueError`` and computes
-nothing.
+the library: ``expval_z_rows`` and ``expval_z_and_grad_rows`` with the
+contract of ``_sv_numpy``, and ``lockstep_step``, the one-call form of
+``trainer.policy_step``. The C code takes raw pointers, so each argument is
+checked first: dtype, 1-D gate arrays of equal length, a 2-D angle block
+with one column per gate, and for ``lockstep_step`` every shape, ``t`` and
+``ids`` against the gradient blocks it writes, which must be C-contiguous
+and writable. Inputs reach the C code as C-contiguous copies, and the C
+code itself rejects unknown gate kinds, qubits outside the register, a CZ
+on one qubit and a rotation whose parameter or feature index is out of
+range. A failed check raises ``ValueError`` and computes nothing.
 """
 
 from __future__ import annotations
@@ -28,8 +28,11 @@ from . import _sv_numpy
 
 SOURCE = Path(__file__).with_name("_sv_c.c")
 # -ffp-contract=off keeps multiply-adds unfused, so results are the same on
-# every target; -ffast-math or -march=native could change the last bits.
-CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# every target; -fcx-limited-range drops the NaN recovery of complex
+# products, which never runs on finite values (see _sv_c.c); -ffast-math or
+# -march=native could change the last bits. The flags are part of the
+# library's cache name.
+CFLAGS = ("-O2", "-ffp-contract=off", "-fcx-limited-range", "-shared", "-fPIC")
 
 
 def build(cache_dir: Path) -> Path:
@@ -57,10 +60,11 @@ def build(cache_dir: Path) -> Path:
     return lib
 
 
-_C128 = np.dtype(np.complex128)
 _F64 = np.dtype(np.float64)
 _I8 = np.dtype(np.int8)
 _I32 = np.dtype(np.int32)
+_I64 = np.dtype(np.int64)
+_BOOL = np.dtype(np.bool_)
 
 # A zero-length ctypes array made over a numpy buffer passes the buffer's
 # address at a fraction of the cost of ``ndarray.ctypes``, which would
@@ -99,16 +103,45 @@ def _angle_rows(angles, n_gates: int) -> bytes:
     return data
 
 
-def _check_length(amps: np.ndarray, n_qubits: int) -> None:
-    if len(amps) != 1 << n_qubits:
-        raise ValueError(f"amps must have 2**{n_qubits} entries, got {len(amps)}")
-
-
 def _check_status(status: int, n_qubits: int) -> None:
     if status == -2:
         raise MemoryError("no memory for the scratch statevectors")
     if status >= 0:
-        raise ValueError(f"gate {status}: unknown kind, qubit outside {n_qubits} qubits or CZ on one qubit")
+        raise ValueError(
+            f"gate {status}: unknown kind, qubit outside {n_qubits} qubits, CZ on one qubit, "
+            "or a rotation's parameter or feature index out of range"
+        )
+
+
+def _shaped(arr, dtype: np.dtype, name: str, shape: tuple) -> bytes:
+    """``_input`` of an array that must have exactly ``shape``."""
+    data = _input(arr, dtype, name, ndim=len(shape))
+    if arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    return data
+
+
+def _gradient_rows(glp, t, ids, n_rows: int, n_params: int):
+    """Pointers to step ``t`` of the (horizon, episodes, n_params) gradient
+    blocks ``glp``, and ``ids`` as the C code takes it, after checking that
+    every row ``ids`` names lies inside the blocks."""
+    if glp is None:
+        return None, None, None
+    if not (isinstance(glp, tuple) and len(glp) == 2):
+        raise ValueError("glp must be a pair of gradient blocks")
+    for block in glp:
+        if not (isinstance(block, np.ndarray) and block.dtype == _F64 and block.ndim == 3
+                and block.flags.c_contiguous and block.flags.writeable):
+            raise ValueError("glp must be two writable 3-D C-contiguous float64 arrays")
+    shape = glp[0].shape
+    if glp[1].shape != shape or shape[2] != n_params:
+        raise ValueError(f"glp blocks must share a (horizon, episodes, {n_params}) shape")
+    if not (isinstance(t, (int, np.integer)) and 0 <= t < shape[0]):
+        raise ValueError(f"t must be a step index in [0, {shape[0]}), got {t!r}")
+    data = _shaped(ids, _I64, "ids", (n_rows,))
+    if n_rows and (ids.min() < 0 or ids.max() >= shape[1]):
+        raise ValueError(f"ids must index the {shape[1]} episodes of the gradient blocks")
+    return _Memory.from_buffer(glp[0][t]), _Memory.from_buffer(glp[1][t]), data
 
 
 class Kernel:
@@ -117,45 +150,17 @@ class Kernel:
     def __init__(self, path: Path):
         lib = ctypes.CDLL(str(path))
         ptr, n, size = ctypes.c_void_p, ctypes.c_int, ctypes.c_ssize_t
-        self._apply_ops = lib.apply_ops
-        self._apply_ops.argtypes = [ptr, n, ptr, ptr, ptr, ptr, size]
-        self._apply_ops.restype = size
-        self._expval_z = lib.expval_z
-        self._expval_z.argtypes = [ptr, n]
-        self._expval_z.restype = ctypes.c_double
         self._rows = lib.expval_z_and_grad_rows
         self._rows.argtypes = [n, ptr, ptr, ptr, ptr, size, size, ptr, ptr]
         self._rows.restype = size
-
-    zero_state = staticmethod(_sv_numpy.zero_state)
-
-    def apply_ops(self, amps, n_qubits, kinds, qa, qb, angles) -> None:
-        """Apply the packed gate list to ``amps`` in place."""
-        if not (isinstance(amps, np.ndarray) and amps.dtype == _C128 and amps.ndim == 1
-                and amps.flags.c_contiguous and amps.flags.writeable):
-            raise ValueError("amps must be a writable 1-D C-contiguous complex128 array")
-        _check_length(amps, n_qubits)
-        gates = _gates(n_qubits, kinds, qa, qb)
-        data = _input(angles, _F64, "angles")
-        if len(angles) != len(kinds):
-            raise ValueError("kinds, qa, qb and angles must have equal lengths")
-        status = self._apply_ops(_Memory.from_buffer(amps), *gates, data, len(kinds))
-        _check_status(status, n_qubits)
-
-    def run(self, n_qubits, kinds, qa, qb, angles) -> np.ndarray:
-        """Evolve |0...0> through the packed gate list."""
-        amps = self.zero_state(n_qubits)
-        self.apply_ops(amps, n_qubits, kinds, qa, qb, angles)
-        return amps
-
-    def expval_z(self, amps, n_qubits) -> float:
-        """<Z tensor ... tensor Z>; exactly real by construction."""
-        data = _input(amps, _C128, "amps")
-        _check_length(amps, n_qubits)
-        return self._expval_z(data, n_qubits)
+        self._step = lib.lockstep_step
+        self._step.argtypes = [n, ptr, ptr, ptr, ptr, ptr, size, ptr, ptr, size, size, ptr, ptr,
+                               ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+        self._step.restype = size
 
     def expval_z_rows(self, n_qubits, kinds, qa, qb, angles) -> np.ndarray:
-        """``expval_z(run(...))`` for each row of the (B, n_gates) ``angles``, in one call."""
+        """<Z^n> of |0...0> evolved through the packed gate list, for each row
+        of the (B, n_gates) ``angles``, in one call."""
         gates = _gates(n_qubits, kinds, qa, qb)
         data = _angle_rows(angles, len(kinds))
         expvals = np.empty(len(angles))
@@ -180,3 +185,35 @@ class Kernel:
                             _Memory.from_buffer(expvals))
         _check_status(status, n_qubits)
         return expvals, grads
+
+    def lockstep_step(self, n_qubits, kinds, qa, qb, param, feature, nu, omega, states, noisy, noise, u,
+                      glp=None, t=0, ids=None):
+        """``trainer.policy_step`` in one call, bit for bit.
+
+        The template arrives as its gate arrays plus ``param`` and
+        ``feature`` (int32, one entry per gate): rotation g takes the angle
+        ``nu[param[g]]`` when ``feature[g]`` is -1, else
+        ``omega[param[g]] * obs[feature[g]]``. ``states`` is (B, 4),
+        ``noisy`` a (B,) bool mask, ``noise`` the noisy rows' (k, 4) draws
+        in row order and ``u`` the (B,) action uniforms. Returns
+        ``(p0, new_states, out)``.
+        """
+        gates = _gates(n_qubits, kinds, qa, qb)
+        n_gates = len(kinds)
+        sources = (_shaped(param, _I32, "param", (n_gates,)), _shaped(feature, _I32, "feature", (n_gates,)))
+        params = (_input(nu, _F64, "nu"), _shaped(omega, _F64, "omega", nu.shape))
+        n_params = len(nu)
+        state_data = _input(states, _F64, "states", ndim=2)
+        n_rows = len(states)
+        if states.shape[1] != 4:
+            raise ValueError(f"states must have 4 columns, got {states.shape[1]}")
+        mask = _shaped(noisy, _BOOL, "noisy", (n_rows,))
+        noise_data = _shaped(noise, _F64, "noise", (int(np.count_nonzero(noisy)), 4))
+        u_data = _shaped(u, _F64, "u", (n_rows,))
+        glp_nu, glp_omega, id_data = _gradient_rows(glp, t, ids, n_rows, n_params)
+        p0, new_states, out = np.empty(n_rows), np.empty((n_rows, 4)), np.empty(n_rows, dtype=bool)
+        status = self._step(*gates, *sources, n_gates, *params, n_params, n_rows, state_data, mask,
+                            noise_data, u_data, glp_nu, glp_omega, id_data, _Memory.from_buffer(p0),
+                            _Memory.from_buffer(new_states), _Memory.from_buffer(out))
+        _check_status(status, n_qubits)
+        return p0, new_states, out

@@ -1,8 +1,10 @@
 """Pure-numpy statevector kernels (fallback backend).
 
-Same contract as the compiled kernel ``_sv_c``, and the oracle it is tested
-against: gates are packed into parallel arrays (kind, target, other-qubit,
-angle) and applied to a dense complex128 amplitude vector. Qubit ``q`` is
+Same row calls as the compiled kernel ``_sv_c`` (``expval_z_rows`` and
+``expval_z_and_grad_rows``), and the oracle they are tested against; the
+one-state functions ``apply_ops``, ``run`` and ``expval_z`` they are built
+from exist only here. Gates are packed into parallel arrays (kind, target,
+other-qubit, angle) and applied to a dense complex128 amplitude vector. Qubit ``q`` is
 bit ``q`` of the basis index. A gate of unknown kind, a target outside the
 register, or a CZ partner outside it or equal to the target raises
 ``ValueError`` before any amplitude changes, as in the C kernel.

@@ -16,7 +16,10 @@ A state is a raw row (x, x_dot, theta, theta_dot); ``step_batch`` steps a
 (B, 4) block of them at once, with the expressions of a single step applied
 element by element. numpy's ``cos``, ``sin`` and ``float_power(., 2)`` give
 the bits of ``math.cos``, ``math.sin`` and ``float ** 2`` on the platforms
-the tests pin, so a row's result does not depend on the block.
+the tests pin, so a row's result does not depend on the block. The C
+kernel's one-call lockstep step (``_sv_c.c``) repeats ``normalize`` and
+``step_batch`` with those same libm calls, and its tests hold it to the
+bits of these functions.
 """
 
 from __future__ import annotations

@@ -122,11 +122,12 @@ class CircuitTemplate:
     """Packed, input-independent form of the ansatz for fast repeated evaluation.
 
     ``kinds``, ``qa`` and ``qb`` are the gate arrays the kernels take; the
-    index arrays record which gates take a variational angle nu and which an
-    encoding angle omega * s_i. ``angles`` fills the per-gate angle vectors
-    from parameter tensors and a block of observations, one row per
-    observation; ``grad_to_params`` pulls per-rotation angle gradients back
-    onto nu/omega (chain factor s_i for encoding weights), row by row.
+    index arrays, and ``param``/``feature`` per gate, record which gates
+    take a variational angle nu and which an encoding angle omega * s_i.
+    ``angles`` fills the per-gate angle vectors from parameter tensors and a
+    block of observations, one row per observation; ``grad_to_params`` pulls
+    per-rotation angle gradients back onto nu/omega (chain factor s_i for
+    encoding weights), row by row.
     """
 
     def __init__(self, spec: AnsatzSpec):
@@ -169,6 +170,14 @@ class CircuitTemplate:
         self._omega_rot[self._enc_param] = rot[self._enc_gate]
         self._omega_feature = np.empty(spec.n_params_each, dtype=np.intp)
         self._omega_feature[self._enc_param] = self._enc_feature
+        # The same map per gate, as the fused lockstep kernel takes it: the
+        # flat parameter of each rotation and, for an encoding rotation, the
+        # feature it reads (-1 elsewhere).
+        self.param = np.full(self.n_gates, -1, dtype=np.int32)
+        self.param[self._var_gate] = self._var_param
+        self.param[self._enc_gate] = self._enc_param
+        self.feature = np.full(self.n_gates, -1, dtype=np.int32)
+        self.feature[self._enc_gate] = self._enc_feature
 
     def angles(self, nu_flat: np.ndarray, omega_flat: np.ndarray, obs: np.ndarray) -> np.ndarray:
         """Gate angles for observations ``obs`` of shape (..., n_qubits): shape (..., n_gates)."""

@@ -13,7 +13,9 @@ The hot path evaluates many circuits that share one gate list and differ
 only in their angles, such as one circuit per episode of a batch stepped in
 lockstep: ``packed_expval`` and ``packed_expval_and_grad`` take a
 (B, n_gates) angle block and evaluate each row exactly as it would run
-alone, so a row's result never depends on the other rows.
+alone, so a row's result never depends on the other rows. The C kernel
+also plays a whole lockstep step, policy and CartPole, in one call
+(``lockstep_kernel``).
 
 The heavy lifting happens in one of two interchangeable kernel backends:
 
@@ -77,6 +79,13 @@ KIND_H = _sv_numpy.KIND_H
 KIND_RY = _sv_numpy.KIND_RY
 KIND_RZ = _sv_numpy.KIND_RZ
 KIND_CZ = _sv_numpy.KIND_CZ
+
+
+def lockstep_kernel():
+    """The active kernel's ``lockstep_step``, which plays one step of a
+    lockstep batch of episodes in one call, or None on the numpy backend,
+    where ``trainer.policy_step`` composes that step."""
+    return getattr(_kernel, "lockstep_step", None)
 
 
 def parameter_shift_gradient(n_qubits, kinds, qa, qb, angles) -> np.ndarray:

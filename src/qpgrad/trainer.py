@@ -39,10 +39,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
 from . import policy as pol
+from . import qsim
 from .cartpole import HORIZON, InitRanges, NoiseModel, normalize, out_of_bounds, reset, step_batch
 from .errors import ConfigurationError, UsageError
 from .policy import AnsatzSpec, PolicyParams
@@ -122,6 +125,43 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# The most episodes a forward-only batch plays at once. Its blocks grow with
+# the batch (the pre-drawn uniforms are horizon x batch floats), and chunks
+# change no result, since an episode's values do not depend on its batch.
+MAX_FORWARD_BATCH = 2048
+
+
+def policy_step(tpl, nu_flat, om_flat, states, noisy, noise, u, glp=None, t=0, ids=None):
+    """One lockstep step of B episodes under the policy, composed of the numpy functions.
+
+    Normalizes the (B, 4) raw ``states``, adds the (k, 4) ``noise`` draws to
+    the rows the (B,) bool mask ``noisy`` marks, in row order, evaluates the
+    policy circuit ``tpl`` of each row and pushes left (action 0) where the
+    (B,) uniform ``u`` is below pi(0|s). Given the (horizon, episodes, P)
+    gradient blocks ``glp = (glp_nu, glp_omega)``, it also writes row r's
+    grad log pi(a|s) to ``[t, ids[r]]`` of each. Returns ``(p0, new_states,
+    out)``: pi(0|s) per row, and ``step_batch``'s next states and
+    out-of-bounds mask.
+
+    This is the numpy backend's step, and the oracle of the compiled
+    kernel's ``lockstep_step``, which does the same in one call, bit for bit.
+    """
+    obs = normalize(states)
+    if len(noise):
+        obs[noisy] += noise
+    if glp is None:
+        e = tpl.expval(nu_flat, om_flat, obs)
+    else:
+        e, gnu, gom = tpl.expval_and_grad(nu_flat, om_flat, obs)
+    p0 = pol.probs_from_expectation(e)[:, 0]
+    right = ~(u < p0)
+    if glp is not None:
+        coeff = pol.log_policy_coeff(p0, right)[:, None]
+        glp[0][t][ids] = coeff * gnu
+        glp[1][t][ids] = coeff * gom
+    new_states, out = step_batch(states, right)
+    return p0, new_states, out
+
 
 def _lockstep(spec, params, rngs, ranges, horizon, sigmas, collect_grads):
     """Plays one episode per entry of ``ranges`` in lockstep.
@@ -134,7 +174,8 @@ def _lockstep(spec, params, rngs, ranges, horizon, sigmas, collect_grads):
     its reset: numpy's ``random(n)`` gives the same values as n single
     draws, and nothing else is drawn after. Only the noisy episodes'
     generators are kept past that, so a large batch of noise-free episodes
-    does not hold one generator per episode.
+    does not hold one generator per episode. Each step is one call of the
+    kernel's ``lockstep_step``, or of ``policy_step`` on the numpy backend.
 
     Returns the (B,) episode lengths and, when ``collect_grads``, the
     per-step log-policy gradients ``(glp_nu, glp_omega)``, each of shape
@@ -144,6 +185,11 @@ def _lockstep(spec, params, rngs, ranges, horizon, sigmas, collect_grads):
     tpl = pol.get_template(spec)
     nu_flat = params.nu.reshape(-1)
     om_flat = params.omega.reshape(-1)
+    fused = qsim.lockstep_kernel()
+    if fused is None:
+        step = partial(policy_step, tpl, nu_flat, om_flat)
+    else:
+        step = partial(fused, spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature, nu_flat, om_flat)
     n = len(ranges)
     noise = [None] * n if sigmas is None else [NoiseModel(s) if s > 0 else None for s in sigmas]
     noisy = np.array([m is not None for m in noise], dtype=bool)
@@ -160,36 +206,26 @@ def _lockstep(spec, params, rngs, ranges, horizon, sigmas, collect_grads):
     states = np.array(starts).reshape(n, 4)
     ids = np.flatnonzero(~out_of_bounds(states))
     states = states[ids]
+    glp = None
     if collect_grads:
         glp = (np.empty((horizon, n, spec.n_params_each)), np.empty((horizon, n, spec.n_params_each)))
 
     t = 0
     while len(ids):
-        rows = np.flatnonzero(noisy[ids]).tolist() if any_noisy else []  # the live noisy episodes' rows
-        live_noisy = ids[rows].tolist()
-        obs = normalize(states)
-        if rows:
-            obs[rows] += np.array([noise[i].draw(noisy_rngs[i]) for i in live_noisy])
-        if collect_grads:
-            e, gnu, gom = tpl.expval_and_grad(nu_flat, om_flat, obs)
-        else:
-            e = tpl.expval(nu_flat, om_flat, obs)
-        p0 = pol.probs_from_expectation(e)[:, 0]
+        live_noisy = noisy[ids]
+        rows = np.flatnonzero(live_noisy).tolist() if any_noisy else []
+        draws = np.empty((len(rows), 4))
         u = uniforms[t][ids]
-        for j, i in zip(rows, live_noisy):
+        for k, (j, i) in enumerate(zip(rows, ids[rows].tolist())):
+            draws[k] = noise[i].draw(noisy_rngs[i])
             u[j] = noisy_rngs[i].random()
-        left = u < p0  # action 0
-        if collect_grads:
-            coeff = pol.log_policy_coeff(p0, ~left)[:, None]
-            glp[0][t][ids] = coeff * gnu
-            glp[1][t][ids] = coeff * gom
-        states, out = step_batch(states, ~left)
+        _, states, out = step(states, live_noisy, draws, u, glp, t, ids)
         t += 1
         done = out | (t >= horizon)
         if done.any():
             lengths[ids[done]] = t
             ids, states = ids[~done], states[~done]
-    return lengths, (glp if collect_grads else None)
+    return lengths, glp
 
 
 def rollouts(
@@ -226,10 +262,19 @@ def episode_rewards(
     """Total reward of one episode per entry of ``ranges``, played forward-only in lockstep.
 
     Arguments as for ``rollouts``; each reward is the one the episode would
-    collect alone.
+    collect alone. Batches of more than ``MAX_FORWARD_BATCH`` episodes play
+    as consecutive chunks of that many.
     """
-    lengths, _ = _lockstep(spec, params, rngs, ranges, horizon, sigmas, collect_grads=False)
-    return lengths.astype(np.float64)
+    rngs = iter(rngs)
+    lengths = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(ranges), MAX_FORWARD_BATCH):
+        hi = lo + MAX_FORWARD_BATCH
+        chunk_sigmas = None if sigmas is None else sigmas[lo:hi]
+        chunk, _ = _lockstep(spec, params, islice(rngs, hi - lo), ranges[lo:hi], horizon, chunk_sigmas, False)
+        lengths.append(chunk)
+    if next(rngs, None) is not None:
+        raise ValueError("more generators than episodes")
+    return np.concatenate(lengths).astype(np.float64)
 
 
 def discounted_returns(rewards, gamma: float) -> np.ndarray:

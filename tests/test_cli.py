@@ -276,7 +276,7 @@ class TestCurriculumCommand:
 class TestBenchCommand:
     def test_reports_each_backend_and_batch_size(self, capsys):
         assert run_cli("bench", "--repeats", "3") == 0
-        rows = [line.split("|") for line in capsys.readouterr().out.splitlines() if line.count("|") == 3]
+        rows = [line.split("|") for line in capsys.readouterr().out.splitlines() if line.count("|") == 5]
         cells = {(r[0].strip(), r[1].strip()) for r in rows[1:]}
         assert cells == {(backend, batch) for backend in ("c", "numpy") for batch in ("1", "100")}
         assert all(float(v) > 0 for r in rows[1:] for v in r[2:])

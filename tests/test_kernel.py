@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import qpgrad
 from qpgrad import _sv_numpy, qsim
+from qpgrad.policy import AnsatzSpec, get_template
 
 
 def _circuit():
@@ -59,8 +61,10 @@ class TestLoader:
             "import sys\n"
             "from pathlib import Path\n"
             "from qpgrad import qsim\n"
+            "import numpy as np\n"
             "kernel = qsim.load_kernel('c', cache_dir=Path(sys.argv[1]))\n"
-            "print(kernel.expval_z(kernel.zero_state(3), 3))\n"
+            "empty = np.zeros(0, dtype=np.int32)\n"
+            "print(kernel.expval_z_rows(3, empty.astype(np.int8), empty, empty, np.zeros((1, 0)))[0])\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(qpgrad.__file__).parents[1]))
         procs = [
@@ -87,25 +91,6 @@ class TestArgumentChecks:
     def kernel(self):
         return qsim.load_kernel("c")
 
-    def test_bad_amplitudes_rejected(self, kernel):
-        kinds, qa, qb, angles = _circuit()
-        read_only = kernel.zero_state(2)
-        read_only.setflags(write=False)
-        for amps in (
-            kernel.zero_state(2).astype(np.complex64),
-            kernel.zero_state(2).reshape(2, 2),
-            np.zeros(8, dtype=np.complex128)[::2],
-            read_only,
-            kernel.zero_state(3),
-            list(kernel.zero_state(2)),
-        ):
-            with pytest.raises(ValueError):
-                kernel.apply_ops(amps, 2, kinds, qa, qb, angles)
-        with pytest.raises(ValueError):
-            kernel.expval_z(kernel.zero_state(2).astype(np.complex64), 2)
-        with pytest.raises(ValueError):
-            kernel.expval_z(kernel.zero_state(3), 2)
-
     def test_bad_gate_arrays_rejected(self, kernel):
         kinds, qa, qb, angles = _circuit()
         bad_gates = (  # rejected by both kernels
@@ -129,20 +114,12 @@ class TestArgumentChecks:
             return a[None] if isinstance(a, np.ndarray) else [a]
 
         for k, bad in ((kernel, bad_gates + bad_buffers), (_sv_numpy, bad_gates)):
-            cases = [(args, as_rows(args[3]), True) for args in bad]
-            cases += [((kinds, qa, qb, angles), block, False) for block in bad_blocks]
-            for args, rows, bad_for_one_circuit in cases:
-                amps = k.zero_state(2)
-                calls = [
-                    lambda: k.expval_z_rows(2, *args[:3], rows),
-                    lambda: k.expval_z_and_grad_rows(2, *args[:3], rows),
-                ]
-                if bad_for_one_circuit:
-                    calls.append(lambda: k.apply_ops(amps, 2, *args))
-                for call in calls:
+            cases = [(args, as_rows(args[3])) for args in bad]
+            cases += [((kinds, qa, qb, angles), block) for block in bad_blocks]
+            for args, rows in cases:
+                for call in (k.expval_z_rows, k.expval_z_and_grad_rows):
                     with pytest.raises(ValueError):
-                        call()
-                np.testing.assert_array_equal(amps, k.zero_state(2))
+                        call(2, *args[:3], rows)
 
     def test_strided_and_read_only_inputs_are_read_correctly(self, kernel):
         kinds, qa, qb, angles = _circuit()
@@ -155,3 +132,67 @@ class TestArgumentChecks:
             e, g = kernel.expval_z_and_grad_rows(2, kinds, qa, qb, a)
             np.testing.assert_allclose(e, expected[0], atol=1e-13)
             np.testing.assert_allclose(g, expected[1], atol=1e-12)
+
+    def test_bad_step_arguments_rejected(self, kernel, monkeypatch):
+        tpl = get_template(AnsatzSpec(n_qubits=2, n_layers=1))
+        n_params = tpl.spec.n_params_each
+        rng = np.random.default_rng(0)
+        glp = (np.zeros((3, 6, n_params)), np.zeros((3, 6, n_params)))
+        good = dict(
+            n_qubits=2, kinds=tpl.kinds, qa=tpl.qa, qb=tpl.qb, param=tpl.param, feature=tpl.feature,
+            nu=rng.normal(size=n_params), omega=rng.normal(size=n_params), states=rng.normal(0, 0.1, (4, 4)),
+            noisy=np.array([True, False, True, False]), noise=rng.normal(size=(2, 4)), u=rng.random(4),
+            glp=glp, t=1, ids=np.array([0, 2, 3, 5]),
+        )
+        kernel.lockstep_step(**good)
+        bad = dict(
+            param=[tpl.param.astype(np.int64), tpl.param[:-1]],
+            feature=[tpl.feature.astype(np.int8), tpl.feature[None]],
+            nu=[good["nu"].astype(np.float32), good["nu"][:-1], list(good["nu"])],
+            omega=[good["omega"][:-1], good["omega"][None]],
+            states=[good["states"].astype(np.float32), good["states"][:, :3], good["states"].ravel(), [[0.0] * 4] * 4],
+            noisy=[np.ones(4, dtype=np.int8), good["noisy"][:3]],
+            noise=[good["noise"][:1], np.zeros((2, 3)), good["noise"].astype(np.float32)],
+            u=[good["u"][:3], good["u"].astype(np.float32), good["u"][None]],
+            glp=[
+                glp[0],
+                (glp[0], glp[1][:, :5]),
+                (glp[0], glp[1].astype(np.float32)),
+                (glp[0][:, :, :-1].copy(), glp[1][:, :, :-1].copy()),
+                (glp[0], np.asfortranarray(glp[1])),
+                (glp[0], glp[1][:, ::2]),
+                (glp[0], glp[1], glp[1]),
+            ],
+            t=[-1, 3, 1.0, None],
+            ids=[good["ids"].astype(np.int32), good["ids"][:3], np.array([0, 2, 3, 6]), np.array([-1, 2, 3, 5]), None],
+        )
+        read_only = glp[1].copy()
+        read_only.setflags(write=False)
+        bad["glp"].append((glp[0], read_only))
+        calls = mock.Mock(side_effect=AssertionError("a bad argument reached the C code"))
+        monkeypatch.setattr(kernel, "_step", calls)
+        for name, values in bad.items():
+            for value in values:
+                with pytest.raises(ValueError):
+                    kernel.lockstep_step(**{**good, name: value})
+        calls.assert_not_called()
+
+    def test_bad_step_template_rejected_before_anything_is_written(self, kernel):
+        tpl = get_template(AnsatzSpec(n_qubits=2, n_layers=1))
+        n_params = tpl.spec.n_params_each
+        glp = (np.zeros((1, 2, n_params)), np.zeros((1, 2, n_params)))
+        states, noisy, noise, u = np.zeros((2, 4)), np.zeros(2, dtype=bool), np.zeros((0, 4)), np.zeros(2)
+        rotation = int(np.flatnonzero(tpl.feature >= 0)[0])
+        bad = []
+        for field, value in (("param", -1), ("param", n_params), ("feature", 4), ("feature", -2)):
+            arrays = {"param": tpl.param.copy(), "feature": tpl.feature.copy()}
+            arrays[field][rotation] = value
+            bad.append((tpl.kinds, tpl.qa, tpl.qb, arrays["param"], arrays["feature"]))
+        kinds = tpl.kinds.copy()
+        kinds[0] = 7
+        bad.append((kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature))
+        for gates in bad:
+            with pytest.raises(ValueError):
+                kernel.lockstep_step(2, *gates, np.ones(n_params), np.ones(n_params), states, noisy, noise, u,
+                                     glp, 0, np.arange(2))
+            assert not glp[0].any() and not glp[1].any()

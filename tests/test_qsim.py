@@ -2,7 +2,9 @@
 
 Circuits are packed gate arrays, the only form the kernels take. Every
 gate-semantics check runs on both kernels, the compiled one and the numpy
-oracle.
+oracle, through their row calls, which return <Z^n>: a gate is seen
+through the expectation of a circuit built around it. Amplitudes are
+checked on the numpy oracle, the one kernel that exposes its states.
 """
 
 from functools import cache
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpgrad import qsim
+from qpgrad import _sv_numpy, qsim
 from qpgrad.qsim import parameter_shift_gradient
 
 
@@ -59,11 +61,17 @@ def adjoint(kernel, n_qubits, kinds, qa, qb, angles):
     return e[0], g[0]
 
 
-def evolve(kernel, gates, n_qubits, amps=None):
-    """The state ``gates`` make from ``amps`` (default |0...0>); ``amps`` itself is left alone."""
-    amps = kernel.zero_state(n_qubits) if amps is None else np.array(amps, dtype=np.complex128)
-    kernel.apply_ops(amps, n_qubits, *pack(gates))
+def evolve(gates, n_qubits, amps=None):
+    """The state ``gates`` make from ``amps`` (default |0...0>) on the numpy
+    oracle; ``amps`` itself is left alone."""
+    amps = _sv_numpy.zero_state(n_qubits) if amps is None else np.array(amps, dtype=np.complex128)
+    _sv_numpy.apply_ops(amps, n_qubits, *pack(gates))
     return amps
+
+
+def expval(kernel, gates, n_qubits):
+    """<Z^n> after ``gates``, as the one row of a batched call."""
+    return forward(kernel, n_qubits, *pack(gates))
 
 
 def random_circuit(rng, n_qubits=3, n_gates=30):
@@ -88,41 +96,52 @@ def random_circuit(rng, n_qubits=3, n_gates=30):
 
 class TestGates:
     def test_ry_pi_flips_zero(self):
+        np.testing.assert_allclose(evolve([ry(0, np.pi)], 1), [0.0, 1.0], atol=1e-15)
         for kernel in kernels():
-            np.testing.assert_allclose(evolve(kernel, [ry(0, np.pi)], 1), [0.0, 1.0], atol=1e-15)
+            assert expval(kernel, [ry(0, np.pi)], 1) == pytest.approx(-1.0, abs=1e-15)
 
     def test_cz_phases_one_one(self):
+        np.testing.assert_allclose(evolve([cz(0, 1)], 2, amps=[0, 0, 0, 1]), [0, 0, 0, -1], atol=0)
+        # with qubit 1 in |1>, CZ is Z on qubit 0, and H Z H flips it: |11>, <ZZ> = +1
+        kick = [ry(1, np.pi), h(0), cz(0, 1), h(0)]
         for kernel in kernels():
-            out = evolve(kernel, [cz(0, 1)], 2, amps=[0, 0, 0, 1])
-            np.testing.assert_allclose(out, [0, 0, 0, -1], atol=0)
+            assert expval(kernel, kick, 2) == pytest.approx(1.0, abs=1e-15)
 
     def test_cz_leaves_other_basis_states(self):
+        for idx in range(3):
+            amps = np.zeros(4, dtype=complex)
+            amps[idx] = 1.0
+            np.testing.assert_allclose(evolve([cz(0, 1)], 2, amps), amps)
+        # with qubit 1 in |0>, CZ is the identity and H H returns qubit 0 to |0>
         for kernel in kernels():
-            for idx in range(3):
-                amps = np.zeros(4, dtype=complex)
-                amps[idx] = 1.0
-                np.testing.assert_allclose(evolve(kernel, [cz(0, 1)], 2, amps), amps)
+            assert expval(kernel, [h(0), cz(0, 1), h(0)], 2) == pytest.approx(1.0, abs=1e-15)
+            assert expval(kernel, [h(1), cz(0, 1), h(1)], 2) == pytest.approx(1.0, abs=1e-15)
 
     def test_rz_is_pure_phase_on_zero(self):
         phi = 0.731
+        out = evolve([rz(0, phi)], 1)
+        assert out[0] == pytest.approx(np.exp(-0.5j * phi))
+        np.testing.assert_allclose(np.abs(out) ** 2, [1.0, 0.0], atol=1e-15)
         for kernel in kernels():
-            out = evolve(kernel, [rz(0, phi)], 1)
-            assert out[0] == pytest.approx(np.exp(-0.5j * phi))
-            np.testing.assert_allclose(np.abs(out) ** 2, [1.0, 0.0], atol=1e-15)
+            assert expval(kernel, [rz(0, phi)], 1) == pytest.approx(1.0, abs=1e-15)
+            # the relative phase of |+> shows after H: <Z> = cos(phi)
+            assert expval(kernel, [h(0), rz(0, phi), h(0)], 1) == pytest.approx(np.cos(phi), abs=1e-15)
 
     def test_ry_matrix_convention(self):
         # RY(a)|0> = [cos(a/2), sin(a/2)]
         a = 1.234
+        np.testing.assert_allclose(evolve([ry(0, a)], 1), [np.cos(a / 2), np.sin(a / 2)], atol=1e-15)
         for kernel in kernels():
-            out = evolve(kernel, [ry(0, a)], 1)
-            np.testing.assert_allclose(out, [np.cos(a / 2), np.sin(a / 2)], atol=1e-15)
+            assert expval(kernel, [ry(0, a)], 1) == pytest.approx(np.cos(a), abs=1e-15)
+            # <X> = 2 cos(a/2) sin(a/2), whose sign fixes the sign of sin
+            assert expval(kernel, [ry(0, a), h(0)], 1) == pytest.approx(np.sin(a), abs=1e-15)
 
     def test_apply_gate_does_not_mutate_input(self):
-        # the kernels write only the amplitudes, never the gate arrays
+        # the kernels write only their outputs, never the gate arrays
         gates = pack([h(0), ry(1, 0.4), cz(0, 1), rz(0, -1.3)])
         before = [a.copy() for a in gates]
         for kernel in kernels():
-            kernel.apply_ops(kernel.zero_state(2), 2, *gates)
+            forward(kernel, 2, *gates)
             adjoint(kernel, 2, *gates)
             for a, b in zip(gates, before):
                 np.testing.assert_array_equal(a, b)
@@ -130,38 +149,43 @@ class TestGates:
     def test_target_out_of_range_rejected(self):
         for kernel in kernels():
             for gates in ([h(2)], [ry(-1, 0.3)], [cz(0, 3)], [cz(3, 1)], [cz(-1, 1)]):
-                amps = kernel.zero_state(2)
                 with pytest.raises(ValueError):
-                    kernel.apply_ops(amps, 2, *pack(gates))
-                np.testing.assert_array_equal(amps, kernel.zero_state(2))
+                    forward(kernel, 2, *pack(gates))
                 with pytest.raises(ValueError):
                     adjoint(kernel, 2, *pack(gates))
 
 
 class TestHadamardAll:
     def test_two_qubits_equal_superposition(self):
+        np.testing.assert_allclose(evolve([h(0), h(1)], 2), [0.5] * 4, atol=1e-15)
         for kernel in kernels():
-            np.testing.assert_allclose(evolve(kernel, [h(0), h(1)], 2), [0.5] * 4, atol=1e-15)
+            assert expval(kernel, [h(0), h(1)], 2) == pytest.approx(0.0, abs=1e-15)
 
     def test_one_qubit(self):
+        np.testing.assert_allclose(evolve([h(0)], 1), [1 / np.sqrt(2)] * 2, atol=1e-15)
         for kernel in kernels():
-            np.testing.assert_allclose(evolve(kernel, [h(0)], 1), [1 / np.sqrt(2)] * 2, atol=1e-15)
+            assert expval(kernel, [h(0)], 1) == pytest.approx(0.0, abs=1e-15)
 
     def test_four_qubits(self):
+        np.testing.assert_allclose(evolve([h(q) for q in range(4)], 4), [0.25] * 16, atol=1e-15)
         for kernel in kernels():
-            np.testing.assert_allclose(evolve(kernel, [h(q) for q in range(4)], 4), [0.25] * 16, atol=1e-15)
+            assert expval(kernel, [h(q) for q in range(4)], 4) == pytest.approx(0.0, abs=1e-15)
+            # the same layer again returns |0000>
+            assert expval(kernel, [h(q) for q in range(4)] * 2, 4) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestExpectation:
     def test_all_zeros_eigenstate(self):
+        assert _sv_numpy.expval_z(_sv_numpy.zero_state(2), 2) == pytest.approx(1.0)
         for kernel in kernels():
-            assert kernel.expval_z(kernel.zero_state(2), 2) == pytest.approx(1.0)
+            assert expval(kernel, [], 2) == 1.0
 
     def test_odd_parity(self):
         amps = np.zeros(4, dtype=complex)
         amps[1] = 1.0  # one qubit flipped
+        assert _sv_numpy.expval_z(amps, 2) == pytest.approx(-1.0)
         for kernel in kernels():
-            assert kernel.expval_z(amps, 2) == pytest.approx(-1.0)
+            assert expval(kernel, [ry(0, np.pi)], 2) == pytest.approx(-1.0, abs=1e-15)
 
     def test_balanced_superposition(self):
         for kernel in kernels():
@@ -175,23 +199,29 @@ class TestExpectation:
 
 class TestRunCircuit:
     def test_empty_circuit_identity(self):
+        np.testing.assert_allclose(_sv_numpy.run(1, *pack([])), [1.0, 0.0])
         for kernel in kernels():
-            np.testing.assert_allclose(kernel.run(1, *pack([])), [1.0, 0.0])
+            assert expval(kernel, [], 1) == 1.0
 
     def test_h_squared_is_identity(self):
+        np.testing.assert_allclose(_sv_numpy.run(1, *pack([h(0), h(0)])), [1.0, 0.0], atol=1e-15)
         for kernel in kernels():
-            np.testing.assert_allclose(kernel.run(1, *pack([h(0), h(0)])), [1.0, 0.0], atol=1e-15)
+            assert expval(kernel, [h(0), h(0)], 1) == pytest.approx(1.0, abs=1e-15)
 
     def test_cz_squared_is_identity(self):
+        out = _sv_numpy.run(2, *pack([h(0), h(1), cz(0, 1), cz(0, 1)]))
+        np.testing.assert_allclose(out, [0.5] * 4, atol=1e-15)
         for kernel in kernels():
-            out = kernel.run(2, *pack([h(0), h(1), cz(0, 1), cz(0, 1)]))
-            np.testing.assert_allclose(out, [0.5] * 4, atol=1e-15)
+            assert expval(kernel, [h(0), h(1), cz(0, 1), cz(0, 1), h(0), h(1)], 2) == pytest.approx(1.0, abs=1e-15)
 
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(3)
         gates = pack(random_circuit(rng, n_qubits=4, n_gates=40))
+        assert np.array_equal(_sv_numpy.run(4, *gates), _sv_numpy.run(4, *gates))
         for kernel in kernels():
-            assert np.array_equal(kernel.run(4, *gates), kernel.run(4, *gates))
+            (e1, g1), (e2, g2) = adjoint(kernel, 4, *gates), adjoint(kernel, 4, *gates)
+            assert e1 == e2 == forward(kernel, 4, *gates)
+            assert np.array_equal(g1, g2)
 
 
 class TestGradients:
@@ -244,10 +274,10 @@ class TestProperties:
         for _ in range(100):
             n = int(rng.integers(1, 5))
             gates = pack(random_circuit(rng, n_qubits=n, n_gates=int(rng.integers(1, 50))))
+            state = _sv_numpy.run(n, *gates)
+            assert abs(np.linalg.norm(state) - 1.0) < 1e-10
             for kernel in kernels():
-                state = kernel.run(n, *gates)
-                assert abs(np.linalg.norm(state) - 1.0) < 1e-10
-                assert abs(kernel.expval_z(state, n)) <= 1.0 + 1e-12
+                assert abs(forward(kernel, n, *gates)) <= 1.0 + 1e-12
 
     def test_gradient_consistency_random_draws(self):
         rng = np.random.default_rng(23)
@@ -298,11 +328,9 @@ class TestBackendParity:
 
     def _assert_agree(self, n_qubits, kinds, qa, qb, angles):
         c, np_ = kernels()
-        a1 = c.run(n_qubits, kinds, qa, qb, angles)
-        a2 = np_.run(n_qubits, kinds, qa, qb, angles)
-        np.testing.assert_allclose(a1, a2, atol=1e-13)
-        assert c.expval_z(a1, n_qubits) == pytest.approx(np_.expval_z(a2, n_qubits), abs=1e-13)
-        assert forward(c, n_qubits, kinds, qa, qb, angles) == c.expval_z(a1, n_qubits)
+        state = np_.run(n_qubits, kinds, qa, qb, angles)
+        assert forward(np_, n_qubits, kinds, qa, qb, angles) == np_.expval_z(state, n_qubits)
+        assert forward(c, n_qubits, kinds, qa, qb, angles) == pytest.approx(np_.expval_z(state, n_qubits), abs=1e-13)
         e1, g1 = adjoint(c, n_qubits, kinds, qa, qb, angles)
         e2, g2 = adjoint(np_, n_qubits, kinds, qa, qb, angles)
         assert e1 == pytest.approx(e2, abs=1e-13)

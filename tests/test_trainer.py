@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpgrad import qsim
+from qpgrad import qsim, trainer
 from qpgrad.cartpole import InitRanges
 from qpgrad.errors import UsageError
 from qpgrad.policy import AnsatzSpec, PolicyParams, zero_params
@@ -244,6 +244,23 @@ class TestLockstep:
                     assert np.array_equal(glp_omega[:n_steps, i], alone[2][:n_steps, 0])
                     reward_alone = episode_rewards(spec, params, streams([i]), [ranges[i]], horizon, [sigmas[i]])
                     assert rewards[i] == reward_alone[0] == lengths[i]
+
+
+    def test_chunked_forward_batch_equals_one_batch(self, monkeypatch):
+        spec = AnsatzSpec(n_layers=1)
+        draw = np.random.default_rng(8)
+        params = PolicyParams(draw.uniform(-np.pi, np.pi, spec.param_shape), draw.normal(0, 1, spec.param_shape))
+        ranges = [InitRanges(theta=(-0.2, 0.2), theta_dot=(-1.0, 1.0))] * 11
+        sigmas = [0.0, 0.3, 0.0, 0.0, 0.8, 0.0, 0.1, 0.0, 0.0, 0.5, 0.0]
+
+        def rewards():
+            return episode_rewards(spec, params, (substream(8, 1, e) for e in range(11)), ranges, 60, sigmas)
+
+        whole = rewards()
+        monkeypatch.setattr(trainer, "MAX_FORWARD_BATCH", 3)
+        assert np.array_equal(rewards().view(np.int64), whole.view(np.int64))
+        with pytest.raises(ValueError):
+            episode_rewards(spec, params, (substream(8, 1, e) for e in range(12)), ranges, 60, sigmas)
 
 
 class TestTrain:
