@@ -281,39 +281,34 @@ ptrdiff_t expval_z_and_grad_rows(int n_qubits, const int8_t *kinds, const int32_
     return -1;
 }
 
-/* cartpole.py's constants and step_batch for one raw state
- * (x, x_dot, theta, theta_dot). */
-#define GRAVITY 9.8
-#define CART_MASS 1.0
-#define POLE_MASS 0.1
-#define TOTAL_MASS (CART_MASS + POLE_MASS)
-#define HALF_POLE_LENGTH 0.5
-#define POLE_MASS_LENGTH (POLE_MASS * HALF_POLE_LENGTH)
-#define FORCE_MAG 10.0
-#define TIME_STEP 0.02
-#define X_LIMIT 2.4
-#define THETA_LIMIT 0.2095
 #define N_FEATURES 4
 
-static const double NORM_FACTORS[N_FEATURES] = {2.4, 2.5, 0.21, 2.5};
+/* cartpole.py's constants, which _sv_c.py packs in this field order, so
+ * that CartPole is defined in one place. */
+struct cartpole {
+    double gravity, pole_mass, total_mass, half_pole_length, pole_mass_length, force_mag, time_step,
+        x_limit, theta_limit, norm_factors[N_FEATURES];
+};
 
 /* The exponent of theta_dot ** 2; volatile, so gcc cannot fold the pow. */
 static volatile double SQUARE = 2.0;
 
-/* One explicit-Euler step of state s under the push (right: +FORCE_MAG)
- * into next; returns whether next is out of bounds. */
-static int cartpole_step(const double *s, int right, double square, double *next) {
-    double force = right ? FORCE_MAG : -FORCE_MAG;
+/* cartpole.step_batch for one raw state s = (x, x_dot, theta, theta_dot):
+ * one explicit-Euler step under the push (right: +force_mag) into next;
+ * returns whether next is out of bounds. */
+static int cartpole_step(const struct cartpole *cp, const double *s, int right, double square,
+                         double *next) {
+    double force = right ? cp->force_mag : -cp->force_mag;
     double ct = cos(s[2]), st = sin(s[2]);
-    double temp = (force + POLE_MASS_LENGTH * pow(s[3], square) * st) / TOTAL_MASS;
-    double theta_acc = (GRAVITY * st - ct * temp) /
-                       (HALF_POLE_LENGTH * (4.0 / 3.0 - POLE_MASS * ct * ct / TOTAL_MASS));
-    double x_acc = temp - POLE_MASS_LENGTH * theta_acc * ct / TOTAL_MASS;
-    next[0] = s[0] + TIME_STEP * s[1];
-    next[1] = s[1] + TIME_STEP * x_acc;
-    next[2] = s[2] + TIME_STEP * s[3];
-    next[3] = s[3] + TIME_STEP * theta_acc;
-    return fabs(next[0]) > X_LIMIT || fabs(next[2]) > THETA_LIMIT;
+    double temp = (force + cp->pole_mass_length * pow(s[3], square) * st) / cp->total_mass;
+    double theta_acc = (cp->gravity * st - ct * temp) /
+                       (cp->half_pole_length * (4.0 / 3.0 - cp->pole_mass * ct * ct / cp->total_mass));
+    double x_acc = temp - cp->pole_mass_length * theta_acc * ct / cp->total_mass;
+    next[0] = s[0] + cp->time_step * s[1];
+    next[1] = s[1] + cp->time_step * x_acc;
+    next[2] = s[2] + cp->time_step * s[3];
+    next[3] = s[3] + cp->time_step * theta_acc;
+    return fabs(next[0]) > cp->x_limit || fabs(next[2]) > cp->theta_limit;
 }
 
 /* One lockstep step of n_rows episodes, row r holding raw state
@@ -324,8 +319,8 @@ static int cartpole_step(const double *s, int right, double square, double *next
  * next 4 entries of noise to its normalized state. Row r pushes right
  * unless u[r] < p0[r]. Unless glp_nu is NULL, the adjoint runs too and
  * row r's coeff * d<Z^n>/d(param) go to row ids[r] of the (episodes,
- * n_params) blocks glp_nu and glp_omega. The next states go to
- * new_states, their out-of-bounds flags to out.
+ * n_params) blocks glp_nu and glp_omega. The next states under the
+ * CartPole constants cp go to new_states, their out-of-bounds flags to out.
  *
  * Returns -1; or the index of the first bad gate, parameter or feature,
  * or -2 when the scratch cannot be allocated (nothing computed then). */
@@ -334,7 +329,8 @@ ptrdiff_t lockstep_step(int n_qubits, const int8_t *kinds, const int32_t *qa, co
                         const double *nu, const double *omega, ptrdiff_t n_params,
                         ptrdiff_t n_rows, const double *states, const uint8_t *noisy,
                         const double *noise, const double *u, double *glp_nu, double *glp_omega,
-                        const int64_t *ids, double *p0, double *new_states, uint8_t *out) {
+                        const int64_t *ids, const struct cartpole *cp, double *p0, double *new_states,
+                        uint8_t *out) {
     ptrdiff_t bad = bad_gate(n_qubits, kinds, qa, qb, n_gates);
     if (bad >= 0) {
         return bad;
@@ -363,7 +359,7 @@ ptrdiff_t lockstep_step(int n_qubits, const int8_t *kinds, const int32_t *qa, co
         const double *s = states + N_FEATURES * r;
         double obs[N_FEATURES];
         for (int k = 0; k < N_FEATURES; k++) {
-            obs[k] = s[k] / NORM_FACTORS[k];
+            obs[k] = s[k] / cp->norm_factors[k];
         }
         if (noisy[r]) {
             for (int k = 0; k < N_FEATURES; k++) {
@@ -401,7 +397,7 @@ ptrdiff_t lockstep_step(int n_qubits, const int8_t *kinds, const int32_t *qa, co
                 k += 1;
             }
         }
-        out[r] = (uint8_t)cartpole_step(s, right, square, new_states + N_FEATURES * r);
+        out[r] = (uint8_t)cartpole_step(cp, s, right, square, new_states + N_FEATURES * r);
     }
     free(psi);
     return -1;

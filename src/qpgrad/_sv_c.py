@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _sv_numpy
+from . import _sv_numpy, cartpole
 
 SOURCE = Path(__file__).with_name("_sv_c.c")
 # -ffp-contract=off keeps multiply-adds unfused, so results are the same on
@@ -65,6 +65,13 @@ _I8 = np.dtype(np.int8)
 _I32 = np.dtype(np.int32)
 _I64 = np.dtype(np.int64)
 _BOOL = np.dtype(np.bool_)
+
+# cartpole.py's constants in the field order of the C step's struct cartpole.
+_CARTPOLE = np.array([
+    cartpole.GRAVITY, cartpole.POLE_MASS, cartpole.TOTAL_MASS, cartpole.HALF_POLE_LENGTH,
+    cartpole.POLE_MASS_LENGTH, cartpole.FORCE_MAG, cartpole.TIME_STEP, cartpole.X_LIMIT,
+    cartpole.THETA_LIMIT, *cartpole.NORM_FACTORS,
+]).tobytes()
 
 # A zero-length ctypes array made over a numpy buffer passes the buffer's
 # address at a fraction of the cost of ``ndarray.ctypes``, which would
@@ -155,7 +162,7 @@ class Kernel:
         self._rows.restype = size
         self._step = lib.lockstep_step
         self._step.argtypes = [n, ptr, ptr, ptr, ptr, ptr, size, ptr, ptr, size, size, ptr, ptr,
-                               ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+                               ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
         self._step.restype = size
 
     def expval_z_rows(self, n_qubits, kinds, qa, qb, angles) -> np.ndarray:
@@ -213,7 +220,7 @@ class Kernel:
         glp_nu, glp_omega, id_data = _gradient_rows(glp, t, ids, n_rows, n_params)
         p0, new_states, out = np.empty(n_rows), np.empty((n_rows, 4)), np.empty(n_rows, dtype=bool)
         status = self._step(*gates, *sources, n_gates, *params, n_params, n_rows, state_data, mask,
-                            noise_data, u_data, glp_nu, glp_omega, id_data, _Memory.from_buffer(p0),
-                            _Memory.from_buffer(new_states), _Memory.from_buffer(out))
+                            noise_data, u_data, glp_nu, glp_omega, id_data, _CARTPOLE,
+                            _Memory.from_buffer(p0), _Memory.from_buffer(new_states), _Memory.from_buffer(out))
         _check_status(status, n_qubits)
         return p0, new_states, out

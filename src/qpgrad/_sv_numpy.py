@@ -7,7 +7,8 @@ from exist only here. Gates are packed into parallel arrays (kind, target,
 other-qubit, angle) and applied to a dense complex128 amplitude vector. Qubit ``q`` is
 bit ``q`` of the basis index. A gate of unknown kind, a target outside the
 register, or a CZ partner outside it or equal to the target raises
-``ValueError`` before any amplitude changes, as in the C kernel.
+``ValueError`` before any amplitude changes; the C kernel rejects the same
+gates before it computes anything.
 
 The row-batched calls evaluate one circuit per row of a (B, n_gates) angle
 block by running each row through the single-circuit code, so a row gets

@@ -18,8 +18,9 @@ element by element. numpy's ``cos``, ``sin`` and ``float_power(., 2)`` give
 the bits of ``math.cos``, ``math.sin`` and ``float ** 2`` on the platforms
 the tests pin, so a row's result does not depend on the block. The C
 kernel's one-call lockstep step (``_sv_c.c``) repeats ``normalize`` and
-``step_batch`` with those same libm calls, and its tests hold it to the
-bits of these functions.
+``step_batch`` with those same libm calls and the constants below, which
+``_sv_c.py`` passes to it, and its tests hold it to the bits of these
+functions.
 """
 
 from __future__ import annotations

@@ -120,6 +120,11 @@ class TestArgumentChecks:
                 for call in (k.expval_z_rows, k.expval_z_and_grad_rows):
                     with pytest.raises(ValueError):
                         call(2, *args[:3], rows)
+        for args in bad_gates:  # the numpy oracle's one-state call leaves the amplitudes as they were
+            amps = _sv_numpy.zero_state(2)
+            with pytest.raises(ValueError):
+                _sv_numpy.apply_ops(amps, 2, *args)
+            np.testing.assert_array_equal(amps, _sv_numpy.zero_state(2))
 
     def test_strided_and_read_only_inputs_are_read_correctly(self, kernel):
         kinds, qa, qb, angles = _circuit()

@@ -153,6 +153,12 @@ class TestGates:
                     forward(kernel, 2, *pack(gates))
                 with pytest.raises(ValueError):
                     adjoint(kernel, 2, *pack(gates))
+        # the numpy oracle's one-state call rejects the gate before it touches the amplitudes
+        for gates in ([h(0), h(2)], [h(0), ry(-1, 0.3)], [h(0), cz(0, 3)], [h(0), cz(3, 1)], [h(0), cz(-1, 1)]):
+            amps = _sv_numpy.zero_state(2)
+            with pytest.raises(ValueError):
+                _sv_numpy.apply_ops(amps, 2, *pack(gates))
+            np.testing.assert_array_equal(amps, _sv_numpy.zero_state(2))
 
 
 class TestHadamardAll:
