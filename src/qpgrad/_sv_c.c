@@ -4,20 +4,24 @@
  *   expval_z_and_grad_rows  <Z^n>, and optionally its adjoint gradient, of
  *                           one circuit per row of an angle block; the
  *                           contract of _sv_numpy's row calls.
- *   lockstep_step           one step of a batch of CartPole episodes under
- *                           the policy circuit: normalize and add noise,
- *                           fill the angles, run the circuit (plus the
- *                           adjoint when training), pick the actions, write
- *                           the grad log pi rows and step the cart-poles.
+ *   play_episodes           a batch of CartPole episodes under the policy
+ *                           circuit, one after another. Each step adds the
+ *                           noise to the normalized state, draws the action
+ *                           uniform, runs the circuit (plus the adjoint when
+ *                           training), writes the grad log pi row and steps
+ *                           the cart-pole.
  *
  * Same gates, conventions and packed gate arrays as _sv_numpy; qubit q is
- * bit q of the basis index. lockstep_step reproduces, bit for bit,
- * trainer.policy_step running on expval_z_and_grad_rows: each expression
+ * bit q of the basis index. play_episodes reproduces, bit for bit,
+ * trainer.play_episodes running on expval_z_and_grad_rows: each expression
  * below is the Python one (cartpole.normalize, CircuitTemplate.angles,
  * probs_from_expectation, log_policy_coeff, grad_to_params, step_batch)
  * with its operations in the same order, and a real factor c enters a
- * complex product as cplx_of(c, 0), a full complex product. What keeps the
- * bits:
+ * complex product as cplx_of(c, 0), a full complex product. The draws are
+ * numpy's own C distributions (libnpyrandom.a) on the bitgen_t of each
+ * episode's Generator: random_normal(bg, 0, sigma) four times, then
+ * next_double, are Generator.normal(0, sigma, 4), then Generator.random().
+ * What keeps the bits:
  *
  *  - Trig reuse. cos and sin of half of each rotation's angle are computed
  *    once per row (once per call for the nu angles, which no row changes)
@@ -43,6 +47,11 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+#include "numpy/random/bitgen.h"
+
+/* From numpy/random/distributions.h, which includes Python.h. */
+double random_normal(bitgen_t *bitgen_state, double loc, double scale);
 
 typedef double complex cplx;
 
@@ -293,6 +302,10 @@ struct cartpole {
 /* The exponent of theta_dot ** 2; volatile, so gcc cannot fold the pow. */
 static volatile double SQUARE = 2.0;
 
+static inline int out_of_bounds(const struct cartpole *cp, const double *s) {
+    return fabs(s[0]) > cp->x_limit || fabs(s[2]) > cp->theta_limit;
+}
+
 /* cartpole.step_batch for one raw state s = (x, x_dot, theta, theta_dot):
  * one explicit-Euler step under the push (right: +force_mag) into next;
  * returns whether next is out of bounds. */
@@ -308,29 +321,75 @@ static int cartpole_step(const struct cartpole *cp, const double *s, int right, 
     next[1] = s[1] + cp->time_step * x_acc;
     next[2] = s[2] + cp->time_step * s[3];
     next[3] = s[3] + cp->time_step * theta_acc;
-    return fabs(next[0]) > cp->x_limit || fabs(next[2]) > cp->theta_limit;
+    return out_of_bounds(cp, next);
 }
 
-/* One lockstep step of n_rows episodes, row r holding raw state
- * states[4r..4r+3] (see trainer.policy_step for the contract).
- *
- * Rotation g takes the angle nu[param[g]] when feature[g] is -1, else
- * omega[param[g]] * obs[feature[g]]. A noisy row (noisy[r] != 0) adds the
- * next 4 entries of noise to its normalized state. Row r pushes right
- * unless u[r] < p0[r]. Unless glp_nu is NULL, the adjoint runs too and
- * row r's coeff * d<Z^n>/d(param) go to row ids[r] of the (episodes,
- * n_params) blocks glp_nu and glp_omega. The next states under the
- * CartPole constants cp go to new_states, their out-of-bounds flags to out.
+/* The policy circuit: gate g's parameter and the feature it reads (-1: a
+ * nu angle) beside the gate arrays. */
+struct policy {
+    ptrdiff_t dim, n_gates, n_rot, n_params;
+    const int8_t *kinds;
+    const int32_t *qa, *qb, *param, *feature;
+    const double *omega;
+};
+
+/* One step in raw state s (see trainer.play_episodes): the observation,
+ * plus 4 draws of N(0, sigma) from bg when sigma > 0, the action uniform u
+ * drawn next, then <Z^n>, the nu angles' trig already in cs. Returns the
+ * action: right unless u < p0. Unless grads is NULL, the adjoint runs too
+ * and coeff * d<Z^n>/d(param) go to glp_nu and glp_omega. */
+static int policy_step(const struct policy *pol, const struct cartpole *cp, cplx *psi, double *cs,
+                       double *grads, const double *s, double sigma, bitgen_t *bg, double *glp_nu,
+                       double *glp_omega) {
+    double obs[N_FEATURES];
+    for (int k = 0; k < N_FEATURES; k++) {
+        obs[k] = s[k] / cp->norm_factors[k];
+    }
+    for (int k = 0; sigma > 0 && k < N_FEATURES; k++) {
+        obs[k] = obs[k] + random_normal(bg, 0.0, sigma);
+    }
+    double u = bg->next_double(bg->state);
+    for (ptrdiff_t g = 0; g < pol->n_gates; g++) {
+        if (is_rotation(pol->kinds[g]) && pol->feature[g] >= 0) {
+            half_angle_trig(cs + 2 * g, pol->omega[pol->param[g]] * obs[pol->feature[g]]);
+        }
+    }
+    double e = circuit(psi, pol->dim, pol->kinds, pol->qa, pol->qb, cs, pol->n_gates, pol->n_rot, grads);
+    e = e < -1.0 ? -1.0 : e; /* np.maximum, then np.minimum: NaN stays NaN */
+    e = e > 1.0 ? 1.0 : e;
+    double p = (e + 1.0) / 2.0;
+    int right = !(u < p);
+    if (grads != NULL) {
+        double pa = right ? 1.0 - p : p;
+        pa = pa < 1e-12 ? 1e-12 : pa;
+        double coeff = (right ? -1.0 : 1.0) / (2.0 * pa);
+        for (ptrdiff_t g = 0, k = 0; g < pol->n_gates; g++) {
+            if (is_rotation(pol->kinds[g]) && pol->feature[g] < 0) {
+                glp_nu[pol->param[g]] = coeff * grads[k++];
+            } else if (is_rotation(pol->kinds[g])) {
+                glp_omega[pol->param[g]] = coeff * (grads[k++] * obs[pol->feature[g]]);
+            }
+        }
+    }
+    return right;
+}
+
+/* Plays episode i of n_episodes from raw state starts[4i..4i+3], drawing
+ * from bitgens[i] under noise std sigmas[i], until it goes out of bounds
+ * or reaches the horizon, and puts its step count, 0 for a start out of
+ * bounds, in lengths[i]. Rotation g takes the angle nu[param[g]] when
+ * feature[g] is -1, else omega[param[g]] * obs[feature[g]]. Unless glp_nu
+ * is NULL, step t of episode i writes its grad log pi to [t, i] of the
+ * (horizon, n_episodes, n_params) blocks glp_nu and glp_omega.
  *
  * Returns -1; or the index of the first bad gate, parameter or feature,
  * or -2 when the scratch cannot be allocated (nothing computed then). */
-ptrdiff_t lockstep_step(int n_qubits, const int8_t *kinds, const int32_t *qa, const int32_t *qb,
+ptrdiff_t play_episodes(int n_qubits, const int8_t *kinds, const int32_t *qa, const int32_t *qb,
                         const int32_t *param, const int32_t *feature, ptrdiff_t n_gates,
                         const double *nu, const double *omega, ptrdiff_t n_params,
-                        ptrdiff_t n_rows, const double *states, const uint8_t *noisy,
-                        const double *noise, const double *u, double *glp_nu, double *glp_omega,
-                        const int64_t *ids, const struct cartpole *cp, double *p0, double *new_states,
-                        uint8_t *out) {
+                        ptrdiff_t n_episodes, const double *starts, const double *sigmas,
+                        bitgen_t *const *bitgens, ptrdiff_t horizon, double *glp_nu,
+                        double *glp_omega, const struct cartpole *cp, int64_t *lengths) {
     ptrdiff_t bad = bad_gate(n_qubits, kinds, qa, qb, n_gates);
     if (bad >= 0) {
         return bad;
@@ -341,13 +400,13 @@ ptrdiff_t lockstep_step(int n_qubits, const int8_t *kinds, const int32_t *qa, co
             return g;
         }
     }
-    ptrdiff_t n_rot = count_rotations(kinds, n_gates);
-    ptrdiff_t dim = ((ptrdiff_t)1) << n_qubits;
-    cplx *psi = malloc(2 * dim * sizeof(cplx) + (2 * n_gates + n_rot) * sizeof(double));
+    struct policy pol = {((ptrdiff_t)1) << n_qubits, n_gates, count_rotations(kinds, n_gates), n_params,
+                         kinds, qa, qb, param, feature, omega};
+    cplx *psi = malloc(2 * pol.dim * sizeof(cplx) + (2 * n_gates + pol.n_rot) * sizeof(double));
     if (psi == NULL) {
         return -2;
     }
-    double *cs = (double *)(psi + 2 * dim);
+    double *cs = (double *)(psi + 2 * pol.dim);
     double *grads = glp_nu == NULL ? NULL : cs + 2 * n_gates;
     for (ptrdiff_t g = 0; g < n_gates; g++) {
         if (is_rotation(kinds[g]) && feature[g] < 0) {
@@ -355,49 +414,17 @@ ptrdiff_t lockstep_step(int n_qubits, const int8_t *kinds, const int32_t *qa, co
         }
     }
     double square = SQUARE;
-    for (ptrdiff_t r = 0; r < n_rows; r++) {
-        const double *s = states + N_FEATURES * r;
-        double obs[N_FEATURES];
-        for (int k = 0; k < N_FEATURES; k++) {
-            obs[k] = s[k] / cp->norm_factors[k];
+    for (ptrdiff_t i = 0; i < n_episodes; i++) {
+        double s[2][N_FEATURES];
+        memcpy(s[0], starts + N_FEATURES * i, sizeof s[0]);
+        ptrdiff_t t = 0;
+        for (int out = out_of_bounds(cp, s[0]); !out && t < horizon; t++) {
+            ptrdiff_t row = (t * n_episodes + i) * n_params;
+            int right = policy_step(&pol, cp, psi, cs, grads, s[t % 2], sigmas[i], bitgens[i],
+                                    grads == NULL ? NULL : glp_nu + row, grads == NULL ? NULL : glp_omega + row);
+            out = cartpole_step(cp, s[t % 2], right, square, s[(t + 1) % 2]);
         }
-        if (noisy[r]) {
-            for (int k = 0; k < N_FEATURES; k++) {
-                obs[k] = obs[k] + noise[k];
-            }
-            noise += N_FEATURES;
-        }
-        for (ptrdiff_t g = 0; g < n_gates; g++) {
-            if (is_rotation(kinds[g]) && feature[g] >= 0) {
-                half_angle_trig(cs + 2 * g, omega[param[g]] * obs[feature[g]]);
-            }
-        }
-        double e = circuit(psi, dim, kinds, qa, qb, cs, n_gates, n_rot, grads);
-        e = e < -1.0 ? -1.0 : e; /* np.maximum, then np.minimum: NaN stays NaN */
-        e = e > 1.0 ? 1.0 : e;
-        double p = (e + 1.0) / 2.0;
-        int right = !(u[r] < p);
-        p0[r] = p;
-        if (grads != NULL) {
-            double pa = right ? 1.0 - p : p;
-            pa = pa < 1e-12 ? 1e-12 : pa;
-            double coeff = (right ? -1.0 : 1.0) / (2.0 * pa);
-            double *row_nu = glp_nu + ids[r] * n_params;
-            double *row_omega = glp_omega + ids[r] * n_params;
-            ptrdiff_t k = 0;
-            for (ptrdiff_t g = 0; g < n_gates; g++) {
-                if (!is_rotation(kinds[g])) {
-                    continue;
-                }
-                if (feature[g] < 0) {
-                    row_nu[param[g]] = coeff * grads[k];
-                } else {
-                    row_omega[param[g]] = coeff * (grads[k] * obs[feature[g]]);
-                }
-                k += 1;
-            }
-        }
-        out[r] = (uint8_t)cartpole_step(cp, s, right, square, new_states + N_FEATURES * r);
+        lengths[i] = t;
     }
     free(psi);
     return -1;

@@ -1,16 +1,19 @@
 """ctypes front end of the compiled kernel ``_sv_c.c``.
 
-``build`` compiles the C file into a cache directory, and ``Kernel`` wraps
-the library: ``expval_z_rows`` and ``expval_z_and_grad_rows`` with the
-contract of ``_sv_numpy``, and ``lockstep_step``, the one-call form of
-``trainer.policy_step``. The C code takes raw pointers, so each argument is
-checked first: dtype, 1-D gate arrays of equal length, a 2-D angle block
-with one column per gate, and for ``lockstep_step`` every shape, ``t`` and
-``ids`` against the gradient blocks it writes, which must be C-contiguous
-and writable. Inputs reach the C code as C-contiguous copies, and the C
-code itself rejects unknown gate kinds, qubits outside the register, a CZ
-on one qubit and a rotation whose parameter or feature index is out of
-range. A failed check raises ``ValueError`` and computes nothing.
+``build`` compiles the C file into a cache directory, linked with the
+installed numpy's ``libnpyrandom.a``, and ``Kernel`` wraps the library:
+``expval_z_rows`` and ``expval_z_and_grad_rows`` with the contract of
+``_sv_numpy``, and ``play_episodes``, the one-call form of
+``trainer.play_episodes``, which plays a whole batch of episodes and draws
+their noise and action uniforms with numpy's own C distributions. The C
+code takes raw pointers, so each argument is checked first: dtype, 1-D gate
+arrays of equal length, a 2-D angle block with one column per gate, and for
+``play_episodes`` every shape, one ``numpy.random.Generator`` per episode
+and gradient blocks of the horizon and the batch, which must be
+C-contiguous and writable. Inputs reach the C code as C-contiguous copies,
+and the C code itself rejects unknown gate kinds, qubits outside the
+register, a CZ on one qubit and a rotation whose parameter or feature index
+is out of range. A failed check raises ``ValueError`` and computes nothing.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import numpy as np
 from . import _sv_numpy, cartpole
 
 SOURCE = Path(__file__).with_name("_sv_c.c")
+# numpy's C distributions, which the episode loop draws with.
+NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 # -ffp-contract=off keeps multiply-adds unfused, so results are the same on
 # every target; -fcx-limited-range drops the NaN recovery of complex
 # products, which never runs on finite values (see _sv_c.c); -ffast-math or
@@ -38,13 +43,14 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-fcx-limited-range", "-shared", "-fPIC")
 def build(cache_dir: Path) -> Path:
     """Compile ``_sv_c.c`` into ``cache_dir`` unless it is there already.
 
-    The library's name carries a hash of the source and the flags. It is
-    written under a temporary name and then renamed, so concurrent builds
-    into one cache cannot see each other's partial files. Raises ``OSError``
-    when there is no compiler or the cache cannot be written, and
+    The library's name carries a hash of the source, the flags and the bytes
+    of ``NPYRANDOM``, which it links. It is written under a temporary name
+    and then renamed, so concurrent builds into one cache cannot see each
+    other's partial files. Raises ``OSError`` when there is no compiler, no
+    ``NPYRANDOM`` or the cache cannot be written, and
     ``subprocess.CalledProcessError`` when the compiler fails.
     """
-    digest = hashlib.sha256(SOURCE.read_bytes() + " ".join(CFLAGS).encode()).hexdigest()
+    digest = hashlib.sha256(SOURCE.read_bytes() + " ".join(CFLAGS).encode() + NPYRANDOM.read_bytes()).hexdigest()
     lib = cache_dir / f"_sv_c-{digest[:16]}.so"
     if lib.exists():
         return lib
@@ -52,7 +58,8 @@ def build(cache_dir: Path) -> Path:
     fd, tmp = tempfile.mkstemp(prefix=lib.stem, suffix=".tmp", dir=cache_dir)
     os.close(fd)
     try:
-        subprocess.run(["cc", *CFLAGS, "-o", tmp, str(SOURCE), "-lm"], check=True, capture_output=True)
+        subprocess.run(["cc", *CFLAGS, "-I", np.get_include(), "-o", tmp, str(SOURCE),
+                        "-L", str(NPYRANDOM.parent), "-lnpyrandom", "-lm"], check=True, capture_output=True)
         os.replace(tmp, lib)
     finally:
         if os.path.exists(tmp):
@@ -63,10 +70,8 @@ def build(cache_dir: Path) -> Path:
 _F64 = np.dtype(np.float64)
 _I8 = np.dtype(np.int8)
 _I32 = np.dtype(np.int32)
-_I64 = np.dtype(np.int64)
-_BOOL = np.dtype(np.bool_)
 
-# cartpole.py's constants in the field order of the C step's struct cartpole.
+# cartpole.py's constants in the field order of the C code's struct cartpole.
 _CARTPOLE = np.array([
     cartpole.GRAVITY, cartpole.POLE_MASS, cartpole.TOTAL_MASS, cartpole.HALF_POLE_LENGTH,
     cartpole.POLE_MASS_LENGTH, cartpole.FORCE_MAG, cartpole.TIME_STEP, cartpole.X_LIMIT,
@@ -128,27 +133,30 @@ def _shaped(arr, dtype: np.dtype, name: str, shape: tuple) -> bytes:
     return data
 
 
-def _gradient_rows(glp, t, ids, n_rows: int, n_params: int):
-    """Pointers to step ``t`` of the (horizon, episodes, n_params) gradient
-    blocks ``glp``, and ``ids`` as the C code takes it, after checking that
-    every row ``ids`` names lies inside the blocks."""
+def _gradient_blocks(glp, shape: tuple):
+    """Pointers to the gradient blocks ``glp``, after checking that both have
+    ``shape``, (horizon, episodes, n_params)."""
     if glp is None:
-        return None, None, None
-    if not (isinstance(glp, tuple) and len(glp) == 2):
-        raise ValueError("glp must be a pair of gradient blocks")
-    for block in glp:
-        if not (isinstance(block, np.ndarray) and block.dtype == _F64 and block.ndim == 3
-                and block.flags.c_contiguous and block.flags.writeable):
-            raise ValueError("glp must be two writable 3-D C-contiguous float64 arrays")
-    shape = glp[0].shape
-    if glp[1].shape != shape or shape[2] != n_params:
-        raise ValueError(f"glp blocks must share a (horizon, episodes, {n_params}) shape")
-    if not (isinstance(t, (int, np.integer)) and 0 <= t < shape[0]):
-        raise ValueError(f"t must be a step index in [0, {shape[0]}), got {t!r}")
-    data = _shaped(ids, _I64, "ids", (n_rows,))
-    if n_rows and (ids.min() < 0 or ids.max() >= shape[1]):
-        raise ValueError(f"ids must index the {shape[1]} episodes of the gradient blocks")
-    return _Memory.from_buffer(glp[0][t]), _Memory.from_buffer(glp[1][t]), data
+        return None, None
+    if not (isinstance(glp, tuple) and len(glp) == 2 and all(
+            isinstance(b, np.ndarray) and b.dtype == _F64 and b.shape == shape and b.flags.c_contiguous
+            and b.flags.writeable for b in glp)):
+        raise ValueError(f"glp must be a pair of writable C-contiguous float64 arrays of shape {shape}")
+    return _Memory.from_buffer(glp[0]), _Memory.from_buffer(glp[1])
+
+
+# The bitgen_t behind a BitGenerator's capsule; a function of its own, so
+# that no other user of ctypes.pythonapi sees these argument types.
+_bitgen_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _bitgens(rngs, n: int) -> np.ndarray:
+    """The ``bitgen_t`` addresses of the ``n`` generators in the list
+    ``rngs``, which the caller keeps alive while the C code draws."""
+    if not (isinstance(rngs, list) and len(rngs) == n and all(isinstance(g, np.random.Generator) for g in rngs)):
+        raise ValueError(f"rngs must be a list of {n} numpy.random.Generator, one per episode")
+    return np.array([_bitgen_pointer(g.bit_generator.capsule, b"BitGenerator") for g in rngs], dtype=np.uintp)
 
 
 class Kernel:
@@ -160,10 +168,10 @@ class Kernel:
         self._rows = lib.expval_z_and_grad_rows
         self._rows.argtypes = [n, ptr, ptr, ptr, ptr, size, size, ptr, ptr]
         self._rows.restype = size
-        self._step = lib.lockstep_step
-        self._step.argtypes = [n, ptr, ptr, ptr, ptr, ptr, size, ptr, ptr, size, size, ptr, ptr,
-                               ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
-        self._step.restype = size
+        self._play = lib.play_episodes
+        self._play.argtypes = [n, ptr, ptr, ptr, ptr, ptr, size, ptr, ptr, size, size, ptr, ptr, ptr, size,
+                               ptr, ptr, ptr, ptr]
+        self._play.restype = size
 
     def expval_z_rows(self, n_qubits, kinds, qa, qb, angles) -> np.ndarray:
         """<Z^n> of |0...0> evolved through the packed gate list, for each row
@@ -193,34 +201,33 @@ class Kernel:
         _check_status(status, n_qubits)
         return expvals, grads
 
-    def lockstep_step(self, n_qubits, kinds, qa, qb, param, feature, nu, omega, states, noisy, noise, u,
-                      glp=None, t=0, ids=None):
-        """``trainer.policy_step`` in one call, bit for bit.
+    def play_episodes(self, n_qubits, kinds, qa, qb, param, feature, nu, omega, starts, sigmas, rngs, horizon,
+                      glp=None) -> np.ndarray:
+        """``trainer.play_episodes`` in one call, bit for bit.
 
         The template arrives as its gate arrays plus ``param`` and
         ``feature`` (int32, one entry per gate): rotation g takes the angle
         ``nu[param[g]]`` when ``feature[g]`` is -1, else
-        ``omega[param[g]] * obs[feature[g]]``. ``states`` is (B, 4),
-        ``noisy`` a (B,) bool mask, ``noise`` the noisy rows' (k, 4) draws
-        in row order and ``u`` the (B,) action uniforms. Returns
-        ``(p0, new_states, out)``.
+        ``omega[param[g]] * obs[feature[g]]``. ``starts`` is (B, 4),
+        ``sigmas`` (B,) and ``rngs`` a list of B generators, whose bit
+        generators the C code draws from directly, bypassing their locks.
+        Returns the (B,) episode lengths.
         """
         gates = _gates(n_qubits, kinds, qa, qb)
         n_gates = len(kinds)
         sources = (_shaped(param, _I32, "param", (n_gates,)), _shaped(feature, _I32, "feature", (n_gates,)))
         params = (_input(nu, _F64, "nu"), _shaped(omega, _F64, "omega", nu.shape))
         n_params = len(nu)
-        state_data = _input(states, _F64, "states", ndim=2)
-        n_rows = len(states)
-        if states.shape[1] != 4:
-            raise ValueError(f"states must have 4 columns, got {states.shape[1]}")
-        mask = _shaped(noisy, _BOOL, "noisy", (n_rows,))
-        noise_data = _shaped(noise, _F64, "noise", (int(np.count_nonzero(noisy)), 4))
-        u_data = _shaped(u, _F64, "u", (n_rows,))
-        glp_nu, glp_omega, id_data = _gradient_rows(glp, t, ids, n_rows, n_params)
-        p0, new_states, out = np.empty(n_rows), np.empty((n_rows, 4)), np.empty(n_rows, dtype=bool)
-        status = self._step(*gates, *sources, n_gates, *params, n_params, n_rows, state_data, mask,
-                            noise_data, u_data, glp_nu, glp_omega, id_data, _CARTPOLE,
-                            _Memory.from_buffer(p0), _Memory.from_buffer(new_states), _Memory.from_buffer(out))
+        n = len(starts)
+        start_data = _shaped(starts, _F64, "starts", (n, 4))
+        sigma_data = _shaped(sigmas, _F64, "sigmas", (n,))
+        if not (isinstance(horizon, (int, np.integer)) and horizon >= 1):
+            raise ValueError(f"horizon must be an int >= 1, got {horizon!r}")
+        bitgens = _bitgens(rngs, n)
+        glp_nu, glp_omega = _gradient_blocks(glp, (horizon, n, n_params))
+        lengths = np.empty(n, dtype=np.int64)
+        status = self._play(*gates, *sources, n_gates, *params, n_params, n, start_data, sigma_data,
+                            _Memory.from_buffer(bitgens), horizon, glp_nu, glp_omega, _CARTPOLE,
+                            _Memory.from_buffer(lengths))
         _check_status(status, n_qubits)
-        return p0, new_states, out
+        return lengths

@@ -17,7 +17,7 @@ A state is a raw row (x, x_dot, theta, theta_dot); ``step_batch`` steps a
 element by element. numpy's ``cos``, ``sin`` and ``float_power(., 2)`` give
 the bits of ``math.cos``, ``math.sin`` and ``float ** 2`` on the platforms
 the tests pin, so a row's result does not depend on the block. The C
-kernel's one-call lockstep step (``_sv_c.c``) repeats ``normalize`` and
+kernel's episode loop (``_sv_c.c``) repeats ``normalize`` and
 ``step_batch`` with those same libm calls and the constants below, which
 ``_sv_c.py`` passes to it, and its tests hold it to the bits of these
 functions.
@@ -47,6 +47,7 @@ HORIZON = 200
 
 # Feature order everywhere: (x, x_dot, theta, theta_dot).
 NORM_FACTORS = np.array([2.4, 2.5, 0.21, 2.5])
+N_FEATURES = len(NORM_FACTORS)  # the policy encodes one per qubit, so at most 4 qubits
 _BOUNDS = np.array([X_LIMIT, THETA_LIMIT])  # on |x| and |theta|
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cartpole import N_FEATURES
 from .errors import ConfigurationError
 from .policy import GENERATOR_NORM, AnsatzSpec, PolicyParams
 
@@ -85,6 +86,9 @@ def load_checkpoint(path) -> Checkpoint:
         entangler=_field(path, doc, "entangler"),
         encoding=_field(path, doc, "encoding"),
     )
+    if ansatz.n_qubits > N_FEATURES:
+        raise ConfigurationError(f"checkpoint {path}: field 'n_qubits' must be <= {N_FEATURES}, one qubit per "
+                                 f"CartPole feature (there are {N_FEATURES}), got {ansatz.n_qubits}")
     if _field(path, doc, "generator_norm", _is_number) != GENERATOR_NORM:
         raise ConfigurationError(
             f"checkpoint {path}: field 'generator_norm' must be {GENERATOR_NORM}, got {doc['generator_norm']!r}"

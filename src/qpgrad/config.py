@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cartpole import InitRanges
+from .cartpole import N_FEATURES, InitRanges
 from .curriculum import DEFAULT_THETA_DOT_LIMITS, CurriculumSchedule, default_schedule
 from .errors import ConfigurationError
 from .evalharness import EvalGridSpec
@@ -77,6 +77,9 @@ class ExperimentConfig:
             raise ConfigurationError("run.workers must be >= 1")
         if self.eval_episodes < 1:
             raise ConfigurationError("eval.episodes must be >= 1")
+        if self.ansatz.n_qubits > N_FEATURES:
+            raise ConfigurationError(f"ansatz.n_qubits must be <= {N_FEATURES}, one qubit per CartPole feature "
+                                     f"(there are {N_FEATURES}), got {self.ansatz.n_qubits}")
 
     def curriculum_schedule(self) -> CurriculumSchedule:
         return default_schedule(

@@ -14,8 +14,8 @@ only in their angles, such as one circuit per episode of a batch stepped in
 lockstep: ``packed_expval`` and ``packed_expval_and_grad`` take a
 (B, n_gates) angle block and evaluate each row exactly as it would run
 alone, so a row's result never depends on the other rows. The C kernel
-also plays a whole lockstep step, policy and CartPole, in one call
-(``lockstep_kernel``).
+also plays whole batches of CartPole episodes in one call
+(``episode_kernel``), drawing with numpy's own C distributions.
 
 The heavy lifting happens in one of two interchangeable kernel backends:
 
@@ -81,11 +81,11 @@ KIND_RZ = _sv_numpy.KIND_RZ
 KIND_CZ = _sv_numpy.KIND_CZ
 
 
-def lockstep_kernel():
-    """The active kernel's ``lockstep_step``, which plays one step of a
-    lockstep batch of episodes in one call, or None on the numpy backend,
-    where ``trainer.policy_step`` composes that step."""
-    return getattr(_kernel, "lockstep_step", None)
+def episode_kernel():
+    """The active kernel's ``play_episodes``, which plays a whole batch of
+    episodes in one call, or None on the numpy backend, where
+    ``trainer.play_episodes`` plays them."""
+    return getattr(_kernel, "play_episodes", None)
 
 
 def parameter_shift_gradient(n_qubits, kinds, qa, qb, angles) -> np.ndarray:

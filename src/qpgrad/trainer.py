@@ -23,14 +23,14 @@ Everything is seeded: parameter init and each episode draw from dedicated
 Philox substreams of the run seed, so training is bit-reproducible and
 episodes are independent of collection order.
 
-Episodes run in lockstep batches (``rollouts``, and ``episode_rewards`` for
-forward-only evaluation): every live episode of the batch takes its t-th
-step at once, with one kernel call for the whole batch. A batch is only
-ever held as blocks: its episode lengths (every step pays +1, so a length
-is also a total reward) and its per-step log-policy gradients, indexed by
-step, then episode. Each episode draws
-from its own generator exactly what it would draw alone, in the same order,
-and every per-episode value is computed element by element with the
+Episodes run in batches (``rollouts``, and ``episode_rewards`` for
+forward-only evaluation): one C call plays the whole batch on the ``c``
+backend, and on ``numpy`` every live episode takes its t-th step at once
+(``play_episodes``). A batch is only ever held as blocks: its episode
+lengths (every step pays +1, so a length is also a total reward) and its
+per-step log-policy gradients, indexed by step, then episode. Each episode
+draws from its own generator exactly what it would draw alone, in the same
+order, and every per-episode value is computed element by element with the
 expressions of a lone episode, so an episode's results do not depend on the
 batch it runs in.
 """
@@ -131,101 +131,95 @@ ADAM_EPS = 1e-8
 MAX_FORWARD_BATCH = 2048
 
 
-def policy_step(tpl, nu_flat, om_flat, states, noisy, noise, u, glp=None, t=0, ids=None):
-    """One lockstep step of B episodes under the policy, composed of the numpy functions.
+def play_episodes(tpl, nu_flat, om_flat, starts, sigmas, rngs, horizon, glp=None) -> np.ndarray:
+    """Plays episode i from the raw state ``starts[i]`` under the policy circuit ``tpl``, in lockstep.
 
-    Normalizes the (B, 4) raw ``states``, adds the (k, 4) ``noise`` draws to
-    the rows the (B,) bool mask ``noisy`` marks, in row order, evaluates the
-    policy circuit ``tpl`` of each row and pushes left (action 0) where the
-    (B,) uniform ``u`` is below pi(0|s). Given the (horizon, episodes, P)
-    gradient blocks ``glp = (glp_nu, glp_omega)``, it also writes row r's
-    grad log pi(a|s) to ``[t, ids[r]]`` of each. Returns ``(p0, new_states,
-    out)``: pi(0|s) per row, and ``step_batch``'s next states and
-    out-of-bounds mask.
+    Episode i sees observation noise of std ``sigmas[i]`` (none unless
+    positive) and draws from ``rngs[i]``: per step its noise draw if noisy,
+    then the action uniform u; it pushes left (action 0) where u is below
+    pi(0|s). It ends when it goes out of bounds or reaches ``horizon``; a
+    start already out of bounds plays no step. Given the (horizon, B, P)
+    blocks ``glp``, step t of episode i writes its grad log pi to ``[t, i]``.
+    Returns the (B,) episode lengths.
 
-    This is the numpy backend's step, and the oracle of the compiled
-    kernel's ``lockstep_step``, which does the same in one call, bit for bit.
+    A noise-free episode draws the uniforms of the whole horizon at once:
+    numpy's ``random(n)`` gives the same values as n single draws. This is
+    the numpy backend's loop, and the oracle of the compiled kernel's
+    ``play_episodes``, which does the same in one call, bit for bit.
     """
-    obs = normalize(states)
-    if len(noise):
-        obs[noisy] += noise
-    if glp is None:
-        e = tpl.expval(nu_flat, om_flat, obs)
-    else:
-        e, gnu, gom = tpl.expval_and_grad(nu_flat, om_flat, obs)
-    p0 = pol.probs_from_expectation(e)[:, 0]
-    right = ~(u < p0)
-    if glp is not None:
-        coeff = pol.log_policy_coeff(p0, right)[:, None]
-        glp[0][t][ids] = coeff * gnu
-        glp[1][t][ids] = coeff * gom
-    new_states, out = step_batch(states, right)
-    return p0, new_states, out
+    n = len(starts)
+    noise = [NoiseModel(s) if s > 0 else None for s in sigmas]
+    noisy = np.array([m is not None for m in noise], dtype=bool)
+    uniforms = np.empty((horizon, n))
+    for i in np.flatnonzero(~noisy).tolist():
+        uniforms[:, i] = rngs[i].random(horizon)
+    lengths = np.zeros(n, dtype=np.int64)
+    ids = np.flatnonzero(~out_of_bounds(starts))
+    states = starts[ids]
+    t = 0
+    while len(ids):
+        obs = normalize(states)
+        u = uniforms[t][ids]
+        for j in np.flatnonzero(noisy[ids]).tolist():
+            i = ids[j]
+            obs[j] += noise[i].draw(rngs[i])
+            u[j] = rngs[i].random()
+        if glp is None:
+            e = tpl.expval(nu_flat, om_flat, obs)
+        else:
+            e, gnu, gom = tpl.expval_and_grad(nu_flat, om_flat, obs)
+        p0 = pol.probs_from_expectation(e)[:, 0]
+        right = ~(u < p0)
+        if glp is not None:
+            coeff = pol.log_policy_coeff(p0, right)[:, None]
+            glp[0][t][ids] = coeff * gnu
+            glp[1][t][ids] = coeff * gom
+        states, out = step_batch(states, right)
+        t += 1
+        done = out | (t >= horizon)
+        if done.any():
+            lengths[ids[done]] = t
+            ids, states = ids[~done], states[~done]
+    return lengths
 
 
 def _lockstep(spec, params, rngs, ranges, horizon, sigmas, collect_grads):
     """Plays one episode per entry of ``ranges`` in lockstep.
 
-    Episode i starts from ``ranges[i]``, sees observation noise of std
-    ``sigmas[i]`` (none when 0 or when ``sigmas`` is None) and draws from
-    the i-th generator of the iterable ``rngs``: its reset draws, then per
-    step its noise draw if noisy and one uniform for the action. A
-    noise-free episode draws the uniforms of the whole horizon right after
-    its reset: numpy's ``random(n)`` gives the same values as n single
-    draws, and nothing else is drawn after. Only the noisy episodes'
-    generators are kept past that, so a large batch of noise-free episodes
-    does not hold one generator per episode. Each step is one call of the
-    kernel's ``lockstep_step``, or of ``policy_step`` on the numpy backend.
+    Episode i starts from a reset within ``ranges[i]``, drawn from the i-th
+    generator of the iterable ``rngs``, then plays on under
+    ``play_episodes`` (the C kernel's, or the numpy one) with observation
+    noise of std ``sigmas[i]`` (none when 0 or when ``sigmas`` is None).
+    Every episode needs its own ``numpy.random.Generator``: the C kernel
+    draws episode by episode and the numpy loop step by step, so a shared
+    one would give different draws. Raises ``ValueError`` before any draw
+    when the generators do not match ``ranges`` one to one.
 
     Returns the (B,) episode lengths and, when ``collect_grads``, the
     per-step log-policy gradients ``(glp_nu, glp_omega)``, each of shape
     (horizon, B, P): step t of episode i is ``[t, i]``, set only for t below
     the episode's length.
     """
+    n = len(ranges)
+    rngs = list(rngs)
+    if (len(rngs) != n or not all(isinstance(g, np.random.Generator) for g in rngs)
+            or len({id(g.bit_generator) for g in rngs}) != n):
+        raise ValueError(f"each of the {n} episodes needs a numpy.random.Generator of its own; got {len(rngs)} entries")
+    sigmas = np.zeros(n) if sigmas is None else np.array([NoiseModel(s).sigma for s in sigmas], dtype=np.float64)
+    if len(sigmas) != n:
+        raise ValueError(f"{len(sigmas)} noise levels for {n} episodes")
     tpl = pol.get_template(spec)
     nu_flat = params.nu.reshape(-1)
     om_flat = params.omega.reshape(-1)
-    fused = qsim.lockstep_kernel()
-    if fused is None:
-        step = partial(policy_step, tpl, nu_flat, om_flat)
+    kernel = qsim.episode_kernel()
+    if kernel is None:
+        play = partial(play_episodes, tpl, nu_flat, om_flat)
     else:
-        step = partial(fused, spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature, nu_flat, om_flat)
-    n = len(ranges)
-    noise = [None] * n if sigmas is None else [NoiseModel(s) if s > 0 else None for s in sigmas]
-    noisy = np.array([m is not None for m in noise], dtype=bool)
-    any_noisy = noisy.any()
-    uniforms = np.empty((horizon, n))
-    starts, noisy_rngs = [], {}
-    for i, (r, rng) in enumerate(zip(ranges, rngs, strict=True)):
-        starts.append(reset(r, rng))
-        if noisy[i]:
-            noisy_rngs[i] = rng
-        else:
-            uniforms[:, i] = rng.random(horizon)
-    lengths = np.zeros(n, dtype=np.int64)
-    states = np.array(starts).reshape(n, 4)
-    ids = np.flatnonzero(~out_of_bounds(states))
-    states = states[ids]
-    glp = None
-    if collect_grads:
-        glp = (np.empty((horizon, n, spec.n_params_each)), np.empty((horizon, n, spec.n_params_each)))
-
-    t = 0
-    while len(ids):
-        live_noisy = noisy[ids]
-        rows = np.flatnonzero(live_noisy).tolist() if any_noisy else []
-        draws = np.empty((len(rows), 4))
-        u = uniforms[t][ids]
-        for k, (j, i) in enumerate(zip(rows, ids[rows].tolist())):
-            draws[k] = noise[i].draw(noisy_rngs[i])
-            u[j] = noisy_rngs[i].random()
-        _, states, out = step(states, live_noisy, draws, u, glp, t, ids)
-        t += 1
-        done = out | (t >= horizon)
-        if done.any():
-            lengths[ids[done]] = t
-            ids, states = ids[~done], states[~done]
-    return lengths, glp
+        play = partial(kernel, spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature, nu_flat, om_flat)
+    starts = np.array([reset(r, g) for r, g in zip(ranges, rngs)]).reshape(n, 4)
+    shape = (horizon, n, spec.n_params_each)
+    glp = (np.empty(shape), np.empty(shape)) if collect_grads else None
+    return play(starts, sigmas, rngs, horizon, glp), glp
 
 
 def rollouts(
@@ -265,15 +259,15 @@ def episode_rewards(
     collect alone. Batches of more than ``MAX_FORWARD_BATCH`` episodes play
     as consecutive chunks of that many.
     """
-    rngs = iter(rngs)
+    rngs, n = iter(rngs), len(ranges)
     lengths = [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, len(ranges), MAX_FORWARD_BATCH):
-        hi = lo + MAX_FORWARD_BATCH
+    for lo in range(0, max(n, 1), MAX_FORWARD_BATCH):
+        hi = min(lo + MAX_FORWARD_BATCH, n)
+        # the last chunk takes one generator too many, if there is one, for _lockstep to reject
+        chunk_rngs = islice(rngs, hi - lo + (hi == n))
         chunk_sigmas = None if sigmas is None else sigmas[lo:hi]
-        chunk, _ = _lockstep(spec, params, islice(rngs, hi - lo), ranges[lo:hi], horizon, chunk_sigmas, False)
+        chunk, _ = _lockstep(spec, params, chunk_rngs, ranges[lo:hi], horizon, chunk_sigmas, False)
         lengths.append(chunk)
-    if next(rngs, None) is not None:
-        raise ValueError("more generators than episodes")
     return np.concatenate(lengths).astype(np.float64)
 
 

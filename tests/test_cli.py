@@ -61,6 +61,13 @@ class TestCheckpointRoundTrip:
         with pytest.raises(ConfigurationError):
             load_checkpoint(tmp_path / "nope.json")
 
+    def test_more_qubits_than_cartpole_features_rejected(self, tmp_path):
+        spec = AnsatzSpec(n_qubits=5)
+        path = tmp_path / "checkpoint_5.json"
+        save_checkpoint(path, spec, PolicyParams(np.zeros(spec.param_shape), np.zeros(spec.param_shape)), 0.1, 5)
+        with pytest.raises(ConfigurationError, match=r"checkpoint_5\.json: field 'n_qubits' must be <= 4.*got 5"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize(
         "field", ["n_qubits", "n_layers", "entangler", "encoding", "generator_norm", "nu", "omega", "lambda", "seed"]
     )
@@ -277,6 +284,8 @@ class TestBenchCommand:
     def test_reports_each_backend_and_batch_size(self, capsys):
         assert run_cli("bench", "--repeats", "3") == 0
         rows = [line.split("|") for line in capsys.readouterr().out.splitlines() if line.count("|") == 5]
+        assert [cell.strip() for cell in rows[0][2:]] == [
+            "forward us/row", "fwd+grad us/row", "episodes us/step", "train episodes us/step"]
         cells = {(r[0].strip(), r[1].strip()) for r in rows[1:]}
         assert cells == {(backend, batch) for backend in ("c", "numpy") for batch in ("1", "100")}
         assert all(float(v) > 0 for r in rows[1:] for v in r[2:])
@@ -290,6 +299,14 @@ class TestExitCodes:
         assert run_cli(*tiny_train_args(tmp_path / "out", extra=("--set", setting))) == 1
         assert setting.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_more_qubits_than_cartpole_features_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ("train", "--seed", "1", "--out", str(out), "--set", "ansatz.n_qubits=5", "--set", "train.epochs=1")
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err
+        assert "ansatz.n_qubits" in err and "CartPole feature (there are 4)" in err
+        assert not out.exists()
 
     def test_config_error_is_one(self, tmp_path):
         assert run_cli("train", "--out", str(tmp_path), "--set", "train.lambda=-1") == 1

@@ -40,6 +40,12 @@ class TestStrictParsing:
         with pytest.raises(ConfigurationError):
             build_config({"train.lambda": "-0.1"})
 
+    def test_more_qubits_than_cartpole_features_rejected(self):
+        # each qubit encodes one of CartPole's 4 features
+        assert build_config({"ansatz.n_qubits": "4"}).ansatz.n_qubits == 4
+        with pytest.raises(ConfigurationError, match=r"ansatz\.n_qubits must be <= 4.*CartPole feature.*got 5"):
+            build_config({"ansatz.n_qubits": "5"})
+
     def test_unknown_key_suggests(self):
         with pytest.raises(ConfigurationError, match="train.lambda"):
             parse_config_text("lamda = 0.1\n")

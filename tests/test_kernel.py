@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qpgrad
-from qpgrad import _sv_numpy, qsim
+from qpgrad import _sv_c, _sv_numpy, qsim
 from qpgrad.policy import AnsatzSpec, get_template
 
 
@@ -37,6 +37,28 @@ class TestLoader:
         blocker.write_text("")
         assert qsim.load_kernel("auto", cache_dir=blocker / "cache") is _sv_numpy
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_missing_npyrandom_falls_back_to_numpy(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(_sv_c, "NPYRANDOM", tmp_path / "lib" / "libnpyrandom.a")
+        assert qsim.load_kernel("auto", cache_dir=tmp_path / "cache") is _sv_numpy
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "numpy" in lines[0]
+        with pytest.raises(ImportError):
+            qsim.load_kernel("c", cache_dir=tmp_path / "cache")
+
+    def test_cache_name_covers_npyrandom(self, tmp_path, monkeypatch):
+        def compile_nothing(cmd, **_):  # stands in for cc: an empty library
+            Path(cmd[cmd.index("-o") + 1]).write_bytes(b"")
+
+        monkeypatch.setattr(subprocess, "run", compile_nothing)
+        archive = tmp_path / "libnpyrandom.a"
+        monkeypatch.setattr(_sv_c, "NPYRANDOM", archive)
+        names = []
+        for content in (b"one", b"two", b"one"):
+            archive.write_bytes(content)
+            names.append(_sv_c.build(tmp_path / "cache").name)
+        assert names[0] != names[1] and names[0] == names[2]
 
     def test_requested_c_without_compiler_raises(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PATH", "")
@@ -138,55 +160,53 @@ class TestArgumentChecks:
             np.testing.assert_allclose(e, expected[0], atol=1e-13)
             np.testing.assert_allclose(g, expected[1], atol=1e-12)
 
-    def test_bad_step_arguments_rejected(self, kernel, monkeypatch):
+    def test_bad_episode_arguments_rejected(self, kernel, monkeypatch):
         tpl = get_template(AnsatzSpec(n_qubits=2, n_layers=1))
         n_params = tpl.spec.n_params_each
         rng = np.random.default_rng(0)
-        glp = (np.zeros((3, 6, n_params)), np.zeros((3, 6, n_params)))
+        glp = (np.zeros((3, 4, n_params)), np.zeros((3, 4, n_params)))
         good = dict(
             n_qubits=2, kinds=tpl.kinds, qa=tpl.qa, qb=tpl.qb, param=tpl.param, feature=tpl.feature,
-            nu=rng.normal(size=n_params), omega=rng.normal(size=n_params), states=rng.normal(0, 0.1, (4, 4)),
-            noisy=np.array([True, False, True, False]), noise=rng.normal(size=(2, 4)), u=rng.random(4),
-            glp=glp, t=1, ids=np.array([0, 2, 3, 5]),
+            nu=rng.normal(size=n_params), omega=rng.normal(size=n_params), starts=rng.normal(0, 0.1, (4, 4)),
+            sigmas=np.array([0.1, 0.0, 0.3, 0.0]), rngs=[np.random.default_rng(i) for i in range(4)],
+            horizon=3, glp=glp,
         )
-        kernel.lockstep_step(**good)
+        kernel.play_episodes(**good)
         bad = dict(
             param=[tpl.param.astype(np.int64), tpl.param[:-1]],
             feature=[tpl.feature.astype(np.int8), tpl.feature[None]],
             nu=[good["nu"].astype(np.float32), good["nu"][:-1], list(good["nu"])],
             omega=[good["omega"][:-1], good["omega"][None]],
-            states=[good["states"].astype(np.float32), good["states"][:, :3], good["states"].ravel(), [[0.0] * 4] * 4],
-            noisy=[np.ones(4, dtype=np.int8), good["noisy"][:3]],
-            noise=[good["noise"][:1], np.zeros((2, 3)), good["noise"].astype(np.float32)],
-            u=[good["u"][:3], good["u"].astype(np.float32), good["u"][None]],
+            starts=[good["starts"].astype(np.float32), good["starts"][:, :3], good["starts"].ravel(), [[0.0] * 4] * 4],
+            sigmas=[good["sigmas"][:3], good["sigmas"].astype(np.float32), list(good["sigmas"])],
+            rngs=[good["rngs"][:3], tuple(good["rngs"]), iter(good["rngs"]), [*good["rngs"][:3], np.random.PCG64(3)]],
+            horizon=[0, -1, 3.0, None],
             glp=[
                 glp[0],
-                (glp[0], glp[1][:, :5]),
+                (glp[0], glp[1][:, :3]),
+                (glp[0], glp[1][:2]),
                 (glp[0], glp[1].astype(np.float32)),
                 (glp[0][:, :, :-1].copy(), glp[1][:, :, :-1].copy()),
                 (glp[0], np.asfortranarray(glp[1])),
-                (glp[0], glp[1][:, ::2]),
+                (glp[0], np.zeros((3, 8, n_params))[:, ::2]),
                 (glp[0], glp[1], glp[1]),
             ],
-            t=[-1, 3, 1.0, None],
-            ids=[good["ids"].astype(np.int32), good["ids"][:3], np.array([0, 2, 3, 6]), np.array([-1, 2, 3, 5]), None],
         )
         read_only = glp[1].copy()
         read_only.setflags(write=False)
         bad["glp"].append((glp[0], read_only))
         calls = mock.Mock(side_effect=AssertionError("a bad argument reached the C code"))
-        monkeypatch.setattr(kernel, "_step", calls)
+        monkeypatch.setattr(kernel, "_play", calls)
         for name, values in bad.items():
             for value in values:
                 with pytest.raises(ValueError):
-                    kernel.lockstep_step(**{**good, name: value})
+                    kernel.play_episodes(**{**good, name: value})
         calls.assert_not_called()
 
-    def test_bad_step_template_rejected_before_anything_is_written(self, kernel):
+    def test_bad_episode_template_rejected_before_anything_is_written(self, kernel):
         tpl = get_template(AnsatzSpec(n_qubits=2, n_layers=1))
         n_params = tpl.spec.n_params_each
         glp = (np.zeros((1, 2, n_params)), np.zeros((1, 2, n_params)))
-        states, noisy, noise, u = np.zeros((2, 4)), np.zeros(2, dtype=bool), np.zeros((0, 4)), np.zeros(2)
         rotation = int(np.flatnonzero(tpl.feature >= 0)[0])
         bad = []
         for field, value in (("param", -1), ("param", n_params), ("feature", 4), ("feature", -2)):
@@ -197,7 +217,10 @@ class TestArgumentChecks:
         kinds[0] = 7
         bad.append((kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature))
         for gates in bad:
+            rngs = [np.random.default_rng(i) for i in range(2)]
+            drawn = [g.bit_generator.state for g in rngs]
             with pytest.raises(ValueError):
-                kernel.lockstep_step(2, *gates, np.ones(n_params), np.ones(n_params), states, noisy, noise, u,
-                                     glp, 0, np.arange(2))
+                kernel.play_episodes(2, *gates, np.ones(n_params), np.ones(n_params), np.zeros((2, 4)),
+                                     np.full(2, 0.5), rngs, 1, glp)
             assert not glp[0].any() and not glp[1].any()
+            assert [g.bit_generator.state for g in rngs] == drawn

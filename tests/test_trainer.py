@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qpgrad import qsim, trainer
 from qpgrad.cartpole import InitRanges
-from qpgrad.errors import UsageError
+from qpgrad.errors import ConfigurationError, UsageError
 from qpgrad.policy import AnsatzSpec, PolicyParams, zero_params
 from qpgrad.seeding import substream
 from qpgrad.trainer import (
@@ -261,6 +261,36 @@ class TestLockstep:
         assert np.array_equal(rewards().view(np.int64), whole.view(np.int64))
         with pytest.raises(ValueError):
             episode_rewards(spec, params, (substream(8, 1, e) for e in range(12)), ranges, 60, sigmas)
+
+    @pytest.mark.parametrize("backend", ["c", "numpy"])
+    def test_bad_generators_and_sigmas_rejected_before_any_draw(self, backend):
+        spec = AnsatzSpec(n_layers=1)
+        params = zero_params(spec)
+        ranges = [InitRanges()] * 3
+        g = [substream(9, 1, e) for e in range(4)]
+        bad = [  # (rngs, sigmas, error): one generator per episode, sigmas >= 0
+            ([g[0], g[1], g[0]], None, ValueError),
+            ([g[0], g[1], np.random.Generator(g[0].bit_generator)], None, ValueError),
+            ([g[0], g[1], g[2].bit_generator], None, ValueError),
+            ([g[0], g[1], np.random.RandomState(2)], None, ValueError),
+            (g[:2], None, ValueError),
+            (g, None, ValueError),
+            (g[:3], [0.1, 0.2], ValueError),
+            (g[:3], [0.1, -0.2, 0.0], ConfigurationError),
+        ]
+        kernel = qsim.load_kernel(backend)
+        never = mock.Mock(side_effect=AssertionError("the episodes were played"))
+        states = [str(x.bit_generator.state) for x in g]
+        with mock.patch.object(qsim, "_kernel", kernel), mock.patch.object(trainer, "play_episodes", never):
+            if backend == "c":
+                kernel.play_episodes = never
+            for rngs, sigmas, error in bad:
+                with pytest.raises(error):
+                    rollouts(spec, params, iter(rngs), ranges, 10, sigmas)
+                with pytest.raises(error):
+                    episode_rewards(spec, params, iter(rngs), ranges, 10, sigmas)
+        never.assert_not_called()
+        assert [str(x.bit_generator.state) for x in g] == states
 
 
 class TestTrain:
