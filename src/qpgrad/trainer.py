@@ -125,9 +125,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# The most episodes a forward-only batch plays at once. Its blocks grow with
-# the batch (the pre-drawn uniforms are horizon x batch floats), and chunks
-# change no result, since an episode's values do not depend on its batch.
+# The most episodes a forward-only batch plays at once. What it holds grows
+# with the batch (a generator per episode, and on numpy the pre-drawn
+# uniforms, horizon x batch floats), and chunks change no result, since an
+# episode's values do not depend on its batch.
 MAX_FORWARD_BATCH = 2048
 
 
