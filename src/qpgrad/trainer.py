@@ -205,7 +205,7 @@ def _lockstep(spec, params, rngs, ranges, horizon, sigmas, collect_grads):
     rngs = list(rngs)
     if (len(rngs) != n or not all(isinstance(g, np.random.Generator) for g in rngs)
             or len({id(g.bit_generator) for g in rngs}) != n):
-        raise ValueError(f"each of the {n} episodes needs a numpy.random.Generator of its own; got {len(rngs)} entries")
+        raise ValueError(f"each of the {n} episodes needs a numpy.random.Generator of its own, got {len(rngs)}")
     sigmas = np.zeros(n) if sigmas is None else np.array([NoiseModel(s).sigma for s in sigmas], dtype=np.float64)
     if len(sigmas) != n:
         raise ValueError(f"{len(sigmas)} noise levels for {n} episodes")
