@@ -12,7 +12,14 @@
  *                           the cart-pole.
  *
  * Same gates, conventions and packed gate arrays as _sv_numpy; qubit q is
- * bit q of the basis index. play_episodes reproduces, bit for bit,
+ * bit q of the basis index. One function, gate(), applies every gate: in
+ * the forward pass and, undone, in both sweeps of the adjoint. The
+ * circuit's parameters come from the template's one map, param and
+ * feature per gate (CircuitTemplate): rotation g takes nu[param[g]] when
+ * feature[g] is -1, else omega[param[g]] * obs[feature[g]], and each flat
+ * parameter drives one variational and one encoding rotation.
+ *
+ * play_episodes reproduces, bit for bit,
  * trainer.play_episodes running on expval_z_and_grad_rows: each expression
  * below is the Python one (cartpole.normalize, CircuitTemplate.angles,
  * probs_from_expectation, log_policy_coeff, grad_to_params, step_batch)
@@ -190,6 +197,23 @@ static double expval_z(const cplx *amps, ptrdiff_t dim) {
     return e;
 }
 
+/* Gate g of the list applied to a, or undone when undo is set. cs points
+ * at its cos/sin slot pair, which only the rotations read: the slots of H
+ * and CZ are never set. A rotation is undone as (c, -s); H and CZ are their
+ * own inverses. The forward pass and both undo sweeps apply gates here
+ * only. */
+static inline void gate(cplx *a, ptrdiff_t dim, int kind, int qa, int qb, const double *cs, int undo) {
+    if (kind == KIND_RY) {
+        ry(a, dim, qa, cs[0], undo ? -cs[1] : cs[1]);
+    } else if (kind == KIND_RZ) {
+        rz(a, dim, qa, cs[0], undo ? -cs[1] : cs[1]);
+    } else if (kind == KIND_H) {
+        h(a, dim, qa);
+    } else {
+        cz(a, dim, qa, qb);
+    }
+}
+
 /* Reverse sweep from the final state psi, which it turns back into
  * |0...0>: d<Z^n>/d(angle) into grads, one entry per rotation gate in gate
  * order (n_rot of them). lam is scratch. */
@@ -201,25 +225,11 @@ static void adjoint(cplx *psi, cplx *lam, ptrdiff_t dim, const int8_t *kinds,
         lam[i] = parity(i) ? -psi[i] : psi[i];
     }
     for (ptrdiff_t g = n_gates - 1; g > -1; g--) {
-        int kind = kinds[g];
-        double c = cs[2 * g], s = cs[2 * g + 1];
-        if (kind == KIND_RY) {
-            ry(psi, dim, qa[g], c, -s);
-            grads[r] = grad_dot(lam, psi, dim, kind, qa[g], c, s);
-            r -= 1;
-            ry(lam, dim, qa[g], c, -s);
-        } else if (kind == KIND_RZ) {
-            rz(psi, dim, qa[g], c, -s);
-            grads[r] = grad_dot(lam, psi, dim, kind, qa[g], c, s);
-            r -= 1;
-            rz(lam, dim, qa[g], c, -s);
-        } else if (kind == KIND_H) {
-            h(psi, dim, qa[g]);
-            h(lam, dim, qa[g]);
-        } else {
-            cz(psi, dim, qa[g], qb[g]);
-            cz(lam, dim, qa[g], qb[g]);
+        gate(psi, dim, kinds[g], qa[g], qb[g], cs + 2 * g, 1);
+        if (is_rotation(kinds[g])) {
+            grads[r--] = grad_dot(lam, psi, dim, kinds[g], qa[g], cs[2 * g], cs[2 * g + 1]);
         }
+        gate(lam, dim, kinds[g], qa[g], qb[g], cs + 2 * g, 1);
     }
 }
 
@@ -232,16 +242,7 @@ static double circuit(cplx *psi, ptrdiff_t dim, const int8_t *kinds, const int32
     memset(psi, 0, dim * sizeof(cplx)); /* all +0.0 */
     psi[0] = 1.0;
     for (ptrdiff_t g = 0; g < n_gates; g++) {
-        int kind = kinds[g];
-        if (kind == KIND_RY) {
-            ry(psi, dim, qa[g], cs[2 * g], cs[2 * g + 1]);
-        } else if (kind == KIND_RZ) {
-            rz(psi, dim, qa[g], cs[2 * g], cs[2 * g + 1]);
-        } else if (kind == KIND_H) {
-            h(psi, dim, qa[g]);
-        } else {
-            cz(psi, dim, qa[g], qb[g]);
-        }
+        gate(psi, dim, kinds[g], qa[g], qb[g], cs + 2 * g, 0);
     }
     double e = expval_z(psi, dim);
     if (grads != NULL) {
@@ -377,10 +378,10 @@ static int policy_step(const struct policy *pol, const struct cartpole *cp, cplx
 /* Plays episode i of n_episodes from raw state starts[4i..4i+3], drawing
  * from bitgens[i] under noise std sigmas[i], until it goes out of bounds
  * or reaches the horizon, and puts its step count, 0 for a start out of
- * bounds, in lengths[i]. Rotation g takes the angle nu[param[g]] when
- * feature[g] is -1, else omega[param[g]] * obs[feature[g]]. Unless glp_nu
- * is NULL, step t of episode i writes its grad log pi to [t, i] of the
- * (horizon, n_episodes, n_params) blocks glp_nu and glp_omega.
+ * bounds, in lengths[i]; param and feature map the parameters onto the
+ * rotations (see the top of this file). Unless glp_nu is NULL, step t of
+ * episode i writes its grad log pi to [t, i] of the (horizon, n_episodes,
+ * n_params) blocks glp_nu and glp_omega.
  *
  * Returns -1; or the index of the first bad gate, parameter or feature,
  * or -2 when the scratch cannot be allocated (nothing computed then). */

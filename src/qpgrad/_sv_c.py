@@ -176,12 +176,7 @@ class Kernel:
     def expval_z_rows(self, n_qubits, kinds, qa, qb, angles) -> np.ndarray:
         """<Z^n> of |0...0> evolved through the packed gate list, for each row
         of the (B, n_gates) ``angles``, in one call."""
-        gates = _gates(n_qubits, kinds, qa, qb)
-        data = _angle_rows(angles, len(kinds))
-        expvals = np.empty(len(angles))
-        status = self._rows(*gates, data, len(kinds), len(angles), None, _Memory.from_buffer(expvals))
-        _check_status(status, n_qubits)
-        return expvals
+        return self._row_call(n_qubits, kinds, qa, qb, angles, with_grads=False)[0]
 
     def expval_z_and_grad_rows(self, n_qubits, kinds, qa, qb, angles):
         """Forward expectation of Z^n plus its adjoint (reverse-sweep) gradient,
@@ -190,14 +185,20 @@ class Kernel:
         Returns ``(expvals, grads)``: shape (B,), and (B, rotations) with one
         gradient entry per rotation gate, in gate order.
         """
+        return self._row_call(n_qubits, kinds, qa, qb, angles, with_grads=True)
+
+    def _row_call(self, n_qubits, kinds, qa, qb, angles, with_grads: bool):
+        """``(expvals, grads)`` of the C row entry; grads is None unless ``with_grads``."""
         gates = _gates(n_qubits, kinds, qa, qb)
         data = _angle_rows(angles, len(kinds))
-        kind_bytes = gates[1]  # the C code counts rotations by the same rule
-        n_rot = kind_bytes.count(_sv_numpy.KIND_RY) + kind_bytes.count(_sv_numpy.KIND_RZ)
         expvals = np.empty(len(angles))
-        grads = np.empty((len(angles), n_rot))
-        status = self._rows(*gates, data, len(kinds), len(angles), _Memory.from_buffer(grads),
-                            _Memory.from_buffer(expvals))
+        grads = grad_data = None
+        if with_grads:
+            kind_bytes = gates[1]  # the C code counts rotations by the same rule
+            n_rot = kind_bytes.count(_sv_numpy.KIND_RY) + kind_bytes.count(_sv_numpy.KIND_RZ)
+            grads = np.empty((len(angles), n_rot))
+            grad_data = _Memory.from_buffer(grads)
+        status = self._rows(*gates, data, len(kinds), len(angles), grad_data, _Memory.from_buffer(expvals))
         _check_status(status, n_qubits)
         return expvals, grads
 

@@ -166,36 +166,19 @@ def _grad_dot(lam: np.ndarray, psi: np.ndarray, kind: int, q: int, angle: float)
 def _expval_z_and_grad(n_qubits, kinds, qa, qb, angles):
     """Forward expectation of Z^n and its adjoint gradient for one circuit."""
     psi = run(n_qubits, kinds, qa, qb, angles)
-    signs = parity_signs(n_qubits)
-    probs = psi.real**2 + psi.imag**2
-    expval = float(np.dot(signs, probs))
-
-    lam = psi * signs
+    expval = expval_z(psi, n_qubits)
+    lam = psi * parity_signs(n_qubits)
     n_rot = sum(1 for k in kinds if k in (KIND_RY, KIND_RZ))
     grads = np.zeros(n_rot)
     r = n_rot - 1
     for g in range(len(kinds) - 1, -1, -1):
         kind, q, other, angle = int(kinds[g]), int(qa[g]), int(qb[g]), float(angles[g])
-        # Undo gate g on psi (H and CZ are involutions; rotations invert by -angle).
-        if kind == KIND_RY:
-            _apply_ry(psi, q, -angle)
-        elif kind == KIND_RZ:
-            _apply_rz(psi, q, -angle)
-        elif kind == KIND_H:
-            _apply_h(psi, q)
-        else:
-            psi[_cz_mask(n_qubits, q, other)] *= -1.0
+        # Undo gate g (H and CZ are involutions; rotations invert by -angle).
+        _apply_one(psi, n_qubits, kind, q, other, -angle)
         if kind in (KIND_RY, KIND_RZ):
             grads[r] = _grad_dot(lam, psi, kind, q, angle)
             r -= 1
-            if kind == KIND_RY:
-                _apply_ry(lam, q, -angle)
-            else:
-                _apply_rz(lam, q, -angle)
-        elif kind == KIND_H:
-            _apply_h(lam, q)
-        else:
-            lam[_cz_mask(n_qubits, q, other)] *= -1.0
+        _apply_one(lam, n_qubits, kind, q, other, -angle)
     return expval, grads
 
 

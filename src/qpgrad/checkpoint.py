@@ -11,6 +11,7 @@ checkpoint with any other value is rejected.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,7 +53,8 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    """A float, or an int small enough to convert to one."""
+    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
 
 
 def _is_numbers(value) -> bool:
@@ -101,8 +103,13 @@ def load_checkpoint(path) -> Checkpoint:
         raise ConfigurationError(
             f"checkpoint {path}: parameter length {nu.shape}/{omega.shape} does not match ansatz ({n},)"
         )
-    params = PolicyParams(nu.reshape(shape), omega.reshape(shape))
     lam = float(_field(path, doc, "lambda", _is_number))
+    for name, values in (("nu", nu), ("omega", omega), ("lambda", lam)):
+        if not np.all(np.isfinite(values)):  # json.loads accepts NaN and Infinity
+            raise ConfigurationError(f"checkpoint {path}: field {name!r} must hold finite numbers only")
+    if lam < 0:
+        raise ConfigurationError(f"checkpoint {path}: field 'lambda' must be >= 0, got {lam}")
+    params = PolicyParams(nu.reshape(shape), omega.reshape(shape))
     seed = _field(path, doc, "seed", _is_int)
     if seed < 0:  # the seed keys random streams, whose path components must be >= 0
         raise ConfigurationError(f"checkpoint {path}: field 'seed' must be >= 0, got {seed}")

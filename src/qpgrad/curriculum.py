@@ -1,10 +1,10 @@
 """Curriculum training over an expanding schedule of initial-condition ranges.
 
 Training rolls out one batch of episodes at a time from the current range,
-in lockstep, counting every early-terminated training episode as a failure
-against a global budget ``f_max``. Failures are counted in episode order,
-and the episodes after the one that uses up the budget are dropped, so a run
-ends exactly where one episode at a time would end it. After each batch
+counting every early-terminated training episode as a failure against a
+global budget ``f_max``. Failures are counted in episode order, and the
+episodes after the one that uses up the budget are dropped, so a run ends
+exactly where one episode at a time would end it. After each batch
 update (and at least ``validation_period`` training episodes since the last
 check), the policy is validated on the current range with noise-free
 episodes; passing validation snapshots the policy and advances to the next

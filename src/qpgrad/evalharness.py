@@ -155,7 +155,7 @@ def _sim_cell(angle_bin, velocity_bin, base: InitRanges) -> InitRanges:
 
 
 def _sweep_model(args):
-    """One model's rewards at every (noise level, episode), as one lockstep batch."""
+    """One model's rewards at every (noise level, episode), played as one batch of episodes."""
     spec, nu, omega, label, sigmas, episodes, ranges, horizon, seed = args
     rngs = (substream(seed, STREAM_EVAL, label, k, e) for k in range(len(sigmas)) for e in range(episodes))
     per_episode = [s for s in sigmas for _ in range(episodes)]
@@ -166,7 +166,7 @@ def _sweep_model(args):
 
 
 def _grid_model(args):
-    """One model's attraction rate in every grid cell, all cells' episodes as one lockstep batch."""
+    """One model's attraction rate in every grid cell, all cells' episodes played as one batch."""
     spec, nu, omega, label, cells, episodes, base, horizon, seed = args
     rngs = (substream(seed, STREAM_EVAL, label, c, e) for c in range(len(cells)) for e in range(episodes))
     cell_ranges = [_sim_cell(a, v, base) for a, v in cells]
@@ -176,8 +176,10 @@ def _grid_model(args):
 
 
 def map_jobs(fn, tasks, workers: int) -> list:
-    """``[fn(t) for t in tasks]``, over a pool of ``workers`` processes when there is more than one."""
-    if workers > 1 and len(tasks) > 1:
+    """``[fn(t) for t in tasks]``, over a pool of ``min(workers, len(tasks))`` processes when that is more
+    than one."""
+    workers = min(workers, len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]

@@ -10,8 +10,8 @@ expectation ``e`` maps to action probabilities [(e+1)/2, (1-e)/2].
 
 The circuit exists only in packed form: ``CircuitTemplate`` lays it out once
 per ``AnsatzSpec`` as the parallel gate arrays (kind, qubit, CZ partner) the
-kernels in ``qsim`` take, plus the index arrays that fill each step's angle
-vector from nu, omega and the observation.
+kernels in ``qsim`` take, plus each gate's parameter and feature index, the
+one map from nu, omega and the observation to the angles.
 
 The ``rz_rz`` encoding variant applies the second encoding rotation around Z
 as well; two successive RZ collapse to one effective angle, which makes one
@@ -121,13 +121,17 @@ def init_params(spec: AnsatzSpec, rng: np.random.Generator) -> PolicyParams:
 class CircuitTemplate:
     """Packed, input-independent form of the ansatz for fast repeated evaluation.
 
-    ``kinds``, ``qa`` and ``qb`` are the gate arrays the kernels take; the
-    index arrays, and ``param``/``feature`` per gate, record which gates
-    take a variational angle nu and which an encoding angle omega * s_i.
-    ``angles`` fills the per-gate angle vectors from parameter tensors and a
-    block of observations, one row per observation; ``grad_to_params`` pulls
+    ``kinds``, ``qa`` and ``qb`` are the gate arrays the kernels take, and
+    ``param`` and ``feature`` beside them are the template's one parameter
+    map: rotation g takes the variational angle ``nu[param[g]]`` when
+    ``feature[g]`` is -1, else the encoding angle
+    ``omega[param[g]] * s[feature[g]]``; both are -1 on H and CZ. Each flat
+    parameter drives exactly one variational and one encoding rotation, and
+    the encoding rotations on qubit q read feature q. ``angles`` fills the
+    per-gate angle vectors from parameter tensors and a block of
+    observations, one row per observation; ``grad_to_params`` scatters
     per-rotation angle gradients back onto nu/omega (chain factor s_i for
-    encoding weights), row by row.
+    encoding weights), row by row. The C episode loop reads the same map.
     """
 
     def __init__(self, spec: AnsatzSpec):
@@ -135,55 +139,42 @@ class CircuitTemplate:
         n = spec.n_qubits
         second_enc = qsim.KIND_RZ if spec.encoding == ENCODING_RZ_RZ else qsim.KIND_RY
         kinds, qa, qb = [qsim.KIND_H] * n, list(range(n)), [-1] * n
-        var, enc = ([], []), ([], [])  # (gate indices, flat parameter indices)
+        param, feature = [-1] * n, [-1] * n
         for layer in range(spec.n_layers):
             for q in range(n):
                 flat = (layer * n + q) * PARAM_SLOTS
-                for (gates, params), kind, slot in (
-                    (enc, qsim.KIND_RZ, 0), (enc, second_enc, 1), (var, qsim.KIND_RZ, 0), (var, qsim.KIND_RY, 1)
-                ):
-                    gates.append(len(kinds))
-                    params.append(flat + slot)
+                for kind, slot, reads in ((qsim.KIND_RZ, 0, q), (second_enc, 1, q), (qsim.KIND_RZ, 0, -1),
+                                          (qsim.KIND_RY, 1, -1)):
                     kinds.append(kind)
                     qa.append(q)
                     qb.append(-1)
+                    param.append(flat + slot)
+                    feature.append(reads)
             if spec.entangler == ENTANGLE_EVERY or layer < spec.n_layers - 1:
                 # CZ is symmetric and CZs commute, so lexicographic pair order is canonical.
                 for a, b in combinations(range(n), 2):
                     kinds.append(qsim.KIND_CZ)
                     qa.append(b)
                     qb.append(a)
+                    param.append(-1)
+                    feature.append(-1)
         self.kinds = np.asarray(kinds, dtype=np.int8)
         self.qa = np.asarray(qa, dtype=np.int32)
         self.qb = np.asarray(qb, dtype=np.int32)
+        self.param = np.asarray(param, dtype=np.int32)
+        self.feature = np.asarray(feature, dtype=np.int32)
         self.n_gates = len(kinds)
         # Rotation r is the r-th RY/RZ in gate order, as the kernels number their gradients.
-        rot = np.cumsum((self.kinds == qsim.KIND_RY) | (self.kinds == qsim.KIND_RZ)) - 1
-        self._var_gate, self._var_param = (np.asarray(v, dtype=np.intp) for v in var)
-        self._enc_gate, self._enc_param = (np.asarray(v, dtype=np.intp) for v in enc)
-        self._enc_feature = self._enc_param // PARAM_SLOTS % n  # encoding on qubit i reads s_i
-        # Each flat parameter drives exactly one gate: the rotation and the
-        # feature that parameter p reads, for the gather in grad_to_params.
-        self._nu_rot = np.empty(spec.n_params_each, dtype=np.intp)
-        self._nu_rot[self._var_param] = rot[self._var_gate]
-        self._omega_rot = np.empty(spec.n_params_each, dtype=np.intp)
-        self._omega_rot[self._enc_param] = rot[self._enc_gate]
-        self._omega_feature = np.empty(spec.n_params_each, dtype=np.intp)
-        self._omega_feature[self._enc_param] = self._enc_feature
-        # The same map per gate, as the fused lockstep kernel takes it: the
-        # flat parameter of each rotation and, for an encoding rotation, the
-        # feature it reads (-1 elsewhere).
-        self.param = np.full(self.n_gates, -1, dtype=np.int32)
-        self.param[self._var_gate] = self._var_param
-        self.param[self._enc_gate] = self._enc_param
-        self.feature = np.full(self.n_gates, -1, dtype=np.int32)
-        self.feature[self._enc_gate] = self._enc_feature
+        self._column = np.cumsum((self.kinds == qsim.KIND_RY) | (self.kinds == qsim.KIND_RZ)) - 1
+        self._variational = np.flatnonzero((self.param >= 0) & (self.feature < 0))
+        self._encoding = np.flatnonzero(self.feature >= 0)
 
     def angles(self, nu_flat: np.ndarray, omega_flat: np.ndarray, obs: np.ndarray) -> np.ndarray:
         """Gate angles for observations ``obs`` of shape (..., n_qubits): shape (..., n_gates)."""
+        var, enc = self._variational, self._encoding
         a = np.zeros(obs.shape[:-1] + (self.n_gates,))
-        a[..., self._var_gate] = nu_flat[self._var_param]
-        a[..., self._enc_gate] = omega_flat[self._enc_param] * obs[..., self._enc_feature]
+        a[..., var] = nu_flat[self.param[var]]
+        a[..., enc] = omega_flat[self.param[enc]] * obs[..., self.feature[enc]]
         return a
 
     def expval(self, nu_flat, omega_flat, obs) -> np.ndarray:
@@ -200,8 +191,16 @@ class CircuitTemplate:
         return e, gnu, gom
 
     def grad_to_params(self, grad_rot: np.ndarray, obs: np.ndarray):
-        """(B, rotations) angle gradients as (B, P) nu and omega gradients."""
-        return grad_rot[:, self._nu_rot], grad_rot[:, self._omega_rot] * obs[:, self._omega_feature]
+        """(B, rotations) angle gradients as (B, P) nu and omega gradients.
+
+        A scatter, which sets every entry because each flat parameter drives
+        exactly one rotation of each kind."""
+        var, enc = self._variational, self._encoding
+        gnu = np.empty((len(grad_rot), self.spec.n_params_each))
+        gom = np.empty_like(gnu)
+        gnu[:, self.param[var]] = grad_rot[:, self._column[var]]
+        gom[:, self.param[enc]] = grad_rot[:, self._column[enc]] * obs[:, self.feature[enc]]
+        return gnu, gom
 
 
 _templates: dict[AnsatzSpec, CircuitTemplate] = {}

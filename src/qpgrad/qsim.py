@@ -9,13 +9,14 @@ CZ). ``policy.CircuitTemplate`` builds them for the policy circuit. Qubit
 target outside the register and a CZ partner outside it or equal to the
 target.
 
-The hot path evaluates many circuits that share one gate list and differ
-only in their angles, such as one circuit per episode of a batch stepped in
-lockstep: ``packed_expval`` and ``packed_expval_and_grad`` take a
+``packed_expval`` and ``packed_expval_and_grad`` evaluate many circuits
+that share one gate list and differ only in their angles: they take a
 (B, n_gates) angle block and evaluate each row exactly as it would run
-alone, so a row's result never depends on the other rows. The C kernel
-also plays whole batches of CartPole episodes in one call
-(``episode_kernel``), drawing with numpy's own C distributions.
+alone, so a row's result never depends on the other rows. They are the hot
+path on ``numpy``, one call per step of a batch of episodes played in
+lockstep. On ``c`` the hot path is ``episode_kernel``, which plays a whole
+batch of CartPole episodes in one call, one episode after another, drawing
+with numpy's own C distributions.
 
 The heavy lifting happens in one of two interchangeable kernel backends:
 
@@ -102,11 +103,11 @@ def parameter_shift_gradient(n_qubits, kinds, qa, qb, angles) -> np.ndarray:
 
 def packed_expval(n_qubits, kinds, qa, qb, angles) -> np.ndarray:
     """Forward expectations <Z^n> of |0...0> evolved through the gate arrays,
-    one per row of the (B, n_gates) ``angles`` (hot path)."""
+    one per row of the (B, n_gates) ``angles``."""
     return _kernel.expval_z_rows(n_qubits, kinds, qa, qb, angles)
 
 
 def packed_expval_and_grad(n_qubits, kinds, qa, qb, angles):
     """Forward expectations and their adjoint gradients, one row per row of
-    ``angles``, one gradient entry per rotation in gate order (hot path)."""
+    ``angles``, one gradient entry per rotation in gate order."""
     return _kernel.expval_z_and_grad_rows(n_qubits, kinds, qa, qb, angles)

@@ -185,7 +185,7 @@ def play_episodes(tpl, nu_flat, om_flat, starts, sigmas, rngs, horizon, glp=None
 
 
 def _lockstep(spec, params, rngs, ranges, horizon, sigmas, collect_grads):
-    """Plays one episode per entry of ``ranges`` in lockstep.
+    """Plays one episode per entry of ``ranges``, as one batch.
 
     Episode i starts from a reset within ``ranges[i]``, drawn from the i-th
     generator of the iterable ``rngs``, then plays on under
@@ -231,7 +231,7 @@ def rollouts(
     horizon: int = HORIZON,
     sigmas=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Play one episode per entry of ``ranges`` in lockstep, recording grad log pi(a_t|s_t) per step.
+    """Play one episode per entry of ``ranges`` as one batch, recording grad log pi(a_t|s_t) per step.
 
     ``ranges`` holds each episode's initial-condition ranges, ``rngs`` its
     generator (any iterable, consumed once) and ``sigmas`` its
@@ -254,7 +254,7 @@ def episode_rewards(
     horizon: int = HORIZON,
     sigmas=None,
 ) -> np.ndarray:
-    """Total reward of one episode per entry of ``ranges``, played forward-only in lockstep.
+    """Total reward of one episode per entry of ``ranges``, played forward-only as one batch.
 
     Arguments as for ``rollouts``; each reward is the one the episode would
     collect alone. Batches of more than ``MAX_FORWARD_BATCH`` episodes play

@@ -76,7 +76,13 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "checkpoint_3.json"
         save_checkpoint(path, spec, PolicyParams(np.zeros(spec.param_shape), np.zeros(spec.param_shape)), 0.1, 5)
         doc = json.loads(path.read_text())
-        out_of_range = {"generator_norm": (0.25, 1), "seed": (-1,)}.get(field, ())
+        nonfinite = (float("nan"), float("inf"), float("-inf"), 10**400)
+        out_of_range = {
+            "generator_norm": (0.25, 1),
+            "seed": (-1,),
+            "lambda": (-0.1, *nonfinite),
+            **{name: tuple([*doc[name][:-1], v] for v in nonfinite) for name in ("nu", "omega")},
+        }.get(field, ())
         for bad in (None, True, *out_of_range):  # None deletes the field
             broken = dict(doc)
             if bad is None:

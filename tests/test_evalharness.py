@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qpgrad import evalharness
 from qpgrad.cartpole import InitRanges
 from qpgrad.errors import ConfigurationError, UsageError
 from qpgrad.evalharness import (
@@ -10,6 +11,7 @@ from qpgrad.evalharness import (
     Significance,
     attraction_rate,
     generalization_grid,
+    map_jobs,
     robustness_sweep,
     significance_label,
 )
@@ -141,3 +143,27 @@ class TestCampaigns:
         a = robustness_sweep(models, [0.0], 3, spec=SPEC, seed=1)
         labels = a.significance_against(a)
         assert labels == [Significance.NEUTRAL]
+
+
+class TestMapJobs:
+    def test_pool_is_never_larger_than_the_task_count(self, monkeypatch):
+        # the fake executor records its size and maps in-process, so no process is ever started
+        sizes = []
+
+        class InProcess:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(evalharness, "ProcessPoolExecutor", InProcess)
+        for workers, n_tasks in ((5000, 2), (3, 7), (2, 1), (1, 4), (5000, 0)):
+            assert map_jobs(abs, list(range(-n_tasks, 0)), workers) == list(range(n_tasks, 0, -1))
+        assert sizes == [2, 3]

@@ -39,8 +39,6 @@ def _template(spec: AnsatzSpec) -> CircuitTemplate:
     never used that way, but the kernel's wider registers get covered."""
     tpl = CircuitTemplate(spec)
     if spec.n_qubits > 4:
-        tpl._enc_feature %= 4
-        tpl._omega_feature %= 4
         tpl.feature[tpl.feature >= 0] %= 4
     return tpl
 

@@ -1,5 +1,6 @@
 """Policy circuit construction, probabilities, gradients, and Lipschitz machinery."""
 
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from qpgrad import qsim
 from qpgrad.errors import ConfigurationError
 from qpgrad.policy import (
+    ENCODING_RZ_RY,
     ENCODING_RZ_RZ,
+    ENTANGLE_BETWEEN,
     ENTANGLE_EVERY,
     AnsatzSpec,
     CircuitTemplate,
@@ -57,6 +60,21 @@ class TestBuildCircuit:
         assert tpl.qa.tolist() == [0, 1] + ([0] * 4 + [1] * 4 + [1]) * 2  # CZ pair (0, 1): target 1 ...
         assert tpl.qb.tolist() == [-1, -1] + ([-1] * 8 + [0]) * 2  # ... partner 0
         assert (tpl.kinds.dtype, tpl.qa.dtype, tpl.qb.dtype) == (np.int8, np.int32, np.int32)
+
+    def test_each_parameter_drives_one_rotation_of_each_kind(self):
+        # grad_to_params scatters, which sets every entry only under this invariant
+        for n_qubits, n_layers, entangler, encoding in product(
+            range(1, 6), range(1, 4), (ENTANGLE_BETWEEN, ENTANGLE_EVERY), (ENCODING_RZ_RY, ENCODING_RZ_RZ)
+        ):
+            tpl = CircuitTemplate(AnsatzSpec(n_qubits, n_layers, entangler, encoding))
+            rotation = (tpl.kinds == KIND_RY) | (tpl.kinds == KIND_RZ)
+            variational, encoding_rot = rotation & (tpl.feature == -1), rotation & (tpl.feature != -1)
+            every = list(range(tpl.spec.n_params_each))
+            assert sorted(tpl.param[variational].tolist()) == every
+            assert sorted(tpl.param[encoding_rot].tolist()) == every
+            assert tpl.feature[encoding_rot].tolist() == tpl.qa[encoding_rot].tolist()
+            assert tpl.param[~rotation].tolist() == tpl.feature[~rotation].tolist() == [-1] * int((~rotation).sum())
+            assert (tpl.param.dtype, tpl.feature.dtype) == (np.int32, np.int32)
 
     def test_gate_order_within_layer(self):
         # per qubit: encoding RZ, encoding RY, variational RZ, variational RY
