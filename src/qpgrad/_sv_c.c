@@ -201,7 +201,7 @@ static double expval_z(const cplx *amps, ptrdiff_t dim) {
  * gate's cos/sin slot pair, which only the rotations read: the slots of H
  * and CZ are never set. A rotation is undone as (c, -s); H and CZ are their
  * own inverses. Forced inline: gcc keeps it out of line otherwise, and the
- * call per gate cost 3-5 % of every perfbench campaign. */
+ * call per gate cost 3-5 % of the forward-only perfbench campaigns. */
 static inline __attribute__((always_inline)) void gate(cplx *a, ptrdiff_t dim, int kind, int qa, int qb,
                                                        const double *cs, int undo) {
     if (kind == KIND_RY) {
@@ -226,11 +226,16 @@ static void adjoint(cplx *psi, cplx *lam, ptrdiff_t dim, const int8_t *kinds,
         lam[i] = parity(i) ? -psi[i] : psi[i];
     }
     for (ptrdiff_t g = n_gates - 1; g > -1; g--) {
-        gate(psi, dim, kinds[g], qa[g], qb[g], cs + 2 * g, 1);
-        if (is_rotation(kinds[g])) {
-            grads[r--] = grad_dot(lam, psi, dim, kinds[g], qa[g], cs[2 * g], cs[2 * g + 1]);
+        int kind = kinds[g];
+        gate(psi, dim, kind, qa[g], qb[g], cs + 2 * g, 1);
+        /* grad_dot gets its kind as a constant, so that gcc drops the kind
+         * branch from its inner loop (5 % of the adjoint otherwise). */
+        if (kind == KIND_RY) {
+            grads[r--] = grad_dot(lam, psi, dim, KIND_RY, qa[g], cs[2 * g], cs[2 * g + 1]);
+        } else if (kind == KIND_RZ) {
+            grads[r--] = grad_dot(lam, psi, dim, KIND_RZ, qa[g], cs[2 * g], cs[2 * g + 1]);
         }
-        gate(lam, dim, kinds[g], qa[g], qb[g], cs + 2 * g, 1);
+        gate(lam, dim, kind, qa[g], qb[g], cs + 2 * g, 1);
     }
 }
 
