@@ -107,14 +107,6 @@ def _gates(n_qubits, kinds, qa, qb):
     return (n_qubits, *data)
 
 
-def _angle_rows(angles, n_gates: int) -> bytes:
-    """The (rows, n_gates) angle block as the C functions take it."""
-    data = _input(angles, _F64, "angles", ndim=2)
-    if angles.shape[1] != n_gates:
-        raise ValueError(f"angles must have one column per gate ({n_gates}), got {angles.shape[1]}")
-    return data
-
-
 def _check_status(status: int, n_qubits: int) -> None:
     if status == -2:
         raise MemoryError("no memory for the scratch statevectors")
@@ -190,7 +182,9 @@ class Kernel:
     def _row_call(self, n_qubits, kinds, qa, qb, angles, with_grads: bool):
         """``(expvals, grads)`` of the C row entry; grads is None unless ``with_grads``."""
         gates = _gates(n_qubits, kinds, qa, qb)
-        data = _angle_rows(angles, len(kinds))
+        data = _input(angles, _F64, "angles", ndim=2)
+        if angles.shape[1] != len(kinds):
+            raise ValueError(f"angles must have one column per gate ({len(kinds)}), got {angles.shape[1]}")
         expvals = np.empty(len(angles))
         grads = grad_data = None
         if with_grads:

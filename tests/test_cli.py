@@ -76,12 +76,12 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "checkpoint_3.json"
         save_checkpoint(path, spec, PolicyParams(np.zeros(spec.param_shape), np.zeros(spec.param_shape)), 0.1, 5)
         doc = json.loads(path.read_text())
-        nonfinite = (float("nan"), float("inf"), float("-inf"), 10**400)
+        not_finite = (float("nan"), float("inf"), float("-inf"), 10**400)  # 10**400 overflows a float
         out_of_range = {
             "generator_norm": (0.25, 1),
             "seed": (-1,),
-            "lambda": (-0.1, *nonfinite),
-            **{name: tuple([*doc[name][:-1], v] for v in nonfinite) for name in ("nu", "omega")},
+            "lambda": (-0.1, *not_finite),
+            **{name: tuple([*doc[name][:-1], v] for v in not_finite) for name in ("nu", "omega")},
         }.get(field, ())
         for bad in (None, True, *out_of_range):  # None deletes the field
             broken = dict(doc)
