@@ -12,43 +12,59 @@
  *                           the cart-pole.
  *
  * Same gates, conventions and packed gate arrays as _sv_numpy; qubit q is
- * bit q of the basis index. One function, gate(), applies every gate: in
- * the forward pass and, undone, in both sweeps of the adjoint. The
- * circuit's parameters come from the template's one map, param and
- * feature per gate (CircuitTemplate): rotation g takes nu[param[g]] when
- * feature[g] is -1, else omega[param[g]] * obs[feature[g]], and each flat
- * parameter drives one variational and one encoding rotation.
+ * bit q of the basis index. Each entry first compiles the gate list into
+ * ops (struct sim): one per H or rotation, and one per run of consecutive
+ * CZ gates, whose signs it computes once. One function, gate(), applies
+ * every op: in the forward pass and, undone, in both sweeps of the
+ * adjoint. The circuit's parameters come from the template's one map,
+ * param and feature per gate (CircuitTemplate): rotation g takes
+ * nu[param[g]] when feature[g] is -1, else omega[param[g]] * obs[feature[g]],
+ * and each flat parameter drives one variational and one encoding rotation.
  *
- * play_episodes reproduces, bit for bit,
- * trainer.play_episodes running on expval_z_and_grad_rows: each expression
- * below is the Python one (cartpole.normalize, CircuitTemplate.angles,
- * probs_from_expectation, log_policy_coeff, grad_to_params, step_batch)
- * with its operations in the same order, and a real factor c enters a
- * complex product as cplx_of(c, 0), a full complex product. The draws are
- * numpy's own C distributions (libnpyrandom.a) on the bitgen_t of each
- * episode's Generator: random_normal(bg, 0, sigma) four times, then
- * next_double, are Generator.normal(0, sigma, 4), then Generator.random().
- * What keeps the bits:
+ * play_episodes reproduces, bit for bit, trainer.play_episodes running on
+ * expval_z_and_grad_rows: each expression below is the Python one
+ * (cartpole.normalize, CircuitTemplate.angles, probs_from_expectation,
+ * log_policy_coeff, grad_to_params, step_batch) with its operations in the
+ * same order. The draws are numpy's own C distributions (libnpyrandom.a) on
+ * the bitgen_t of each episode's Generator: random_normal(bg, 0, sigma)
+ * four times, then next_double, are Generator.normal(0, sigma, 4), then
+ * Generator.random(). What keeps the bits:
  *
+ *  - Real products. An amplitude is one 2-wide vector (re, im), and a real
+ *    factor multiplies both lanes. Written as complex products, each real
+ *    factor c would add terms 0 * x: (c, 0)(re, im) = (c re - 0 im,
+ *    c im + 0 re). The amplitudes are finite, so those terms are zeros, and
+ *    dropping them can only change the sign of an exact zero: x + (+-0) is
+ *    x for nonzero x, and a zero's sign reaches only zero results of + and
+ *    *. The sums that make the outputs, in expval_z and grad_dot, start at
+ *    +0.0 and so never end at -0.0. The real part of conj(l) d is summed
+ *    as l.re d.re + l.im d.im, which is the complex product's
+ *    d.re l.re - d.im (-l.im) exactly. A bit harness against the kernel
+ *    built on complex products found no output bit moved, on random and
+ *    template circuits of 1-6 qubits with angles of +-0, +-pi, +-1e-300
+ *    and +-1e3, and on episode batches; the fixed-seed CSVs and
+ *    checkpoints stayed the same bytes. An angle that is not finite makes
+ *    NaN outputs either way, whose sign and payload bits may differ; config
+ *    and checkpoint loading reject such values.
+ *  - CZ runs. Each CZ negates the amplitudes whose index has both its bits
+ *    set, and a run of them flips the sign bit of those with an odd count
+ *    over the run: one XOR per amplitude, the same bits as each negation in
+ *    turn. The run is diagonal and its own inverse, so the adjoint undoes
+ *    it with the same pass.
  *  - Trig reuse. cos and sin of half of each rotation's angle are computed
  *    once per row (once per call for the nu angles, which no row changes)
  *    and reused by the forward pass, the adjoint's undo and grad_dot. The
  *    undo is the rotation by -angle, applied as (c, -s): glibc's cos is
  *    even and its sin odd bit for bit, so these are the values that
  *    cos(-angle/2) and sin(-angle/2) would return.
- *  - -fcx-limited-range. Without it gcc calls __muldc3 for each complex
- *    product, which computes the plain four-multiply formula and, only when
- *    both parts come out NaN, redoes the product by C99 Annex G rules.
- *    Angles, states and amplitudes are finite here, so the plain formula,
- *    all the flag leaves, gives the same bits.
  *  - pow. gcc folds pow(x, 2.0) into x*x even without -ffast-math, but
  *    glibc's pow(x, 2.0), which numpy's float_power(x, 2) calls, differs
  *    from x*x in the last bit for about 1 in 1000 inputs. The exponent is
  *    read from a volatile, so the call stays a call.
  *  - -ffp-contract=off keeps multiply-adds unfused; never -ffast-math or
- *    -march=native, which may change the last bits. */
+ *    -march=native, which may change the last bits. The vectors need only
+ *    the SSE2 that x86-64 always has. */
 
-#include <complex.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -60,66 +76,69 @@
 /* From numpy/random/distributions.h, which includes Python.h. */
 double random_normal(bitgen_t *bitgen_state, double loc, double scale);
 
-typedef double complex cplx;
+/* One amplitude, (re, im); arithmetic on it acts lane by lane, and a double
+ * operand multiplies both lanes. */
+typedef double amp __attribute__((vector_size(16)));
+typedef int64_t amp_bits __attribute__((vector_size(16)));
 
 enum { KIND_H = 0, KIND_RY = 1, KIND_RZ = 2, KIND_CZ = 3 };
-
-static inline cplx cplx_of(double x, double y) {
-    return x + y * (cplx)_Complex_I;
-}
 
 static inline int is_rotation(int kind) {
     return kind == KIND_RY || kind == KIND_RZ;
 }
 
+/* a times x + iy: (x re - y im, x im + y re), each lane one product of
+ * (x, x) and one of (-y, y) with (im, re). */
+static inline amp times(amp a, double x, double y) {
+    return a * x + __builtin_shuffle(a, (amp_bits){1, 0}) * (amp){-y, y};
+}
+
 /* (c, s) is (cos, sin) of half the rotation angle, in ry, rz and grad_dot. */
-static inline void ry(cplx *a, ptrdiff_t dim, int q, double c, double s) {
+static inline void ry(amp *a, ptrdiff_t dim, int q, double c, double s) {
     ptrdiff_t stride = ((ptrdiff_t)1) << q;
     ptrdiff_t group = stride << 1;
     for (ptrdiff_t base = 0; base < dim; base += group) {
         for (ptrdiff_t i = 0; i < stride; i++) {
             ptrdiff_t i0 = base + i, i1 = i0 + stride;
-            cplx a0 = a[i0], a1 = a[i1];
-            a[i0] = cplx_of(c, 0) * a0 - cplx_of(s, 0) * a1;
-            a[i1] = cplx_of(s, 0) * a0 + cplx_of(c, 0) * a1;
+            amp a0 = a[i0], a1 = a[i1];
+            a[i0] = c * a0 - s * a1;
+            a[i1] = s * a0 + c * a1;
         }
     }
 }
 
-static inline void rz(cplx *a, ptrdiff_t dim, int q, double c, double s) {
-    cplx p0 = cplx_of(c, 0) - cplx_of(0, 1.0) * cplx_of(s, 0); /* exp(-i angle/2) */
-    cplx p1 = cplx_of(c, 0) + cplx_of(0, 1.0) * cplx_of(s, 0);
+/* Bit q clear: times exp(-i angle/2) = c - is; set: times c + is. */
+static inline void rz(amp *a, ptrdiff_t dim, int q, double c, double s) {
     ptrdiff_t stride = ((ptrdiff_t)1) << q;
     ptrdiff_t group = stride << 1;
     for (ptrdiff_t base = 0; base < dim; base += group) {
         for (ptrdiff_t i = 0; i < stride; i++) {
-            ptrdiff_t i0 = base + i;
-            a[i0] = a[i0] * p0;
-            a[i0 + stride] = a[i0 + stride] * p1;
+            ptrdiff_t i0 = base + i, i1 = i0 + stride;
+            a[i0] = times(a[i0], c, -s);
+            a[i1] = times(a[i1], c, s);
         }
     }
 }
 
-static inline void h(cplx *a, ptrdiff_t dim, int q) {
+static inline void h(amp *a, ptrdiff_t dim, int q) {
     double inv = 1.0 / sqrt(2.0);
     ptrdiff_t stride = ((ptrdiff_t)1) << q;
     ptrdiff_t group = stride << 1;
     for (ptrdiff_t base = 0; base < dim; base += group) {
         for (ptrdiff_t i = 0; i < stride; i++) {
             ptrdiff_t i0 = base + i, i1 = i0 + stride;
-            cplx a0 = a[i0], a1 = a[i1];
-            a[i0] = (a0 + a1) * cplx_of(inv, 0);
-            a[i1] = (a0 - a1) * cplx_of(inv, 0);
+            amp a0 = a[i0], a1 = a[i1];
+            a[i0] = (a0 + a1) * inv;
+            a[i1] = (a0 - a1) * inv;
         }
     }
 }
 
-static inline void cz(cplx *a, ptrdiff_t dim, int qa, int qb) {
-    ptrdiff_t both = (((ptrdiff_t)1) << qa) | (((ptrdiff_t)1) << qb);
+/* A run of CZ gates: flips the sign bit of amplitude i's two lanes where
+ * signs[i] has its sign bit set. */
+static inline void flip(amp *a, ptrdiff_t dim, const int64_t *signs) {
     for (ptrdiff_t i = 0; i < dim; i++) {
-        if ((i & both) == both) {
-            a[i] = -a[i];
-        }
+        a[i] = (amp)((amp_bits)a[i] ^ signs[i]);
     }
 }
 
@@ -137,8 +156,8 @@ static inline int parity(ptrdiff_t x) {
  * register or a CZ whose partner is its own target, or -1. Checked before
  * any gate is applied, so a bad gate list never indexes outside the
  * amplitude vector. */
-static ptrdiff_t bad_gate(int n_qubits, const int8_t *kinds, const int32_t *qa,
-                          const int32_t *qb, ptrdiff_t n_gates) {
+static ptrdiff_t bad_gate(int n_qubits, const int8_t *kinds, const int32_t *qa, const int32_t *qb,
+                          ptrdiff_t n_gates) {
     for (ptrdiff_t g = 0; g < n_gates; g++) {
         if (kinds[g] < KIND_H || kinds[g] > KIND_CZ || qa[g] < 0 || qa[g] >= n_qubits) {
             return g;
@@ -150,44 +169,51 @@ static ptrdiff_t bad_gate(int n_qubits, const int8_t *kinds, const int32_t *qa,
     return -1;
 }
 
-static ptrdiff_t count_rotations(const int8_t *kinds, ptrdiff_t n_gates) {
-    ptrdiff_t n_rot = 0;
-    for (ptrdiff_t g = 0; g < n_gates; g++) {
-        n_rot += is_rotation(kinds[g]);
-    }
-    return n_rot;
+/* l.re d.re + l.im d.im: the real part of conj(l) d. */
+static inline double re_dot(amp l, amp d) {
+    amp p = d * l;
+    return p[0] + p[1];
 }
 
-/* 2 Re <lam| dU/dangle |psi>, psi being the state *before* the gate. */
-static inline double grad_dot(const cplx *lam, const cplx *psi, ptrdiff_t dim, int kind,
-                              int q, double c, double s) {
-    cplx p0 = cplx_of(c, 0) - cplx_of(0, 1.0) * cplx_of(s, 0);
-    cplx p1 = cplx_of(c, 0) + cplx_of(0, 1.0) * cplx_of(s, 0);
+/* 2 Re <lam| dU/dangle |psi>, psi being the state *before* the gate; the
+ * kind picks the loop, so no loop tests it. */
+static inline double grad_dot(const amp *lam, const amp *psi, ptrdiff_t dim, int kind, int q, double c,
+                              double s) {
     ptrdiff_t stride = ((ptrdiff_t)1) << q;
     ptrdiff_t group = stride << 1;
-    cplx acc = cplx_of(0, 0);
-    cplx d0, d1;
-    for (ptrdiff_t base = 0; base < dim; base += group) {
-        for (ptrdiff_t i = 0; i < stride; i++) {
-            ptrdiff_t i0 = base + i, i1 = i0 + stride;
-            if (kind == KIND_RY) {
-                d0 = cplx_of(0.5, 0) * (cplx_of(-s, 0) * psi[i0] - cplx_of(c, 0) * psi[i1]);
-                d1 = cplx_of(0.5, 0) * (cplx_of(c, 0) * psi[i0] - cplx_of(s, 0) * psi[i1]);
-            } else {
-                d0 = -cplx_of(0, 0.5) * p0 * psi[i0];
-                d1 = cplx_of(0, 0.5) * p1 * psi[i1];
+    double acc = 0.0;
+    if (kind == KIND_RY) {
+        for (ptrdiff_t base = 0; base < dim; base += group) {
+            for (ptrdiff_t i = 0; i < stride; i++) {
+                ptrdiff_t i0 = base + i, i1 = i0 + stride;
+                amp p0 = psi[i0], p1 = psi[i1];
+                amp d0 = 0.5 * (-s * p0 - c * p1);
+                amp d1 = 0.5 * (c * p0 - s * p1);
+                acc = acc + re_dot(lam[i0], d0) + re_dot(lam[i1], d1);
             }
-            acc = acc + d0 * conj(lam[i0]) + d1 * conj(lam[i1]);
+        }
+    } else {
+        /* d0 = (-i/2) exp(-i angle/2) psi0 and d1 = (i/2) exp(i angle/2)
+         * psi1: the factors are hs - i hc and hs + i hc. */
+        double hs = -0.5 * s, hc = 0.5 * c;
+        for (ptrdiff_t base = 0; base < dim; base += group) {
+            for (ptrdiff_t i = 0; i < stride; i++) {
+                ptrdiff_t i0 = base + i, i1 = i0 + stride;
+                amp d0 = times(psi[i0], hs, -hc);
+                amp d1 = times(psi[i1], hs, hc);
+                acc = acc + re_dot(lam[i0], d0) + re_dot(lam[i1], d1);
+            }
         }
     }
-    return 2.0 * creal(acc);
+    return 2.0 * acc;
 }
 
 /* <Z tensor ... tensor Z>; exactly real by construction. */
-static double expval_z(const cplx *amps, ptrdiff_t dim) {
+static double expval_z(const amp *amps, ptrdiff_t dim) {
     double e = 0.0;
     for (ptrdiff_t i = 0; i < dim; i++) {
-        double p = creal(amps[i]) * creal(amps[i]) + cimag(amps[i]) * cimag(amps[i]);
+        amp sq = amps[i] * amps[i];
+        double p = sq[0] + sq[1];
         if (parity(i)) {
             e -= p;
         } else {
@@ -197,62 +223,128 @@ static double expval_z(const cplx *amps, ptrdiff_t dim) {
     return e;
 }
 
-/* One gate applied to a, or undone when undo is set. cs points at the
- * gate's cos/sin slot pair, which only the rotations read: the slots of H
- * and CZ are never set. A rotation is undone as (c, -s); H and CZ are their
- * own inverses. Forced inline: gcc keeps it out of line otherwise, and the
- * call per gate cost 3-5 % of the forward-only perfbench campaigns. */
-static inline __attribute__((always_inline)) void gate(cplx *a, ptrdiff_t dim, int kind, int qa, int qb,
-                                                       const double *cs, int undo) {
-    if (kind == KIND_RY) {
-        ry(a, dim, qa, cs[0], undo ? -cs[1] : cs[1]);
-    } else if (kind == KIND_RZ) {
-        rz(a, dim, qa, cs[0], undo ? -cs[1] : cs[1]);
-    } else if (kind == KIND_H) {
-        h(a, dim, qa);
+/* One step of a compiled gate list: an H or rotation on qubit q, which is
+ * gate at of the list, or a run of CZ gates, whose signs start at
+ * signs[at]. */
+struct op {
+    int kind, q;
+    ptrdiff_t at;
+};
+
+/* A checked gate list compiled for one call, with its scratch: psi holds
+ * 2 * dim amplitudes, cs[2g] and cs[2g + 1] the half-angle cosine and sine
+ * of rotation g (unset for H and CZ), grads n_rot doubles and signs dim
+ * entries per CZ run, one per amplitude: INT64_MIN to negate it, else 0. */
+struct sim {
+    ptrdiff_t dim, n_ops, n_rot;
+    const struct op *ops;
+    const int64_t *signs;
+    amp *psi;
+    double *cs, *grads;
+};
+
+static ptrdiff_t count_rotations(const int8_t *kinds, ptrdiff_t n_gates) {
+    ptrdiff_t n_rot = 0;
+    for (ptrdiff_t g = 0; g < n_gates; g++) {
+        n_rot += is_rotation(kinds[g]);
+    }
+    return n_rot;
+}
+
+/* Compiles the gate list, which bad_gate has passed, into *sim, in one
+ * allocation for free(sim->psi). Returns -1, or -2 when the memory cannot
+ * be allocated. */
+static ptrdiff_t prepare(struct sim *sim, int n_qubits, const int8_t *kinds, const int32_t *qa,
+                         const int32_t *qb, ptrdiff_t n_gates) {
+    ptrdiff_t dim = ((ptrdiff_t)1) << n_qubits, n_runs = 0;
+    ptrdiff_t n_rot = count_rotations(kinds, n_gates);
+    for (ptrdiff_t g = 0; g < n_gates; g++) {
+        n_runs += kinds[g] == KIND_CZ && (g == 0 || kinds[g - 1] != KIND_CZ);
+    }
+    /* The amplitudes first, at malloc's 16-byte alignment. */
+    char *mem = malloc(2 * dim * sizeof(amp) + (2 * n_gates + n_rot) * sizeof(double) +
+                       n_gates * sizeof(struct op) + n_runs * dim * sizeof(int64_t));
+    if (mem == NULL) {
+        return -2;
+    }
+    sim->dim = dim;
+    sim->n_rot = n_rot;
+    sim->psi = (amp *)mem;
+    sim->cs = (double *)(sim->psi + 2 * dim);
+    sim->grads = sim->cs + 2 * n_gates;
+    struct op *ops = (struct op *)(sim->grads + n_rot);
+    int64_t *signs = (int64_t *)(ops + n_gates);
+    memset(signs, 0, n_runs * dim * sizeof(int64_t));
+    ptrdiff_t n_ops = 0, run = -dim;
+    for (ptrdiff_t g = 0; g < n_gates; g++) {
+        if (kinds[g] != KIND_CZ) {
+            ops[n_ops++] = (struct op){kinds[g], qa[g], g};
+            continue;
+        }
+        if (g == 0 || kinds[g - 1] != KIND_CZ) {
+            run += dim;
+            ops[n_ops++] = (struct op){KIND_CZ, -1, run};
+        }
+        ptrdiff_t both = (((ptrdiff_t)1) << qa[g]) | (((ptrdiff_t)1) << qb[g]);
+        for (ptrdiff_t i = 0; i < dim; i++) {
+            signs[run + i] ^= (i & both) == both ? INT64_MIN : 0;
+        }
+    }
+    sim->n_ops = n_ops;
+    sim->ops = ops;
+    sim->signs = signs;
+    return -1;
+}
+
+/* One op applied to a, or undone when undo is set. A rotation is undone as
+ * (c, -s); H and a CZ run are their own inverses, and neither reads cs.
+ * Forced inline: gcc keeps it out of line otherwise, and the call per gate
+ * cost 3-5 % of the forward-only perfbench campaigns. */
+static inline __attribute__((always_inline)) void gate(amp *a, const struct sim *sim, struct op op, int undo) {
+    if (op.kind == KIND_RY) {
+        const double *cs = sim->cs + 2 * op.at;
+        ry(a, sim->dim, op.q, cs[0], undo ? -cs[1] : cs[1]);
+    } else if (op.kind == KIND_RZ) {
+        const double *cs = sim->cs + 2 * op.at;
+        rz(a, sim->dim, op.q, cs[0], undo ? -cs[1] : cs[1]);
+    } else if (op.kind == KIND_H) {
+        h(a, sim->dim, op.q);
     } else {
-        cz(a, dim, qa, qb);
+        flip(a, sim->dim, sim->signs + op.at);
     }
 }
 
-/* Reverse sweep from the final state psi, which it turns back into
+/* Reverse sweep from the final state in sim->psi, which it turns back into
  * |0...0>: d<Z^n>/d(angle) into grads, one entry per rotation gate in gate
- * order (n_rot of them). lam is scratch. */
-static void adjoint(cplx *psi, cplx *lam, ptrdiff_t dim, const int8_t *kinds,
-                    const int32_t *qa, const int32_t *qb, const double *cs,
-                    ptrdiff_t n_gates, ptrdiff_t n_rot, double *grads) {
-    ptrdiff_t r = n_rot - 1;
-    for (ptrdiff_t i = 0; i < dim; i++) {
+ * order. The second half of the scratch holds lam. */
+static void adjoint(const struct sim *sim, double *grads) {
+    amp *psi = sim->psi, *lam = psi + sim->dim;
+    ptrdiff_t r = sim->n_rot - 1;
+    for (ptrdiff_t i = 0; i < sim->dim; i++) {
         lam[i] = parity(i) ? -psi[i] : psi[i];
     }
-    for (ptrdiff_t g = n_gates - 1; g > -1; g--) {
-        int kind = kinds[g];
-        gate(psi, dim, kind, qa[g], qb[g], cs + 2 * g, 1);
-        /* grad_dot gets its kind as a constant, so that gcc drops the kind
-         * branch from its inner loop (5 % of the adjoint otherwise). */
-        if (kind == KIND_RY) {
-            grads[r--] = grad_dot(lam, psi, dim, KIND_RY, qa[g], cs[2 * g], cs[2 * g + 1]);
-        } else if (kind == KIND_RZ) {
-            grads[r--] = grad_dot(lam, psi, dim, KIND_RZ, qa[g], cs[2 * g], cs[2 * g + 1]);
+    for (ptrdiff_t k = sim->n_ops - 1; k > -1; k--) {
+        struct op op = sim->ops[k];
+        gate(psi, sim, op, 1);
+        if (is_rotation(op.kind)) {
+            grads[r--] = grad_dot(lam, psi, sim->dim, op.kind, op.q, sim->cs[2 * op.at], sim->cs[2 * op.at + 1]);
         }
-        gate(lam, dim, kind, qa[g], qb[g], cs + 2 * g, 1);
+        gate(lam, sim, op, 1);
     }
 }
 
-/* <Z^n> of |0...0> evolved through the gates, cs[2g], cs[2g + 1] holding
- * rotation g's half-angle cosine and sine; unless grads is NULL, also its
- * adjoint gradient. psi holds 2 * dim amplitudes of scratch. */
-static double circuit(cplx *psi, ptrdiff_t dim, const int8_t *kinds, const int32_t *qa,
-                      const int32_t *qb, const double *cs, ptrdiff_t n_gates, ptrdiff_t n_rot,
-                      double *grads) {
-    memset(psi, 0, dim * sizeof(cplx)); /* all +0.0 */
-    psi[0] = 1.0;
-    for (ptrdiff_t g = 0; g < n_gates; g++) {
-        gate(psi, dim, kinds[g], qa[g], qb[g], cs + 2 * g, 0);
+/* <Z^n> of |0...0> evolved through the compiled gates, whose rotations'
+ * trig is in sim->cs; unless grads is NULL, also its adjoint gradient. */
+static double circuit(const struct sim *sim, double *grads) {
+    amp *psi = sim->psi;
+    memset(psi, 0, sim->dim * sizeof(amp)); /* all +0.0 */
+    psi[0] = (amp){1.0, 0.0};
+    for (ptrdiff_t k = 0; k < sim->n_ops; k++) {
+        gate(psi, sim, sim->ops[k], 0);
     }
-    double e = expval_z(psi, dim);
+    double e = expval_z(psi, sim->dim);
     if (grads != NULL) {
-        adjoint(psi, psi + dim, dim, kinds, qa, qb, cs, n_gates, n_rot, grads);
+        adjoint(sim, grads);
     }
     return e;
 }
@@ -276,24 +368,20 @@ ptrdiff_t expval_z_and_grad_rows(int n_qubits, const int8_t *kinds, const int32_
     if (bad >= 0) {
         return bad;
     }
-    ptrdiff_t n_rot = count_rotations(kinds, n_gates);
-    ptrdiff_t dim = ((ptrdiff_t)1) << n_qubits;
-    cplx *psi = malloc(2 * dim * sizeof(cplx) + 2 * n_gates * sizeof(double));
-    if (psi == NULL) {
+    struct sim sim;
+    if (prepare(&sim, n_qubits, kinds, qa, qb, n_gates) == -2) {
         return -2;
     }
-    double *cs = (double *)(psi + 2 * dim);
     for (ptrdiff_t r = 0; r < n_rows; r++) {
         const double *row = angles + r * n_gates;
         for (ptrdiff_t g = 0; g < n_gates; g++) {
             if (is_rotation(kinds[g])) {
-                half_angle_trig(cs + 2 * g, row[g]);
+                half_angle_trig(sim.cs + 2 * g, row[g]);
             }
         }
-        expvals[r] = circuit(psi, dim, kinds, qa, qb, cs, n_gates, n_rot,
-                             grads == NULL ? NULL : grads + r * n_rot);
+        expvals[r] = circuit(&sim, grads == NULL ? NULL : grads + r * sim.n_rot);
     }
-    free(psi);
+    free(sim.psi);
     return -1;
 }
 
@@ -331,23 +419,23 @@ static int cartpole_step(const struct cartpole *cp, const double *s, int right, 
     return out_of_bounds(cp, next);
 }
 
-/* The policy circuit: gate g's parameter and the feature it reads (-1: a
- * nu angle) beside the gate arrays. */
+/* The policy circuit, compiled, with gate g's parameter and the feature it
+ * reads (-1: a nu angle). */
 struct policy {
-    ptrdiff_t dim, n_gates, n_rot, n_params;
+    struct sim sim;
+    ptrdiff_t n_gates, n_params;
     const int8_t *kinds;
-    const int32_t *qa, *qb, *param, *feature;
+    const int32_t *param, *feature;
     const double *omega;
 };
 
 /* One step in raw state s (see trainer.play_episodes): the observation,
  * plus 4 draws of N(0, sigma) from bg when sigma > 0, the action uniform u
- * drawn next, then <Z^n>, the nu angles' trig already in cs. Returns the
- * action: right unless u < p0. Unless grads is NULL, the adjoint runs too
- * and coeff * d<Z^n>/d(param) go to glp_nu and glp_omega. */
-static int policy_step(const struct policy *pol, const struct cartpole *cp, cplx *psi, double *cs,
-                       double *grads, const double *s, double sigma, bitgen_t *bg, double *glp_nu,
-                       double *glp_omega) {
+ * drawn next, then <Z^n>, the nu angles' trig already in pol->sim.cs.
+ * Returns the action: right unless u < p0. Unless grads is NULL, the
+ * adjoint runs too and coeff * d<Z^n>/d(param) go to glp_nu and glp_omega. */
+static int policy_step(const struct policy *pol, const struct cartpole *cp, double *grads, const double *s,
+                       double sigma, bitgen_t *bg, double *glp_nu, double *glp_omega) {
     double obs[N_FEATURES];
     for (int k = 0; k < N_FEATURES; k++) {
         obs[k] = s[k] / cp->norm_factors[k];
@@ -358,10 +446,10 @@ static int policy_step(const struct policy *pol, const struct cartpole *cp, cplx
     double u = bg->next_double(bg->state);
     for (ptrdiff_t g = 0; g < pol->n_gates; g++) {
         if (is_rotation(pol->kinds[g]) && pol->feature[g] >= 0) {
-            half_angle_trig(cs + 2 * g, pol->omega[pol->param[g]] * obs[pol->feature[g]]);
+            half_angle_trig(pol->sim.cs + 2 * g, pol->omega[pol->param[g]] * obs[pol->feature[g]]);
         }
     }
-    double e = circuit(psi, pol->dim, pol->kinds, pol->qa, pol->qb, cs, pol->n_gates, pol->n_rot, grads);
+    double e = circuit(&pol->sim, grads);
     e = e < -1.0 ? -1.0 : e; /* np.maximum, then np.minimum: NaN stays NaN */
     e = e > 1.0 ? 1.0 : e;
     double p = (e + 1.0) / 2.0;
@@ -407,17 +495,15 @@ ptrdiff_t play_episodes(int n_qubits, const int8_t *kinds, const int32_t *qa, co
             return g;
         }
     }
-    struct policy pol = {((ptrdiff_t)1) << n_qubits, n_gates, count_rotations(kinds, n_gates), n_params,
-                         kinds, qa, qb, param, feature, omega};
-    cplx *psi = malloc(2 * pol.dim * sizeof(cplx) + (2 * n_gates + pol.n_rot) * sizeof(double));
-    if (psi == NULL) {
+    struct policy pol = {.n_gates = n_gates, .n_params = n_params, .kinds = kinds, .param = param,
+                         .feature = feature, .omega = omega};
+    if (prepare(&pol.sim, n_qubits, kinds, qa, qb, n_gates) == -2) {
         return -2;
     }
-    double *cs = (double *)(psi + 2 * pol.dim);
-    double *grads = glp_nu == NULL ? NULL : cs + 2 * n_gates;
+    double *grads = glp_nu == NULL ? NULL : pol.sim.grads;
     for (ptrdiff_t g = 0; g < n_gates; g++) {
         if (is_rotation(kinds[g]) && feature[g] < 0) {
-            half_angle_trig(cs + 2 * g, nu[param[g]]);
+            half_angle_trig(pol.sim.cs + 2 * g, nu[param[g]]);
         }
     }
     double square = SQUARE;
@@ -427,12 +513,12 @@ ptrdiff_t play_episodes(int n_qubits, const int8_t *kinds, const int32_t *qa, co
         ptrdiff_t t = 0;
         for (int out = out_of_bounds(cp, s[0]); !out && t < horizon; t++) {
             ptrdiff_t row = (t * n_episodes + i) * n_params;
-            int right = policy_step(&pol, cp, psi, cs, grads, s[t % 2], sigmas[i], bitgens[i],
+            int right = policy_step(&pol, cp, grads, s[t % 2], sigmas[i], bitgens[i],
                                     grads == NULL ? NULL : glp_nu + row, grads == NULL ? NULL : glp_omega + row);
             out = cartpole_step(cp, s[t % 2], right, square, s[(t + 1) % 2]);
         }
         lengths[i] = t;
     }
-    free(psi);
+    free(pol.sim.psi);
     return -1;
 }

@@ -33,11 +33,10 @@ SOURCE = Path(__file__).with_name("_sv_c.c")
 # numpy's C distributions, which the episode loop draws with.
 NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 # -ffp-contract=off keeps multiply-adds unfused, so results are the same on
-# every target; -fcx-limited-range drops the NaN recovery of complex
-# products, which never runs on finite values (see _sv_c.c); -ffast-math or
-# -march=native could change the last bits. The flags are part of the
-# library's cache name.
-CFLAGS = ("-O2", "-ffp-contract=off", "-fcx-limited-range", "-shared", "-fPIC")
+# every target; the kernel's 2-wide vectors need only the SSE2 of every
+# x86-64, and -ffast-math or -march=native could change the last bits. The
+# flags are part of the library's cache name.
+CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def build(cache_dir: Path) -> Path:

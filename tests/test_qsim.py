@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpgrad import _sv_numpy, qsim
+from qpgrad.policy import AnsatzSpec, CircuitTemplate
 from qpgrad.qsim import parameter_shift_gradient
 
 
@@ -366,3 +367,68 @@ class TestBackendParity:
     @given(st.integers(1, 5), st.lists(_gate_tuples, max_size=40))
     def test_backends_agree_on_random_circuits(self, n_qubits, gates):
         self._assert_agree(n_qubits, *_packed(gates, n_qubits))
+
+
+def _rotations(rng, n_qubits):
+    """H, RY and RZ on every qubit, with random angles."""
+    return [g for q in range(n_qubits) for g in (h(q), ry(q, rng.uniform(-7, 7)), rz(q, rng.uniform(-7, 7)))]
+
+
+def _cz_run(n_qubits):
+    """CZ on each neighbouring pair, the ring closed from 3 qubits on, and the
+    first pair once more, so that two of its signs cancel."""
+    pairs = [(q, q + 1) for q in range(n_qubits - 1)] + ([(0, n_qubits - 1)] if n_qubits > 2 else [])
+    return [cz(a, b) for a, b in pairs + pairs[:1]]
+
+
+class TestCzRuns:
+    """Runs of consecutive CZ gates, which the compiled kernel applies as one
+    pass of signs, against the numpy oracle, which applies each CZ alone."""
+
+    def _assert_rows_agree(self, n_qubits, kinds, qa, qb, block):
+        # each row agrees with the oracle, and alone gives the bits it gives in the block
+        c, np_ = kernels()
+        e, g = c.expval_z_and_grad_rows(n_qubits, kinds, qa, qb, block)
+        for r, row in enumerate(block):
+            e_np, g_np = adjoint(np_, n_qubits, kinds, qa, qb, row)
+            assert e[r] == pytest.approx(e_np, abs=1e-13)
+            np.testing.assert_allclose(g[r], g_np, atol=1e-12)
+            e_r, g_r = adjoint(c, n_qubits, kinds, qa, qb, row)
+            assert np.array_equal(np.float64(e_r).view(np.int64), e[r].view(np.int64))
+            assert np.array_equal(g_r.view(np.int64), g[r].view(np.int64))
+
+    def _assert_agree(self, n_qubits, gates, rng):
+        kinds, qa, qb, angles = pack(gates)
+        block = np.vstack([angles, rng.uniform(-7, 7, (3, len(angles)))])
+        self._assert_rows_agree(n_qubits, kinds, qa, qb, block)
+
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4, 5, 6, 7, 8])
+    def test_run_at_start_middle_and_end(self, n_qubits):
+        # 7 and 8 qubits have more amplitudes than a 64-bit mask has bits
+        rng = np.random.default_rng(70 + n_qubits)
+        run = _cz_run(n_qubits)
+        before, after = _rotations(rng, n_qubits), _rotations(rng, n_qubits)
+        for gates in (run + after, before + run + after, before + run, before + run + run + after):
+            self._assert_agree(n_qubits, gates, rng)
+
+    @pytest.mark.parametrize("n_qubits", [2, 4, 7])
+    def test_circuit_of_czs_only(self, n_qubits):
+        rng = np.random.default_rng(80 + n_qubits)
+        self._assert_agree(n_qubits, _cz_run(n_qubits), rng)
+        e, g = adjoint(kernels()[0], n_qubits, *pack(_cz_run(n_qubits)))
+        assert e == 1.0 and g.shape == (0,)
+
+    def test_single_cz_between_rotations(self):
+        rng = np.random.default_rng(90)
+        for n_qubits in range(2, 7):
+            for a, b in ((0, 1), (0, n_qubits - 1), (n_qubits - 2, n_qubits - 1)):
+                self._assert_agree(n_qubits, _rotations(rng, n_qubits) + [cz(a, b)] + _rotations(rng, n_qubits), rng)
+
+    @pytest.mark.parametrize("entangler", ["between", "every"])
+    def test_policy_templates(self, entangler):
+        rng = np.random.default_rng(100)
+        for n_qubits in range(1, 7):
+            for encoding in ("rz_ry", "rz_rz"):
+                tpl = CircuitTemplate(AnsatzSpec(n_qubits, 3, entangler, encoding))
+                block = rng.uniform(-7, 7, (4, len(tpl.kinds)))
+                self._assert_rows_agree(n_qubits, tpl.kinds, tpl.qa, tpl.qb, block)
