@@ -80,6 +80,7 @@ class ExperimentConfig:
         if self.ansatz.n_qubits > N_FEATURES:
             raise ConfigurationError(f"ansatz.n_qubits must be <= {N_FEATURES}, one qubit per CartPole feature "
                                      f"(there are {N_FEATURES}), got {self.ansatz.n_qubits}")
+        self.curriculum_schedule()  # its checks name the curriculum keys
 
     def curriculum_schedule(self) -> CurriculumSchedule:
         return default_schedule(

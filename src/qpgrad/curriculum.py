@@ -62,7 +62,7 @@ class CurriculumSchedule:
             if not nxt.contains(prev):
                 raise ConfigurationError("curriculum ranges must be expanding")
         if self.f_max < 0:
-            raise ConfigurationError("curriculum.f_max must be >= 0")
+            raise ConfigurationError("curriculum.max_failures must be >= 0")
         if self.validation_episodes < 1:
             raise ConfigurationError("curriculum.validation_episodes must be >= 1")
         if self.validation_period < 1:

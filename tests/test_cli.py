@@ -306,6 +306,15 @@ class TestExitCodes:
         assert setting.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "setting", ["curriculum.validation_period=0", "curriculum.validation_episodes=0", "curriculum.max_failures=-1"]
+    )
+    def test_bad_curriculum_count_is_config_error_naming_key(self, tmp_path, capsys, setting):
+        out = tmp_path / "out"
+        assert run_cli("curriculum", "--seed", "4", "--seeds", "1", "--out", str(out), "--set", setting) == 1
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_more_qubits_than_cartpole_features_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         args = ("train", "--seed", "1", "--out", str(out), "--set", "ansatz.n_qubits=5", "--set", "train.epochs=1")

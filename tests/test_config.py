@@ -102,6 +102,18 @@ class TestStrictParsing:
         with pytest.raises(ConfigurationError, match=key):
             build_config({key: value})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("curriculum.validation_period", "0"),
+            ("curriculum.validation_episodes", "0"),
+            ("curriculum.max_failures", "-1"),
+        ],
+    )
+    def test_bad_curriculum_count_rejected_naming_key(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            build_config({key: value})
+
     def test_angle_edges_at_the_theta_limit_accepted(self):
         cfg = build_config({"grid.angle_edges": "-12.03,0,12.03"})
         assert cfg.grid.angle_bins == ((-12.03, 0.0), (0.0, 12.03))
