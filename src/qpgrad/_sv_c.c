@@ -243,22 +243,14 @@ struct sim {
     double *cs, *grads;
 };
 
-static ptrdiff_t count_rotations(const int8_t *kinds, ptrdiff_t n_gates) {
-    ptrdiff_t n_rot = 0;
-    for (ptrdiff_t g = 0; g < n_gates; g++) {
-        n_rot += is_rotation(kinds[g]);
-    }
-    return n_rot;
-}
-
 /* Compiles the gate list, which bad_gate has passed, into *sim, in one
  * allocation for free(sim->psi). Returns -1, or -2 when the memory cannot
  * be allocated. */
 static ptrdiff_t prepare(struct sim *sim, int n_qubits, const int8_t *kinds, const int32_t *qa,
                          const int32_t *qb, ptrdiff_t n_gates) {
-    ptrdiff_t dim = ((ptrdiff_t)1) << n_qubits, n_runs = 0;
-    ptrdiff_t n_rot = count_rotations(kinds, n_gates);
+    ptrdiff_t dim = ((ptrdiff_t)1) << n_qubits, n_rot = 0, n_runs = 0;
     for (ptrdiff_t g = 0; g < n_gates; g++) {
+        n_rot += is_rotation(kinds[g]);
         n_runs += kinds[g] == KIND_CZ && (g == 0 || kinds[g - 1] != KIND_CZ);
     }
     /* The amplitudes first, at malloc's 16-byte alignment. */
