@@ -62,8 +62,8 @@
  *    from x*x in the last bit for about 1 in 1000 inputs. The exponent is
  *    read from a volatile, so the call stays a call.
  *  - -ffp-contract=off keeps multiply-adds unfused; never -ffast-math or
- *    -march=native, which may change the last bits. The vectors need only
- *    the SSE2 that x86-64 always has. */
+ *    -march=native, which may change the last bits. gcc runs the 2-wide
+ *    vectors on SSE2, which every x86-64 has, with no -march flag. */
 
 #include <math.h>
 #include <stddef.h>
@@ -143,13 +143,7 @@ static inline void flip(amp *a, ptrdiff_t dim, const int64_t *signs) {
 }
 
 static inline int parity(ptrdiff_t x) {
-    x ^= x >> 32;
-    x ^= x >> 16;
-    x ^= x >> 8;
-    x ^= x >> 4;
-    x ^= x >> 2;
-    x ^= x >> 1;
-    return (int)(x & 1);
+    return __builtin_parityll((unsigned long long)x);
 }
 
 /* Index of the first gate with an unknown kind, a qubit outside the
