@@ -227,8 +227,9 @@ struct op {
 
 /* A checked gate list compiled for one call, with its scratch: psi holds
  * 2 * dim amplitudes, cs[2g] and cs[2g + 1] the half-angle cosine and sine
- * of rotation g (unset for H and CZ), grads n_rot doubles and signs dim
- * entries per CZ run, one per amplitude: INT64_MIN to negate it, else 0. */
+ * of rotation g (unset for H and CZ), grads one gradient row for a caller
+ * with no block of its own, and signs dim entries per CZ run, one per
+ * amplitude: INT64_MIN to negate it, else 0. */
 struct sim {
     ptrdiff_t dim, n_ops, n_rot;
     const struct op *ops;
