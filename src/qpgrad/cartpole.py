@@ -61,15 +61,18 @@ class InitRanges:
     theta_dot: tuple[float, float] = (-0.05, 0.05)
 
     def __post_init__(self):
+        limits = {"x": X_LIMIT, "theta": THETA_INIT_LIMIT}
         for name, (lo, hi) in self.items():
-            if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
-                raise ConfigurationError(f"init range for {name} must be a finite interval, got [{lo}, {hi}]")
-        if self.x[0] < -X_LIMIT or self.x[1] > X_LIMIT:
-            raise ConfigurationError(f"init range for x must lie inside [-{X_LIMIT}, {X_LIMIT}]")
-        if self.theta[0] < -THETA_INIT_LIMIT or self.theta[1] > THETA_INIT_LIMIT:
-            raise ConfigurationError(
-                f"init range for theta must lie inside [-{THETA_INIT_LIMIT}, {THETA_INIT_LIMIT}]"
-            )
+            for end, value in (("low", lo), ("high", hi)):
+                if not np.isfinite(value):
+                    raise ConfigurationError(f"init.{name}_{end} must be finite, got {value}")
+            if lo > hi:
+                raise ConfigurationError(f"init.{name}_low must be <= init.{name}_high, got [{lo}, {hi}]")
+            limit = limits.get(name, np.inf)
+            if lo < -limit:
+                raise ConfigurationError(f"init.{name}_low must be >= -{limit}, got {lo}")
+            if hi > limit:
+                raise ConfigurationError(f"init.{name}_high must be <= {limit}, got {hi}")
 
     def items(self):
         return (("x", self.x), ("x_dot", self.x_dot), ("theta", self.theta), ("theta_dot", self.theta_dot))

@@ -6,19 +6,22 @@ values are validated with their key path in the message. An empty config is
 the paper-default training setup: 100 epochs, batches of 10 episodes,
 learning rate 0.05, discount 0.99, 3 layers on 4 qubits.
 
+One table, ``_KEYS``, declares every key once: its parser and the path of
+its field in ``ExperimentConfig``. Parsing, building and serializing all
+read it, so a new key is one line there plus its field.
+
 ``serialize_config`` emits every key in canonical order with full-precision
-floats, so ``parse_config(serialize_config(c)) == c``. A run manifest is a
-config file with extra ``manifest.*`` metadata lines, which the parser
-skips; re-running a subcommand with ``--config <manifest>`` therefore
-reproduces the run.
+floats, so ``build_config(parse_config_text(serialize_config(c))) == c``. A
+run manifest is a config file with extra ``manifest.*`` metadata lines,
+which the parser skips; re-running a subcommand with ``--config <manifest>``
+therefore reproduces the run.
 """
 
 from __future__ import annotations
 
 import difflib
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 from .cartpole import N_FEATURES, InitRanges
 from .curriculum import DEFAULT_THETA_DOT_LIMITS, CurriculumSchedule, default_schedule
@@ -80,6 +83,9 @@ class ExperimentConfig:
         if self.ansatz.n_qubits > N_FEATURES:
             raise ConfigurationError(f"ansatz.n_qubits must be <= {N_FEATURES}, one qubit per CartPole feature "
                                      f"(there are {N_FEATURES}), got {self.ansatz.n_qubits}")
+        if self.command == "curriculum" and self.train.minibatch not in (0, self.train.batch_size):
+            raise ConfigurationError(f"train.minibatch: curriculum updates on whole batches, so it must be 0 or "
+                                     f"train.batch_size ({self.train.batch_size}), got {self.train.minibatch}")
         self.curriculum_schedule()  # its checks name the curriculum keys
 
     def curriculum_schedule(self) -> CurriculumSchedule:
@@ -93,16 +99,17 @@ class ExperimentConfig:
         )
 
 
+_DEFAULTS = ExperimentConfig()
+
+
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):
+        if isinstance(value[0], tuple):  # grid bins are written as their edges
+            value = _bins_to_edges(value)
+        return ",".join(_fmt(v) for v in value)
     return str(value)
-
-
-def _fmt_list(values) -> str:
-    return ",".join(_fmt(v) for v in values)
 
 
 def _parse_int(key: str, raw: str) -> int:
@@ -129,6 +136,10 @@ def _parse_float_list(key: str, raw: str) -> tuple:
     return tuple(_parse_float(key, s) for s in items)
 
 
+def _parse_str(key: str, raw: str) -> str:
+    return raw
+
+
 def _parse_sigmas(key: str, raw: str) -> tuple:
     sigmas = _parse_float_list(key, raw)
     if min(sigmas) < 0:
@@ -136,68 +147,20 @@ def _parse_sigmas(key: str, raw: str) -> tuple:
     return sigmas
 
 
-def _parse_choice(key: str, raw: str, choices) -> str:
-    if raw not in choices:
-        raise ConfigurationError(f"{key}: expected one of {choices}, got {raw!r}")
-    return raw
+def _parse_limits(key: str, raw: str) -> tuple:
+    limits = _parse_float_list(key, raw)
+    if any(b <= a for a, b in zip(limits, limits[1:])) or limits[0] <= 0:
+        raise ConfigurationError(f"{key} must be positive and strictly increasing")
+    return limits
 
 
-# key -> (parser, getter); the insertion order is the canonical file order.
-_KEYS: dict = {
-    "run.command": (lambda k, v: _parse_choice(k, v, COMMANDS), lambda c: c.command),
-    "run.seed": (_parse_int, lambda c: c.seed),
-    "run.seeds": (_parse_int, lambda c: c.n_seeds),
-    "run.out": (lambda k, v: v, lambda c: c.out_dir),
-    "run.workers": (_parse_int, lambda c: c.workers),
-    "ansatz.n_qubits": (_parse_int, lambda c: c.ansatz.n_qubits),
-    "ansatz.n_layers": (_parse_int, lambda c: c.ansatz.n_layers),
-    "ansatz.entangler": (
-        lambda k, v: _parse_choice(k, v, (ENTANGLE_BETWEEN, ENTANGLE_EVERY)),
-        lambda c: c.ansatz.entangler,
-    ),
-    "ansatz.encoding": (
-        lambda k, v: _parse_choice(k, v, (ENCODING_RZ_RY, ENCODING_RZ_RZ)),
-        lambda c: c.ansatz.encoding,
-    ),
-    "train.epochs": (_parse_int, lambda c: c.train.epochs),
-    "train.batch_size": (_parse_int, lambda c: c.train.batch_size),
-    "train.learning_rate": (_parse_float, lambda c: c.train.learning_rate),
-    "train.gamma": (_parse_float, lambda c: c.train.gamma),
-    "train.lambda": (_parse_float, lambda c: c.train.lam),
-    "train.optimizer": (
-        lambda k, v: _parse_choice(k, v, (OPT_ADAM, OPT_VANILLA)),
-        lambda c: c.train.optimizer,
-    ),
-    "train.baseline": (
-        lambda k, v: _parse_choice(k, v, (BASELINE_NONE, BASELINE_BATCH_MEAN)),
-        lambda c: c.train.baseline,
-    ),
-    "train.grad_norm": (
-        lambda k, v: _parse_choice(k, v, (NORM_STEPS, NORM_EPISODES)),
-        lambda c: c.train.grad_norm,
-    ),
-    "train.minibatch": (_parse_int, lambda c: c.train.minibatch),
-    "train.horizon": (_parse_int, lambda c: c.train.horizon),
-    "init.x_low": (_parse_float, lambda c: c.init.x[0]),
-    "init.x_high": (_parse_float, lambda c: c.init.x[1]),
-    "init.x_dot_low": (_parse_float, lambda c: c.init.x_dot[0]),
-    "init.x_dot_high": (_parse_float, lambda c: c.init.x_dot[1]),
-    "init.theta_low": (_parse_float, lambda c: c.init.theta[0]),
-    "init.theta_high": (_parse_float, lambda c: c.init.theta[1]),
-    "init.theta_dot_low": (_parse_float, lambda c: c.init.theta_dot[0]),
-    "init.theta_dot_high": (_parse_float, lambda c: c.init.theta_dot[1]),
-    "eval.checkpoints": (lambda k, v: v, lambda c: c.eval_checkpoints),
-    "eval.sigmas": (_parse_sigmas, lambda c: c.eval_sigmas),
-    "eval.episodes": (_parse_int, lambda c: c.eval_episodes),
-    "grid.angle_edges": (_parse_float_list, lambda c: _bins_to_edges(c.grid.angle_bins)),
-    "grid.velocity_edges": (_parse_float_list, lambda c: _bins_to_edges(c.grid.velocity_bins)),
-    "grid.cell_episodes": (_parse_int, lambda c: c.grid.episodes_per_cell),
-    "curriculum.ranges": (_parse_float_list, lambda c: c.curr_limits),
-    "curriculum.max_failures": (_parse_int, lambda c: c.curr_max_failures),
-    "curriculum.validation_episodes": (_parse_int, lambda c: c.curr_validation_episodes),
-    "curriculum.validation_threshold": (_parse_float, lambda c: c.curr_validation_threshold),
-    "curriculum.validation_period": (_parse_int, lambda c: c.curr_validation_period),
-}
+def _edges_to_bins(key: str, raw: str) -> tuple:
+    edges = _parse_float_list(key, raw)
+    if len(edges) < 2:
+        raise ConfigurationError(f"{key}: need at least two edges")
+    if any(b <= a for a, b in zip(edges, edges[1:])):
+        raise ConfigurationError(f"{key}: edges must be strictly increasing")
+    return tuple((lo, hi) for lo, hi in zip(edges, edges[1:]))
 
 
 def _bins_to_edges(bins) -> tuple:
@@ -209,26 +172,80 @@ def _bins_to_edges(bins) -> tuple:
     return tuple(edges)
 
 
-def _edges_to_bins(key: str, edges) -> tuple:
-    if len(edges) < 2:
-        raise ConfigurationError(f"{key}: need at least two edges")
-    if any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ConfigurationError(f"{key}: edges must be strictly increasing")
-    return tuple((lo, hi) for lo, hi in zip(edges, edges[1:]))
+def _choice(*choices):
+    def parse(key: str, raw: str) -> str:
+        if raw not in choices:
+            raise ConfigurationError(f"{key}: expected one of {choices}, got {raw!r}")
+        return raw
+
+    return parse
 
 
-def _suggest(key: str) -> str:
-    pool = list(_KEYS)
-    hit = difflib.get_close_matches(key, pool, n=1)
+# key -> (parser, path of its field in ExperimentConfig); an int step picks
+# one end of an init interval. The insertion order is the canonical file order.
+_KEYS: dict = {
+    "run.command": (_choice(*COMMANDS), ("command",)),
+    "run.seed": (_parse_int, ("seed",)),
+    "run.seeds": (_parse_int, ("n_seeds",)),
+    "run.out": (_parse_str, ("out_dir",)),
+    "run.workers": (_parse_int, ("workers",)),
+    "ansatz.n_qubits": (_parse_int, ("ansatz", "n_qubits")),
+    "ansatz.n_layers": (_parse_int, ("ansatz", "n_layers")),
+    "ansatz.entangler": (_choice(ENTANGLE_BETWEEN, ENTANGLE_EVERY), ("ansatz", "entangler")),
+    "ansatz.encoding": (_choice(ENCODING_RZ_RY, ENCODING_RZ_RZ), ("ansatz", "encoding")),
+    "train.epochs": (_parse_int, ("train", "epochs")),
+    "train.batch_size": (_parse_int, ("train", "batch_size")),
+    "train.learning_rate": (_parse_float, ("train", "learning_rate")),
+    "train.gamma": (_parse_float, ("train", "gamma")),
+    "train.lambda": (_parse_float, ("train", "lam")),
+    "train.optimizer": (_choice(OPT_ADAM, OPT_VANILLA), ("train", "optimizer")),
+    "train.baseline": (_choice(BASELINE_NONE, BASELINE_BATCH_MEAN), ("train", "baseline")),
+    "train.grad_norm": (_choice(NORM_STEPS, NORM_EPISODES), ("train", "grad_norm")),
+    "train.minibatch": (_parse_int, ("train", "minibatch")),
+    "train.horizon": (_parse_int, ("train", "horizon")),
+    "init.x_low": (_parse_float, ("init", "x", 0)),
+    "init.x_high": (_parse_float, ("init", "x", 1)),
+    "init.x_dot_low": (_parse_float, ("init", "x_dot", 0)),
+    "init.x_dot_high": (_parse_float, ("init", "x_dot", 1)),
+    "init.theta_low": (_parse_float, ("init", "theta", 0)),
+    "init.theta_high": (_parse_float, ("init", "theta", 1)),
+    "init.theta_dot_low": (_parse_float, ("init", "theta_dot", 0)),
+    "init.theta_dot_high": (_parse_float, ("init", "theta_dot", 1)),
+    "eval.checkpoints": (_parse_str, ("eval_checkpoints",)),
+    "eval.sigmas": (_parse_sigmas, ("eval_sigmas",)),
+    "eval.episodes": (_parse_int, ("eval_episodes",)),
+    "grid.angle_edges": (_edges_to_bins, ("grid", "angle_bins")),
+    "grid.velocity_edges": (_edges_to_bins, ("grid", "velocity_bins")),
+    "grid.cell_episodes": (_parse_int, ("grid", "episodes_per_cell")),
+    "curriculum.ranges": (_parse_limits, ("curr_limits",)),
+    "curriculum.max_failures": (_parse_int, ("curr_max_failures",)),
+    "curriculum.validation_episodes": (_parse_int, ("curr_validation_episodes",)),
+    "curriculum.validation_threshold": (_parse_float, ("curr_validation_threshold",)),
+    "curriculum.validation_period": (_parse_int, ("curr_validation_period",)),
+}
+
+
+def _lookup(config, path):
+    for step in path:
+        config = config[step] if isinstance(step, int) else getattr(config, step)
+    return config
+
+
+def _check_key(key: str, where: str = "") -> None:
+    """Rejects a key that ``_KEYS`` does not declare, suggesting the closest one."""
+    if key in _KEYS:
+        return
+    hit = difflib.get_close_matches(key, list(_KEYS), n=1)
     if not hit:
-        tail = {k.split(".", 1)[1]: k for k in pool}
+        tail = {k.split(".", 1)[1]: k for k in _KEYS}
         short = difflib.get_close_matches(key.split(".")[-1], list(tail), n=1)
         hit = [tail[short[0]]] if short else []
-    return f"; did you mean {hit[0]!r}?" if hit else ""
+    hint = f"; did you mean {hit[0]!r}?" if hit else ""
+    raise ConfigurationError(f"{where}unknown key {key!r}{hint}")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
-    """Parse the raw key-value layer; values stay strings (or parsed tuples)."""
+    """Parse the raw key-value layer; values stay strings."""
     raw: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -238,94 +255,40 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise ConfigurationError(f"{source}:{lineno}: expected 'key = value', got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        value = value.strip()
         if key.startswith("manifest."):
             continue  # manifests are configs plus metadata; metadata is ignored
-        if key not in _KEYS:
-            raise ConfigurationError(f"{source}:{lineno}: unknown key {key!r}{_suggest(key)}")
+        _check_key(key, f"{source}:{lineno}: ")
         if key in raw:
             raise ConfigurationError(f"{source}:{lineno}: duplicate key {key!r}")
-        raw[key] = value
+        raw[key] = value.strip()
     return raw
 
 
 def build_config(raw: dict) -> ExperimentConfig:
-    """Typed config from a raw key->string mapping; missing keys take defaults."""
-    for key in raw:
-        if key not in _KEYS:
-            raise ConfigurationError(f"unknown key {key!r}{_suggest(key)}")
-    values = {key: _KEYS[key][0](key, raw[key]) for key in raw}
+    """Typed config from a raw key->string mapping; missing keys take defaults.
 
-    def get(key, default):
-        return values.get(key, default)
-
-    defaults = ExperimentConfig()
-    ansatz = AnsatzSpec(
-        n_qubits=get("ansatz.n_qubits", defaults.ansatz.n_qubits),
-        n_layers=get("ansatz.n_layers", defaults.ansatz.n_layers),
-        entangler=get("ansatz.entangler", defaults.ansatz.entangler),
-        encoding=get("ansatz.encoding", defaults.ansatz.encoding),
-    )
-    train = TrainConfig(
-        epochs=get("train.epochs", defaults.train.epochs),
-        batch_size=get("train.batch_size", defaults.train.batch_size),
-        learning_rate=get("train.learning_rate", defaults.train.learning_rate),
-        gamma=get("train.gamma", defaults.train.gamma),
-        lam=get("train.lambda", defaults.train.lam),
-        optimizer=get("train.optimizer", defaults.train.optimizer),
-        baseline=get("train.baseline", defaults.train.baseline),
-        grad_norm=get("train.grad_norm", defaults.train.grad_norm),
-        minibatch=get("train.minibatch", defaults.train.minibatch),
-        horizon=get("train.horizon", defaults.train.horizon),
-    )
-    init = InitRanges(
-        x=(get("init.x_low", defaults.init.x[0]), get("init.x_high", defaults.init.x[1])),
-        x_dot=(get("init.x_dot_low", defaults.init.x_dot[0]), get("init.x_dot_high", defaults.init.x_dot[1])),
-        theta=(get("init.theta_low", defaults.init.theta[0]), get("init.theta_high", defaults.init.theta[1])),
-        theta_dot=(
-            get("init.theta_dot_low", defaults.init.theta_dot[0]),
-            get("init.theta_dot_high", defaults.init.theta_dot[1]),
-        ),
-    )
-    grid = EvalGridSpec(
-        angle_bins=_edges_to_bins(
-            "grid.angle_edges", get("grid.angle_edges", _bins_to_edges(defaults.grid.angle_bins))
-        ),
-        velocity_bins=_edges_to_bins(
-            "grid.velocity_edges", get("grid.velocity_edges", _bins_to_edges(defaults.grid.velocity_bins))
-        ),
-        episodes_per_cell=get("grid.cell_episodes", defaults.grid.episodes_per_cell),
-    )
-    limits = get("curriculum.ranges", defaults.curr_limits)
-    if any(b <= a for a, b in zip(limits, limits[1:])) or limits[0] <= 0:
-        raise ConfigurationError("curriculum.ranges must be positive and strictly increasing")
-    return ExperimentConfig(
-        command=get("run.command", defaults.command),
-        seed=get("run.seed", defaults.seed),
-        n_seeds=get("run.seeds", defaults.n_seeds),
-        out_dir=get("run.out", defaults.out_dir),
-        workers=get("run.workers", defaults.workers),
-        ansatz=ansatz,
-        train=train,
-        init=init,
-        eval_checkpoints=get("eval.checkpoints", defaults.eval_checkpoints),
-        eval_sigmas=get("eval.sigmas", defaults.eval_sigmas),
-        eval_episodes=get("eval.episodes", defaults.eval_episodes),
-        grid=grid,
-        curr_limits=limits,
-        curr_max_failures=get("curriculum.max_failures", defaults.curr_max_failures),
-        curr_validation_episodes=get("curriculum.validation_episodes", defaults.curr_validation_episodes),
-        curr_validation_threshold=get("curriculum.validation_threshold", defaults.curr_validation_threshold),
-        curr_validation_period=get("curriculum.validation_period", defaults.curr_validation_period),
-    )
-
-
-def parse_config(path) -> ExperimentConfig:
-    """Load and validate a config (or manifest) file."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"config file {path} does not exist")
-    return build_config(parse_config_text(path.read_text(), source=str(path)))
+    The values are grouped by section first, and each section is rebuilt
+    once, so checks across its fields see every value of the mapping.
+    """
+    top: dict = {}
+    sections: dict = {}  # section -> {field: value}
+    for key, text in raw.items():
+        _check_key(key)
+        parse, (name, *below) = _KEYS[key]
+        value = parse(key, text)
+        if not below:
+            top[name] = value
+            continue
+        values = sections.setdefault(name, {})
+        field, *end = below
+        if end:  # one end of an interval
+            interval = list(values.get(field, _lookup(_DEFAULTS, (name, field))))
+            interval[end[0]] = value
+            value = tuple(interval)
+        values[field] = value
+    for name, values in sections.items():
+        top[name] = replace(getattr(_DEFAULTS, name), **values)
+    return replace(_DEFAULTS, **top)
 
 
 def apply_overrides(raw: dict, pairs) -> dict:
@@ -336,19 +299,11 @@ def apply_overrides(raw: dict, pairs) -> dict:
             raise ConfigurationError(f"--set expects key=value, got {pair!r}")
         key, _, value = pair.partition("=")
         key = key.strip()
-        if key not in _KEYS:
-            raise ConfigurationError(f"unknown key {key!r}{_suggest(key)}")
+        _check_key(key)
         out[key] = value.strip()
     return out
 
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical text form; parses back to an equal config."""
-    lines = []
-    for key, (_, getter) in _KEYS.items():
-        value = getter(config)
-        if isinstance(value, tuple):
-            lines.append(f"{key} = {_fmt_list(value)}")
-        else:
-            lines.append(f"{key} = {_fmt(value)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_fmt(_lookup(config, path))}\n" for key, (_, path) in _KEYS.items())

@@ -126,9 +126,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 # The most episodes a forward-only batch plays at once. What it holds grows
-# with the batch (a generator per episode, and on numpy the pre-drawn
-# uniforms, horizon x batch floats), and chunks change no result, since an
-# episode's values do not depend on its batch.
+# with the batch (a generator and a state per episode), and chunks change no
+# result, since an episode's values do not depend on its batch.
 MAX_FORWARD_BATCH = 2048
 
 
@@ -143,27 +142,21 @@ def play_episodes(tpl, nu_flat, om_flat, starts, sigmas, rngs, horizon, glp=None
     blocks ``glp``, step t of episode i writes its grad log pi to ``[t, i]``.
     Returns the (B,) episode lengths.
 
-    A noise-free episode draws the uniforms of the whole horizon at once:
-    numpy's ``random(n)`` gives the same values as n single draws. This is
-    the numpy backend's loop, and the oracle of the compiled kernel's
-    ``play_episodes``, which does the same in one call, bit for bit.
+    This is the numpy backend's loop, and the oracle of the compiled
+    kernel's ``play_episodes``, which does the same in one call, bit for bit.
     """
     n = len(starts)
     noise = [NoiseModel(s) if s > 0 else None for s in sigmas]
-    noisy = np.array([m is not None for m in noise], dtype=bool)
-    uniforms = np.empty((horizon, n))
-    for i in np.flatnonzero(~noisy).tolist():
-        uniforms[:, i] = rngs[i].random(horizon)
     lengths = np.zeros(n, dtype=np.int64)
     ids = np.flatnonzero(~out_of_bounds(starts))
     states = starts[ids]
     t = 0
     while len(ids):
         obs = normalize(states)
-        u = uniforms[t][ids]
-        for j in np.flatnonzero(noisy[ids]).tolist():
-            i = ids[j]
-            obs[j] += noise[i].draw(rngs[i])
+        u = np.empty(len(ids))
+        for j, i in enumerate(ids.tolist()):
+            if noise[i] is not None:
+                obs[j] += noise[i].draw(rngs[i])
             u[j] = rngs[i].random()
         if glp is None:
             e = tpl.expval(nu_flat, om_flat, obs)

@@ -307,7 +307,13 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "setting", ["curriculum.validation_period=0", "curriculum.validation_episodes=0", "curriculum.max_failures=-1"]
+        "setting",
+        [
+            "curriculum.validation_period=0",
+            "curriculum.validation_episodes=0",
+            "curriculum.max_failures=-1",
+            "train.minibatch=5",
+        ],
     )
     def test_bad_curriculum_count_is_config_error_naming_key(self, tmp_path, capsys, setting):
         out = tmp_path / "out"

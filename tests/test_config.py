@@ -1,16 +1,94 @@
 """Config parsing, defaults, strictness, and round-trip serialization."""
 
-import pytest
+from dataclasses import fields, is_dataclass
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qpgrad.cartpole import THETA_INIT_LIMIT, X_LIMIT, InitRanges
 from qpgrad.config import (
+    _KEYS,
+    COMMANDS,
     ExperimentConfig,
+    _lookup,
     apply_overrides,
     build_config,
-    parse_config,
     parse_config_text,
     serialize_config,
 )
 from qpgrad.errors import ConfigurationError
+
+
+def _floats(lo=-1e300, hi=1e300):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _increasing(elements, min_size):
+    return st.lists(elements, min_size=min_size, max_size=5, unique=True).map(lambda v: ",".join(map(repr, sorted(v))))
+
+
+@st.composite
+def _run_and_batches(draw):
+    """The keys checked against each other: curriculum takes only whole-batch minibatches."""
+    command = draw(st.sampled_from(COMMANDS))
+    batch = draw(st.integers(1, 64))
+    minibatch = draw(st.sampled_from((0, batch)) if command == "curriculum" else st.integers(0, batch))
+    return {"run.command": command, "train.batch_size": str(batch), "train.minibatch": str(minibatch)}
+
+
+def _interval(feature, limit=1e300):
+    return st.lists(_floats(-limit, limit), min_size=2, max_size=2).map(sorted).map(
+        lambda v: {f"init.{feature}_low": repr(v[0]), f"init.{feature}_high": repr(v[1])}
+    )
+
+
+_SINGLE_KEYS = {
+    "run.seed": st.integers(0, 2**64 - 1).map(str),
+    "run.seeds": st.integers(1, 50).map(str),
+    "run.out": st.text("abcXYZ019_-./", max_size=12),
+    "run.workers": st.integers(1, 8).map(str),
+    "ansatz.n_qubits": st.integers(1, 4).map(str),
+    "ansatz.n_layers": st.integers(1, 6).map(str),
+    "ansatz.entangler": st.sampled_from(("between", "every")),
+    "ansatz.encoding": st.sampled_from(("rz_ry", "rz_rz")),
+    "train.epochs": st.integers(0, 500).map(str),
+    "train.learning_rate": _floats(1e-300).map(repr),
+    "train.gamma": _floats(0.0, 1.0).map(repr),
+    "train.lambda": _floats(0.0).map(repr),
+    "train.optimizer": st.sampled_from(("adam", "vanilla")),
+    "train.baseline": st.sampled_from(("none", "batch_mean")),
+    "train.grad_norm": st.sampled_from(("steps", "episodes")),
+    "train.horizon": st.integers(1, 500).map(str),
+    "eval.checkpoints": st.text("abcXYZ019_-./", max_size=12),
+    "eval.sigmas": st.lists(_floats(0.0), min_size=1, max_size=5).map(lambda v: ",".join(map(repr, v))),
+    "eval.episodes": st.integers(1, 500).map(str),
+    "grid.angle_edges": _increasing(_floats(-12.03, 12.03), 2),
+    "grid.velocity_edges": _increasing(_floats(), 2),
+    "grid.cell_episodes": st.integers(1, 500).map(str),
+    "curriculum.ranges": _increasing(_floats(5e-324), 1),
+    "curriculum.max_failures": st.integers(0, 5000).map(str),
+    "curriculum.validation_episodes": st.integers(1, 500).map(str),
+    "curriculum.validation_threshold": _floats().map(repr),
+    "curriculum.validation_period": st.integers(1, 500).map(str),
+}
+
+# Each unit is left out or set whole; the keys of one unit are valid only together.
+_UNITS = [
+    _run_and_batches(),
+    _interval("x", X_LIMIT),
+    _interval("x_dot"),
+    _interval("theta", THETA_INIT_LIMIT),
+    _interval("theta_dot"),
+    *(values.map(lambda v, key=key: {key: v}) for key, values in _SINGLE_KEYS.items()),
+]
+
+
+def _raw_configs():
+    def merge(units):
+        return {key: value for unit in units for key, value in unit.items()}
+
+    return st.tuples(*(st.one_of(st.just({}), unit) for unit in _UNITS)).map(merge)
 
 
 class TestDefaults:
@@ -96,6 +174,11 @@ class TestStrictParsing:
             ("eval.sigmas", "-0.5,0.0"),
             ("grid.angle_edges", "-13,0,13"),
             ("grid.angle_edges", "0,12.04"),
+            ("init.theta_high", "0.3"),
+            ("init.theta_low", "-0.3"),
+            ("init.x_low", "0.1"),
+            ("init.x_high", "-0.1"),
+            ("init.x_high", "2.5"),
         ],
     )
     def test_bad_float_rejected_naming_key(self, key, value):
@@ -117,6 +200,17 @@ class TestStrictParsing:
     def test_angle_edges_at_the_theta_limit_accepted(self):
         cfg = build_config({"grid.angle_edges": "-12.03,0,12.03"})
         assert cfg.grid.angle_bins == ((-12.03, 0.0), (0.0, 12.03))
+
+    def test_curriculum_takes_only_whole_batch_minibatches(self):
+        for command, minibatch in (("curriculum", "0"), ("curriculum", "10"), ("train", "5")):
+            assert build_config({"run.command": command, "train.minibatch": minibatch}).train.minibatch == int(minibatch)
+        with pytest.raises(ConfigurationError, match="train.minibatch"):
+            build_config({"run.command": "curriculum", "train.minibatch": "5"})
+
+    def test_keys_of_one_section_checked_together(self):
+        # applied one key at a time, minibatch 20 or x_low 1 would meet the other key's default and fail
+        cfg = build_config({"train.batch_size": "20", "train.minibatch": "20", "init.x_low": "1", "init.x_high": "2"})
+        assert (cfg.train.batch_size, cfg.train.minibatch, cfg.init.x) == (20, 20, (1.0, 2.0))
 
     def test_curriculum_ranges_must_increase(self):
         with pytest.raises(ConfigurationError, match="curriculum.ranges"):
@@ -147,7 +241,34 @@ class TestRoundTrip:
         cfg = build_config({"train.lambda": "0.3", "run.out": "somewhere"})
         path = tmp_path / "run.cfg"
         path.write_text(serialize_config(cfg))
-        assert parse_config(path) == cfg
+        assert build_config(parse_config_text(path.read_text())) == cfg
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_raw_configs())
+    def test_random_config_round_trip(self, raw):
+        cfg = build_config(raw)
+        text = serialize_config(cfg)
+        again = build_config(parse_config_text(text))
+        assert again == cfg
+        assert serialize_config(again) == text
+
+
+class TestKeyTable:
+    def test_every_field_has_exactly_one_key(self):
+        defaults = ExperimentConfig()
+        paths = [path for _, path in _KEYS.values()]
+        for path in paths:
+            _lookup(defaults, path)
+        expected = []
+        for field in fields(defaults):
+            value = getattr(defaults, field.name)
+            if not is_dataclass(value):
+                expected.append((field.name,))
+            elif isinstance(value, InitRanges):
+                expected += [(field.name, f.name, end) for f in fields(value) for end in (0, 1)]
+            else:
+                expected += [(field.name, f.name) for f in fields(value) if (field.name, f.name) != ("train", "seed")]
+        assert sorted(paths) == sorted(expected)
 
 
 class TestOverrides:

@@ -8,9 +8,7 @@ backend's loop would with that kernel plugged in.
 
 The contract covers the lengths, every gradient entry (the blocks start at
 zero, so entries past an episode's end must stay unwritten) and the final
-state of each noisy episode's generator. It does not cover the final state
-of a noise-free episode's generator: the numpy loop draws the action
-uniforms of the whole horizon at once, the C loop one per step played.
+state of each episode's generator.
 """
 
 from functools import cache
@@ -67,7 +65,7 @@ def _generators(seed: int, n: int, buffers=None) -> list:
 
 def _play(which, tpl, nu, omega, starts, sigmas, horizon, train, seed, buffers=None):
     """``(lengths, glp, states)`` of one backend: the gradient blocks (None
-    unless ``train``) and the final ``bit_generator.state`` of each noisy
+    unless ``train``) and the final ``bit_generator.state`` of each
     episode's generator, as text."""
     n = len(starts)
     rngs = _generators(seed, n, buffers)
@@ -79,7 +77,7 @@ def _play(which, tpl, nu, omega, starts, sigmas, horizon, train, seed, buffers=N
     else:
         lengths = c_kernel().play_episodes(tpl.spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature,
                                            nu, omega, starts, sigmas, rngs, horizon, glp)
-    states = [str(g.bit_generator.state) for g, s in zip(rngs, sigmas) if s > 0]
+    states = [str(g.bit_generator.state) for g in rngs]
     return lengths, glp, states
 
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from qpgrad import qsim, trainer
 from qpgrad.cartpole import InitRanges
 from qpgrad.errors import ConfigurationError, UsageError
-from qpgrad.policy import AnsatzSpec, PolicyParams, zero_params
-from qpgrad.seeding import substream
+from qpgrad.policy import AnsatzSpec, PolicyParams, init_params, zero_params
+from qpgrad.seeding import STREAM_EPISODE, STREAM_INIT, substream
 from qpgrad.trainer import (
     TrainConfig,
     apply_update,
@@ -210,13 +210,6 @@ _episode = st.tuples(
 class TestLockstep:
     """An episode's results do not depend on the batch it runs in."""
 
-    def test_random_block_matches_single_draws(self):
-        # noise-free episodes draw the action uniforms of their horizon at once
-        for k in range(5):
-            block = substream(4, 1, k).random(200)
-            rng = substream(4, 1, k)
-            assert np.array_equal(block, [rng.random() for _ in range(200)])
-
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.lists(_episode, min_size=1, max_size=4))
     def test_episode_alone_equals_episode_in_batch(self, param_seed, horizon, episodes):
@@ -320,3 +313,30 @@ class TestTrain:
         cfg = TrainConfig(epochs=2, seed=13)
         params, records = train(cfg, SPEC, InitRanges())
         assert records[-1].lipschitz_total == lipschitz_bound(SPEC, params).total
+
+    def test_minibatches_update_on_consecutive_episode_substreams(self):
+        # a batch of 10 in minibatches of 3 makes 4 updates per epoch, on 3, 3, 3 and 1 episodes
+        spec = AnsatzSpec(n_layers=1)
+        cfg = TrainConfig(epochs=2, batch_size=10, minibatch=3, lam=0.1, horizon=40, seed=17)
+        sizes = []
+
+        def counted(lengths, *rest):
+            sizes.append(len(lengths))
+            return batch_gradient(lengths, *rest)
+
+        with mock.patch.object(trainer, "batch_gradient", side_effect=counted):
+            params, records = train(cfg, spec, InitRanges())
+        assert sizes == [3, 3, 3, 1] * 2
+
+        expected, opt_state, episode = init_params(spec, substream(17, STREAM_INIT)), None, 0
+        for record in records:
+            lengths = []
+            for n in (3, 3, 3, 1):
+                rngs = [substream(17, STREAM_EPISODE, episode + i) for i in range(n)]
+                played = rollouts(spec, expected, rngs, [InitRanges()] * n, cfg.horizon)
+                expected, opt_state = apply_update(expected, batch_gradient(*played, cfg), cfg, opt_state)
+                lengths.extend(played[0].tolist())
+                episode += n
+            assert record.mean_reward == np.mean(lengths)
+        assert opt_state.t == 8
+        assert np.array_equal(params.nu, expected.nu) and np.array_equal(params.omega, expected.omega)
