@@ -1,5 +1,5 @@
-/* Compiled hot path, called through ctypes by _sv_c.py. Two entries share
- * one statevector simulator:
+/* Compiled hot path, called through ctypes by _sv_c.py. Three entries, the
+ * first two sharing one statevector simulator:
  *
  *   expval_z_and_grad_rows  <Z^n>, and optionally its adjoint gradient, of
  *                           one circuit per row of an angle block; the
@@ -10,13 +10,15 @@
  *                           uniform, runs the circuit (plus the adjoint when
  *                           training), writes the grad log pi row and steps
  *                           the cart-pole.
+ *   start_episodes          the stream and start state of each episode of a
+ *                           batch, for play_episodes to play.
  *
  * Same gates, conventions and packed gate arrays as _sv_numpy; qubit q is
- * bit q of the basis index. Each entry first compiles the gate list into
- * ops (struct sim): one per H or rotation, and one per run of consecutive
- * CZ gates, whose signs it computes once. One function, gate(), applies
- * every op: in the forward pass and, undone, in both sweeps of the
- * adjoint. The circuit's parameters come from the template's one map,
+ * bit q of the basis index. Both simulator entries first compile the gate
+ * list into ops (struct sim): one per H or rotation, and one per run of
+ * consecutive CZ gates, whose signs they compute once. One function,
+ * gate(), applies every op: in the forward pass and, undone, in both sweeps
+ * of the adjoint. The circuit's parameters come from the template's one map,
  * param and feature per gate (CircuitTemplate): rotation g takes
  * nu[param[g]] when feature[g] is -1, else omega[param[g]] * obs[feature[g]],
  * and each flat parameter drives one variational and one encoding rotation.
@@ -25,10 +27,12 @@
  * expval_z_and_grad_rows: each expression below is the Python one
  * (cartpole.normalize, CircuitTemplate.angles, probs_from_expectation,
  * log_policy_coeff, grad_to_params, step_batch) with its operations in the
- * same order. The draws are numpy's own C distributions (libnpyrandom.a) on
- * the bitgen_t of each episode's Generator: random_normal(bg, 0, sigma)
- * four times, then next_double, are Generator.normal(0, sigma, 4), then
- * Generator.random(). What keeps the bits:
+ * same order, from the streams and starts of start_episodes, which are
+ * those of seeding.substream and cartpole.reset. The draws are numpy's own
+ * C distributions (libnpyrandom.a) on a bitgen_t over each episode's
+ * Philox state: random_normal(bg, 0, sigma) four times, then next_double,
+ * are Generator.normal(0, sigma, 4), then Generator.random(). What keeps
+ * the bits:
  *
  *  - Real products. An amplitude is one 2-wide vector (re, im), and a real
  *    factor multiplies both lanes. Written as complex products, each real
@@ -406,6 +410,107 @@ static int cartpole_step(const struct cartpole *cp, const double *s, int right, 
     return out_of_bounds(cp, next);
 }
 
+/* numpy's SeedSequence with its default pool of 4 words (bit_generator.pyx),
+ * fed its entropy one 32-bit word at a time: the first 4 words, zeros past
+ * the end of a shorter entropy, fill the pool, which then mixes with
+ * itself, and each later word mixes into every pool word. hash is the
+ * running hash constant. */
+struct seed_seq {
+    uint32_t pool[4], hash;
+    int n;
+};
+
+static uint32_t hashmix(struct seed_seq *ss, uint32_t value) {
+    value ^= ss->hash;
+    ss->hash *= 0x931e8875u;
+    value *= ss->hash;
+    return value ^ (value >> 16);
+}
+
+static uint32_t mix(uint32_t x, uint32_t y) {
+    uint32_t r = 0xca01f9ddu * x - 0x4973f715u * y;
+    return r ^ (r >> 16);
+}
+
+static void absorb(struct seed_seq *ss, uint32_t word) {
+    if (ss->n < 4) {
+        ss->pool[ss->n] = hashmix(ss, word);
+    } else {
+        for (int d = 0; d < 4; d++) {
+            ss->pool[d] = mix(ss->pool[d], hashmix(ss, word));
+        }
+    }
+    if (++ss->n == 4) {
+        for (int s = 0; s < 4; s++) {
+            for (int d = 0; d < 4; d++) {
+                if (s != d) {
+                    ss->pool[d] = mix(ss->pool[d], hashmix(ss, ss->pool[s]));
+                }
+            }
+        }
+    }
+}
+
+/* An episode's stream: numpy's philox_state (philox.h), as one row of the
+ * (B, 11) uint64 block of _sv_c.py. Nothing here draws 32 bits at a time,
+ * so the state's half-used 32-bit draw is always empty and left out. */
+struct philox {
+    uint64_t ctr[4], key[2], buffer[4], buffer_pos;
+};
+
+/* The state of Philox(ss): its key is ss.generate_state(2, uint64), its
+ * counter and buffer are zero, and the buffer is used up. */
+static struct philox philox_seeded(struct seed_seq ss) {
+    while (ss.n < 4) {
+        absorb(&ss, 0);
+    }
+    uint32_t hash = 0x8b51f9ddu, w[4];
+    for (int i = 0; i < 4; i++) {
+        uint32_t v = ss.pool[i] ^ hash;
+        hash *= 0x58f38dedu;
+        v *= hash;
+        w[i] = v ^ (v >> 16);
+    }
+    return (struct philox){.key = {w[0] | (uint64_t)w[1] << 32, w[2] | (uint64_t)w[3] << 32}, .buffer_pos = 4};
+}
+
+static inline uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi) {
+    __uint128_t p = (__uint128_t)a * b;
+    *hi = (uint64_t)(p >> 64);
+    return (uint64_t)p;
+}
+
+/* numpy's philox_next: the next 64-bit output, from the buffer or, once it
+ * is used up, from Philox4x64-10 of the incremented counter. */
+static uint64_t philox_next(void *state) {
+    struct philox *st = state;
+    if (st->buffer_pos < 4) {
+        return st->buffer[st->buffer_pos++];
+    }
+    for (int i = 0; i < 4 && ++st->ctr[i] == 0; i++) {
+    }
+    uint64_t c[4], k0 = st->key[0], k1 = st->key[1];
+    memcpy(c, st->ctr, sizeof c);
+    for (int round = 0; round < 10; round++) {
+        if (round > 0) {
+            k0 += 0x9E3779B97F4A7C15ull;
+            k1 += 0xBB67AE8584CAA73Bull;
+        }
+        uint64_t hi0, hi1;
+        uint64_t lo0 = mulhilo(0xD2E7470EE14C6C93ull, c[0], &hi0);
+        uint64_t lo1 = mulhilo(0xCA5A826395121157ull, c[2], &hi1);
+        uint64_t next[4] = {hi1 ^ c[1] ^ k0, lo1, hi0 ^ c[3] ^ k1, lo0};
+        memcpy(c, next, sizeof c);
+    }
+    memcpy(st->buffer, c, sizeof c);
+    st->buffer_pos = 1;
+    return c[0];
+}
+
+static double philox_double(void *state) {
+    return (philox_next(state) >> 11) * (1.0 / 9007199254740992.0);
+}
+
 /* The policy circuit, compiled, with gate g's parameter and the feature it
  * reads (-1: a nu angle). */
 struct policy {
@@ -457,9 +562,10 @@ static int policy_step(const struct policy *pol, const struct cartpole *cp, doub
 }
 
 /* Plays episode i of n_episodes from raw state starts[4i..4i+3], drawing
- * from bitgens[i] under noise std sigmas[i], until it goes out of bounds
+ * from streams[i] under noise std sigmas[i], until it goes out of bounds
  * or reaches the horizon, and puts its step count, 0 for a start out of
- * bounds, in lengths[i]; param and feature map the parameters onto the
+ * bounds, in lengths[i], and leaves streams[i] where its draws end; param
+ * and feature map the parameters onto the
  * rotations (see the top of this file). Unless glp_nu is NULL, step t of
  * episode i writes its grad log pi to [t, i] of the (horizon, n_episodes,
  * n_params) blocks glp_nu and glp_omega.
@@ -470,7 +576,7 @@ ptrdiff_t play_episodes(int n_qubits, const int8_t *kinds, const int32_t *qa, co
                         const int32_t *param, const int32_t *feature, ptrdiff_t n_gates,
                         const double *nu, const double *omega, ptrdiff_t n_params,
                         ptrdiff_t n_episodes, const double *starts, const double *sigmas,
-                        bitgen_t *const *bitgens, ptrdiff_t horizon, double *glp_nu,
+                        struct philox *streams, ptrdiff_t horizon, double *glp_nu,
                         double *glp_omega, const struct cartpole *cp, int64_t *lengths) {
     ptrdiff_t bad = bad_gate(n_qubits, kinds, qa, qb, n_gates);
     if (bad >= 0) {
@@ -497,10 +603,12 @@ ptrdiff_t play_episodes(int n_qubits, const int8_t *kinds, const int32_t *qa, co
     for (ptrdiff_t i = 0; i < n_episodes; i++) {
         double s[2][N_FEATURES];
         memcpy(s[0], starts + N_FEATURES * i, sizeof s[0]);
+        bitgen_t bg = {.state = streams + i, .next_uint64 = philox_next, .next_double = philox_double,
+                       .next_raw = philox_next};
         ptrdiff_t t = 0;
         for (int out = out_of_bounds(cp, s[0]); !out && t < horizon; t++) {
             ptrdiff_t row = (t * n_episodes + i) * n_params;
-            int right = policy_step(&pol, cp, grads, s[t % 2], sigmas[i], bitgens[i],
+            int right = policy_step(&pol, cp, grads, s[t % 2], sigmas[i], &bg,
                                     grads == NULL ? NULL : glp_nu + row, grads == NULL ? NULL : glp_omega + row);
             out = cartpole_step(cp, s[t % 2], right, square, s[(t + 1) % 2]);
         }
@@ -508,4 +616,36 @@ ptrdiff_t play_episodes(int n_qubits, const int8_t *kinds, const int32_t *qa, co
     }
     free(pol.sim.psi);
     return -1;
+}
+
+/* The streams and starts of n_episodes episodes. Episode i's stream is the
+ * state of Generator(Philox(SeedSequence(entropy=seed, spawn_key=path)))
+ * (seeding.substream), whose entropy is the n_head words of head (the
+ * seed's and the path prefix's, from seeding.Streams.head) and then those
+ * of its n_suffix trailing path components suffixes[n_suffix i..]: one
+ * word for a component below 2**32, else its low and high words. Its start
+ * then draws x, x_dot, theta and theta_dot in that order as
+ * Generator.uniform(lo, hi) does (cartpole.reset), lo + (hi - lo) *
+ * next_double, with (lo, hi) from bounds[8i..8i+7]. */
+void start_episodes(const uint32_t *head, ptrdiff_t n_head, const uint64_t *suffixes, ptrdiff_t n_suffix,
+                    ptrdiff_t n_episodes, const double *bounds, struct philox *streams, double *starts) {
+    struct seed_seq base = {.hash = 0x43b0d7e5u};
+    for (ptrdiff_t k = 0; k < n_head; k++) {
+        absorb(&base, head[k]);
+    }
+    for (ptrdiff_t i = 0; i < n_episodes; i++) {
+        struct seed_seq ss = base;
+        for (ptrdiff_t k = 0; k < n_suffix; k++) {
+            uint64_t c = suffixes[i * n_suffix + k];
+            absorb(&ss, (uint32_t)c);
+            if (c >> 32) {
+                absorb(&ss, (uint32_t)(c >> 32));
+            }
+        }
+        streams[i] = philox_seeded(ss);
+        for (int f = 0; f < N_FEATURES; f++) {
+            const double *b = bounds + 2 * (N_FEATURES * i + f);
+            starts[N_FEATURES * i + f] = b[0] + (b[1] - b[0]) * philox_double(streams + i);
+        }
+    }
 }

@@ -3,17 +3,19 @@
 ``build`` compiles the C file into a cache directory, linked with the
 installed numpy's ``libnpyrandom.a``, and ``Kernel`` wraps the library:
 ``expval_z_rows`` and ``expval_z_and_grad_rows`` with the contract of
-``_sv_numpy``, and ``play_episodes``, the one-call form of
-``trainer.play_episodes``, which plays a whole batch of episodes and draws
-their noise and action uniforms with numpy's own C distributions. The C
+``_sv_numpy``; ``start_episodes``, which derives the Philox stream of each
+episode of a batch and draws its start, as ``seeding.substream`` and
+``cartpole.reset`` would; and ``play_episodes``, the one-call form of
+``trainer.play_episodes``, which plays the batch and draws its noise and
+action uniforms from those streams with numpy's own C distributions. The C
 code takes raw pointers, so each argument is checked first: dtype, 1-D gate
 arrays of equal length, a 2-D angle block with one column per gate, and for
-``play_episodes`` every shape, one ``numpy.random.Generator`` per episode
-and gradient blocks of the horizon and the batch, which must be
-C-contiguous and writable. Inputs reach the C code as C-contiguous copies,
-and the C code itself rejects unknown gate kinds, qubits outside the
-register, a CZ on one qubit and a rotation whose parameter or feature index
-is out of range. A failed check raises ``ValueError`` and computes nothing.
+the episode calls every shape, and a stream block and gradient blocks of
+the batch (and the horizon), which must be C-contiguous and writable.
+Inputs reach the C code as C-contiguous copies, and the C code itself
+rejects unknown gate kinds, qubits outside the register, a CZ on one qubit
+and a rotation whose parameter or feature index is out of range. A failed
+check raises ``ValueError`` and computes nothing.
 """
 
 from __future__ import annotations
@@ -69,6 +71,12 @@ def build(cache_dir: Path) -> Path:
 _F64 = np.dtype(np.float64)
 _I8 = np.dtype(np.int8)
 _I32 = np.dtype(np.int32)
+_U32 = np.dtype(np.uint32)
+_U64 = np.dtype(np.uint64)
+
+# An episode's Philox state as a row of uint64: counter (4), key (2),
+# buffer (4) and buffer position, the C code's struct philox.
+STREAM_WORDS = 11
 
 # cartpole.py's constants in the field order of the C code's struct cartpole.
 _CARTPOLE = np.array([
@@ -124,30 +132,23 @@ def _shaped(arr, dtype: np.dtype, name: str, shape: tuple) -> bytes:
     return data
 
 
+def _output(arr, dtype: np.dtype, name: str, shape: tuple):
+    """A pointer to ``arr``, which the C code writes, after checking that it
+    is a writable C-contiguous ``dtype`` array of ``shape``."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.shape == shape and arr.flags.c_contiguous
+            and arr.flags.writeable):
+        raise ValueError(f"{name} must be a writable C-contiguous {dtype} array of shape {shape}")
+    return _Memory.from_buffer(arr)
+
+
 def _gradient_blocks(glp, shape: tuple):
     """Pointers to the gradient blocks ``glp``, after checking that both have
     ``shape``, (horizon, episodes, n_params)."""
     if glp is None:
         return None, None
-    if not (isinstance(glp, tuple) and len(glp) == 2 and all(
-            isinstance(b, np.ndarray) and b.dtype == _F64 and b.shape == shape and b.flags.c_contiguous
-            and b.flags.writeable for b in glp)):
+    if not (isinstance(glp, tuple) and len(glp) == 2):
         raise ValueError(f"glp must be a pair of writable C-contiguous float64 arrays of shape {shape}")
-    return _Memory.from_buffer(glp[0]), _Memory.from_buffer(glp[1])
-
-
-# The bitgen_t behind a BitGenerator's capsule; a function of its own, so
-# that no other user of ctypes.pythonapi sees these argument types.
-_bitgen_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
-
-
-def _bitgens(rngs, n: int) -> np.ndarray:
-    """The ``bitgen_t`` addresses of the ``n`` generators in the list
-    ``rngs``, which the caller keeps alive while the C code draws."""
-    if not (isinstance(rngs, list) and len(rngs) == n and all(isinstance(g, np.random.Generator) for g in rngs)):
-        raise ValueError(f"rngs must be a list of {n} numpy.random.Generator, one per episode")
-    return np.array([_bitgen_pointer(g.bit_generator.capsule, b"BitGenerator") for g in rngs], dtype=np.uintp)
+    return tuple(_output(b, _F64, "glp", shape) for b in glp)
 
 
 class Kernel:
@@ -163,6 +164,9 @@ class Kernel:
         self._play.argtypes = [n, ptr, ptr, ptr, ptr, ptr, size, ptr, ptr, size, size, ptr, ptr, ptr, size,
                                ptr, ptr, ptr, ptr]
         self._play.restype = size
+        self._start = lib.start_episodes
+        self._start.argtypes = [ptr, size, ptr, size, size, ptr, ptr, ptr]
+        self._start.restype = None
 
     def expval_z_rows(self, n_qubits, kinds, qa, qb, angles) -> np.ndarray:
         """<Z^n> of |0...0> evolved through the packed gate list, for each row
@@ -195,7 +199,28 @@ class Kernel:
         _check_status(status, n_qubits)
         return expvals, grads
 
-    def play_episodes(self, n_qubits, kinds, qa, qb, param, feature, nu, omega, starts, sigmas, rngs, horizon,
+    def start_episodes(self, head, suffixes, bounds):
+        """The streams and starts of a batch of B episodes, in one call.
+
+        Episode i's stream is the Philox state of ``substream(seed, *path)``,
+        whose path ends in the components ``suffixes[i]`` ((B, m) uint64)
+        and whose other entropy words are ``head`` (uint32,
+        ``seeding.Streams.head``). Its start is then ``cartpole.reset`` from
+        that stream within ``bounds[i]`` ((B, 4, 2) float64). Returns the
+        (B, ``STREAM_WORDS``) uint64 stream block, the streams' state after
+        those draws, and the (B, 4) starts.
+        """
+        head_data = _input(head, _U32, "head")
+        suffix_data = _input(suffixes, _U64, "suffixes", ndim=2)
+        n = len(suffixes)
+        bound_data = _shaped(bounds, _F64, "bounds", (n, 4, 2))
+        streams = np.empty((n, STREAM_WORDS), dtype=np.uint64)
+        starts = np.empty((n, 4))
+        self._start(head_data, len(head), suffix_data, suffixes.shape[1], n, bound_data,
+                    _Memory.from_buffer(streams), _Memory.from_buffer(starts))
+        return streams, starts
+
+    def play_episodes(self, n_qubits, kinds, qa, qb, param, feature, nu, omega, starts, sigmas, streams, horizon,
                       glp=None) -> np.ndarray:
         """``trainer.play_episodes`` in one call, bit for bit.
 
@@ -203,9 +228,9 @@ class Kernel:
         ``feature`` (int32, one entry per gate): rotation g takes the angle
         ``nu[param[g]]`` when ``feature[g]`` is -1, else
         ``omega[param[g]] * obs[feature[g]]``. ``starts`` is (B, 4),
-        ``sigmas`` (B,) and ``rngs`` a list of B generators, whose bit
-        generators the C code draws from directly, bypassing their locks.
-        Returns the (B,) episode lengths.
+        ``sigmas`` (B,) and ``streams`` the (B, ``STREAM_WORDS``) block of
+        ``start_episodes``: episode i draws from row i, where the C code
+        leaves the state its draws end in. Returns the (B,) episode lengths.
         """
         gates = _gates(n_qubits, kinds, qa, qb)
         n_gates = len(kinds)
@@ -217,11 +242,10 @@ class Kernel:
         sigma_data = _shaped(sigmas, _F64, "sigmas", (n,))
         if not (isinstance(horizon, (int, np.integer)) and horizon >= 1):
             raise ValueError(f"horizon must be an int >= 1, got {horizon!r}")
-        bitgens = _bitgens(rngs, n)
+        stream_data = _output(streams, _U64, "streams", (n, STREAM_WORDS))
         glp_nu, glp_omega = _gradient_blocks(glp, (horizon, n, n_params))
         lengths = np.empty(n, dtype=np.int64)
         status = self._play(*gates, *sources, n_gates, *params, n_params, n, start_data, sigma_data,
-                            _Memory.from_buffer(bitgens), horizon, glp_nu, glp_omega, _CARTPOLE,
-                            _Memory.from_buffer(lengths))
+                            stream_data, horizon, glp_nu, glp_omega, _CARTPOLE, _Memory.from_buffer(lengths))
         _check_status(status, n_qubits)
         return lengths

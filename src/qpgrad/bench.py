@@ -4,23 +4,26 @@ Times, for the compiled ``c`` backend (``_sv_c``) and the numpy backend,
 the two kernel operations that dominate training and evaluation — forward
 evaluation and forward-plus-adjoint-gradient of the default 4-qubit,
 3-layer ansatz, in microseconds per circuit (one row of a batched call) —
-and whole batches of episodes in forward and training mode: the C kernel's
-one-call ``play_episodes``, or ``trainer.play_episodes`` on the numpy
-kernel, in microseconds per episode-step. Each is timed for one row or
-episode at a time and for a block of 100, the size of one validation batch.
+and whole batches of episodes in forward and training mode, played from
+their stream paths by ``trainer.episode_rewards`` and ``trainer.rollouts``
+on each kernel, in microseconds per episode-step: on ``c`` the start call
+(each episode's stream and start state) and the one-call
+``play_episodes``, on ``numpy`` ``substream``, ``cartpole.reset`` and
+``trainer.play_episodes``. Each is timed for one row or episode at a time
+and for a block of 100, the size of one validation batch.
 """
 
 from __future__ import annotations
 
 import time
-from functools import partial
 
 import numpy as np
 
-from . import _sv_numpy, qsim
-from .cartpole import InitRanges, reset
-from .policy import AnsatzSpec, get_template
-from .trainer import play_episodes
+from . import qsim
+from .cartpole import InitRanges
+from .policy import AnsatzSpec, PolicyParams, get_template
+from .seeding import STREAM_EPISODE, Streams
+from .trainer import episode_rewards, rollouts
 
 BATCH_SIZES = (1, 100)
 EPISODE_HORIZON = 20  # the longest horizon of the timed episodes
@@ -36,19 +39,13 @@ def _available_kernels() -> dict:
     return kernels
 
 
-def _episode_function(kernel, tpl, gates, nu, omega):
-    """A batch of episodes on ``kernel``, as a function of
-    ``(starts, sigmas, rngs, horizon[, glp])``."""
-    if kernel is not _sv_numpy:
-        return partial(kernel.play_episodes, *gates, tpl.param, tpl.feature, nu, omega)
-
-    def composed(*args):
-        active, qsim._kernel = qsim._kernel, kernel
-        try:
-            return play_episodes(tpl, nu, omega, *args)
-        finally:
-            qsim._kernel = active
-    return composed
+def _on_kernel(kernel, fn, *args):
+    """``fn(*args)`` with ``kernel`` as the active kernel."""
+    active, qsim._kernel = qsim._kernel, kernel
+    try:
+        return fn(*args)
+    finally:
+        qsim._kernel = active
 
 
 def run_benchmark(repeats: int = 2000, spec: AnsatzSpec = AnsatzSpec(), seed: int = 7) -> list[dict]:
@@ -59,26 +56,26 @@ def run_benchmark(repeats: int = 2000, spec: AnsatzSpec = AnsatzSpec(), seed: in
     default initial ranges, with a horizon of up to ``EPISODE_HORIZON``."""
     tpl = get_template(spec)
     rng = np.random.default_rng(seed)
-    nu = rng.uniform(-np.pi, np.pi, spec.n_params_each)
-    omega = rng.normal(0.0, 0.1, spec.n_params_each)
-    batch_max = max(BATCH_SIZES)
-    obs = rng.uniform(-1.0, 1.0, (batch_max, spec.n_qubits))
-    starts = np.array([reset(InitRanges(), rng) for _ in range(batch_max)])
+    params = PolicyParams(rng.uniform(-np.pi, np.pi, spec.param_shape), rng.normal(0.0, 0.1, spec.param_shape))
+    nu, omega = params.nu.reshape(-1), params.omega.reshape(-1)
+    obs = rng.uniform(-1.0, 1.0, (max(BATCH_SIZES), spec.n_qubits))
     gates = (spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb)
 
-    def episodes_us(play, batch, train):
-        """Microseconds per episode-step of ``play``, on fresh generators."""
+    def episodes_us(kernel, batch, train):
+        """Microseconds per episode-step of batches of fresh episodes on ``kernel``."""
         horizon = min(EPISODE_HORIZON, max(1, repeats // batch))
-        glp = tuple(np.empty((horizon, batch, spec.n_params_each)) for _ in range(2)) if train else None
-        rngs = [[np.random.Generator(np.random.Philox(seed + 1 + i)) for i in range(batch)]
-                for _ in range(max(1, repeats // (batch * horizon)))]
+        play = rollouts if train else episode_rewards
+        paths = [Streams(seed, (STREAM_EPISODE,), np.arange(c * batch, (c + 1) * batch)[:, None])
+                 for c in range(max(1, repeats // (batch * horizon)))]
         t0 = time.perf_counter()
-        steps = sum(int(play(starts[:batch], np.zeros(batch), r, horizon, glp).sum()) for r in rngs)
+        steps = 0
+        for streams in paths:
+            played = _on_kernel(kernel, play, spec, params, streams, [InitRanges()], horizon)
+            steps += int((played[0] if train else played).sum())
         return (time.perf_counter() - t0) / max(steps, 1) * 1e6
 
     rows = []
     for name, kernel in _available_kernels().items():
-        play = _episode_function(kernel, tpl, gates, nu, omega)
         for batch in BATCH_SIZES:
             angles = tpl.angles(nu, omega, obs[:batch])
             calls = max(1, repeats // batch)
@@ -91,8 +88,8 @@ def run_benchmark(repeats: int = 2000, spec: AnsatzSpec = AnsatzSpec(), seed: in
                 for _ in range(calls):
                     fn()
                 row[key] = (time.perf_counter() - t0) / (calls * batch) * 1e6
-            row["episode_us"] = episodes_us(play, batch, train=False)
-            row["train_episode_us"] = episodes_us(play, batch, train=True)
+            row["episode_us"] = episodes_us(kernel, batch, train=False)
+            row["train_episode_us"] = episodes_us(kernel, batch, train=True)
             rows.append(row)
     return rows
 

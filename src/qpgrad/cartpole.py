@@ -77,6 +77,11 @@ class InitRanges:
     def items(self):
         return (("x", self.x), ("x_dot", self.x_dot), ("theta", self.theta), ("theta_dot", self.theta_dot))
 
+    @property
+    def bounds(self) -> np.ndarray:
+        """(4, 2) rows of (low, high) in feature order, as ``reset`` takes them."""
+        return np.array([r for _, r in self.items()], dtype=np.float64)
+
     def contains(self, other: "InitRanges") -> bool:
         return all(
             lo <= olo and ohi <= hi
@@ -99,14 +104,16 @@ class NoiseModel:
         return rng.normal(0.0, self.sigma, size=4)
 
 
-def reset(ranges: InitRanges, rng: np.random.Generator) -> np.ndarray:
-    """Fresh raw state with features drawn independently and uniformly; draw order x, x_dot, theta, theta_dot.
+def reset(bounds: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Fresh raw state with features drawn independently and uniformly within
+    the (4, 2) ``bounds`` of ``InitRanges.bounds``; draw order x, x_dot,
+    theta, theta_dot. The C kernel's ``start_episodes`` draws the same.
 
     Ranges may legally touch the sliver between the termination bound and
     the admissible range (e.g. theta in (0.2095, 0.21]), so a fresh state
     can already be ``out_of_bounds``.
     """
-    return np.array([rng.uniform(*r) for _, r in ranges.items()])
+    return np.array([rng.uniform(lo, hi) for lo, hi in bounds.tolist()])
 
 
 def out_of_bounds(states: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from . import policy as pol
 from .cartpole import HORIZON, InitRanges
 from .errors import ConfigurationError
 from .policy import AnsatzSpec, PolicyParams
-from .seeding import STREAM_EPISODE, STREAM_INIT, STREAM_VALIDATION, substream
+from .seeding import STREAM_EPISODE, STREAM_INIT, STREAM_VALIDATION, Streams, substream
 from .trainer import AdamState, TrainConfig, apply_update, batch_gradient, episode_rewards, rollouts
 
 DEFAULT_THETA_DOT_LIMITS = (0.25, 0.75, 1.25, 1.75)
@@ -103,8 +103,8 @@ def validate(
     """
     if n_episodes < 1:
         raise ConfigurationError("validation needs at least one episode")
-    rngs = (substream(seed, STREAM_VALIDATION, tag, j) for j in range(n_episodes))
-    rewards = episode_rewards(spec, params, rngs, [ranges] * n_episodes, horizon)
+    streams = Streams(seed, (STREAM_VALIDATION, tag), np.arange(n_episodes)[:, None])
+    rewards = episode_rewards(spec, params, streams, [ranges], horizon)
     mean = float(rewards.mean())
     return mean, mean > threshold, int(np.sum(rewards < horizon))
 
@@ -133,9 +133,8 @@ def run_curriculum(
 
     while failures < schedule.f_max:
         n = config.batch_size
-        rngs = (substream(config.seed, STREAM_EPISODE, episode + i) for i in range(n))
-        ranges = [schedule.ranges[range_idx]] * n
-        lengths, glp_nu, glp_omega = rollouts(spec, params, rngs, ranges, config.horizon)
+        streams = Streams(config.seed, (STREAM_EPISODE,), np.arange(episode, episode + n)[:, None])
+        lengths, glp_nu, glp_omega = rollouts(spec, params, streams, [schedule.ranges[range_idx]], config.horizon)
         failed = lengths < config.horizon
         # the episode that uses up the budget ends the run; later episodes never happened
         kept = min(n, int(np.searchsorted(failures + np.cumsum(failed), schedule.f_max)) + 1)

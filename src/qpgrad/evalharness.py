@@ -29,7 +29,7 @@ import numpy as np
 from .cartpole import HORIZON, THETA_INIT_LIMIT, InitRanges
 from .errors import ConfigurationError, UsageError
 from .policy import AnsatzSpec, PolicyParams
-from .seeding import STREAM_EVAL, substream
+from .seeding import STREAM_EVAL, Streams
 from .trainer import episode_rewards
 
 
@@ -154,13 +154,18 @@ def _sim_cell(angle_bin, velocity_bin, base: InitRanges) -> InitRanges:
     )
 
 
+def _pairs(points: int, episodes: int) -> np.ndarray:
+    """The (point, episode) pairs, point-major, as (points * episodes, 2)
+    trailing stream path components."""
+    return np.indices((points, episodes)).reshape(2, -1).T
+
+
 def _sweep_model(args):
     """One model's rewards at every (noise level, episode), played as one batch of episodes."""
     spec, nu, omega, label, sigmas, episodes, ranges, horizon, seed = args
-    rngs = (substream(seed, STREAM_EVAL, label, k, e) for k in range(len(sigmas)) for e in range(episodes))
-    per_episode = [s for s in sigmas for _ in range(episodes)]
+    streams = Streams(seed, (STREAM_EVAL, label), _pairs(len(sigmas), episodes))
     rewards = episode_rewards(
-        spec, PolicyParams(nu, omega), rngs, [ranges] * len(per_episode), horizon, sigmas=per_episode
+        spec, PolicyParams(nu, omega), streams, [ranges], horizon, sigmas=np.repeat(sigmas, episodes)
     )
     return rewards.reshape(len(sigmas), episodes)
 
@@ -168,10 +173,9 @@ def _sweep_model(args):
 def _grid_model(args):
     """One model's attraction rate in every grid cell, all cells' episodes played as one batch."""
     spec, nu, omega, label, cells, episodes, base, horizon, seed = args
-    rngs = (substream(seed, STREAM_EVAL, label, c, e) for c in range(len(cells)) for e in range(episodes))
+    streams = Streams(seed, (STREAM_EVAL, label), _pairs(len(cells), episodes))
     cell_ranges = [_sim_cell(a, v, base) for a, v in cells]
-    ranges = [r for r in cell_ranges for _ in range(episodes)]
-    rewards = episode_rewards(spec, PolicyParams(nu, omega), rngs, ranges, horizon)
+    rewards = episode_rewards(spec, PolicyParams(nu, omega), streams, cell_ranges, horizon)
     return np.array([attraction_rate(row, horizon) for row in rewards.reshape(len(cells), episodes)])
 
 

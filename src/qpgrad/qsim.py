@@ -14,9 +14,10 @@ that share one gate list and differ only in their angles: they take a
 (B, n_gates) angle block and evaluate each row exactly as it would run
 alone, so a row's result never depends on the other rows. They are the hot
 path on ``numpy``, one call per step of a batch of episodes played in
-lockstep. On ``c`` the hot path is ``episode_kernel``, which plays a whole
-batch of CartPole episodes in one call, one episode after another, drawing
-with numpy's own C distributions.
+lockstep. On ``c`` the hot path is ``episode_kernel``: one call derives the
+random stream and draws the start of each episode of a batch, and one more
+plays the whole batch of CartPole episodes, one episode after another,
+drawing with numpy's own C distributions.
 
 The heavy lifting happens in one of two interchangeable kernel backends:
 
@@ -83,10 +84,11 @@ KIND_CZ = _sv_numpy.KIND_CZ
 
 
 def episode_kernel():
-    """The active kernel's ``play_episodes``, which plays a whole batch of
-    episodes in one call, or None on the numpy backend, where
-    ``trainer.play_episodes`` plays them."""
-    return getattr(_kernel, "play_episodes", None)
+    """The active kernel when it starts and plays whole batches of episodes
+    (``start_episodes`` and ``play_episodes``), or None on the numpy
+    backend, where ``substream``, ``cartpole.reset`` and
+    ``trainer.play_episodes`` do."""
+    return None if _kernel is _sv_numpy else _kernel
 
 
 def parameter_shift_gradient(n_qubits, kinds, qa, qb, angles) -> np.ndarray:

@@ -24,12 +24,16 @@ Philox substreams of the run seed, so training is bit-reproducible and
 episodes are independent of collection order.
 
 Episodes run in batches (``rollouts``, and ``episode_rewards`` for
-forward-only evaluation): one C call plays the whole batch on the ``c``
-backend, and on ``numpy`` every live episode takes its t-th step at once
-(``play_episodes``). A batch is only ever held as blocks: its episode
+forward-only evaluation), named by their stream paths (``seeding.Streams``)
+and the init ranges of their groups. On the ``c`` backend one C call
+derives every episode's Philox stream and draws its start, and one more
+plays the whole batch, so Python's work per batch does not grow with its
+size. On ``numpy`` each episode's stream is a ``substream`` generator, its
+start a ``cartpole.reset``, and every live episode takes its t-th step at
+once (``play_episodes``). A batch is only ever held as blocks: its episode
 lengths (every step pays +1, so a length is also a total reward) and its
 per-step log-policy gradients, indexed by step, then episode. Each episode
-draws from its own generator exactly what it would draw alone, in the same
+draws from its own stream exactly what it would draw alone, in the same
 order, and every per-episode value is computed element by element with the
 expressions of a lone episode, so an episode's results do not depend on the
 batch it runs in.
@@ -39,8 +43,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
-from itertools import islice
 
 import numpy as np
 
@@ -49,7 +51,7 @@ from . import qsim
 from .cartpole import HORIZON, InitRanges, NoiseModel, normalize, out_of_bounds, reset, step_batch
 from .errors import ConfigurationError, UsageError
 from .policy import AnsatzSpec, PolicyParams
-from .seeding import STREAM_EPISODE, STREAM_INIT, substream
+from .seeding import STREAM_EPISODE, STREAM_INIT, Streams, substream
 
 OPT_ADAM = "adam"
 OPT_VANILLA = "vanilla"
@@ -126,8 +128,9 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 # The most episodes a forward-only batch plays at once. What it holds grows
-# with the batch (a generator and a state per episode), and chunks change no
-# result, since an episode's values do not depend on its batch.
+# with the batch (per episode a start, its bounds and its stream: 11 words
+# on c, a Generator on numpy), and chunks change no result, since an
+# episode's values do not depend on its batch.
 MAX_FORWARD_BATCH = 2048
 
 
@@ -177,91 +180,103 @@ def play_episodes(tpl, nu_flat, om_flat, starts, sigmas, rngs, horizon, glp=None
     return lengths
 
 
-def _lockstep(spec, params, rngs, ranges, horizon, sigmas, collect_grads):
-    """Plays one episode per entry of ``ranges``, as one batch.
+def _episode_inputs(streams: Streams, ranges, sigmas):
+    """The (B, 4, 2) init bounds and (B,) noise stds of a batch's episodes.
 
-    Episode i starts from a reset within ``ranges[i]``, drawn from the i-th
-    generator of the iterable ``rngs``, then plays on under
-    ``play_episodes`` (the C kernel's, or the numpy one) with observation
-    noise of std ``sigmas[i]`` (none when 0 or when ``sigmas`` is None).
-    Every episode needs its own ``numpy.random.Generator``: the C kernel
-    draws episode by episode and the numpy loop step by step, so a shared
-    one would give different draws. Raises ``ValueError`` before any draw
-    when the generators do not match ``ranges`` one to one.
+    Raises before any episode is played: ``ValueError`` when ``streams``
+    is not a ``Streams``, when its B episodes do not split into equal
+    groups, one per entry of ``ranges``, or when ``sigmas`` does not hold
+    one value per episode; ``ConfigurationError`` for a negative sigma.
+    """
+    if not isinstance(streams, Streams):
+        raise ValueError(f"streams must be a seeding.Streams, got {type(streams).__name__}")
+    n, groups = len(streams), len(ranges)
+    if groups == 0 or n % groups:
+        raise ValueError(f"{n} episodes do not split into {groups} equal groups, one per init range")
+    bounds = np.repeat(np.array([r.bounds for r in ranges]), n // groups, axis=0)
+    sigmas = np.zeros(n) if sigmas is None else np.asarray(sigmas, dtype=np.float64)
+    if sigmas.shape != (n,):
+        raise ValueError(f"{sigmas.size} noise levels for {n} episodes")
+    if (sigmas < 0).any():
+        raise ConfigurationError(f"noise sigma must be >= 0, got {sigmas.min()}")
+    return bounds, sigmas
+
+
+def _lockstep(spec, params, streams, bounds, horizon, sigmas, collect_grads):
+    """Plays one episode per stream of ``streams``, as one batch.
+
+    Episode i draws from its stream: first its start within ``bounds[i]``
+    (as ``cartpole.reset`` does), then the rest of the episode under
+    ``play_episodes`` with observation noise of std ``sigmas[i]`` (none
+    when 0). On ``c`` both steps are one kernel call each, whatever the
+    batch size; on ``numpy`` they are ``substream``, ``reset`` and the
+    numpy ``play_episodes``, their oracle.
 
     Returns the (B,) episode lengths and, when ``collect_grads``, the
     per-step log-policy gradients ``(glp_nu, glp_omega)``, each of shape
     (horizon, B, P): step t of episode i is ``[t, i]``, set only for t below
     the episode's length.
     """
-    n = len(ranges)
-    rngs = list(rngs)
-    if (len(rngs) != n or not all(isinstance(g, np.random.Generator) for g in rngs)
-            or len({id(g.bit_generator) for g in rngs}) != n):
-        raise ValueError(f"each of the {n} episodes needs a numpy.random.Generator of its own, got {len(rngs)}")
-    sigmas = np.zeros(n) if sigmas is None else np.array([NoiseModel(s).sigma for s in sigmas], dtype=np.float64)
-    if len(sigmas) != n:
-        raise ValueError(f"{len(sigmas)} noise levels for {n} episodes")
+    n = len(streams)
     tpl = pol.get_template(spec)
     nu_flat = params.nu.reshape(-1)
     om_flat = params.omega.reshape(-1)
-    kernel = qsim.episode_kernel()
-    if kernel is None:
-        play = partial(play_episodes, tpl, nu_flat, om_flat)
-    else:
-        play = partial(kernel, spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature, nu_flat, om_flat)
-    starts = np.array([reset(r, g) for r, g in zip(ranges, rngs)]).reshape(n, 4)
     shape = (horizon, n, spec.n_params_each)
     glp = (np.empty(shape), np.empty(shape)) if collect_grads else None
-    return play(starts, sigmas, rngs, horizon, glp), glp
+    kernel = qsim.episode_kernel()
+    if kernel is None:
+        rngs = streams.generators()
+        starts = np.array([reset(b, g) for b, g in zip(bounds, rngs)]).reshape(n, 4)
+        return play_episodes(tpl, nu_flat, om_flat, starts, sigmas, rngs, horizon, glp), glp
+    states, starts = kernel.start_episodes(streams.head(), streams.suffixes, bounds)
+    lengths = kernel.play_episodes(spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature, nu_flat,
+                                   om_flat, starts, sigmas, states, horizon, glp)
+    return lengths, glp
 
 
 def rollouts(
     spec: AnsatzSpec,
     params: PolicyParams,
-    rngs,
+    streams: Streams,
     ranges,
     horizon: int = HORIZON,
     sigmas=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Play one episode per entry of ``ranges`` as one batch, recording grad log pi(a_t|s_t) per step.
+    """Play one episode per stream of ``streams`` as one batch, recording grad log pi(a_t|s_t) per step.
 
-    ``ranges`` holds each episode's initial-condition ranges, ``rngs`` its
-    generator (any iterable, consumed once) and ``sigmas`` its
-    observation-noise std (None: no noise). Returns the (B,) episode
-    lengths, which are also the episodes' total rewards, and the
-    (horizon, B, P) blocks of per-step log-policy gradients for nu and
-    omega; entry [t, i] is step t of episode i, set only for t below its
-    length (the rest is left uninitialized).
+    The B episodes split into ``len(ranges)`` equal groups of consecutive
+    episodes, and group k starts within the ``InitRanges`` ``ranges[k]``;
+    ``sigmas`` holds each episode's observation-noise std (None: no
+    noise). Returns the (B,) episode lengths, which are also the episodes'
+    total rewards, and the (horizon, B, P) blocks of per-step log-policy
+    gradients for nu and omega; entry [t, i] is step t of episode i, set
+    only for t below its length (the rest is left uninitialized).
     Every episode gets exactly the values it would get if it ran alone.
     """
-    lengths, (glp_nu, glp_omega) = _lockstep(spec, params, rngs, ranges, horizon, sigmas, collect_grads=True)
+    bounds, sigmas = _episode_inputs(streams, ranges, sigmas)
+    lengths, (glp_nu, glp_omega) = _lockstep(spec, params, streams, bounds, horizon, sigmas, collect_grads=True)
     return lengths, glp_nu, glp_omega
 
 
 def episode_rewards(
     spec: AnsatzSpec,
     params: PolicyParams,
-    rngs,
+    streams: Streams,
     ranges,
     horizon: int = HORIZON,
     sigmas=None,
 ) -> np.ndarray:
-    """Total reward of one episode per entry of ``ranges``, played forward-only as one batch.
+    """Total reward of one episode per stream of ``streams``, played forward-only as one batch.
 
     Arguments as for ``rollouts``; each reward is the one the episode would
     collect alone. Batches of more than ``MAX_FORWARD_BATCH`` episodes play
     as consecutive chunks of that many.
     """
-    rngs, n = iter(rngs), len(ranges)
+    bounds, sigmas = _episode_inputs(streams, ranges, sigmas)
     lengths = [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, max(n, 1), MAX_FORWARD_BATCH):
-        hi = min(lo + MAX_FORWARD_BATCH, n)
-        # the last chunk takes one generator too many, if there is one, for _lockstep to reject
-        chunk_rngs = islice(rngs, hi - lo + (hi == n))
-        chunk_sigmas = None if sigmas is None else sigmas[lo:hi]
-        chunk, _ = _lockstep(spec, params, chunk_rngs, ranges[lo:hi], horizon, chunk_sigmas, False)
-        lengths.append(chunk)
+    for lo in range(0, len(streams), MAX_FORWARD_BATCH):
+        chunk = slice(lo, lo + MAX_FORWARD_BATCH)
+        lengths.append(_lockstep(spec, params, streams[chunk], bounds[chunk], horizon, sigmas[chunk], False)[0])
     return np.concatenate(lengths).astype(np.float64)
 
 
@@ -396,8 +411,8 @@ def train(
         while collected < config.batch_size:
             # on-policy: each minibatch is rolled out under the current params
             n = min(minibatch, config.batch_size - collected)
-            rngs = (substream(config.seed, STREAM_EPISODE, episode + i) for i in range(n))
-            lengths, glp_nu, glp_omega = rollouts(spec, params, rngs, [ranges] * n, config.horizon)
+            streams = Streams(config.seed, (STREAM_EPISODE,), np.arange(episode, episode + n)[:, None])
+            lengths, glp_nu, glp_omega = rollouts(spec, params, streams, [ranges], config.horizon)
             episode += n
             if collected == 0:
                 penalty_before = pol.regularization_penalty(params, config.lam)

@@ -17,7 +17,7 @@ from qpgrad.cartpole import (
 )
 from qpgrad.errors import ConfigurationError
 from qpgrad.policy import AnsatzSpec, PolicyParams
-from qpgrad.seeding import substream
+from qpgrad.seeding import Streams
 from qpgrad.trainer import episode_rewards, rollouts
 
 
@@ -47,20 +47,20 @@ class TestReset:
     def test_default_ranges(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            s = reset(InitRanges(), rng)
+            s = reset(InitRanges().bounds, rng)
             assert s.shape == (4,)
             assert np.all(np.abs(s) <= 0.05)
             assert not out_of_bounds(s[None])[0]
 
     def test_degenerate_interval_gives_zero_state(self):
         zeros = InitRanges(x=(0, 0), x_dot=(0, 0), theta=(0, 0), theta_dot=(0, 0))
-        s = reset(zeros, np.random.default_rng(1))
+        s = reset(zeros.bounds, np.random.default_rng(1))
         assert s.tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_curriculum_range_only_widens_theta_dot(self):
         ranges = InitRanges(theta_dot=(-0.25, 0.25))
         rng = np.random.default_rng(2)
-        draws = np.array([reset(ranges, rng) for _ in range(200)])
+        draws = np.array([reset(ranges.bounds, rng) for _ in range(200)])
         assert np.all(np.abs(draws[:, 3]) <= 0.25)
         assert np.any(np.abs(draws[:, 3]) > 0.05)
         assert np.all(np.abs(draws[:, 0]) <= 0.05)
@@ -151,16 +151,14 @@ class TestObserve:
         spec = AnsatzSpec(n_layers=1)
         params = PolicyParams(np.full(spec.param_shape, 0.3), np.full(spec.param_shape, 0.7))
 
-        def streams():
-            return [substream(6, 1, k) for k in range(3)]
-
-        ranges = [InitRanges()] * 3
+        streams = Streams(6, (1,), np.arange(3)[:, None])
+        ranges = [InitRanges()]
         assert np.array_equal(
-            episode_rewards(spec, params, streams(), ranges, sigmas=[0.0] * 3),
-            episode_rewards(spec, params, streams(), ranges),
+            episode_rewards(spec, params, streams, ranges, sigmas=[0.0] * 3),
+            episode_rewards(spec, params, streams, ranges),
         )
-        lengths, *zero_sigma = rollouts(spec, params, streams(), ranges, sigmas=[0.0] * 3)
-        same_lengths, *noise_free = rollouts(spec, params, streams(), ranges)
+        lengths, *zero_sigma = rollouts(spec, params, streams, ranges, sigmas=[0.0] * 3)
+        same_lengths, *noise_free = rollouts(spec, params, streams, ranges)
         assert np.array_equal(lengths, same_lengths)
         for a, b in zip(zero_sigma, noise_free):
             for i, n_steps in enumerate(lengths):
@@ -198,6 +196,6 @@ def test_episode_reward_equals_length():
     params = PolicyParams(np.full(spec.param_shape, 0.4), np.full(spec.param_shape, -0.9))
     ranges = InitRanges(theta=(-0.2, 0.2), theta_dot=(-1.0, 1.0))
     for k in range(20):
-        (reward,) = episode_rewards(spec, params, [substream(31, 1, k)], [ranges])
-        (length,), _, _ = rollouts(spec, params, [substream(31, 1, k)], [ranges])
+        (reward,) = episode_rewards(spec, params, Streams(31, (1,), [[k]]), [ranges])
+        (length,), _, _ = rollouts(spec, params, Streams(31, (1,), [[k]]), [ranges])
         assert reward == length <= HORIZON

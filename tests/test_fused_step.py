@@ -1,4 +1,8 @@
-"""The compiled one-call episode loop against its numpy composition.
+"""The compiled episode calls against their numpy composition.
+
+``start_episodes`` must give each episode of a batch the Philox state that
+``seeding.substream`` builds for its stream path, and the start that
+``cartpole.reset`` then draws from it, compared as int64 views.
 
 ``trainer.play_episodes`` plays a batch of episodes step by step, composing
 each step from the numpy functions; the C kernel's ``play_episodes`` must
@@ -8,7 +12,9 @@ backend's loop would with that kernel plugged in.
 
 The contract covers the lengths, every gradient entry (the blocks start at
 zero, so entries past an episode's end must stay unwritten) and the final
-state of each episode's generator.
+state of each episode's stream: the block the C call writes back must hold
+the ``bit_generator.state`` that the numpy loop leaves in each episode's
+generator.
 """
 
 from functools import cache
@@ -16,10 +22,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpgrad import policy as pol
 from qpgrad import qsim
+from qpgrad._sv_c import STREAM_WORDS
+from qpgrad.cartpole import InitRanges, reset
 from qpgrad.policy import AnsatzSpec, CircuitTemplate
+from qpgrad.seeding import Streams
 from qpgrad.trainer import play_episodes
 
 SPECIAL = np.array([0.0, -0.0, np.pi, -np.pi, 1e-300, 1e3, -1e3])
@@ -63,10 +74,22 @@ def _generators(seed: int, n: int, buffers=None) -> list:
     return rngs
 
 
+def _stream_block(rngs) -> np.ndarray:
+    """The (B, STREAM_WORDS) stream block holding each generator's
+    ``bit_generator.state``: counter, key, buffer and buffer position."""
+    rows = []
+    for g in rngs:
+        state = g.bit_generator.state
+        assert state["has_uint32"] == state["uinteger"] == 0  # no 32-bit draws, in either loop
+        rows.append([*state["state"]["counter"].tolist(), *state["state"]["key"].tolist(),
+                     *state["buffer"].tolist(), state["buffer_pos"]])
+    return np.array(rows, dtype=np.uint64).reshape(len(rngs), STREAM_WORDS)
+
+
 def _play(which, tpl, nu, omega, starts, sigmas, horizon, train, seed, buffers=None):
-    """``(lengths, glp, states)`` of one backend: the gradient blocks (None
-    unless ``train``) and the final ``bit_generator.state`` of each
-    episode's generator, as text."""
+    """``(lengths, glp, streams)`` of one backend: the gradient blocks (None
+    unless ``train``) and the final stream block, which the numpy loop
+    leaves in the generators' states and the C call writes back."""
     n = len(starts)
     rngs = _generators(seed, n, buffers)
     shape = (horizon, n, len(nu))
@@ -74,11 +97,11 @@ def _play(which, tpl, nu, omega, starts, sigmas, horizon, train, seed, buffers=N
     if which == "oracle":
         with mock.patch.object(qsim, "_kernel", c_kernel()):
             lengths = play_episodes(tpl, nu, omega, starts, sigmas, rngs, horizon, glp)
-    else:
-        lengths = c_kernel().play_episodes(tpl.spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature,
-                                           nu, omega, starts, sigmas, rngs, horizon, glp)
-    states = [str(g.bit_generator.state) for g in rngs]
-    return lengths, glp, states
+        return lengths, glp, _stream_block(rngs)
+    streams = _stream_block(rngs)
+    lengths = c_kernel().play_episodes(tpl.spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature,
+                                       nu, omega, starts, sigmas, streams, horizon, glp)
+    return lengths, glp, streams
 
 
 def _assert_same(oracle, compiled):
@@ -87,7 +110,7 @@ def _assert_same(oracle, compiled):
     if oracle[1] is not None:
         for a, b in zip(oracle[1], compiled[1]):
             assert np.array_equal(_bits(a), _bits(b))
-    assert oracle[2] == compiled[2]
+    assert np.array_equal(oracle[2].view(np.int64), compiled[2].view(np.int64))
 
 
 def _run_both(*args, **kwargs):
@@ -159,3 +182,53 @@ def test_cartpole_matches_step_batch_where_pow_is_not_a_product():
     with mock.patch.object(np, "float_power", lambda x, _: x * x):
         folded = _play("oracle", tpl, nu, omega, starts, np.zeros(n), 2, True, 66)
     assert not all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(oracle[1], folded[1]))
+
+
+# Word-boundary values of SeedSequence's 32-bit split, and random ones; the
+# seed and the path prefix, unlike the trailing components, may exceed 64 bits.
+_EDGES = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**65]), st.integers(0, 2**64 - 1),
+                   st.integers(0, 2**100))
+_PREFIX = st.one_of(_EDGES, st.integers(0, 2**64 - 1), st.integers(0, 2**80))
+_SUFFIX = st.one_of(_EDGES, st.integers(0, 2**64 - 1), st.integers(0, 100))
+# (low, high) within every feature's admissible range, often with low == high
+_RANGE = st.tuples(st.floats(-0.2, 0.2), st.one_of(st.just(0.0), st.floats(0.0, 0.01))).map(
+    lambda r: (r[0], r[0] + r[1]))
+
+
+@st.composite
+def _batches(draw):
+    """(seed, prefix, suffixes, ranges): paths of 1-4 components, of which
+    the first are the batch's prefix, for 1-5 episodes with ranges each."""
+    n_path = draw(st.integers(1, 4))
+    n_prefix = draw(st.integers(0, n_path))
+    n = draw(st.integers(1, 5))
+    prefix = tuple(draw(_PREFIX) for _ in range(n_prefix))
+    suffixes = [[draw(_SUFFIX) for _ in range(n_path - n_prefix)] for _ in range(n)]
+    ranges = [InitRanges(*(draw(_RANGE) for _ in range(4))) for _ in range(n)]
+    return draw(_SEEDS), prefix, np.array(suffixes, dtype=np.uint64).reshape(n, -1), ranges
+
+
+def _assert_start_matches(seed, prefix, suffixes, ranges):
+    streams = Streams(seed, prefix, suffixes)
+    bounds = np.array([r.bounds for r in ranges])
+    block, starts = c_kernel().start_episodes(streams.head(), streams.suffixes, bounds)
+    rngs = streams.generators()
+    expected = np.array([reset(b, g) for b, g in zip(bounds, rngs)])
+    assert np.array_equal(block.view(np.int64), _stream_block(rngs).view(np.int64))
+    assert np.array_equal(starts.view(np.int64), expected.view(np.int64))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_batches())
+def test_start_matches_substream_and_reset(batch):
+    _assert_start_matches(*batch)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**65])
+def test_start_matches_substream_and_reset_at_word_boundaries(seed):
+    point = InitRanges(x=(0.1, 0.1), x_dot=(-0.0, -0.0), theta=(0.21, 0.21), theta_dot=(-3.0, -3.0))
+    path = (3, 2**64 - 1, 2**32, 0)
+    for n in range(1, 5):  # paths of 1-4 components, the last one trailing
+        suffixes = np.array([[path[n - 1]], [2**32 - 1]], dtype=np.uint64)
+        _assert_start_matches(seed, path[: n - 1], suffixes, [point, InitRanges()])

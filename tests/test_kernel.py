@@ -12,6 +12,7 @@ import pytest
 import qpgrad
 from qpgrad import _sv_c, _sv_numpy, qsim
 from qpgrad.policy import AnsatzSpec, get_template
+from qpgrad.seeding import Streams
 
 
 def _circuit():
@@ -168,7 +169,7 @@ class TestArgumentChecks:
         good = dict(
             n_qubits=2, kinds=tpl.kinds, qa=tpl.qa, qb=tpl.qb, param=tpl.param, feature=tpl.feature,
             nu=rng.normal(size=n_params), omega=rng.normal(size=n_params), starts=rng.normal(0, 0.1, (4, 4)),
-            sigmas=np.array([0.1, 0.0, 0.3, 0.0]), rngs=[np.random.default_rng(i) for i in range(4)],
+            sigmas=np.array([0.1, 0.0, 0.3, 0.0]), streams=np.zeros((4, _sv_c.STREAM_WORDS), dtype=np.uint64),
             horizon=3, glp=glp,
         )
         kernel.play_episodes(**good)
@@ -179,7 +180,14 @@ class TestArgumentChecks:
             omega=[good["omega"][:-1], good["omega"][None]],
             starts=[good["starts"].astype(np.float32), good["starts"][:, :3], good["starts"].ravel(), [[0.0] * 4] * 4],
             sigmas=[good["sigmas"][:3], good["sigmas"].astype(np.float32), list(good["sigmas"])],
-            rngs=[good["rngs"][:3], tuple(good["rngs"]), iter(good["rngs"]), [*good["rngs"][:3], np.random.PCG64(3)]],
+            streams=[
+                good["streams"][:3],
+                good["streams"][:, :-1].copy(),
+                good["streams"].astype(np.int64),
+                np.zeros((4, 2 * _sv_c.STREAM_WORDS), dtype=np.uint64)[:, ::2],
+                list(good["streams"]),
+                [np.random.default_rng(i) for i in range(4)],
+            ],
             horizon=[0, -1, 3.0, None],
             glp=[
                 glp[0],
@@ -195,12 +203,32 @@ class TestArgumentChecks:
         read_only = glp[1].copy()
         read_only.setflags(write=False)
         bad["glp"].append((glp[0], read_only))
+        read_only = good["streams"].copy()
+        read_only.setflags(write=False)
+        bad["streams"].append(read_only)
         calls = mock.Mock(side_effect=AssertionError("a bad argument reached the C code"))
         monkeypatch.setattr(kernel, "_play", calls)
         for name, values in bad.items():
             for value in values:
                 with pytest.raises(ValueError):
                     kernel.play_episodes(**{**good, name: value})
+        calls.assert_not_called()
+
+    def test_bad_start_arguments_rejected(self, kernel, monkeypatch):
+        good = dict(head=Streams(3, (1,), np.zeros((2, 1), dtype=np.int64)).head(),
+                    suffixes=np.arange(2, dtype=np.uint64)[:, None], bounds=np.zeros((2, 4, 2)))
+        kernel.start_episodes(**good)
+        bad = dict(
+            head=[good["head"].astype(np.uint64), good["head"][None], list(good["head"])],
+            suffixes=[good["suffixes"].astype(np.int64), good["suffixes"].ravel(), [[0], [1]]],
+            bounds=[good["bounds"][:1], good["bounds"][:, :, :1], good["bounds"].astype(np.float32)],
+        )
+        calls = mock.Mock(side_effect=AssertionError("a bad argument reached the C code"))
+        monkeypatch.setattr(kernel, "_start", calls)
+        for name, values in bad.items():
+            for value in values:
+                with pytest.raises(ValueError):
+                    kernel.start_episodes(**{**good, name: value})
         calls.assert_not_called()
 
     def test_bad_episode_template_rejected_before_anything_is_written(self, kernel):
@@ -216,11 +244,13 @@ class TestArgumentChecks:
         kinds = tpl.kinds.copy()
         kinds[0] = 7
         bad.append((kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature))
+        head = Streams(7, (1,), np.zeros((2, 1), dtype=np.int64)).head()
         for gates in bad:
-            rngs = [np.random.default_rng(i) for i in range(2)]
-            drawn = [g.bit_generator.state for g in rngs]
+            streams, starts = kernel.start_episodes(head, np.arange(2, dtype=np.uint64)[:, None],
+                                                    np.zeros((2, 4, 2)))
+            drawn = streams.copy()
             with pytest.raises(ValueError):
-                kernel.play_episodes(2, *gates, np.ones(n_params), np.ones(n_params), np.zeros((2, 4)),
-                                     np.full(2, 0.5), rngs, 1, glp)
+                kernel.play_episodes(2, *gates, np.ones(n_params), np.ones(n_params), starts,
+                                     np.full(2, 0.5), streams, 1, glp)
             assert not glp[0].any() and not glp[1].any()
-            assert [g.bit_generator.state for g in rngs] == drawn
+            assert np.array_equal(streams, drawn)

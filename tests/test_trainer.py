@@ -11,7 +11,7 @@ from qpgrad import qsim, trainer
 from qpgrad.cartpole import InitRanges
 from qpgrad.errors import ConfigurationError, UsageError
 from qpgrad.policy import AnsatzSpec, PolicyParams, init_params, zero_params
-from qpgrad.seeding import STREAM_EPISODE, STREAM_INIT, substream
+from qpgrad.seeding import STREAM_EPISODE, STREAM_INIT, Streams, substream
 from qpgrad.trainer import (
     TrainConfig,
     apply_update,
@@ -180,7 +180,7 @@ class TestApplyUpdate:
 class TestRollout:
     def test_trajectory_shape_consistency(self):
         params = zero_params(SPEC)
-        lengths, glp_nu, glp_omega = rollouts(SPEC, params, [substream(1, 1, 0)], [InitRanges()])
+        lengths, glp_nu, glp_omega = rollouts(SPEC, params, Streams(1, (1,), [[0]]), [InitRanges()])
         (n_steps,) = lengths
         assert 0 < n_steps <= 200
         assert glp_nu.shape == glp_omega.shape == (200, 1, SPEC.n_params_each)
@@ -188,8 +188,8 @@ class TestRollout:
 
     def test_rollout_deterministic_per_stream(self):
         params = zero_params(SPEC)
-        a = rollouts(SPEC, params, [substream(9, 1, 3)], [InitRanges()])
-        b = rollouts(SPEC, params, [substream(9, 1, 3)], [InitRanges()])
+        a = rollouts(SPEC, params, Streams(9, (1,), [[3]]), [InitRanges()])
+        b = rollouts(SPEC, params, Streams(9, (1,), [[3]]), [InitRanges()])
         (n_steps,) = a[0]
         assert np.array_equal(a[0], b[0])
         for x, y in zip(a[1:], b[1:]):
@@ -220,7 +220,7 @@ class TestLockstep:
         sigmas = [sigma for _, sigma, _, _ in episodes]
 
         def streams(picked):
-            return [substream(3, 1, episodes[i][0]) for i in picked]
+            return Streams(3, (1,), [[episodes[i][0]] for i in picked])
 
         everyone = range(len(episodes))
         for kernel in (qsim.load_kernel("c"), qsim.load_kernel("numpy")):
@@ -247,43 +247,51 @@ class TestLockstep:
         sigmas = [0.0, 0.3, 0.0, 0.0, 0.8, 0.0, 0.1, 0.0, 0.0, 0.5, 0.0]
 
         def rewards():
-            return episode_rewards(spec, params, (substream(8, 1, e) for e in range(11)), ranges, 60, sigmas)
+            return episode_rewards(spec, params, Streams(8, (1,), np.arange(11)[:, None]), ranges, 60, sigmas)
 
         whole = rewards()
         monkeypatch.setattr(trainer, "MAX_FORWARD_BATCH", 3)
         assert np.array_equal(rewards().view(np.int64), whole.view(np.int64))
         with pytest.raises(ValueError):
-            episode_rewards(spec, params, (substream(8, 1, e) for e in range(12)), ranges, 60, sigmas)
+            episode_rewards(spec, params, Streams(8, (1,), np.arange(12)[:, None]), ranges, 60, sigmas + [0.0])
 
     @pytest.mark.parametrize("backend", ["c", "numpy"])
-    def test_bad_generators_and_sigmas_rejected_before_any_draw(self, backend):
+    def test_bad_streams_and_sigmas_rejected_before_any_draw(self, backend):
         spec = AnsatzSpec(n_layers=1)
         params = zero_params(spec)
         ranges = [InitRanges()] * 3
-        g = [substream(9, 1, e) for e in range(4)]
-        bad = [  # (rngs, sigmas, error): one generator per episode, sigmas >= 0
-            ([g[0], g[1], g[0]], None, ValueError),
-            ([g[0], g[1], np.random.Generator(g[0].bit_generator)], None, ValueError),
-            ([g[0], g[1], g[2].bit_generator], None, ValueError),
-            ([g[0], g[1], np.random.RandomState(2)], None, ValueError),
-            (g[:2], None, ValueError),
-            (g, None, ValueError),
-            (g[:3], [0.1, 0.2], ValueError),
-            (g[:3], [0.1, -0.2, 0.0], ConfigurationError),
+        three = np.arange(3)[:, None]
+
+        def streams(suffixes, seed=9, prefix=(1,)):
+            return lambda: Streams(seed, prefix, suffixes)
+
+        bad = [  # (streams, sigmas, error): paths of non-negative ints, 3 episodes per 3 ranges, sigmas >= 0
+            (streams([[0], [1], [-2]]), None, ValueError),
+            (streams(three, prefix=(1, -1)), None, ValueError),
+            (streams(three, seed=-9), None, ValueError),
+            (streams(three.astype(np.float64)), None, ValueError),
+            (lambda: [substream(9, 1, e) for e in range(3)], None, ValueError),
+            (streams(three[:2]), None, ValueError),
+            (streams(np.arange(4)[:, None]), None, ValueError),
+            (streams(three), [0.1, 0.2], ValueError),
+            (streams(three), [0.1, -0.2, 0.0], ConfigurationError),
         ]
         kernel = qsim.load_kernel(backend)
-        never = mock.Mock(side_effect=AssertionError("the episodes were played"))
-        states = [str(x.bit_generator.state) for x in g]
-        with mock.patch.object(qsim, "_kernel", kernel), mock.patch.object(trainer, "play_episodes", never):
+        never = mock.Mock(side_effect=AssertionError("an episode was started or played"))
+        with (mock.patch.object(qsim, "_kernel", kernel), mock.patch.object(trainer, "play_episodes", never),
+              mock.patch.object(trainer, "reset", never), mock.patch.object(Streams, "generators", never)):
             if backend == "c":
-                kernel.play_episodes = never
-            for rngs, sigmas, error in bad:
+                kernel.start_episodes = kernel.play_episodes = never
+            for make, sigmas, error in bad:
                 with pytest.raises(error):
-                    rollouts(spec, params, iter(rngs), ranges, 10, sigmas)
+                    rollouts(spec, params, make(), ranges, 10, sigmas)
                 with pytest.raises(error):
-                    episode_rewards(spec, params, iter(rngs), ranges, 10, sigmas)
-        never.assert_not_called()
-        assert [str(x.bit_generator.state) for x in g] == states
+                    episode_rewards(spec, params, make(), ranges, 10, sigmas)
+            never.assert_not_called()
+            # the same call with good arguments does reach the episodes
+            with pytest.raises(AssertionError, match="started or played"):
+                rollouts(spec, params, streams(three)(), ranges, 10, [0.1, 0.2, 0.0])
+        never.assert_called_once()
 
 
 class TestTrain:
@@ -332,8 +340,8 @@ class TestTrain:
         for record in records:
             lengths = []
             for n in (3, 3, 3, 1):
-                rngs = [substream(17, STREAM_EPISODE, episode + i) for i in range(n)]
-                played = rollouts(spec, expected, rngs, [InitRanges()] * n, cfg.horizon)
+                streams = Streams(17, (STREAM_EPISODE,), np.arange(episode, episode + n)[:, None])
+                played = rollouts(spec, expected, streams, [InitRanges()], cfg.horizon)
                 expected, opt_state = apply_update(expected, batch_gradient(*played, cfg), cfg, opt_state)
                 lengths.extend(played[0].tolist())
                 episode += n
