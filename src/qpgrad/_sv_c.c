@@ -565,10 +565,10 @@ static int policy_step(const struct policy *pol, const struct cartpole *cp, doub
  * from streams[i] under noise std sigmas[i], until it goes out of bounds
  * or reaches the horizon, and puts its step count, 0 for a start out of
  * bounds, in lengths[i], and leaves streams[i] where its draws end; param
- * and feature map the parameters onto the
- * rotations (see the top of this file). Unless glp_nu is NULL, step t of
- * episode i writes its grad log pi to [t, i] of the (horizon, n_episodes,
- * n_params) blocks glp_nu and glp_omega.
+ * and feature map the parameters onto the rotations (see the top of this
+ * file). Unless glp_nu is NULL, step t of episode i writes its grad log pi
+ * to [t, i] of the (horizon, n_episodes, n_params) blocks glp_nu and
+ * glp_omega.
  *
  * Returns -1; or the index of the first bad gate, parameter or feature,
  * or -2 when the scratch cannot be allocated (nothing computed then). */
