@@ -5,8 +5,8 @@ the two kernel operations that dominate training and evaluation — forward
 evaluation and forward-plus-adjoint-gradient of the default 4-qubit,
 3-layer ansatz, in microseconds per circuit (one row of a batched call) —
 and whole batches of episodes in forward and training mode, played from
-their stream paths by ``trainer.episode_rewards`` and ``trainer.rollouts``
-on each kernel, in microseconds per episode-step: on ``c`` the start call
+their stream paths by ``trainer.play_batch`` on each kernel, in
+microseconds per episode-step: on ``c`` the start call
 (each episode's stream and start state) and the one-call
 ``play_episodes``, on ``numpy`` ``substream``, ``cartpole.reset`` and
 ``trainer.play_episodes``. Each is timed for one row or episode at a time
@@ -23,7 +23,7 @@ from . import qsim
 from .cartpole import InitRanges
 from .policy import AnsatzSpec, PolicyParams, get_template
 from .seeding import STREAM_EPISODE, Streams
-from .trainer import episode_rewards, rollouts
+from .trainer import play_batch
 
 BATCH_SIZES = (1, 100)
 EPISODE_HORIZON = 20  # the longest horizon of the timed episodes
@@ -64,14 +64,13 @@ def run_benchmark(repeats: int = 2000, spec: AnsatzSpec = AnsatzSpec(), seed: in
     def episodes_us(kernel, batch, train):
         """Microseconds per episode-step of batches of fresh episodes on ``kernel``."""
         horizon = min(EPISODE_HORIZON, max(1, repeats // batch))
-        play = rollouts if train else episode_rewards
         paths = [Streams(seed, (STREAM_EPISODE,), np.arange(c * batch, (c + 1) * batch)[:, None])
                  for c in range(max(1, repeats // (batch * horizon)))]
         t0 = time.perf_counter()
         steps = 0
         for streams in paths:
-            played = _on_kernel(kernel, play, spec, params, streams, [InitRanges()], horizon)
-            steps += int((played[0] if train else played).sum())
+            lengths, _ = _on_kernel(kernel, play_batch, spec, params, streams, [InitRanges()], horizon, None, train)
+            steps += int(lengths.sum())
         return (time.perf_counter() - t0) / max(steps, 1) * 1e6
 
     rows = []

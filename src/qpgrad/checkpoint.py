@@ -19,7 +19,7 @@ import numpy as np
 
 from .cartpole import N_FEATURES
 from .errors import ConfigurationError
-from .policy import GENERATOR_NORM, AnsatzSpec, PolicyParams
+from .policy import ENCODINGS, ENTANGLERS, GENERATOR_NORM, AnsatzSpec, PolicyParams
 
 FORMAT_TAG = "qpgrad-checkpoint-v1"
 
@@ -61,13 +61,17 @@ def _is_numbers(value) -> bool:
     return isinstance(value, list) and all(map(_is_number, value))
 
 
-def _field(path: Path, doc: dict, name: str, check=lambda value: isinstance(value, str)):
-    """``doc[name]`` if it passes ``check`` (by default: is a string); errors name the file and the field."""
+def _field(path: Path, doc: dict, name: str, check=lambda value: isinstance(value, str), rule=None):
+    """``doc[name]`` if it passes ``check`` (by default: is a string) and then the ``(predicate, text)``
+    ``rule``, when given; errors name the file and the field."""
     if name not in doc:
         raise ConfigurationError(f"checkpoint {path}: missing field {name!r}")
-    if not check(doc[name]):
-        raise ConfigurationError(f"checkpoint {path}: field {name!r} has the wrong type: {doc[name]!r}")
-    return doc[name]
+    value = doc[name]
+    if not check(value):
+        raise ConfigurationError(f"checkpoint {path}: field {name!r} has the wrong type: {value!r}")
+    if rule is not None and not rule[0](value):
+        raise ConfigurationError(f"checkpoint {path}: field {name!r} must be {rule[1]}, got {value!r}")
+    return value
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -82,19 +86,18 @@ def load_checkpoint(path) -> Checkpoint:
         raise ConfigurationError(f"checkpoint {path} is not a JSON object")
     if doc.get("format") != FORMAT_TAG:
         raise ConfigurationError(f"checkpoint {path} has unknown format {doc.get('format')!r}")
-    ansatz = AnsatzSpec(
-        n_qubits=_field(path, doc, "n_qubits", _is_int),
-        n_layers=_field(path, doc, "n_layers", _is_int),
-        entangler=_field(path, doc, "entangler"),
-        encoding=_field(path, doc, "encoding"),
-    )
-    if ansatz.n_qubits > N_FEATURES:
+    at_least_one = (lambda value: value >= 1, ">= 1")
+    n_qubits = _field(path, doc, "n_qubits", _is_int, at_least_one)
+    if n_qubits > N_FEATURES:
         raise ConfigurationError(f"checkpoint {path}: field 'n_qubits' must be <= {N_FEATURES}, one qubit per "
-                                 f"CartPole feature (there are {N_FEATURES}), got {ansatz.n_qubits}")
-    if _field(path, doc, "generator_norm", _is_number) != GENERATOR_NORM:
-        raise ConfigurationError(
-            f"checkpoint {path}: field 'generator_norm' must be {GENERATOR_NORM}, got {doc['generator_norm']!r}"
-        )
+                                 f"CartPole feature (there are {N_FEATURES}), got {n_qubits}")
+    ansatz = AnsatzSpec(
+        n_qubits=n_qubits,
+        n_layers=_field(path, doc, "n_layers", _is_int, at_least_one),
+        entangler=_field(path, doc, "entangler", rule=(ENTANGLERS.__contains__, f"one of {ENTANGLERS}")),
+        encoding=_field(path, doc, "encoding", rule=(ENCODINGS.__contains__, f"one of {ENCODINGS}")),
+    )
+    _field(path, doc, "generator_norm", _is_number, (lambda value: value == GENERATOR_NORM, GENERATOR_NORM))
     shape = ansatz.param_shape
     n = ansatz.n_params_each
     nu = np.asarray(_field(path, doc, "nu", _is_numbers), dtype=np.float64)
@@ -103,14 +106,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise ConfigurationError(
             f"checkpoint {path}: parameter length {nu.shape}/{omega.shape} does not match ansatz ({n},)"
         )
-    lam = float(_field(path, doc, "lambda", _is_number))
-    for name, values in (("nu", nu), ("omega", omega), ("lambda", lam)):
+    lam = float(_field(path, doc, "lambda", _is_number, (lambda value: 0 <= value < np.inf, "finite and >= 0")))
+    for name, values in (("nu", nu), ("omega", omega)):
         if not np.all(np.isfinite(values)):  # json.loads accepts NaN and Infinity
             raise ConfigurationError(f"checkpoint {path}: field {name!r} must hold finite numbers only")
-    if lam < 0:
-        raise ConfigurationError(f"checkpoint {path}: field 'lambda' must be >= 0, got {lam}")
     params = PolicyParams(nu.reshape(shape), omega.reshape(shape))
-    seed = _field(path, doc, "seed", _is_int)
-    if seed < 0:  # the seed keys random streams, whose path components must be >= 0
-        raise ConfigurationError(f"checkpoint {path}: field 'seed' must be >= 0, got {seed}")
+    # the seed keys random streams, whose path components must be >= 0
+    seed = _field(path, doc, "seed", _is_int, (lambda value: value >= 0, ">= 0"))
     return Checkpoint(ansatz=ansatz, params=params, lam=lam, seed=seed)

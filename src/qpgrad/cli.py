@@ -4,18 +4,23 @@ Subcommands: ``train``, ``curriculum``, ``eval-robustness``,
 ``eval-generalization``, plus ``bench`` for the kernel benchmark. Every
 campaign runs across ``--seeds`` derived seeds, writes per-seed checkpoints,
 one CSV report, and a manifest that doubles as a config file for bit-exact
-re-runs. Exit codes: 0 success, 1 usage/config error, 2 runtime failure.
+re-runs; it also records the kernel backend and the numpy and Python
+versions, since byte identity holds only on the same ones. Exit codes: 0
+success, 1 usage/config error, 2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import platform
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, bench, reports
+import numpy as np
+
+from . import __version__, bench, qsim, reports
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (
     COMMANDS,
@@ -97,6 +102,9 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig, run_seeds, started:
         f"manifest.finished_utc = {finished}\n"
         f"manifest.master_seed = {config.seed}\n"
         f"manifest.run_seeds = {','.join(str(s) for s in run_seeds)}\n"
+        f"manifest.backend = {qsim.BACKEND}\n"
+        f"manifest.numpy = {np.__version__}\n"
+        f"manifest.python = {platform.python_version()}\n"
         "\n"
     ) + serialize_config(config)
     (out_dir / "manifest.txt").write_text(text)

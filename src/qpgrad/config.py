@@ -27,13 +27,7 @@ from .cartpole import N_FEATURES, InitRanges
 from .curriculum import DEFAULT_THETA_DOT_LIMITS, CurriculumSchedule, default_schedule
 from .errors import ConfigurationError
 from .evalharness import EvalGridSpec
-from .policy import (
-    ENCODING_RZ_RY,
-    ENCODING_RZ_RZ,
-    ENTANGLE_BETWEEN,
-    ENTANGLE_EVERY,
-    AnsatzSpec,
-)
+from .policy import ENCODINGS, ENTANGLERS, AnsatzSpec
 from .trainer import (
     BASELINE_BATCH_MEAN,
     BASELINE_NONE,
@@ -191,8 +185,8 @@ _KEYS: dict = {
     "run.workers": (_parse_int, ("workers",)),
     "ansatz.n_qubits": (_parse_int, ("ansatz", "n_qubits")),
     "ansatz.n_layers": (_parse_int, ("ansatz", "n_layers")),
-    "ansatz.entangler": (_choice(ENTANGLE_BETWEEN, ENTANGLE_EVERY), ("ansatz", "entangler")),
-    "ansatz.encoding": (_choice(ENCODING_RZ_RY, ENCODING_RZ_RZ), ("ansatz", "encoding")),
+    "ansatz.entangler": (_choice(*ENTANGLERS), ("ansatz", "entangler")),
+    "ansatz.encoding": (_choice(*ENCODINGS), ("ansatz", "encoding")),
     "train.epochs": (_parse_int, ("train", "epochs")),
     "train.batch_size": (_parse_int, ("train", "batch_size")),
     "train.learning_rate": (_parse_float, ("train", "learning_rate")),

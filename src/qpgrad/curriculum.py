@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import policy as pol
 from .cartpole import HORIZON, InitRanges
 from .errors import ConfigurationError
 from .policy import AnsatzSpec, PolicyParams
-from .seeding import STREAM_EPISODE, STREAM_INIT, STREAM_VALIDATION, Streams, substream
-from .trainer import AdamState, TrainConfig, apply_update, batch_gradient, episode_rewards, rollouts
+from .seeding import STREAM_EPISODE, STREAM_VALIDATION, Streams
+from .trainer import AdamState, TrainConfig, apply_update, batch_gradient, play_batch, start_params
 
 DEFAULT_THETA_DOT_LIMITS = (0.25, 0.75, 1.25, 1.75)
 VALIDATION_THRESHOLD = 195.0
@@ -104,9 +103,9 @@ def validate(
     if n_episodes < 1:
         raise ConfigurationError("validation needs at least one episode")
     streams = Streams(seed, (STREAM_VALIDATION, tag), np.arange(n_episodes)[:, None])
-    rewards = episode_rewards(spec, params, streams, [ranges], horizon)
-    mean = float(rewards.mean())
-    return mean, mean > threshold, int(np.sum(rewards < horizon))
+    lengths, _ = play_batch(spec, params, streams, [ranges], horizon)
+    mean = float(lengths.mean())
+    return mean, mean > threshold, int(np.sum(lengths < horizon))
 
 
 def run_curriculum(
@@ -116,11 +115,7 @@ def run_curriculum(
     initial_params: PolicyParams | None = None,
 ) -> CurriculumResult:
     """Train through the schedule until the final range passes or failures hit f_max."""
-    if initial_params is not None:
-        pol.check_params(spec, initial_params)
-        params = initial_params.copy()
-    else:
-        params = pol.init_params(spec, substream(config.seed, STREAM_INIT))
+    params = start_params(spec, config.seed, initial_params)
     opt_state: AdamState | None = None
 
     outcomes = [RangeOutcome(ranges=r) for r in schedule.ranges]
@@ -134,7 +129,8 @@ def run_curriculum(
     while failures < schedule.f_max:
         n = config.batch_size
         streams = Streams(config.seed, (STREAM_EPISODE,), np.arange(episode, episode + n)[:, None])
-        lengths, glp_nu, glp_omega = rollouts(spec, params, streams, [schedule.ranges[range_idx]], config.horizon)
+        lengths, (glp_nu, glp_omega) = play_batch(spec, params, streams, [schedule.ranges[range_idx]], config.horizon,
+                                                  grads=True)
         failed = lengths < config.horizon
         # the episode that uses up the budget ends the run; later episodes never happened
         kept = min(n, int(np.searchsorted(failures + np.cumsum(failed), schedule.f_max)) + 1)

@@ -12,10 +12,13 @@ be compared with the non-overlap significance rule: candidate considerably
 better than baseline when the mean +- std intervals are disjoint, slightly
 better when only the mean +- std/2 intervals are.
 
-Every (model, point, episode) draws from its own counter-based substream,
-keyed by the model's label (a checkpoint's seed), so campaigns are
-deterministic and parallelizable across models, and a model's results do not
-depend on which other models are evaluated beside it.
+Both campaigns play, per model, one batch of (point, episode) pairs through
+``trainer.play_batch``, where a point is an initial-condition range and a
+noise std: the sweep's points share one range, and the grid's are
+noise-free. Every (model, point, episode) draws from its own counter-based
+substream, keyed by the model's label (a checkpoint's seed), so campaigns
+are deterministic and parallelizable across models, and a model's results
+do not depend on which other models are evaluated beside it.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ import numpy as np
 
 from .cartpole import HORIZON, THETA_INIT_LIMIT, InitRanges
 from .errors import ConfigurationError, UsageError
-from .policy import AnsatzSpec, PolicyParams
+from .policy import AnsatzSpec
 from .seeding import STREAM_EVAL, Streams
-from .trainer import episode_rewards
+from .trainer import play_batch
 
 
 def _bins(edges) -> tuple:
@@ -154,29 +157,14 @@ def _sim_cell(angle_bin, velocity_bin, base: InitRanges) -> InitRanges:
     )
 
 
-def _pairs(points: int, episodes: int) -> np.ndarray:
-    """The (point, episode) pairs, point-major, as (points * episodes, 2)
-    trailing stream path components."""
-    return np.indices((points, episodes)).reshape(2, -1).T
-
-
-def _sweep_model(args):
-    """One model's rewards at every (noise level, episode), played as one batch of episodes."""
-    spec, nu, omega, label, sigmas, episodes, ranges, horizon, seed = args
-    streams = Streams(seed, (STREAM_EVAL, label), _pairs(len(sigmas), episodes))
-    rewards = episode_rewards(
-        spec, PolicyParams(nu, omega), streams, [ranges], horizon, sigmas=np.repeat(sigmas, episodes)
-    )
-    return rewards.reshape(len(sigmas), episodes)
-
-
-def _grid_model(args):
-    """One model's attraction rate in every grid cell, all cells' episodes played as one batch."""
-    spec, nu, omega, label, cells, episodes, base, horizon, seed = args
-    streams = Streams(seed, (STREAM_EVAL, label), _pairs(len(cells), episodes))
-    cell_ranges = [_sim_cell(a, v, base) for a, v in cells]
-    rewards = episode_rewards(spec, PolicyParams(nu, omega), streams, cell_ranges, horizon)
-    return np.array([attraction_rate(row, horizon) for row in rewards.reshape(len(cells), episodes)])
+def _play_model(args):
+    """One model's rewards at every (point, episode), as a (points, episodes) block: all are played as one
+    batch, and point k's episodes start within ``ranges[k]`` under observation noise of std ``sigmas[k]``."""
+    spec, params, label, ranges, sigmas, episodes, horizon, seed = args
+    # the (point, episode) pairs, point-major, are the trailing stream path components
+    streams = Streams(seed, (STREAM_EVAL, label), np.indices((len(ranges), episodes)).reshape(2, -1).T)
+    lengths, _ = play_batch(spec, params, streams, ranges, horizon, np.repeat(sigmas, episodes))
+    return lengths.reshape(len(ranges), episodes).astype(np.float64)
 
 
 def map_jobs(fn, tasks, workers: int) -> list:
@@ -187,6 +175,16 @@ def map_jobs(fn, tasks, workers: int) -> list:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
+
+
+def _play_models(name, models, model_labels, workers, spec, ranges, sigmas, episodes, horizon, seed):
+    """The labels of ``models`` and their (models, points, episodes) rewards, one ``_play_model`` task per
+    model."""
+    if len(models) == 0:
+        raise UsageError(f"{name} needs at least one model")
+    labels = list(model_labels) if model_labels is not None else list(range(len(models)))
+    tasks = [(spec, p, label, ranges, sigmas, episodes, horizon, seed) for label, p in zip(labels, models, strict=True)]
+    return labels, np.stack(map_jobs(_play_model, tasks, workers))
 
 
 def robustness_sweep(
@@ -201,22 +199,11 @@ def robustness_sweep(
     workers: int = 1,
 ) -> EvalReport:
     """Mean reward per (model, noise level); aggregates across models per level."""
-    if len(models) == 0:
-        raise UsageError("robustness_sweep needs at least one model")
     sigmas = [float(s) for s in sigmas]
-    labels = list(model_labels) if model_labels is not None else list(range(len(models)))
-    tasks = [
-        (spec, p.nu, p.omega, label, sigmas, episodes_per_point, init_ranges, horizon, seed)
-        for label, p in zip(labels, models, strict=True)
-    ]
-    per_model = map_jobs(_sweep_model, tasks, workers)
-    episode_rewards = np.stack(per_model)  # (models, sigmas, episodes)
+    labels, rewards = _play_models("robustness_sweep", models, model_labels, workers, spec,
+                                   [init_ranges] * len(sigmas), sigmas, episodes_per_point, horizon, seed)
     return EvalReport(
-        kind="robustness",
-        model_labels=labels,
-        points=sigmas,
-        values=episode_rewards.mean(axis=2),
-        episode_rewards=episode_rewards,
+        kind="robustness", model_labels=labels, points=sigmas, values=rewards.mean(axis=2), episode_rewards=rewards
     )
 
 
@@ -231,18 +218,9 @@ def generalization_grid(
     workers: int = 1,
 ) -> EvalReport:
     """Attraction rate per (model, grid cell); aggregates across models per cell."""
-    if len(models) == 0:
-        raise UsageError("generalization_grid needs at least one model")
     cells = grid.cells()
-    labels = list(model_labels) if model_labels is not None else list(range(len(models)))
-    tasks = [
-        (spec, p.nu, p.omega, label, cells, grid.episodes_per_cell, base_ranges, horizon, seed)
-        for label, p in zip(labels, models, strict=True)
-    ]
-    per_model = map_jobs(_grid_model, tasks, workers)
-    return EvalReport(
-        kind="generalization",
-        model_labels=labels,
-        points=cells,
-        values=np.stack(per_model),
-    )
+    labels, rewards = _play_models("generalization_grid", models, model_labels, workers, spec,
+                                   [_sim_cell(a, v, base_ranges) for a, v in cells], [0.0] * len(cells),
+                                   grid.episodes_per_cell, horizon, seed)
+    rates = np.array([[attraction_rate(row, horizon) for row in model] for model in rewards])
+    return EvalReport(kind="generalization", model_labels=labels, points=cells, values=rates)

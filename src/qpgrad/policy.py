@@ -39,6 +39,8 @@ ENTANGLE_BETWEEN = "between"   # entangling blocks after layers 1..L-1 only
 ENTANGLE_EVERY = "every"       # entangling block after every layer
 ENCODING_RZ_RY = "rz_ry"
 ENCODING_RZ_RZ = "rz_rz"
+ENTANGLERS = (ENTANGLE_BETWEEN, ENTANGLE_EVERY)
+ENCODINGS = (ENCODING_RZ_RY, ENCODING_RZ_RZ)
 
 PARAM_SLOTS = 2  # rotation slots per qubit per layer, for nu and for omega each
 
@@ -57,9 +59,9 @@ class AnsatzSpec:
             raise ConfigurationError("ansatz.n_qubits must be >= 1")
         if self.n_layers < 1:
             raise ConfigurationError("ansatz.n_layers must be >= 1")
-        if self.entangler not in (ENTANGLE_BETWEEN, ENTANGLE_EVERY):
+        if self.entangler not in ENTANGLERS:
             raise ConfigurationError(f"unknown entangler placement {self.entangler!r}")
-        if self.encoding not in (ENCODING_RZ_RY, ENCODING_RZ_RZ):
+        if self.encoding not in ENCODINGS:
             raise ConfigurationError(f"unknown encoding variant {self.encoding!r}")
 
     @property
@@ -180,13 +182,13 @@ class CircuitTemplate:
     def expval(self, nu_flat, omega_flat, obs) -> np.ndarray:
         """<Z^n> for each row of the (B, n_qubits) observations: shape (B,)."""
         a = self.angles(nu_flat, omega_flat, obs)
-        return qsim.packed_expval(self.spec.n_qubits, self.kinds, self.qa, self.qb, a)
+        return qsim._kernel.expval_z_rows(self.spec.n_qubits, self.kinds, self.qa, self.qb, a)
 
     def expval_and_grad(self, nu_flat, omega_flat, obs):
         """For (B, n_qubits) observations: (expectations (B,), nu-flat
         gradients (B, P), omega-flat gradients (B, P))."""
         a = self.angles(nu_flat, omega_flat, obs)
-        e, grot = qsim.packed_expval_and_grad(self.spec.n_qubits, self.kinds, self.qa, self.qb, a)
+        e, grot = qsim._kernel.expval_z_and_grad_rows(self.spec.n_qubits, self.kinds, self.qa, self.qb, a)
         gnu, gom = self.grad_to_params(grot, obs)
         return e, gnu, gom
 

@@ -9,15 +9,16 @@ CZ). ``policy.CircuitTemplate`` builds them for the policy circuit. Qubit
 target outside the register and a CZ partner outside it or equal to the
 target.
 
-``packed_expval`` and ``packed_expval_and_grad`` evaluate many circuits
-that share one gate list and differ only in their angles: they take a
-(B, n_gates) angle block and evaluate each row exactly as it would run
-alone, so a row's result never depends on the other rows. They are the hot
-path on ``numpy``, one call per step of a batch of episodes played in
-lockstep. On ``c`` the hot path is ``episode_kernel``: one call derives the
-random stream and draws the start of each episode of a batch, and one more
-plays the whole batch of CartPole episodes, one episode after another,
-drawing with numpy's own C distributions.
+The active kernel, ``_kernel``, evaluates many circuits that share one gate
+list and differ only in their angles: ``expval_z_rows`` and
+``expval_z_and_grad_rows`` take a (B, n_gates) angle block and evaluate
+each row exactly as it would run alone, so a row's result never depends on
+the other rows. ``policy.CircuitTemplate`` calls them, once per step of a
+batch of episodes played in lockstep on ``numpy``. On ``c`` the hot path is
+``episode_kernel``: one call derives the random stream and draws the start
+of each episode of a batch, and one more plays the whole batch of CartPole
+episodes, one episode after another, drawing with numpy's own C
+distributions. ``trainer.play_batch`` makes both calls.
 
 The heavy lifting happens in one of two interchangeable kernel backends:
 
@@ -102,14 +103,3 @@ def parameter_shift_gradient(n_qubits, kinds, qa, qb, angles) -> np.ndarray:
     e = _kernel.expval_z_rows(n_qubits, kinds, qa, qb, np.vstack([plus, minus]))
     return 0.5 * (e[:n] - e[n:])
 
-
-def packed_expval(n_qubits, kinds, qa, qb, angles) -> np.ndarray:
-    """Forward expectations <Z^n> of |0...0> evolved through the gate arrays,
-    one per row of the (B, n_gates) ``angles``."""
-    return _kernel.expval_z_rows(n_qubits, kinds, qa, qb, angles)
-
-
-def packed_expval_and_grad(n_qubits, kinds, qa, qb, angles):
-    """Forward expectations and their adjoint gradients, one row per row of
-    ``angles``, one gradient entry per rotation in gate order."""
-    return _kernel.expval_z_and_grad_rows(n_qubits, kinds, qa, qb, angles)

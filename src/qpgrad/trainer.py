@@ -23,20 +23,21 @@ Everything is seeded: parameter init and each episode draw from dedicated
 Philox substreams of the run seed, so training is bit-reproducible and
 episodes are independent of collection order.
 
-Episodes run in batches (``rollouts``, and ``episode_rewards`` for
-forward-only evaluation), named by their stream paths (``seeding.Streams``)
-and the init ranges of their groups. On the ``c`` backend one C call
-derives every episode's Philox stream and draws its start, and one more
-plays the whole batch, so Python's work per batch does not grow with its
-size. On ``numpy`` each episode's stream is a ``substream`` generator, its
-start a ``cartpole.reset``, and every live episode takes its t-th step at
-once (``play_episodes``). A batch is only ever held as blocks: its episode
-lengths (every step pays +1, so a length is also a total reward) and its
-per-step log-policy gradients, indexed by step, then episode. Each episode
-draws from its own stream exactly what it would draw alone, in the same
-order, and every per-episode value is computed element by element with the
-expressions of a lone episode, so an episode's results do not depend on the
-batch it runs in.
+Every batch of episodes, for training, validation or evaluation, is one
+call of ``play_batch``, which names the episodes by their stream paths
+(``seeding.Streams``) and the init ranges of their groups. On the ``c``
+backend one C call derives every episode's Philox stream and draws its
+start, and one more plays the whole batch, so Python's work per batch does
+not grow with its size. On ``numpy`` each episode's stream is a
+``substream`` generator, its start a ``cartpole.reset``, and every live
+episode takes its t-th step at once (``play_episodes``). A batch is only
+ever held as blocks: its episode lengths (every step pays +1, so a length
+is also a total reward) and, for training, its per-step log-policy
+gradients, indexed by step, then episode. Each episode draws from its own
+stream exactly what it would draw alone, in the same order, and every
+per-episode value is computed element by element with the expressions of a
+lone episode, so an episode's results do not depend on the batch it runs
+in.
 """
 
 from __future__ import annotations
@@ -180,13 +181,32 @@ def play_episodes(tpl, nu_flat, om_flat, starts, sigmas, rngs, horizon, glp=None
     return lengths
 
 
-def _episode_inputs(streams: Streams, ranges, sigmas):
-    """The (B, 4, 2) init bounds and (B,) noise stds of a batch's episodes.
+def play_batch(spec: AnsatzSpec, params: PolicyParams, streams: Streams, ranges, horizon: int = HORIZON,
+               sigmas=None, grads: bool = False):
+    """Plays one episode per stream of ``streams``; returns ``(lengths, glp)``.
+
+    The B episodes split into ``len(ranges)`` equal groups of consecutive
+    episodes, and group k starts within the ``InitRanges`` ``ranges[k]``;
+    ``sigmas`` holds each episode's observation-noise std (None: no
+    noise). Episode i draws from its stream: first its start (as
+    ``cartpole.reset`` does), then the rest of the episode under
+    ``play_episodes``. On ``c`` both steps are one kernel call each; on
+    ``numpy`` they are ``substream``, ``reset`` and the numpy
+    ``play_episodes``, their oracle.
+
+    ``lengths`` is the (B,) int64 episode lengths, which are also the
+    episodes' total rewards. With ``grads``, ``glp`` is the per-step
+    log-policy gradients ``(glp_nu, glp_omega)``, each (horizon, B, P):
+    entry [t, i] is step t of episode i, set only for t below its length.
+    Without, ``glp`` is None, and batches of more than ``MAX_FORWARD_BATCH``
+    episodes play as consecutive chunks of that many. Every episode gets
+    exactly the values it would get alone.
 
     Raises before any episode is played: ``ValueError`` when ``streams``
-    is not a ``Streams``, when its B episodes do not split into equal
-    groups, one per entry of ``ranges``, or when ``sigmas`` does not hold
-    one value per episode; ``ConfigurationError`` for a negative sigma.
+    is not a ``Streams``, when its episodes do not split into one equal
+    group per entry of ``ranges``, or when ``sigmas`` does not hold one
+    value per episode; ``ConfigurationError`` for a negative or non-finite
+    sigma.
     """
     if not isinstance(streams, Streams):
         raise ValueError(f"streams must be a seeding.Streams, got {type(streams).__name__}")
@@ -197,87 +217,30 @@ def _episode_inputs(streams: Streams, ranges, sigmas):
     sigmas = np.zeros(n) if sigmas is None else np.asarray(sigmas, dtype=np.float64)
     if sigmas.shape != (n,):
         raise ValueError(f"{sigmas.size} noise levels for {n} episodes")
-    if (sigmas < 0).any():
-        raise ConfigurationError(f"noise sigma must be >= 0, got {sigmas.min()}")
-    return bounds, sigmas
-
-
-def _lockstep(spec, params, streams, bounds, horizon, sigmas, collect_grads):
-    """Plays one episode per stream of ``streams``, as one batch.
-
-    Episode i draws from its stream: first its start within ``bounds[i]``
-    (as ``cartpole.reset`` does), then the rest of the episode under
-    ``play_episodes`` with observation noise of std ``sigmas[i]`` (none
-    when 0). On ``c`` both steps are one kernel call each, whatever the
-    batch size; on ``numpy`` they are ``substream``, ``reset`` and the
-    numpy ``play_episodes``, their oracle.
-
-    Returns the (B,) episode lengths and, when ``collect_grads``, the
-    per-step log-policy gradients ``(glp_nu, glp_omega)``, each of shape
-    (horizon, B, P): step t of episode i is ``[t, i]``, set only for t below
-    the episode's length.
-    """
-    n = len(streams)
+    bad = sigmas[~(np.isfinite(sigmas) & (sigmas >= 0))]
+    if bad.size:
+        raise ConfigurationError(f"noise sigma must be finite and >= 0, got {bad[0]}")
     tpl = pol.get_template(spec)
     nu_flat = params.nu.reshape(-1)
     om_flat = params.omega.reshape(-1)
     shape = (horizon, n, spec.n_params_each)
-    glp = (np.empty(shape), np.empty(shape)) if collect_grads else None
+    glp = (np.empty(shape), np.empty(shape)) if grads else None
+    # the C call writes whole (horizon, B, P) gradient blocks, so a gradient batch plays in one piece
+    chunk = max(n, 1) if grads else MAX_FORWARD_BATCH
+    lengths = np.empty(n, dtype=np.int64)
     kernel = qsim.episode_kernel()
-    if kernel is None:
-        rngs = streams.generators()
-        starts = np.array([reset(b, g) for b, g in zip(bounds, rngs)]).reshape(n, 4)
-        return play_episodes(tpl, nu_flat, om_flat, starts, sigmas, rngs, horizon, glp), glp
-    states, starts = kernel.start_episodes(streams.head(), streams.suffixes, bounds)
-    lengths = kernel.play_episodes(spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature, nu_flat,
-                                   om_flat, starts, sigmas, states, horizon, glp)
+    head = None if kernel is None else streams.head()
+    for lo in range(0, n, chunk):
+        part = slice(lo, lo + chunk)
+        if kernel is None:
+            rngs = streams[part].generators()
+            starts = np.array([reset(b, g) for b, g in zip(bounds[part], rngs)]).reshape(-1, 4)
+            lengths[part] = play_episodes(tpl, nu_flat, om_flat, starts, sigmas[part], rngs, horizon, glp)
+        else:
+            states, starts = kernel.start_episodes(head, streams.suffixes[part], bounds[part])
+            lengths[part] = kernel.play_episodes(spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature,
+                                                 nu_flat, om_flat, starts, sigmas[part], states, horizon, glp)
     return lengths, glp
-
-
-def rollouts(
-    spec: AnsatzSpec,
-    params: PolicyParams,
-    streams: Streams,
-    ranges,
-    horizon: int = HORIZON,
-    sigmas=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Play one episode per stream of ``streams`` as one batch, recording grad log pi(a_t|s_t) per step.
-
-    The B episodes split into ``len(ranges)`` equal groups of consecutive
-    episodes, and group k starts within the ``InitRanges`` ``ranges[k]``;
-    ``sigmas`` holds each episode's observation-noise std (None: no
-    noise). Returns the (B,) episode lengths, which are also the episodes'
-    total rewards, and the (horizon, B, P) blocks of per-step log-policy
-    gradients for nu and omega; entry [t, i] is step t of episode i, set
-    only for t below its length (the rest is left uninitialized).
-    Every episode gets exactly the values it would get if it ran alone.
-    """
-    bounds, sigmas = _episode_inputs(streams, ranges, sigmas)
-    lengths, (glp_nu, glp_omega) = _lockstep(spec, params, streams, bounds, horizon, sigmas, collect_grads=True)
-    return lengths, glp_nu, glp_omega
-
-
-def episode_rewards(
-    spec: AnsatzSpec,
-    params: PolicyParams,
-    streams: Streams,
-    ranges,
-    horizon: int = HORIZON,
-    sigmas=None,
-) -> np.ndarray:
-    """Total reward of one episode per stream of ``streams``, played forward-only as one batch.
-
-    Arguments as for ``rollouts``; each reward is the one the episode would
-    collect alone. Batches of more than ``MAX_FORWARD_BATCH`` episodes play
-    as consecutive chunks of that many.
-    """
-    bounds, sigmas = _episode_inputs(streams, ranges, sigmas)
-    lengths = [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, len(streams), MAX_FORWARD_BATCH):
-        chunk = slice(lo, lo + MAX_FORWARD_BATCH)
-        lengths.append(_lockstep(spec, params, streams[chunk], bounds[chunk], horizon, sigmas[chunk], False)[0])
-    return np.concatenate(lengths).astype(np.float64)
 
 
 def discounted_returns(rewards, gamma: float) -> np.ndarray:
@@ -310,7 +273,7 @@ def episode_returns(lengths: np.ndarray, gamma: float) -> np.ndarray:
 def batch_gradient(lengths: np.ndarray, glp_nu: np.ndarray, glp_omega: np.ndarray, config: TrainConfig):
     """REINFORCE estimator sum_ep sum_t G_t grad log pi(a_t|s_t), flat tensors.
 
-    Takes the episode lengths and gradient blocks of ``rollouts``; the
+    Takes the episode lengths and gradient blocks of ``play_batch``; the
     discount, baseline and normalizer come from ``config``.
     ``config.grad_norm`` picks the normalizer: "episodes" divides by the
     batch size (the textbook per-episode mean), "steps" by the total step
@@ -388,6 +351,14 @@ def apply_update(
     return PolicyParams(nu, omega), opt_state
 
 
+def start_params(spec: AnsatzSpec, seed: int, initial_params: PolicyParams | None = None) -> PolicyParams:
+    """A run's first parameters: a checked copy of ``initial_params``, or fresh ones from the run's init stream."""
+    if initial_params is None:
+        return pol.init_params(spec, substream(seed, STREAM_INIT))
+    pol.check_params(spec, initial_params)
+    return initial_params.copy()
+
+
 def train(
     config: TrainConfig,
     spec: AnsatzSpec,
@@ -395,11 +366,7 @@ def train(
     initial_params: PolicyParams | None = None,
 ) -> tuple[PolicyParams, list[TrainRecord]]:
     """Full training run: returns final parameters and one record per epoch."""
-    if initial_params is not None:
-        pol.check_params(spec, initial_params)
-        params = initial_params.copy()
-    else:
-        params = pol.init_params(spec, substream(config.seed, STREAM_INIT))
+    params = start_params(spec, config.seed, initial_params)
     opt_state: AdamState | None = None
     records: list[TrainRecord] = []
     episode = 0
@@ -412,7 +379,7 @@ def train(
             # on-policy: each minibatch is rolled out under the current params
             n = min(minibatch, config.batch_size - collected)
             streams = Streams(config.seed, (STREAM_EPISODE,), np.arange(episode, episode + n)[:, None])
-            lengths, glp_nu, glp_omega = rollouts(spec, params, streams, [ranges], config.horizon)
+            lengths, (glp_nu, glp_omega) = play_batch(spec, params, streams, [ranges], config.horizon, grads=True)
             episode += n
             if collected == 0:
                 penalty_before = pol.regularization_penalty(params, config.lam)

@@ -18,7 +18,7 @@ from qpgrad.cartpole import (
 from qpgrad.errors import ConfigurationError
 from qpgrad.policy import AnsatzSpec, PolicyParams
 from qpgrad.seeding import Streams
-from qpgrad.trainer import episode_rewards, rollouts
+from qpgrad.trainer import play_batch
 
 
 def oracle_step(state, action):
@@ -154,11 +154,11 @@ class TestObserve:
         streams = Streams(6, (1,), np.arange(3)[:, None])
         ranges = [InitRanges()]
         assert np.array_equal(
-            episode_rewards(spec, params, streams, ranges, sigmas=[0.0] * 3),
-            episode_rewards(spec, params, streams, ranges),
+            play_batch(spec, params, streams, ranges, sigmas=[0.0] * 3)[0],
+            play_batch(spec, params, streams, ranges)[0],
         )
-        lengths, *zero_sigma = rollouts(spec, params, streams, ranges, sigmas=[0.0] * 3)
-        same_lengths, *noise_free = rollouts(spec, params, streams, ranges)
+        lengths, zero_sigma = play_batch(spec, params, streams, ranges, sigmas=[0.0] * 3, grads=True)
+        same_lengths, noise_free = play_batch(spec, params, streams, ranges, grads=True)
         assert np.array_equal(lengths, same_lengths)
         for a, b in zip(zero_sigma, noise_free):
             for i, n_steps in enumerate(lengths):
@@ -196,6 +196,6 @@ def test_episode_reward_equals_length():
     params = PolicyParams(np.full(spec.param_shape, 0.4), np.full(spec.param_shape, -0.9))
     ranges = InitRanges(theta=(-0.2, 0.2), theta_dot=(-1.0, 1.0))
     for k in range(20):
-        (reward,) = episode_rewards(spec, params, Streams(31, (1,), [[k]]), [ranges])
-        (length,), _, _ = rollouts(spec, params, Streams(31, (1,), [[k]]), [ranges])
+        (reward,), _ = play_batch(spec, params, Streams(31, (1,), [[k]]), [ranges])
+        (length,), _ = play_batch(spec, params, Streams(31, (1,), [[k]]), [ranges], grads=True)
         assert reward == length <= HORIZON

@@ -1,11 +1,13 @@
 """End-to-end CLI runs: outputs, exit codes, manifests, and reproducibility."""
 
 import json
+import platform
 import shutil
 
 import numpy as np
 import pytest
 
+from qpgrad import qsim
 from qpgrad.checkpoint import load_checkpoint, save_checkpoint
 from qpgrad.cli import main
 from qpgrad.errors import ConfigurationError
@@ -78,6 +80,10 @@ class TestCheckpointRoundTrip:
         doc = json.loads(path.read_text())
         not_finite = (float("nan"), float("inf"), float("-inf"), 10**400)  # 10**400 overflows a float
         out_of_range = {
+            "n_qubits": (0, -1),
+            "n_layers": (0,),
+            "entangler": ("foo",),
+            "encoding": ("bar",),
             "generator_norm": (0.25, 1),
             "seed": (-1,),
             "lambda": (-0.1, *not_finite),
@@ -103,7 +109,10 @@ class TestTrainCommand:
         rows = read_csv(out / "telemetry.csv")
         assert len(rows) == 4  # 2 seeds x 2 epochs
         assert set(rows[0]) == {"seed", "epoch", "mean_reward", "reg_objective", "lipschitz_total"}
-        assert (out / "manifest.txt").exists()
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        for line in (f"manifest.backend = {qsim.BACKEND}", f"manifest.numpy = {np.__version__}",
+                     f"manifest.python = {platform.python_version()}"):
+            assert line in manifest
 
     def test_manifest_rerun_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

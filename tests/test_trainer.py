@@ -1,5 +1,6 @@
 """Returns, REINFORCE estimator, update rules, and short end-to-end training runs."""
 
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,16 +10,16 @@ from hypothesis import strategies as st
 
 from qpgrad import qsim, trainer
 from qpgrad.cartpole import InitRanges
+from qpgrad.checkpoint import save_checkpoint
 from qpgrad.errors import ConfigurationError, UsageError
 from qpgrad.policy import AnsatzSpec, PolicyParams, init_params, zero_params
-from qpgrad.seeding import STREAM_EPISODE, STREAM_INIT, Streams, substream
+from qpgrad.seeding import STREAM_EPISODE, STREAM_INIT, Streams, derive_run_seeds, substream
 from qpgrad.trainer import (
     TrainConfig,
     apply_update,
     batch_gradient,
     discounted_returns,
-    episode_rewards,
-    rollouts,
+    play_batch,
     train,
 )
 
@@ -30,7 +31,7 @@ def make_traj(glp_nu, glp_omega):
 
 
 def gradient(trajs, gamma, baseline="none", grad_norm="episodes"):
-    """``batch_gradient`` of per-episode (T_i, P) gradient arrays, laid out as ``rollouts`` returns them."""
+    """``batch_gradient`` of per-episode (T_i, P) gradient arrays, laid out as ``play_batch`` returns them."""
     lengths = np.array([len(nu) for nu, _ in trajs], dtype=np.int64)
     blocks = np.zeros((2, max(lengths.max(), 1), len(trajs), trajs[0][0].shape[1]))
     for i, pair in enumerate(trajs):
@@ -180,7 +181,7 @@ class TestApplyUpdate:
 class TestRollout:
     def test_trajectory_shape_consistency(self):
         params = zero_params(SPEC)
-        lengths, glp_nu, glp_omega = rollouts(SPEC, params, Streams(1, (1,), [[0]]), [InitRanges()])
+        lengths, (glp_nu, glp_omega) = play_batch(SPEC, params, Streams(1, (1,), [[0]]), [InitRanges()], grads=True)
         (n_steps,) = lengths
         assert 0 < n_steps <= 200
         assert glp_nu.shape == glp_omega.shape == (200, 1, SPEC.n_params_each)
@@ -188,11 +189,11 @@ class TestRollout:
 
     def test_rollout_deterministic_per_stream(self):
         params = zero_params(SPEC)
-        a = rollouts(SPEC, params, Streams(9, (1,), [[3]]), [InitRanges()])
-        b = rollouts(SPEC, params, Streams(9, (1,), [[3]]), [InitRanges()])
+        a = play_batch(SPEC, params, Streams(9, (1,), [[3]]), [InitRanges()], grads=True)
+        b = play_batch(SPEC, params, Streams(9, (1,), [[3]]), [InitRanges()], grads=True)
         (n_steps,) = a[0]
         assert np.array_equal(a[0], b[0])
-        for x, y in zip(a[1:], b[1:]):
+        for x, y in zip(a[1], b[1]):
             assert np.array_equal(x[:n_steps], y[:n_steps])
 
 
@@ -225,17 +226,19 @@ class TestLockstep:
         everyone = range(len(episodes))
         for kernel in (qsim.load_kernel("c"), qsim.load_kernel("numpy")):
             with mock.patch.object(qsim, "_kernel", kernel):
-                lengths, glp_nu, glp_omega = rollouts(
-                    spec, params, streams(everyone), ranges, horizon, sigmas
+                lengths, (glp_nu, glp_omega) = play_batch(
+                    spec, params, streams(everyone), ranges, horizon, sigmas, grads=True
                 )
-                rewards = episode_rewards(spec, params, streams(everyone), ranges, horizon, sigmas)
+                rewards, _ = play_batch(spec, params, streams(everyone), ranges, horizon, sigmas)
                 for i in everyone:
-                    alone = rollouts(spec, params, streams([i]), [ranges[i]], horizon, [sigmas[i]])
+                    alone, (nu_alone, omega_alone) = play_batch(
+                        spec, params, streams([i]), [ranges[i]], horizon, [sigmas[i]], grads=True
+                    )
                     n_steps = lengths[i]
-                    assert n_steps == alone[0][0]
-                    assert np.array_equal(glp_nu[:n_steps, i], alone[1][:n_steps, 0])
-                    assert np.array_equal(glp_omega[:n_steps, i], alone[2][:n_steps, 0])
-                    reward_alone = episode_rewards(spec, params, streams([i]), [ranges[i]], horizon, [sigmas[i]])
+                    assert n_steps == alone[0]
+                    assert np.array_equal(glp_nu[:n_steps, i], nu_alone[:n_steps, 0])
+                    assert np.array_equal(glp_omega[:n_steps, i], omega_alone[:n_steps, 0])
+                    reward_alone, _ = play_batch(spec, params, streams([i]), [ranges[i]], horizon, [sigmas[i]])
                     assert rewards[i] == reward_alone[0] == lengths[i]
 
 
@@ -247,13 +250,13 @@ class TestLockstep:
         sigmas = [0.0, 0.3, 0.0, 0.0, 0.8, 0.0, 0.1, 0.0, 0.0, 0.5, 0.0]
 
         def rewards():
-            return episode_rewards(spec, params, Streams(8, (1,), np.arange(11)[:, None]), ranges, 60, sigmas)
+            return play_batch(spec, params, Streams(8, (1,), np.arange(11)[:, None]), ranges, 60, sigmas)[0]
 
         whole = rewards()
         monkeypatch.setattr(trainer, "MAX_FORWARD_BATCH", 3)
         assert np.array_equal(rewards().view(np.int64), whole.view(np.int64))
         with pytest.raises(ValueError):
-            episode_rewards(spec, params, Streams(8, (1,), np.arange(12)[:, None]), ranges, 60, sigmas + [0.0])
+            play_batch(spec, params, Streams(8, (1,), np.arange(12)[:, None]), ranges, 60, sigmas + [0.0])
 
     @pytest.mark.parametrize("backend", ["c", "numpy"])
     def test_bad_streams_and_sigmas_rejected_before_any_draw(self, backend):
@@ -265,7 +268,7 @@ class TestLockstep:
         def streams(suffixes, seed=9, prefix=(1,)):
             return lambda: Streams(seed, prefix, suffixes)
 
-        bad = [  # (streams, sigmas, error): paths of non-negative ints, 3 episodes per 3 ranges, sigmas >= 0
+        bad = [  # (streams, sigmas, error): paths of non-negative ints, 3 episodes per 3 ranges, finite sigmas >= 0
             (streams([[0], [1], [-2]]), None, ValueError),
             (streams(three, prefix=(1, -1)), None, ValueError),
             (streams(three, seed=-9), None, ValueError),
@@ -275,6 +278,9 @@ class TestLockstep:
             (streams(np.arange(4)[:, None]), None, ValueError),
             (streams(three), [0.1, 0.2], ValueError),
             (streams(three), [0.1, -0.2, 0.0], ConfigurationError),
+            (streams(three), [0.1, np.nan, 0.0], ConfigurationError),
+            (streams(three), [0.1, 0.0, np.inf], ConfigurationError),
+            (streams(three), [-np.inf, 0.2, 0.0], ConfigurationError),
         ]
         kernel = qsim.load_kernel(backend)
         never = mock.Mock(side_effect=AssertionError("an episode was started or played"))
@@ -283,14 +289,13 @@ class TestLockstep:
             if backend == "c":
                 kernel.start_episodes = kernel.play_episodes = never
             for make, sigmas, error in bad:
-                with pytest.raises(error):
-                    rollouts(spec, params, make(), ranges, 10, sigmas)
-                with pytest.raises(error):
-                    episode_rewards(spec, params, make(), ranges, 10, sigmas)
+                for grads in (True, False):
+                    with pytest.raises(error):
+                        play_batch(spec, params, make(), ranges, 10, sigmas, grads)
             never.assert_not_called()
             # the same call with good arguments does reach the episodes
             with pytest.raises(AssertionError, match="started or played"):
-                rollouts(spec, params, streams(three)(), ranges, 10, [0.1, 0.2, 0.0])
+                play_batch(spec, params, streams(three)(), ranges, 10, [0.1, 0.2, 0.0], grads=True)
         never.assert_called_once()
 
 
@@ -341,10 +346,35 @@ class TestTrain:
             lengths = []
             for n in (3, 3, 3, 1):
                 streams = Streams(17, (STREAM_EPISODE,), np.arange(episode, episode + n)[:, None])
-                played = rollouts(spec, expected, streams, [InitRanges()], cfg.horizon)
-                expected, opt_state = apply_update(expected, batch_gradient(*played, cfg), cfg, opt_state)
-                lengths.extend(played[0].tolist())
+                played, glp = play_batch(spec, expected, streams, [InitRanges()], cfg.horizon, grads=True)
+                expected, opt_state = apply_update(expected, batch_gradient(played, *glp, cfg), cfg, opt_state)
+                lengths.extend(played.tolist())
                 episode += n
             assert record.mean_reward == np.mean(lengths)
         assert opt_state.t == 8
         assert np.array_equal(params.nu, expected.nu) and np.array_equal(params.omega, expected.omega)
+
+
+# The benchmark's evaluation inputs: the two runs of `qpgrad train --seed 12345 --seeds 2`, at lambda 0 for
+# run seed 1 (the fixture's CONVERGING_SEED) and at lambda 0.3 for run seed 0.
+COMMITTED = Path(__file__).resolve().parents[1] / "perfbench" / "checkpoints"
+
+
+@pytest.mark.skipif(qsim.BACKEND != "c", reason="the committed checkpoints come from the c kernel, which the "
+                    "numpy one matches only to the last few bits, and a default run takes about 30 minutes on numpy")
+class TestCommittedCheckpoints:
+    """Default training rewrites the committed checkpoints byte for byte."""
+
+    @staticmethod
+    def assert_rewrites(tmp_path, params, lam, seed):
+        path = tmp_path / f"checkpoint_{seed}.json"
+        save_checkpoint(path, SPEC, params, lam, seed)
+        assert path.read_bytes() == (COMMITTED / path.name).read_bytes()
+
+    def test_lambda_zero_is_the_fixture_run(self, trained_policy, tmp_path):
+        self.assert_rewrites(tmp_path, trained_policy[0], 0.0, derive_run_seeds(12345, 2)[1])
+
+    def test_lambda_point_three(self, tmp_path):
+        seed = derive_run_seeds(12345, 2)[0]
+        params, _ = train(TrainConfig(lam=0.3, seed=seed), SPEC, InitRanges())
+        self.assert_rewrites(tmp_path, params, 0.3, seed)
