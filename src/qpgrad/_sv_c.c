@@ -5,11 +5,13 @@
  *                           one circuit per row of an angle block; the
  *                           contract of _sv_numpy's row calls.
  *   play_episodes           a batch of CartPole episodes under the policy
- *                           circuit, one after another. Each step adds the
- *                           noise to the normalized state, draws the action
- *                           uniform, runs the circuit (plus the adjoint when
- *                           training), writes the grad log pi row and steps
- *                           the cart-pole.
+ *                           circuit, on up to one thread per core, each
+ *                           thread taking the next episode no thread has
+ *                           taken. Each step adds the noise to the
+ *                           normalized state, draws the action uniform, runs
+ *                           the circuit (plus the adjoint when training),
+ *                           writes the grad log pi row and steps the
+ *                           cart-pole.
  *   start_episodes          the stream and start state of each episode of a
  *                           batch, for play_episodes to play.
  *
@@ -65,11 +67,18 @@
  *    glibc's pow(x, 2.0), which numpy's float_power(x, 2) calls, differs
  *    from x*x in the last bit for about 1 in 1000 inputs. The exponent is
  *    read from a volatile, so the call stays a call.
+ *  - Threads. An episode reads only its own start, noise std and stream,
+ *    writes only its own length, stream and [t, i] gradient rows, and runs
+ *    on its thread's own scratch, so its operations are the same whichever
+ *    thread plays it and whatever the others do.
  *  - -ffp-contract=off keeps multiply-adds unfused; never -ffast-math or
  *    -march=native, which may change the last bits. gcc runs the 2-wide
  *    vectors on SSE2, which every x86-64 has, with no -march flag. */
 
 #include <math.h>
+#include <pthread.h>
+#include <signal.h>
+#include <stdatomic.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -561,6 +570,56 @@ static int policy_step(const struct policy *pol, const struct cartpole *cp, doub
     return right;
 }
 
+/* A batch of episodes, shared by the threads that play it: the arguments
+ * of play_episodes, and next, the index of the first episode no thread has
+ * taken yet. */
+struct batch {
+    const struct cartpole *cp;
+    const double *starts, *sigmas;
+    struct philox *streams;
+    ptrdiff_t n_episodes, n_params, horizon;
+    double *glp_nu, *glp_omega;
+    int64_t *lengths;
+    double square;
+    atomic_ptrdiff_t next;
+};
+
+/* One thread's part in a batch: its own compiled policy, whose scratch no
+ * other thread touches. */
+struct player {
+    struct batch *batch;
+    struct policy pol;
+};
+
+/* Takes the batch's next episode until none is left, and plays each: from
+ * its start until it goes out of bounds or reaches the horizon, drawing
+ * from its stream under its noise std; see play_episodes. A pthread start
+ * routine, and the calling thread's share too. */
+static void *play(void *arg) {
+    struct player *pl = arg;
+    struct batch *b = pl->batch;
+    double *grads = b->glp_nu == NULL ? NULL : pl->pol.sim.grads;
+    for (ptrdiff_t i; (i = atomic_fetch_add_explicit(&b->next, 1, memory_order_relaxed)) < b->n_episodes;) {
+        double s[2][N_FEATURES];
+        memcpy(s[0], b->starts + N_FEATURES * i, sizeof s[0]);
+        bitgen_t bg = {.state = b->streams + i, .next_uint64 = philox_next, .next_double = philox_double,
+                       .next_raw = philox_next};
+        ptrdiff_t t = 0;
+        for (int out = out_of_bounds(b->cp, s[0]); !out && t < b->horizon; t++) {
+            ptrdiff_t row = (t * b->n_episodes + i) * b->n_params;
+            int right = policy_step(&pl->pol, b->cp, grads, s[t % 2], b->sigmas[i], &bg,
+                                    grads == NULL ? NULL : b->glp_nu + row,
+                                    grads == NULL ? NULL : b->glp_omega + row);
+            out = cartpole_step(b->cp, s[t % 2], right, b->square, s[(t + 1) % 2]);
+        }
+        b->lengths[i] = t;
+    }
+    return NULL;
+}
+
+/* The most threads one call plays on. */
+#define MAX_THREADS 64
+
 /* Plays episode i of n_episodes from raw state starts[4i..4i+3], drawing
  * from streams[i] under noise std sigmas[i], until it goes out of bounds
  * or reaches the horizon, and puts its step count, 0 for a start out of
@@ -570,6 +629,15 @@ static int policy_step(const struct policy *pol, const struct cartpole *cp, doub
  * to [t, i] of the (horizon, n_episodes, n_params) blocks glp_nu and
  * glp_omega.
  *
+ * The episodes are played on threads threads, clamped to [1, min(n_episodes,
+ * MAX_THREADS)], the calling one among them; each takes the next episode
+ * no thread has taken. An episode reads and writes only its own start,
+ * stream, length and gradient rows, and each thread has its own scratch, so
+ * no result depends on the thread count or on which thread played which
+ * episode. The other threads block every signal, so that signals reach the
+ * caller's thread, and all of them are joined before the call returns. A
+ * thread that cannot be started leaves its episodes to the others.
+ *
  * Returns -1; or the index of the first bad gate, parameter or feature,
  * or -2 when the scratch cannot be allocated (nothing computed then). */
 ptrdiff_t play_episodes(int n_qubits, const int8_t *kinds, const int32_t *qa, const int32_t *qb,
@@ -577,7 +645,7 @@ ptrdiff_t play_episodes(int n_qubits, const int8_t *kinds, const int32_t *qa, co
                         const double *nu, const double *omega, ptrdiff_t n_params,
                         ptrdiff_t n_episodes, const double *starts, const double *sigmas,
                         struct philox *streams, ptrdiff_t horizon, double *glp_nu,
-                        double *glp_omega, const struct cartpole *cp, int64_t *lengths) {
+                        double *glp_omega, const struct cartpole *cp, int64_t *lengths, int threads) {
     ptrdiff_t bad = bad_gate(n_qubits, kinds, qa, qb, n_gates);
     if (bad >= 0) {
         return bad;
@@ -588,33 +656,45 @@ ptrdiff_t play_episodes(int n_qubits, const int8_t *kinds, const int32_t *qa, co
             return g;
         }
     }
-    struct policy pol = {.n_gates = n_gates, .n_params = n_params, .kinds = kinds, .param = param,
-                         .feature = feature, .omega = omega};
-    if (prepare(&pol.sim, n_qubits, kinds, qa, qb, n_gates) == -2) {
-        return -2;
-    }
-    double *grads = glp_nu == NULL ? NULL : pol.sim.grads;
-    for (ptrdiff_t g = 0; g < n_gates; g++) {
-        if (is_rotation(kinds[g]) && feature[g] < 0) {
-            half_angle_trig(pol.sim.cs + 2 * g, nu[param[g]]);
+    ptrdiff_t n_threads = threads < MAX_THREADS ? threads : MAX_THREADS;
+    n_threads = n_threads < n_episodes ? n_threads : n_episodes;
+    n_threads = n_threads > 1 ? n_threads : 1;
+    struct batch batch = {.cp = cp, .starts = starts, .sigmas = sigmas, .streams = streams,
+                          .n_episodes = n_episodes, .n_params = n_params, .horizon = horizon,
+                          .glp_nu = glp_nu, .glp_omega = glp_omega, .lengths = lengths, .square = SQUARE};
+    atomic_init(&batch.next, 0);
+    struct player players[MAX_THREADS];
+    for (ptrdiff_t k = 0; k < n_threads; k++) {
+        players[k] = (struct player){.batch = &batch, .pol = {.n_gates = n_gates, .n_params = n_params,
+                                     .kinds = kinds, .param = param, .feature = feature, .omega = omega}};
+        if (prepare(&players[k].pol.sim, n_qubits, kinds, qa, qb, n_gates) == -2) {
+            while (k-- > 0) {
+                free(players[k].pol.sim.psi);
+            }
+            return -2;
+        }
+        for (ptrdiff_t g = 0; g < n_gates; g++) {
+            if (is_rotation(kinds[g]) && feature[g] < 0) {
+                half_angle_trig(players[k].pol.sim.cs + 2 * g, nu[param[g]]);
+            }
         }
     }
-    double square = SQUARE;
-    for (ptrdiff_t i = 0; i < n_episodes; i++) {
-        double s[2][N_FEATURES];
-        memcpy(s[0], starts + N_FEATURES * i, sizeof s[0]);
-        bitgen_t bg = {.state = streams + i, .next_uint64 = philox_next, .next_double = philox_double,
-                       .next_raw = philox_next};
-        ptrdiff_t t = 0;
-        for (int out = out_of_bounds(cp, s[0]); !out && t < horizon; t++) {
-            ptrdiff_t row = (t * n_episodes + i) * n_params;
-            int right = policy_step(&pol, cp, grads, s[t % 2], sigmas[i], &bg,
-                                    grads == NULL ? NULL : glp_nu + row, grads == NULL ? NULL : glp_omega + row);
-            out = cartpole_step(cp, s[t % 2], right, square, s[(t + 1) % 2]);
-        }
-        lengths[i] = t;
+    pthread_t ids[MAX_THREADS];
+    ptrdiff_t started = 0;
+    sigset_t all, caller;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &caller); /* the threads inherit it */
+    while (started + 1 < n_threads && pthread_create(ids + started, NULL, play, players + started + 1) == 0) {
+        started++;
     }
-    free(pol.sim.psi);
+    pthread_sigmask(SIG_SETMASK, &caller, NULL);
+    play(players);
+    for (ptrdiff_t k = 0; k < started; k++) {
+        pthread_join(ids[k], NULL);
+    }
+    for (ptrdiff_t k = 0; k < n_threads; k++) {
+        free(players[k].pol.sim.psi);
+    }
     return -1;
 }
 

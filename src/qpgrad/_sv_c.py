@@ -7,8 +7,10 @@ installed numpy's ``libnpyrandom.a``, and ``Kernel`` wraps the library:
 episode of a batch and draws its start, as ``seeding.substream`` and
 ``cartpole.reset`` would; and ``play_episodes``, the one-call form of
 ``trainer.play_episodes``, which plays the batch and draws its noise and
-action uniforms from those streams with numpy's own C distributions. The C
-code takes raw pointers, so each argument is checked first: dtype, 1-D gate
+action uniforms from those streams with numpy's own C distributions. It
+plays the batch on ``Kernel.threads`` threads, by default one per core this
+process may run on; every thread is joined before the call returns, and no
+result depends on the count. The C code takes raw pointers, so each argument is checked first: dtype, 1-D gate
 arrays of equal length, a 2-D angle block with one column per gate, and for
 the episode calls every shape, and a stream block and gradient blocks of
 the batch (and the horizon), which must be C-contiguous and writable.
@@ -37,8 +39,9 @@ NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 # -ffp-contract=off keeps multiply-adds unfused, so results are the same on
 # every target; the kernel's 2-wide vectors need only the SSE2 of every
 # x86-64, and -ffast-math or -march=native could change the last bits. The
-# flags are part of the library's cache name.
-CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# flags are part of the library's cache name. -pthread: play_episodes
+# starts threads.
+CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", "-pthread")
 
 
 def build(cache_dir: Path) -> Path:
@@ -155,6 +158,9 @@ class Kernel:
     """The compiled kernel loaded from the library at ``path``."""
 
     def __init__(self, path: Path):
+        self.path = path
+        # the thread count of each play_episodes call; no result depends on it
+        self.threads = len(os.sched_getaffinity(0))
         lib = ctypes.CDLL(str(path))
         ptr, n, size = ctypes.c_void_p, ctypes.c_int, ctypes.c_ssize_t
         self._rows = lib.expval_z_and_grad_rows
@@ -162,7 +168,7 @@ class Kernel:
         self._rows.restype = size
         self._play = lib.play_episodes
         self._play.argtypes = [n, ptr, ptr, ptr, ptr, ptr, size, ptr, ptr, size, size, ptr, ptr, ptr, size,
-                               ptr, ptr, ptr, ptr]
+                               ptr, ptr, ptr, ptr, n]
         self._play.restype = size
         self._start = lib.start_episodes
         self._start.argtypes = [ptr, size, ptr, size, size, ptr, ptr, ptr]
@@ -230,7 +236,9 @@ class Kernel:
         ``omega[param[g]] * obs[feature[g]]``. ``starts`` is (B, 4),
         ``sigmas`` (B,) and ``streams`` the (B, ``STREAM_WORDS``) block of
         ``start_episodes``: episode i draws from row i, where the C code
-        leaves the state its draws end in. Returns the (B,) episode lengths.
+        leaves the state its draws end in. The episodes are played on
+        ``self.threads`` threads (at most one per episode, and 64), which
+        changes no result. Returns the (B,) episode lengths.
         """
         gates = _gates(n_qubits, kinds, qa, qb)
         n_gates = len(kinds)
@@ -246,6 +254,7 @@ class Kernel:
         glp_nu, glp_omega = _gradient_blocks(glp, (horizon, n, n_params))
         lengths = np.empty(n, dtype=np.int64)
         status = self._play(*gates, *sources, n_gates, *params, n_params, n, start_data, sigma_data,
-                            stream_data, horizon, glp_nu, glp_omega, _CARTPOLE, _Memory.from_buffer(lengths))
+                            stream_data, horizon, glp_nu, glp_omega, _CARTPOLE, _Memory.from_buffer(lengths),
+                            self.threads)
         _check_status(status, n_qubits)
         return lengths

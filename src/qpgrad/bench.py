@@ -10,7 +10,11 @@ microseconds per episode-step: on ``c`` the start call
 (each episode's stream and start state) and the one-call
 ``play_episodes``, on ``numpy`` ``substream``, ``cartpole.reset`` and
 ``trainer.play_episodes``. Each is timed for one row or episode at a time
-and for a block of 100, the size of one validation batch.
+and for a block of 100, the size of one validation batch. On ``c`` the
+batches of 100 episodes are timed twice: on one thread and on the kernel's
+default thread count (``_sv_c.Kernel.threads``), so the gain of the threads
+shows on its own; the row calls run on one thread, and their times are
+given in both rows.
 """
 
 from __future__ import annotations
@@ -75,10 +79,11 @@ def run_benchmark(repeats: int = 2000, spec: AnsatzSpec = AnsatzSpec(), seed: in
 
     rows = []
     for name, kernel in _available_kernels().items():
+        default = getattr(kernel, "threads", 1)
         for batch in BATCH_SIZES:
             angles = tpl.angles(nu, omega, obs[:batch])
             calls = max(1, repeats // batch)
-            row = {"backend": name, "batch": batch}
+            row_us = {}
             for key, fn in (
                 ("forward_us", lambda: kernel.expval_z_rows(*gates, angles)),
                 ("forward_grad_us", lambda: kernel.expval_z_and_grad_rows(*gates, angles)),
@@ -86,29 +91,45 @@ def run_benchmark(repeats: int = 2000, spec: AnsatzSpec = AnsatzSpec(), seed: in
                 t0 = time.perf_counter()
                 for _ in range(calls):
                     fn()
-                row[key] = (time.perf_counter() - t0) / (calls * batch) * 1e6
-            row["episode_us"] = episodes_us(kernel, batch, train=False)
-            row["train_episode_us"] = episodes_us(kernel, batch, train=True)
-            rows.append(row)
+                row_us[key] = (time.perf_counter() - t0) / (calls * batch) * 1e6
+            for threads in sorted({1, default if batch > 1 else 1}):
+                row = {"backend": name, "batch": batch, "threads": threads, **row_us}
+                if threads != default:
+                    kernel.threads = threads
+                try:
+                    row["episode_us"] = episodes_us(kernel, batch, train=False)
+                    row["train_episode_us"] = episodes_us(kernel, batch, train=True)
+                finally:
+                    if threads != default:
+                        kernel.threads = default
+                rows.append(row)
     return rows
 
 
 def print_benchmark(repeats: int = 2000) -> None:
     rows = run_benchmark(repeats=repeats)
-    print(f"active backend: {qsim.BACKEND}")
-    print(f"{'backend':>8} | {'batch':>5} | {'forward us/row':>14} | {'fwd+grad us/row':>15} | "
+    threads = getattr(qsim.episode_kernel(), "threads", 1)
+    print(f"active backend: {qsim.BACKEND}, episode calls on {threads} thread(s)")
+    print(f"{'backend':>8} | {'batch':>5} | {'threads':>7} | {'forward us/row':>14} | {'fwd+grad us/row':>15} | "
           f"{'episodes us/step':>16} | {'train episodes us/step':>22}")
     for row in rows:
-        print(f"{row['backend']:>8} | {row['batch']:>5} | {row['forward_us']:>14.2f} | "
+        print(f"{row['backend']:>8} | {row['batch']:>5} | {row['threads']:>7} | {row['forward_us']:>14.2f} | "
               f"{row['forward_grad_us']:>15.2f} | {row['episode_us']:>16.2f} | {row['train_episode_us']:>22.2f}")
-    by_key = {(row["backend"], row["batch"]): row for row in rows}
+    by_key = {(row["backend"], row["batch"], row["threads"]): row for row in rows}
     for batch in BATCH_SIZES:
-        if ("c", batch) in by_key:
-            c, numpy = by_key["c", batch], by_key["numpy", batch]
-            print(f"compiled speedup at batch {batch}: forward x{numpy['forward_us'] / c['forward_us']:.1f}, "
+        if ("c", batch, 1) in by_key:
+            c, numpy = by_key["c", batch, 1], by_key["numpy", batch, 1]
+            print(f"compiled speedup at batch {batch}, one thread: "
+                  f"forward x{numpy['forward_us'] / c['forward_us']:.1f}, "
                   f"forward+grad x{numpy['forward_grad_us'] / c['forward_grad_us']:.1f}, "
                   f"episodes x{numpy['episode_us'] / c['episode_us']:.1f}, "
                   f"training episodes x{numpy['train_episode_us'] / c['train_episode_us']:.1f}")
+    for (backend, batch, n), row in by_key.items():
+        if n > 1:
+            one = by_key[backend, batch, 1]
+            print(f"{n} threads against one, {backend} at batch {batch}: "
+                  f"episodes x{one['episode_us'] / row['episode_us']:.2f}, "
+                  f"training episodes x{one['train_episode_us'] / row['train_episode_us']:.2f}")
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ Subcommands: ``train``, ``curriculum``, ``eval-robustness``,
 ``eval-generalization``, plus ``bench`` for the kernel benchmark. Every
 campaign runs across ``--seeds`` derived seeds, writes per-seed checkpoints,
 one CSV report, and a manifest that doubles as a config file for bit-exact
-re-runs; it also records the kernel backend and the numpy and Python
-versions, since byte identity holds only on the same ones. Exit codes: 0
+re-runs; it also records the kernel backend and library, the thread count
+of its episode calls, and the numpy and Python versions, since byte
+identity holds only on the same backend and versions. Exit codes: 0
 success, 1 usage/config error, 2 runtime failure.
 """
 
@@ -32,7 +33,7 @@ from .config import (
 )
 from .curriculum import run_curriculum
 from .errors import ConfigurationError
-from .evalharness import generalization_grid, map_jobs, robustness_sweep
+from .evalharness import generalization_grid, map_jobs, process_threads, robustness_sweep
 from .seeding import derive_run_seeds
 from .trainer import train
 
@@ -93,7 +94,7 @@ def _assemble_config(args) -> ExperimentConfig:
     return build_config(raw)
 
 
-def _write_manifest(out_dir: Path, config: ExperimentConfig, run_seeds, started: str) -> None:
+def _write_manifest(out_dir: Path, config: ExperimentConfig, run_seeds, started: str, threads: int) -> None:
     finished = datetime.now(timezone.utc).isoformat()
     text = (
         "# qpgrad run manifest; reusable as --config for a bit-exact re-run\n"
@@ -103,6 +104,8 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig, run_seeds, started:
         f"manifest.master_seed = {config.seed}\n"
         f"manifest.run_seeds = {','.join(str(s) for s in run_seeds)}\n"
         f"manifest.backend = {qsim.BACKEND}\n"
+        f"manifest.kernel = {qsim.KERNEL}\n"
+        f"manifest.threads = {threads}\n"
         f"manifest.numpy = {np.__version__}\n"
         f"manifest.python = {platform.python_version()}\n"
         "\n"
@@ -151,6 +154,7 @@ def run_experiment(config: ExperimentConfig) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     run_seeds = derive_run_seeds(config.seed, config.n_seeds)
+    n_tasks = len(run_seeds)  # one per seed, or one per model for the evaluations
 
     if config.command == "train":
         results = map_jobs(_train_job, [(config, s) for s in run_seeds], config.workers)
@@ -182,6 +186,7 @@ def run_experiment(config: ExperimentConfig) -> None:
         reports.write_csv(out_dir / "curriculum.csv", reports.CURRICULUM_HEADER, rows)
     elif config.command == "eval-robustness":
         models, labels = _load_models(config)
+        n_tasks = len(models)
         report = robustness_sweep(
             models,
             config.eval_sigmas,
@@ -196,6 +201,7 @@ def run_experiment(config: ExperimentConfig) -> None:
         reports.write_csv(out_dir / "robustness.csv", reports.ROBUSTNESS_HEADER, reports.robustness_rows(report))
     else:  # eval-generalization
         models, labels = _load_models(config)
+        n_tasks = len(models)
         report = generalization_grid(
             models,
             config.grid,
@@ -210,7 +216,7 @@ def run_experiment(config: ExperimentConfig) -> None:
             out_dir / "generalization.csv", reports.GENERALIZATION_HEADER, reports.generalization_rows(report)
         )
 
-    _write_manifest(out_dir, config, run_seeds, started)
+    _write_manifest(out_dir, config, run_seeds, started, process_threads(config.workers, n_tasks))
 
 
 def main(argv=None) -> int:

@@ -17,8 +17,10 @@ the other rows. ``policy.CircuitTemplate`` calls them, once per step of a
 batch of episodes played in lockstep on ``numpy``. On ``c`` the hot path is
 ``episode_kernel``: one call derives the random stream and draws the start
 of each episode of a batch, and one more plays the whole batch of CartPole
-episodes, one episode after another, drawing with numpy's own C
-distributions. ``trainer.play_batch`` makes both calls.
+episodes on several threads (``_sv_c.Kernel.threads``, one per core by
+default), each episode drawing from its own stream with numpy's own C
+distributions, so that no result depends on the thread count.
+``trainer.play_batch`` makes both calls.
 
 The heavy lifting happens in one of two interchangeable kernel backends:
 
@@ -77,6 +79,9 @@ def load_kernel(requested: str, cache_dir: Path = _CACHE_DIR):
 _kernel = load_kernel(os.environ.get("QPGRAD_BACKEND", "auto").lower() or "auto")
 
 BACKEND = "numpy" if _kernel is _sv_numpy else "c"
+# The C kernel's library file, whose name hashes its source, its flags and
+# libnpyrandom.a; "numpy" on the numpy backend.
+KERNEL = "numpy" if _kernel is _sv_numpy else _kernel.path.name
 
 KIND_H = _sv_numpy.KIND_H
 KIND_RY = _sv_numpy.KIND_RY

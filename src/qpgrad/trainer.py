@@ -204,15 +204,17 @@ def play_batch(spec: AnsatzSpec, params: PolicyParams, streams: Streams, ranges,
 
     Raises before any episode is played: ``ValueError`` when ``streams``
     is not a ``Streams``, when its episodes do not split into one equal
-    group per entry of ``ranges``, or when ``sigmas`` does not hold one
-    value per episode; ``ConfigurationError`` for a negative or non-finite
-    sigma.
+    group per entry of ``ranges``, when ``horizon`` is not an int >= 1, or
+    when ``sigmas`` does not hold one value per episode;
+    ``ConfigurationError`` for a negative or non-finite sigma.
     """
     if not isinstance(streams, Streams):
         raise ValueError(f"streams must be a seeding.Streams, got {type(streams).__name__}")
     n, groups = len(streams), len(ranges)
     if groups == 0 or n % groups:
         raise ValueError(f"{n} episodes do not split into {groups} equal groups, one per init range")
+    if not (isinstance(horizon, (int, np.integer)) and horizon >= 1):
+        raise ValueError(f"horizon must be an int >= 1, got {horizon!r}")
     bounds = np.repeat(np.array([r.bounds for r in ranges]), n // groups, axis=0)
     sigmas = np.zeros(n) if sigmas is None else np.asarray(sigmas, dtype=np.float64)
     if sigmas.shape != (n,):

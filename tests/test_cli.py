@@ -11,6 +11,7 @@ from qpgrad import qsim
 from qpgrad.checkpoint import load_checkpoint, save_checkpoint
 from qpgrad.cli import main
 from qpgrad.errors import ConfigurationError
+from qpgrad.evalharness import process_threads
 from qpgrad.policy import AnsatzSpec, PolicyParams
 from qpgrad.reports import read_csv
 
@@ -111,8 +112,11 @@ class TestTrainCommand:
         assert set(rows[0]) == {"seed", "epoch", "mean_reward", "reg_objective", "lipschitz_total"}
         manifest = (out / "manifest.txt").read_text().splitlines()
         for line in (f"manifest.backend = {qsim.BACKEND}", f"manifest.numpy = {np.__version__}",
-                     f"manifest.python = {platform.python_version()}"):
+                     f"manifest.python = {platform.python_version()}", f"manifest.kernel = {qsim.KERNEL}",
+                     f"manifest.threads = {process_threads(1, 2)}"):
             assert line in manifest
+        assert qsim.KERNEL == ("numpy" if qsim.BACKEND == "numpy" else qsim._kernel.path.name)
+        assert process_threads(1, 2) == (1 if qsim.BACKEND == "numpy" else qsim._kernel.threads)
 
     def test_manifest_rerun_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -298,12 +302,18 @@ class TestCurriculumCommand:
 class TestBenchCommand:
     def test_reports_each_backend_and_batch_size(self, capsys):
         assert run_cli("bench", "--repeats", "3") == 0
-        rows = [line.split("|") for line in capsys.readouterr().out.splitlines() if line.count("|") == 5]
+        lines = capsys.readouterr().out.splitlines()
+        threads = process_threads(1, 1)
+        assert lines[0] == f"active backend: {qsim.BACKEND}, episode calls on {threads} thread(s)"
+        rows = [line.split("|") for line in lines if line.count("|") == 6]
         assert [cell.strip() for cell in rows[0][2:]] == [
-            "forward us/row", "fwd+grad us/row", "episodes us/step", "train episodes us/step"]
-        cells = {(r[0].strip(), r[1].strip()) for r in rows[1:]}
-        assert cells == {(backend, batch) for backend in ("c", "numpy") for batch in ("1", "100")}
-        assert all(float(v) > 0 for r in rows[1:] for v in r[2:])
+            "threads", "forward us/row", "fwd+grad us/row", "episodes us/step", "train episodes us/step"]
+        cells = {(r[0].strip(), r[1].strip(), r[2].strip()) for r in rows[1:]}
+        # the 100-episode batches of c play on one thread and on the default count, one per core
+        cores = str(qsim.load_kernel("c").threads)
+        assert cells == {(backend, batch, "1") for backend in ("c", "numpy") for batch in ("1", "100")} | {
+            ("c", "100", cores)}
+        assert all(float(v) > 0 for r in rows[1:] for v in r[3:])
 
 
 class TestExitCodes:

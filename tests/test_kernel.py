@@ -11,8 +11,10 @@ import pytest
 
 import qpgrad
 from qpgrad import _sv_c, _sv_numpy, qsim
-from qpgrad.policy import AnsatzSpec, get_template
+from qpgrad.cartpole import InitRanges
+from qpgrad.policy import AnsatzSpec, PolicyParams, get_template
 from qpgrad.seeding import Streams
+from qpgrad.trainer import play_batch
 
 
 def _circuit():
@@ -254,3 +256,52 @@ class TestArgumentChecks:
                                      np.full(2, 0.5), streams, 1, glp)
             assert not glp[0].any() and not glp[1].any()
             assert np.array_equal(streams, drawn)
+
+
+class TestThreads:
+    """A batch's results do not depend on how many threads play it, and no thread outlives the call."""
+
+    def test_results_do_not_depend_on_the_thread_count(self, monkeypatch):
+        kernel = qsim.load_kernel("c")
+        tpl = get_template(AnsatzSpec())
+        n_params = tpl.spec.n_params_each
+        rng = np.random.default_rng(14)
+        nu, omega = rng.uniform(-np.pi, np.pi, n_params), rng.normal(0.0, 1.0, n_params)
+        n, horizon = 7, 40
+        head = Streams(14, (1,), np.zeros((n, 1), dtype=np.int64)).head()
+        streams, starts = kernel.start_episodes(head, np.arange(n, dtype=np.uint64)[:, None],
+                                                np.tile([-0.05, 0.05], (n, 4, 1)))
+        starts[3, 2] = 1.0  # out of bounds: the episode plays no step
+        for sigmas in (np.zeros(n), np.array([0.0, 0.1, 0.3, 0.2, 0.0, 0.8, 0.05])):
+            for grads in (False, True):
+                runs = []
+                for threads in (1, 2, 3, 8):  # 8 is more than the episodes
+                    monkeypatch.setattr(kernel, "threads", threads)
+                    # the blocks start at zero, so entries past an episode's end must stay unwritten
+                    glp = (np.zeros((horizon, n, n_params)), np.zeros((horizon, n, n_params))) if grads else None
+                    drawn = streams.copy()
+                    lengths = kernel.play_episodes(4, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature, nu, omega,
+                                                   starts, sigmas, drawn, horizon, glp)
+                    runs.append((lengths, drawn, () if glp is None else tuple(b.view(np.int64) for b in glp)))
+                lengths = runs[0][0]
+                assert lengths[3] == 0 and lengths.max() > 1
+                for other in runs[1:]:
+                    assert np.array_equal(other[0], lengths)
+                    assert np.array_equal(other[1], runs[0][1])
+                    assert len(other[2]) == len(runs[0][2])
+                    for block, first in zip(other[2], runs[0][2]):
+                        assert np.array_equal(block, first)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        kernel = qsim.load_kernel("c")
+        monkeypatch.setattr(kernel, "threads", 4)
+        monkeypatch.setattr(qsim, "_kernel", kernel)
+        spec = AnsatzSpec(n_layers=1)
+        params = PolicyParams(np.full(spec.param_shape, 0.3), np.full(spec.param_shape, 0.7))
+        before = len(os.listdir("/proc/self/task"))
+        for grads in (False, True):
+            lengths, _ = play_batch(spec, params, Streams(3, (1,), np.arange(9)[:, None]), [InitRanges()], 30,
+                                    grads=grads)
+            assert lengths.min() > 0
+            assert len(os.listdir("/proc/self/task")) == before

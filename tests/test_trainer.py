@@ -292,6 +292,10 @@ class TestLockstep:
                 for grads in (True, False):
                     with pytest.raises(error):
                         play_batch(spec, params, make(), ranges, 10, sigmas, grads)
+            for horizon in (0, -1, 2.5, None):  # not an int >= 1
+                for grads in (True, False):
+                    with pytest.raises(ValueError, match="horizon"):
+                        play_batch(spec, params, streams(three)(), ranges, horizon, None, grads)
             never.assert_not_called()
             # the same call with good arguments does reach the episodes
             with pytest.raises(AssertionError, match="started or played"):
