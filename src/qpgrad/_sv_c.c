@@ -5,11 +5,12 @@
  *                           one circuit per row of an angle block; the
  *                           contract of _sv_numpy's row calls.
  *   play_episodes           a batch of CartPole episodes under the policy
- *                           circuit, on up to one thread per core, each
- *                           thread taking the next episode no thread has
- *                           taken. Each step adds the noise to the
- *                           normalized state, draws the action uniform, runs
- *                           the circuit (plus the adjoint when training),
+ *                           circuit, on the threads the caller asks for
+ *                           (one per core from _sv_c.py), each thread
+ *                           taking the next episode no thread has taken.
+ *                           Each step adds the noise to the normalized
+ *                           state, draws the action uniform, runs the
+ *                           circuit (plus the adjoint when training),
  *                           writes the grad log pi row and steps the
  *                           cart-pole.
  *   start_episodes          the stream and start state of each episode of a

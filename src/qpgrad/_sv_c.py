@@ -10,10 +10,11 @@ episode of a batch and draws its start, as ``seeding.substream`` and
 action uniforms from those streams with numpy's own C distributions. It
 plays the batch on ``Kernel.threads`` threads, by default one per core this
 process may run on; every thread is joined before the call returns, and no
-result depends on the count. The C code takes raw pointers, so each argument is checked first: dtype, 1-D gate
-arrays of equal length, a 2-D angle block with one column per gate, and for
-the episode calls every shape, and a stream block and gradient blocks of
-the batch (and the horizon), which must be C-contiguous and writable.
+result depends on the count. The C code takes raw pointers, so each
+argument is checked first: dtype, 1-D gate arrays of equal length, a 2-D
+angle block with one column per gate, and for the episode calls every
+shape, and a stream block and gradient blocks of the batch (and the
+horizon), which must be C-contiguous and writable.
 Inputs reach the C code as C-contiguous copies, and the C code itself
 rejects unknown gate kinds, qubits outside the register, a CZ on one qubit
 and a rotation whose parameter or feature index is out of range. A failed

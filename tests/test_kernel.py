@@ -282,15 +282,12 @@ class TestThreads:
                     drawn = streams.copy()
                     lengths = kernel.play_episodes(4, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature, nu, omega,
                                                    starts, sigmas, drawn, horizon, glp)
-                    runs.append((lengths, drawn, () if glp is None else tuple(b.view(np.int64) for b in glp)))
-                lengths = runs[0][0]
-                assert lengths[3] == 0 and lengths.max() > 1
+                    runs.append([lengths, drawn] + ([] if glp is None else [b.view(np.int64) for b in glp]))
+                first = runs[0]
+                assert first[0][3] == 0 and first[0].max() > 1
                 for other in runs[1:]:
-                    assert np.array_equal(other[0], lengths)
-                    assert np.array_equal(other[1], runs[0][1])
-                    assert len(other[2]) == len(runs[0][2])
-                    for block, first in zip(other[2], runs[0][2]):
-                        assert np.array_equal(block, first)
+                    for got, expected in zip(other, first, strict=True):
+                        assert np.array_equal(got, expected)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
     def test_no_thread_outlives_the_call(self, monkeypatch):
