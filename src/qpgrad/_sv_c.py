@@ -160,8 +160,9 @@ class Kernel:
 
     def __init__(self, path: Path):
         self.path = path
-        # the thread count of each play_episodes call; no result depends on it
-        self.threads = len(os.sched_getaffinity(0))
+        # the thread count of each play_episodes call, one per core this process may run on (the cores of the
+        # machine where the affinity mask cannot be read, as on macOS); no result depends on it
+        self.threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
         lib = ctypes.CDLL(str(path))
         ptr, n, size = ctypes.c_void_p, ctypes.c_int, ctypes.c_ssize_t
         self._rows = lib.expval_z_and_grad_rows

@@ -33,7 +33,7 @@ from .config import (
 )
 from .curriculum import run_curriculum
 from .errors import ConfigurationError
-from .evalharness import generalization_grid, map_jobs, process_threads, robustness_sweep
+from .evalharness import generalization_grid, map_jobs, robustness_sweep
 from .seeding import derive_run_seeds
 from .trainer import train
 
@@ -94,7 +94,7 @@ def _assemble_config(args) -> ExperimentConfig:
     return build_config(raw)
 
 
-def _write_manifest(out_dir: Path, config: ExperimentConfig, run_seeds, started: str, threads: int) -> None:
+def _write_manifest(out_dir: Path, config: ExperimentConfig, run_seeds, started: str) -> None:
     finished = datetime.now(timezone.utc).isoformat()
     text = (
         "# qpgrad run manifest; reusable as --config for a bit-exact re-run\n"
@@ -105,7 +105,7 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig, run_seeds, started:
         f"manifest.run_seeds = {','.join(str(s) for s in run_seeds)}\n"
         f"manifest.backend = {qsim.BACKEND}\n"
         f"manifest.kernel = {qsim.KERNEL}\n"
-        f"manifest.threads = {threads}\n"
+        f"manifest.threads = {getattr(qsim.episode_kernel(), 'threads', 1)}\n"
         f"manifest.numpy = {np.__version__}\n"
         f"manifest.python = {platform.python_version()}\n"
         "\n"
@@ -154,7 +154,6 @@ def run_experiment(config: ExperimentConfig) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     run_seeds = derive_run_seeds(config.seed, config.n_seeds)
-    n_tasks = len(run_seeds)  # one per seed, or one per model for the evaluations
 
     if config.command == "train":
         results = map_jobs(_train_job, [(config, s) for s in run_seeds], config.workers)
@@ -186,7 +185,6 @@ def run_experiment(config: ExperimentConfig) -> None:
         reports.write_csv(out_dir / "curriculum.csv", reports.CURRICULUM_HEADER, rows)
     elif config.command == "eval-robustness":
         models, labels = _load_models(config)
-        n_tasks = len(models)
         report = robustness_sweep(
             models,
             config.eval_sigmas,
@@ -201,7 +199,6 @@ def run_experiment(config: ExperimentConfig) -> None:
         reports.write_csv(out_dir / "robustness.csv", reports.ROBUSTNESS_HEADER, reports.robustness_rows(report))
     else:  # eval-generalization
         models, labels = _load_models(config)
-        n_tasks = len(models)
         report = generalization_grid(
             models,
             config.grid,
@@ -216,7 +213,7 @@ def run_experiment(config: ExperimentConfig) -> None:
             out_dir / "generalization.csv", reports.GENERALIZATION_HEADER, reports.generalization_rows(report)
         )
 
-    _write_manifest(out_dir, config, run_seeds, started, process_threads(config.workers, n_tasks))
+    _write_manifest(out_dir, config, run_seeds, started)
 
 
 def main(argv=None) -> int:

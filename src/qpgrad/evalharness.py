@@ -22,21 +22,18 @@ do not depend on which other models are evaluated beside it.
 
 ``map_jobs`` runs the models, and the seeds of ``train`` and ``curriculum``,
 on a pool of worker processes when asked to. On ``c`` each batch is also
-played on several threads inside its C call; a pool process gets an equal
-share of the cores (``process_threads``), and neither count changes a
-result.
+played on several threads inside its C call, ``_sv_c.Kernel.threads`` in
+every process, and neither count changes a result.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import qsim
 from .cartpole import HORIZON, THETA_INIT_LIMIT, InitRanges
 from .errors import ConfigurationError, UsageError
 from .policy import AnsatzSpec
@@ -175,30 +172,12 @@ def _play_model(args):
     return lengths.reshape(len(ranges), episodes).astype(np.float64)
 
 
-def process_threads(workers: int, n_tasks: int) -> int:
-    """The thread count of each C episode call when ``map_jobs`` runs ``n_tasks`` tasks on ``workers``:
-    the kernel's own count without a pool, else ``max(1, cores // processes)``, so that a pool does not
-    oversubscribe the cores; 1 on the numpy backend, which plays on the calling thread."""
-    kernel = qsim.episode_kernel()
-    if kernel is None:
-        return 1
-    workers = min(workers, n_tasks)
-    return max(1, len(os.sched_getaffinity(0)) // workers) if workers > 1 else kernel.threads
-
-
-def _set_threads(threads: int) -> None:
-    kernel = qsim.episode_kernel()
-    if kernel is not None:
-        kernel.threads = threads
-
-
 def map_jobs(fn, tasks, workers: int) -> list:
     """``[fn(t) for t in tasks]``, over a pool of ``min(workers, len(tasks))`` processes when that is more
-    than one, each playing its episodes on ``process_threads`` threads."""
+    than one. Each forked process plays its C episode calls on the thread count it inherits."""
     workers = min(workers, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_set_threads,
-                                 initargs=(process_threads(workers, len(tasks)),)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
 

@@ -11,7 +11,6 @@ from qpgrad import qsim
 from qpgrad.checkpoint import load_checkpoint, save_checkpoint
 from qpgrad.cli import main
 from qpgrad.errors import ConfigurationError
-from qpgrad.evalharness import process_threads
 from qpgrad.policy import AnsatzSpec, PolicyParams
 from qpgrad.reports import read_csv
 
@@ -113,10 +112,9 @@ class TestTrainCommand:
         manifest = (out / "manifest.txt").read_text().splitlines()
         for line in (f"manifest.backend = {qsim.BACKEND}", f"manifest.numpy = {np.__version__}",
                      f"manifest.python = {platform.python_version()}", f"manifest.kernel = {qsim.KERNEL}",
-                     f"manifest.threads = {process_threads(1, 2)}"):
+                     f"manifest.threads = {1 if qsim.BACKEND == 'numpy' else qsim._kernel.threads}"):
             assert line in manifest
         assert qsim.KERNEL == ("numpy" if qsim.BACKEND == "numpy" else qsim._kernel.path.name)
-        assert process_threads(1, 2) == (1 if qsim.BACKEND == "numpy" else qsim._kernel.threads)
 
     def test_manifest_rerun_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -303,7 +301,7 @@ class TestBenchCommand:
     def test_reports_each_backend_and_batch_size(self, capsys):
         assert run_cli("bench", "--repeats", "3") == 0
         lines = capsys.readouterr().out.splitlines()
-        threads = process_threads(1, 1)
+        threads = 1 if qsim.BACKEND == "numpy" else qsim._kernel.threads
         assert lines[0] == f"active backend: {qsim.BACKEND}, episode calls on {threads} thread(s)"
         rows = [line.split("|") for line in lines if line.count("|") == 6]
         assert [cell.strip() for cell in rows[0][2:]] == [

@@ -1,11 +1,9 @@
 """Attraction rate, significance labeling, and the evaluation campaign machinery."""
 
-import os
-
 import numpy as np
 import pytest
 
-from qpgrad import evalharness, qsim
+from qpgrad import evalharness
 from qpgrad.cartpole import InitRanges
 from qpgrad.errors import ConfigurationError, UsageError
 from qpgrad.evalharness import (
@@ -14,7 +12,6 @@ from qpgrad.evalharness import (
     attraction_rate,
     generalization_grid,
     map_jobs,
-    process_threads,
     robustness_sweep,
     significance_label,
 )
@@ -154,7 +151,7 @@ class TestMapJobs:
         sizes = []
 
         class InProcess:
-            def __init__(self, max_workers, **_):
+            def __init__(self, max_workers):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -170,19 +167,3 @@ class TestMapJobs:
         for workers, n_tasks in ((5000, 2), (3, 7), (2, 1), (1, 4), (5000, 0)):
             assert map_jobs(abs, list(range(-n_tasks, 0)), workers) == list(range(n_tasks, 0, -1))
         assert sizes == [2, 3]
-
-    def test_pool_processes_share_the_cores(self, monkeypatch):
-        monkeypatch.setattr(qsim, "_kernel", qsim.load_kernel("c"))  # the forked pool processes inherit it
-        cores = len(os.sched_getaffinity(0))
-        for workers in (2, 3):
-            expected = max(1, cores // workers)
-            assert process_threads(workers, 5) == expected
-            assert map_jobs(_kernel_threads, list(range(workers)), workers) == [expected] * workers
-        # without a pool the episodes play on the kernel's own count, one thread per core
-        assert process_threads(4, 1) == qsim._kernel.threads == cores
-        assert map_jobs(_kernel_threads, [0, 1], 1) == [cores] * 2
-
-
-def _kernel_threads(_):
-    """The thread count of the C episode calls in the process that runs this task."""
-    return qsim.episode_kernel().threads

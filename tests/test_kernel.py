@@ -289,6 +289,13 @@ class TestThreads:
                     for got, expected in zip(other, first, strict=True):
                         assert np.array_equal(got, expected)
 
+    def test_default_count_is_the_usable_cores(self, monkeypatch):
+        path = qsim.load_kernel("c").path
+        if hasattr(os, "sched_getaffinity"):
+            assert _sv_c.Kernel(path).threads == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS, which has no affinity mask
+        assert _sv_c.Kernel(path).threads == (os.cpu_count() or 1)
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
     def test_no_thread_outlives_the_call(self, monkeypatch):
         kernel = qsim.load_kernel("c")
