@@ -13,8 +13,8 @@ read it, so a new key is one line there plus its field.
 ``serialize_config`` emits every key in canonical order with full-precision
 floats, so ``build_config(parse_config_text(serialize_config(c))) == c``. A
 run manifest is a config file with extra ``manifest.*`` metadata lines,
-which the parser skips; re-running a subcommand with ``--config <manifest>``
-therefore reproduces the run.
+which ``parse_config_text`` skips and ``manifest_fields`` reads; re-running a
+command with ``--config <manifest>`` therefore reproduces the run.
 """
 
 from __future__ import annotations
@@ -238,9 +238,8 @@ def _check_key(key: str, where: str = "") -> None:
     raise ConfigurationError(f"{where}unknown key {key!r}{hint}")
 
 
-def parse_config_text(text: str, source: str = "<config>") -> dict:
-    """Parse the raw key-value layer; values stay strings."""
-    raw: dict = {}
+def _entries(text: str, source: str):
+    """Yields ``(where, key, value)`` for each ``key = value`` line of a config file."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -248,14 +247,29 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if "=" not in stripped:
             raise ConfigurationError(f"{source}:{lineno}: expected 'key = value', got {stripped!r}")
         key, _, value = stripped.partition("=")
-        key = key.strip()
+        yield f"{source}:{lineno}: ", key.strip(), value.strip()
+
+
+def parse_config_text(text: str, source: str = "<config>") -> dict:
+    """Parse the raw key-value layer; values stay strings."""
+    raw: dict = {}
+    for where, key, value in _entries(text, source):
         if key.startswith("manifest."):
-            continue  # manifests are configs plus metadata; metadata is ignored
-        _check_key(key, f"{source}:{lineno}: ")
+            continue  # manifest metadata, which manifest_fields reads, is not config
+        _check_key(key, where)
         if key in raw:
-            raise ConfigurationError(f"{source}:{lineno}: duplicate key {key!r}")
-        raw[key] = value.strip()
+            raise ConfigurationError(f"{where}duplicate key {key!r}")
+        raw[key] = value
     return raw
+
+
+def manifest_fields(text: str, source: str = "<config>") -> dict:
+    """The ``manifest.*`` lines of a config file, keyed by the name after ``manifest.``."""
+    return {
+        key.removeprefix("manifest."): value
+        for _, key, value in _entries(text, source)
+        if key.startswith("manifest.")
+    }
 
 
 def build_config(raw: dict) -> ExperimentConfig:

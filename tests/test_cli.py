@@ -1,8 +1,12 @@
 """End-to-end CLI runs: outputs, exit codes, manifests, and reproducibility."""
 
 import json
+import os
 import platform
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,7 +116,8 @@ class TestTrainCommand:
         manifest = (out / "manifest.txt").read_text().splitlines()
         for line in (f"manifest.backend = {qsim.BACKEND}", f"manifest.numpy = {np.__version__}",
                      f"manifest.python = {platform.python_version()}", f"manifest.kernel = {qsim.KERNEL}",
-                     f"manifest.threads = {1 if qsim.BACKEND == 'numpy' else qsim._kernel.threads}"):
+                     f"manifest.threads = {1 if qsim.BACKEND == 'numpy' else qsim._kernel.threads}",
+                     f"manifest.cpus = {os.cpu_count()}"):
             assert line in manifest
         assert qsim.KERNEL == ("numpy" if qsim.BACKEND == "numpy" else qsim._kernel.path.name)
 
@@ -128,6 +133,20 @@ class TestTrainCommand:
         assert ck1 == ck2
         for name in ck1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_rerun_warns_once_per_changed_provenance_field(self, tmp_path, capsys):
+        out = tmp_path / "a"
+        assert run_cli(*tiny_train_args(out, seeds=1)) == 0
+        manifest = out / "manifest.txt"
+        capsys.readouterr()
+        assert run_cli("train", "--config", str(manifest), "--out", str(tmp_path / "same")) == 0
+        assert "warning" not in capsys.readouterr().err
+        changed = tmp_path / "changed.txt"
+        changed.write_text(manifest.read_text().replace(f"manifest.numpy = {np.__version__}", "manifest.numpy = 1.0"))
+        assert run_cli("train", "--config", str(changed), "--out", str(tmp_path / "b")) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1 and "manifest.numpy = 1.0" in warnings[0] and np.__version__ in warnings[0]
+        assert (out / "telemetry.csv").read_bytes() == (tmp_path / "b" / "telemetry.csv").read_bytes()
 
     def test_workers_do_not_change_outputs(self, tmp_path):
         # each campaign has two seeds or two checkpoints, so two workers split it
@@ -315,6 +334,36 @@ class TestBenchCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (("train", "--repeats", "5"), "--repeats"),
+            (("eval-robustness", "--repeats", "5"), "--repeats"),
+            (("bench", "--seed", "1"), "--seed"),
+            (("bench", "--out", "somewhere"), "--out"),
+            (("bench", "--set", "train.epochs=1"), "--set"),
+            (("bench", "--repeats", "0"), "--repeats"),
+            (("train", "--seed", "abc"), "--seed"),
+            (("train", "--bogus", "1"), "--bogus"),
+        ],
+    )
+    def test_usage_error_is_one_naming_option(self, capsys, args, option):
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qpgrad") and option in err.splitlines()[-1]
+
+    def test_no_command_prints_help_and_is_one(self, capsys):
+        assert run_cli() == 1
+        assert "show this help message" in capsys.readouterr().out
+
+    def test_help_lists_every_command(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-m", "qpgrad.cli", "--help"], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0
+        assert "{train,curriculum,eval-robustness,eval-generalization,bench}" in done.stdout
+
     @pytest.mark.parametrize(
         "setting", ["eval.sigmas=-0.5,0.0", "train.learning_rate=nan", "grid.angle_edges=-13,0,13"]
     )
