@@ -1,4 +1,4 @@
-/* Compiled hot path, called through ctypes by _sv_c.py. Three entries, the
+/* Compiled hot path, called through ctypes by _sv_c.py. Four entries, the
  * first two sharing one statevector simulator:
  *
  *   expval_z_and_grad_rows  <Z^n>, and optionally its adjoint gradient, of
@@ -15,6 +15,8 @@
  *                           cart-pole.
  *   start_episodes          the stream and start state of each episode of a
  *                           batch, for play_episodes to play.
+ *   init_params             a run's initial parameters, drawn from its init
+ *                           stream as policy.init_params draws them.
  *
  * Same gates, conventions and packed gate arrays as _sv_numpy; qubit q is
  * bit q of the basis index. Both simulator entries first compile the gate
@@ -521,6 +523,11 @@ static double philox_double(void *state) {
     return (philox_next(state) >> 11) * (1.0 / 9007199254740992.0);
 }
 
+/* A bit generator over st, for numpy's C distributions. */
+static bitgen_t bitgen(struct philox *st) {
+    return (bitgen_t){.state = st, .next_uint64 = philox_next, .next_double = philox_double, .next_raw = philox_next};
+}
+
 /* The policy circuit, compiled, with gate g's parameter and the feature it
  * reads (-1: a nu angle). */
 struct policy {
@@ -603,8 +610,7 @@ static void *play(void *arg) {
     for (ptrdiff_t i; (i = atomic_fetch_add_explicit(&b->next, 1, memory_order_relaxed)) < b->n_episodes;) {
         double s[2][N_FEATURES];
         memcpy(s[0], b->starts + N_FEATURES * i, sizeof s[0]);
-        bitgen_t bg = {.state = b->streams + i, .next_uint64 = philox_next, .next_double = philox_double,
-                       .next_raw = philox_next};
+        bitgen_t bg = bitgen(b->streams + i);
         ptrdiff_t t = 0;
         for (int out = out_of_bounds(b->cp, s[0]); !out && t < b->horizon; t++) {
             ptrdiff_t row = (t * b->n_episodes + i) * b->n_params;
@@ -699,21 +705,32 @@ ptrdiff_t play_episodes(int n_qubits, const int8_t *kinds, const int32_t *qa, co
     return -1;
 }
 
+/* The seed sequence that has absorbed the n_head entropy words of head:
+ * the seed's and the path prefix's, from seeding.Streams.head. */
+static struct seed_seq seeded(const uint32_t *head, ptrdiff_t n_head) {
+    struct seed_seq ss = {.hash = 0x43b0d7e5u};
+    for (ptrdiff_t k = 0; k < n_head; k++) {
+        absorb(&ss, head[k]);
+    }
+    return ss;
+}
+
+/* Generator.uniform(lo, hi): lo + (hi - lo) * next_double. */
+static double uniform(struct philox *st, double lo, double hi) {
+    return lo + (hi - lo) * philox_double(st);
+}
+
 /* The streams and starts of n_episodes episodes. Episode i's stream is the
  * state of Generator(Philox(SeedSequence(entropy=seed, spawn_key=path)))
- * (seeding.substream), whose entropy is the n_head words of head (the
- * seed's and the path prefix's, from seeding.Streams.head) and then those
- * of its n_suffix trailing path components suffixes[n_suffix i..]: one
- * word for a component below 2**32, else its low and high words. Its start
- * then draws x, x_dot, theta and theta_dot in that order as
- * Generator.uniform(lo, hi) does (cartpole.reset), lo + (hi - lo) *
- * next_double, with (lo, hi) from bounds[8i..8i+7]. */
+ * (seeding.substream), whose entropy is the n_head words of head and then
+ * those of its n_suffix trailing path components suffixes[n_suffix i..]:
+ * one word for a component below 2**32, else its low and high words. Its
+ * start then draws x, x_dot, theta and theta_dot in that order as
+ * Generator.uniform(lo, hi) does (cartpole.reset), with (lo, hi) from
+ * bounds[8i..8i+7]. */
 void start_episodes(const uint32_t *head, ptrdiff_t n_head, const uint64_t *suffixes, ptrdiff_t n_suffix,
                     ptrdiff_t n_episodes, const double *bounds, struct philox *streams, double *starts) {
-    struct seed_seq base = {.hash = 0x43b0d7e5u};
-    for (ptrdiff_t k = 0; k < n_head; k++) {
-        absorb(&base, head[k]);
-    }
+    struct seed_seq base = seeded(head, n_head);
     for (ptrdiff_t i = 0; i < n_episodes; i++) {
         struct seed_seq ss = base;
         for (ptrdiff_t k = 0; k < n_suffix; k++) {
@@ -726,7 +743,23 @@ void start_episodes(const uint32_t *head, ptrdiff_t n_head, const uint64_t *suff
         streams[i] = philox_seeded(ss);
         for (int f = 0; f < N_FEATURES; f++) {
             const double *b = bounds + 2 * (N_FEATURES * i + f);
-            starts[N_FEATURES * i + f] = b[0] + (b[1] - b[0]) * philox_double(streams + i);
+            starts[N_FEATURES * i + f] = uniform(streams + i, b[0], b[1]);
         }
+    }
+}
+
+/* policy.init_params on the stream whose entropy is the n_head words of
+ * head (seeding.substream(seed, STREAM_INIT)): first the n_params entries
+ * of nu, each Generator.uniform(lo, hi), then those of omega, each
+ * random_normal(0, std) as Generator.normal(0, std) draws it. */
+void init_params(const uint32_t *head, ptrdiff_t n_head, ptrdiff_t n_params, double lo, double hi, double std,
+                 double *nu, double *omega) {
+    struct philox st = philox_seeded(seeded(head, n_head));
+    bitgen_t bg = bitgen(&st);
+    for (ptrdiff_t i = 0; i < n_params; i++) {
+        nu[i] = uniform(&st, lo, hi);
+    }
+    for (ptrdiff_t i = 0; i < n_params; i++) {
+        omega[i] = random_normal(&bg, 0.0, std);
     }
 }

@@ -5,7 +5,10 @@ installed numpy's ``libnpyrandom.a``, and ``Kernel`` wraps the library:
 ``expval_z_rows`` and ``expval_z_and_grad_rows`` with the contract of
 ``_sv_numpy``; ``start_episodes``, which derives the Philox stream of each
 episode of a batch and draws its start, as ``seeding.substream`` and
-``cartpole.reset`` would; and ``play_episodes``, the one-call form of
+``cartpole.reset`` would; ``init_params``, which draws a run's initial
+parameters in C from its init stream, derived the same way, as
+``policy.init_params`` would, so that no ``c`` campaign imports
+``numpy.random``; and ``play_episodes``, the one-call form of
 ``trainer.play_episodes``, which plays the batch and draws its noise and
 action uniforms from those streams with numpy's own C distributions. It
 plays the batch on ``Kernel.threads`` threads, by default one per core this
@@ -24,15 +27,17 @@ check raises ``ValueError`` and computes nothing.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import subprocess
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from . import _sv_numpy, cartpole
+
+try:  # CPython's own SHA-256; hashlib would load OpenSSL, which nothing else here needs
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 SOURCE = Path(__file__).with_name("_sv_c.c")
 # numpy's C distributions, which the episode loop draws with.
@@ -52,13 +57,16 @@ def build(cache_dir: Path) -> Path:
     of ``NPYRANDOM``, which it links. It is written under a temporary name
     and then renamed, so concurrent builds into one cache cannot see each
     other's partial files. Raises ``OSError`` when there is no compiler, no
-    ``NPYRANDOM`` or the cache cannot be written, and
-    ``subprocess.CalledProcessError`` when the compiler fails.
+    ``NPYRANDOM``, the cache cannot be written or the compiler fails. Only
+    a cache miss imports ``subprocess`` and ``tempfile``.
     """
-    digest = hashlib.sha256(SOURCE.read_bytes() + " ".join(CFLAGS).encode() + NPYRANDOM.read_bytes()).hexdigest()
+    digest = sha256(SOURCE.read_bytes() + " ".join(CFLAGS).encode() + NPYRANDOM.read_bytes()).hexdigest()
     lib = cache_dir / f"_sv_c-{digest[:16]}.so"
     if lib.exists():
         return lib
+    import subprocess
+    import tempfile
+
     cache_dir.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=lib.stem, suffix=".tmp", dir=cache_dir)
     os.close(fd)
@@ -66,6 +74,8 @@ def build(cache_dir: Path) -> Path:
         subprocess.run(["cc", *CFLAGS, "-I", np.get_include(), "-o", tmp, str(SOURCE),
                         "-L", str(NPYRANDOM.parent), "-lnpyrandom", "-lm"], check=True, capture_output=True)
         os.replace(tmp, lib)
+    except subprocess.CalledProcessError as exc:
+        raise OSError(str(exc)) from exc
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -175,6 +185,9 @@ class Kernel:
         self._start = lib.start_episodes
         self._start.argtypes = [ptr, size, ptr, size, size, ptr, ptr, ptr]
         self._start.restype = None
+        self._init = lib.init_params
+        self._init.argtypes = [ptr, size, size, ctypes.c_double, ctypes.c_double, ctypes.c_double, ptr, ptr]
+        self._init.restype = None
 
     def expval_z_rows(self, n_qubits, kinds, qa, qb, angles) -> np.ndarray:
         """<Z^n> of |0...0> evolved through the packed gate list, for each row
@@ -227,6 +240,19 @@ class Kernel:
         self._start(head_data, len(head), suffix_data, suffixes.shape[1], n, bound_data,
                     _Memory.from_buffer(streams), _Memory.from_buffer(starts))
         return streams, starts
+
+    def init_params(self, head, n_params: int, nu_range: tuple, omega_std: float):
+        """``policy.init_params`` on the stream whose entropy words are
+        ``head`` (uint32, ``seeding.Streams.head``), in one call: ``n_params``
+        draws of nu from ``Generator.uniform(*nu_range)``, then ``n_params``
+        of omega from ``Generator.normal(0, omega_std)``. Returns the flat
+        ``(nu, omega)``.
+        """
+        head_data = _input(head, _U32, "head")
+        nu, omega = np.empty(n_params), np.empty(n_params)
+        self._init(head_data, len(head), n_params, *nu_range, omega_std, _Memory.from_buffer(nu),
+                   _Memory.from_buffer(omega))
+        return nu, omega
 
     def play_episodes(self, n_qubits, kinds, qa, qb, param, feature, nu, omega, starts, sigmas, streams, horizon,
                       glp=None) -> np.ndarray:

@@ -79,7 +79,9 @@ def load_checkpoint(path) -> Checkpoint:
     if not path.exists():
         raise ConfigurationError(f"checkpoint {path} does not exist")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"checkpoint {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

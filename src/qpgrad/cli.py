@@ -80,7 +80,10 @@ def _assemble_config(args) -> ExperimentConfig:
         path = Path(args.config)
         if not path.exists():
             raise ConfigurationError(f"config file {path} does not exist")
-        text = path.read_text()
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:  # a directory, an unreadable file, bytes that are not UTF-8
+            raise ConfigurationError(f"config file {path} cannot be read as UTF-8 text: {exc}") from exc
         raw = parse_config_text(text, source=str(path))
         recorded = manifest_fields(text, source=str(path))
         for name, value in _provenance().items():

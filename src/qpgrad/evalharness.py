@@ -29,7 +29,6 @@ every process, and neither count changes a result.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,9 +173,12 @@ def _play_model(args):
 
 def map_jobs(fn, tasks, workers: int) -> list:
     """``[fn(t) for t in tasks]``, over a pool of ``min(workers, len(tasks))`` processes when that is more
-    than one. Each forked process plays its C episode calls on the thread count it inherits."""
+    than one. Each forked process plays its C episode calls on the thread count it inherits. Only a run that
+    starts a pool imports ``concurrent.futures``."""
     workers = min(workers, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]

@@ -43,6 +43,9 @@ ENTANGLERS = (ENTANGLE_BETWEEN, ENTANGLE_EVERY)
 ENCODINGS = (ENCODING_RZ_RY, ENCODING_RZ_RZ)
 
 PARAM_SLOTS = 2  # rotation slots per qubit per layer, for nu and for omega each
+# init_params draws nu ~ Uniform(NU_INIT_RANGE) and omega ~ Normal(0, OMEGA_INIT_STD)
+NU_INIT_RANGE = (-np.pi, np.pi)
+OMEGA_INIT_STD = 0.1
 
 
 @dataclass(frozen=True)
@@ -114,9 +117,12 @@ def zero_params(spec: AnsatzSpec) -> PolicyParams:
 
 
 def init_params(spec: AnsatzSpec, rng: np.random.Generator) -> PolicyParams:
-    """Fresh parameters: nu ~ Uniform[-pi, pi], omega ~ Normal(0, 0.1); nu drawn first."""
-    nu = rng.uniform(-np.pi, np.pi, size=spec.param_shape)
-    omega = rng.normal(0.0, 0.1, size=spec.param_shape)
+    """Fresh parameters: nu ~ Uniform[-pi, pi], omega ~ Normal(0, 0.1); nu drawn first.
+
+    On the ``c`` backend ``trainer.start_params`` makes the same draws in C
+    (``_sv_c.Kernel.init_params``); this is their oracle."""
+    nu = rng.uniform(*NU_INIT_RANGE, size=spec.param_shape)
+    omega = rng.normal(0.0, OMEGA_INIT_STD, size=spec.param_shape)
     return PolicyParams(nu, omega)
 
 

@@ -20,7 +20,9 @@ of each episode of a batch, and one more plays the whole batch of CartPole
 episodes on several threads (``_sv_c.Kernel.threads``, one per core by
 default), each episode drawing from its own stream with numpy's own C
 distributions, so that no result depends on the thread count.
-``trainer.play_batch`` makes both calls.
+``trainer.play_batch`` makes both calls. The kernel also draws each run's
+initial parameters from its init stream in C (``trainer.start_params``),
+so no ``c`` campaign imports ``numpy.random``.
 
 The heavy lifting happens in one of two interchangeable kernel backends:
 
@@ -44,7 +46,6 @@ Gate conventions (the generator of every rotation has spectral norm 1/2):
 from __future__ import annotations
 
 import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -68,7 +69,7 @@ def load_kernel(requested: str, cache_dir: Path = _CACHE_DIR):
         raise ImportError(f"QPGRAD_BACKEND must be 'auto', 'c' or 'numpy', got {requested!r}")
     try:
         return _sv_c.Kernel(_sv_c.build(cache_dir))
-    except (OSError, subprocess.CalledProcessError) as exc:
+    except OSError as exc:
         if requested == "c":
             raise ImportError(f"the C kernel could not be built: {exc}") from exc
         print(f"qpgrad: the C kernel could not be built ({exc}); using the numpy backend",

@@ -13,7 +13,10 @@ prefix and each episode's trailing path components. On the ``c`` backend
 the kernel derives those streams itself, from the entropy words of
 ``Streams.head`` and the trailing components, as the same Philox states
 ``substream`` would build; on ``numpy`` ``Streams.generators`` builds them
-with ``substream``. ``tests/test_fused_step.py`` holds the two to the same
+with ``substream``. A run's init stream, ``substream(seed, STREAM_INIT)``,
+is derived the same way on ``c``, where the kernel also makes the initial
+parameter draw (``trainer.start_params``), so no ``c`` campaign imports
+``numpy.random``. ``tests/test_fused_step.py`` holds the two to the same
 bits.
 
 Philox is counter-based, so streams are independent of execution order and

@@ -21,7 +21,9 @@ renormalized away. The variational angles nu never see the penalty.
 
 Everything is seeded: parameter init and each episode draw from dedicated
 Philox substreams of the run seed, so training is bit-reproducible and
-episodes are independent of collection order.
+episodes are independent of collection order. On the ``c`` backend the
+initial draw is made in C (``start_params``), as ``policy.init_params``
+makes it on ``numpy``.
 
 Every batch of episodes, for training, validation or evaluation, is one
 call of ``play_batch``, which names the episodes by their stream paths
@@ -354,11 +356,18 @@ def apply_update(
 
 
 def start_params(spec: AnsatzSpec, seed: int, initial_params: PolicyParams | None = None) -> PolicyParams:
-    """A run's first parameters: a checked copy of ``initial_params``, or fresh ones from the run's init stream."""
-    if initial_params is None:
+    """A run's first parameters: a checked copy of ``initial_params``, or fresh ones,
+    ``init_params(spec, substream(seed, STREAM_INIT))``, which on ``c`` the kernel draws."""
+    if initial_params is not None:
+        pol.check_params(spec, initial_params)
+        return initial_params.copy()
+    kernel = qsim.episode_kernel()
+    if kernel is None:
         return pol.init_params(spec, substream(seed, STREAM_INIT))
-    pol.check_params(spec, initial_params)
-    return initial_params.copy()
+    # the entropy words of substream(seed, STREAM_INIT): a path of one component, all in the prefix
+    head = Streams(seed, (STREAM_INIT,), np.empty((1, 0), dtype=np.uint64)).head()
+    nu, omega = kernel.init_params(head, spec.n_params_each, pol.NU_INIT_RANGE, pol.OMEGA_INIT_STD)
+    return PolicyParams(nu.reshape(spec.param_shape), omega.reshape(spec.param_shape))
 
 
 def train(

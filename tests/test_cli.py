@@ -67,6 +67,12 @@ class TestCheckpointRoundTrip:
         with pytest.raises(ConfigurationError):
             load_checkpoint(tmp_path / "nope.json")
 
+    def test_non_utf8_file_rejected_naming_it(self, tmp_path):
+        path = tmp_path / "checkpoint_4.json"
+        path.write_bytes(b'{"format": "\xff"}')
+        with pytest.raises(ConfigurationError, match=r"checkpoint_4\.json is not UTF-8"):
+            load_checkpoint(path)
+
     def test_more_qubits_than_cartpole_features_rejected(self, tmp_path):
         spec = AnsatzSpec(n_qubits=5)
         path = tmp_path / "checkpoint_5.json"
@@ -406,3 +412,17 @@ class TestExitCodes:
 
     def test_missing_config_file_is_one(self, tmp_path):
         assert run_cli("train", "--config", str(tmp_path / "none.cfg")) == 1
+
+    def test_config_directory_is_config_error_naming_it(self, tmp_path, capsys):
+        assert run_cli("train", "--config", str(tmp_path), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(tmp_path) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_config_is_config_error_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"run.seed = 1\n\xff\n")
+        assert run_cli("train", "--config", str(path), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(path) in err
+        assert not (tmp_path / "out").exists()

@@ -1,9 +1,10 @@
 """Attraction rate, significance labeling, and the evaluation campaign machinery."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
-from qpgrad import evalharness
 from qpgrad.cartpole import InitRanges
 from qpgrad.errors import ConfigurationError, UsageError
 from qpgrad.evalharness import (
@@ -163,7 +164,7 @@ class TestMapJobs:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(evalharness, "ProcessPoolExecutor", InProcess)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
         for workers, n_tasks in ((5000, 2), (3, 7), (2, 1), (1, 4), (5000, 0)):
             assert map_jobs(abs, list(range(-n_tasks, 0)), workers) == list(range(n_tasks, 0, -1))
         assert sizes == [2, 3]

@@ -2,7 +2,9 @@
 
 ``start_episodes`` must give each episode of a batch the Philox state that
 ``seeding.substream`` builds for its stream path, and the start that
-``cartpole.reset`` then draws from it, compared as int64 views.
+``cartpole.reset`` then draws from it, compared as int64 views. Its
+``init_params`` must draw a run's initial parameters as ``policy.init_params``
+draws them from ``substream(seed, STREAM_INIT)``.
 
 ``trainer.play_episodes`` plays a batch of episodes step by step, composing
 each step from the numpy functions; the C kernel's ``play_episodes`` must
@@ -29,9 +31,9 @@ from qpgrad import policy as pol
 from qpgrad import qsim
 from qpgrad._sv_c import STREAM_WORDS
 from qpgrad.cartpole import InitRanges, reset
-from qpgrad.policy import AnsatzSpec, CircuitTemplate
-from qpgrad.seeding import Streams
-from qpgrad.trainer import play_episodes
+from qpgrad.policy import ENCODINGS, ENTANGLERS, AnsatzSpec, CircuitTemplate
+from qpgrad.seeding import STREAM_INIT, Streams, substream
+from qpgrad.trainer import play_episodes, start_params
 
 SPECIAL = np.array([0.0, -0.0, np.pi, -np.pi, 1e-300, 1e3, -1e3])
 SIGMAS = np.array([0.0, 1e-3, 0.1, 0.8, 5.0])
@@ -232,3 +234,18 @@ def test_start_matches_substream_and_reset_at_word_boundaries(seed):
     for n in range(1, 5):  # paths of 1-4 components, the last one trailing
         suffixes = np.array([[path[n - 1]], [2**32 - 1]], dtype=np.uint64)
         _assert_start_matches(seed, path[: n - 1], suffixes, [point, InitRanges()])
+
+
+_SPECS = st.builds(AnsatzSpec, n_qubits=st.integers(1, 4), n_layers=st.integers(1, 5),
+                   entangler=st.sampled_from(ENTANGLERS), encoding=st.sampled_from(ENCODINGS))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1)), _SPECS)
+def test_initial_draw_matches_init_params(seed, spec):
+    with mock.patch.object(qsim, "_kernel", c_kernel()):
+        drawn = start_params(spec, seed)
+    expected = pol.init_params(spec, substream(seed, STREAM_INIT))
+    for got, want in ((drawn.nu, expected.nu), (drawn.omega, expected.omega)):
+        assert got.shape == want.shape == spec.param_shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))

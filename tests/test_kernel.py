@@ -1,5 +1,7 @@
 """The compiled kernel's loader and its argument checks."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -63,6 +65,12 @@ class TestLoader:
             names.append(_sv_c.build(tmp_path / "cache").name)
         assert names[0] != names[1] and names[0] == names[2]
 
+    @pytest.mark.skipif(qsim.BACKEND != "c", reason="names the library of the c backend")
+    def test_library_name_is_the_hashlib_sha256_digest(self):
+        inputs = _sv_c.SOURCE.read_bytes() + " ".join(_sv_c.CFLAGS).encode() + _sv_c.NPYRANDOM.read_bytes()
+        name = f"_sv_c-{hashlib.sha256(inputs).hexdigest()[:16]}.so"
+        assert _sv_c.build(qsim._CACHE_DIR).name == qsim.KERNEL == name
+
     def test_requested_c_without_compiler_raises(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PATH", "")
         with pytest.raises(ImportError):
@@ -107,6 +115,35 @@ class TestLoader:
             assert proc.returncode == 0, err
             assert out.strip() == "1.0"
         assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
+
+
+@pytest.mark.skipif(qsim.BACKEND != "c", reason="the numpy backend draws with numpy.random")
+def test_campaigns_leave_openssl_numpy_random_and_the_pool_unloaded(tmp_path):
+    """A fresh process runs tiny train, curriculum and eval-robustness
+    campaigns without importing OpenSSL's hash module, numpy.random or
+    concurrent.futures."""
+    models = tmp_path / "train"
+    campaigns = [
+        ["train", "--seed", "1", "--seeds", "1", "--set", "train.epochs=1", "--set", "train.batch_size=2",
+         "--out", str(models)],
+        ["curriculum", "--seed", "4", "--seeds", "1", "--set", "curriculum.max_failures=3",
+         "--out", str(tmp_path / "curriculum")],
+        ["eval-robustness", "--seed", "5", "--set", f"eval.checkpoints={models}", "--set", "eval.episodes=1",
+         "--set", "eval.sigmas=0.0,0.5", "--out", str(tmp_path / "robustness")],
+    ]
+    code = (
+        "import json, sys\n"
+        "from qpgrad.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in ('_hashlib', 'numpy.random', 'concurrent.futures') "
+        "if m in sys.modules)]))\n"
+    )
+    src = str(Path(qpgrad.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(campaigns)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0, 0], []]
 
 
 class TestArgumentChecks:
