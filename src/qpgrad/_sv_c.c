@@ -21,12 +21,18 @@
  * Same gates, conventions and packed gate arrays as _sv_numpy; qubit q is
  * bit q of the basis index. Both simulator entries first compile the gate
  * list into ops (struct sim): one per H or rotation, and one per run of
- * consecutive CZ gates, whose signs they compute once. One function,
- * gate(), applies every op: in the forward pass and, undone, in both sweeps
- * of the adjoint. The circuit's parameters come from the template's one map,
- * param and feature per gate (CircuitTemplate): rotation g takes
- * nu[param[g]] when feature[g] is -1, else omega[param[g]] * obs[feature[g]],
- * and each flat parameter drives one variational and one encoding rotation.
+ * consecutive CZ gates, whose signs they compute once. The ops before the
+ * first rotation (the template's H layer) are applied to |0...0> once, at
+ * compile time, and every circuit starts from a copy of that state. One
+ * function, gate(), applies every op in the forward pass, and undoes the H
+ * and CZ runs in both sweeps of the adjoint, since they are their own
+ * inverses. undo_rotation() undoes a rotation on both sweeps' states and
+ * takes its gradient term in one pass over the amplitude pairs, and the
+ * reverse sweep stops at the first rotation. The circuit's parameters come
+ * from the template's one map, param and feature per gate
+ * (CircuitTemplate): rotation g takes nu[param[g]] when feature[g] is -1,
+ * else omega[param[g]] * obs[feature[g]], and each flat parameter drives
+ * one variational and one encoding rotation.
  *
  * play_episodes reproduces, bit for bit, trainer.play_episodes running on
  * expval_z_and_grad_rows: each expression below is the Python one
@@ -45,9 +51,9 @@
  *    c im + 0 re). The amplitudes are finite, so those terms are zeros, and
  *    dropping them can only change the sign of an exact zero: x + (+-0) is
  *    x for nonzero x, and a zero's sign reaches only zero results of + and
- *    *. The sums that make the outputs, in expval_z and grad_dot, start at
- *    +0.0 and so never end at -0.0. The real part of conj(l) d is summed
- *    as l.re d.re + l.im d.im, which is the complex product's
+ *    *. The sums that make the outputs, in expval_z and undo_rotation,
+ *    start at +0.0 and so never end at -0.0. The real part of conj(l) d is
+ *    summed as l.re d.re + l.im d.im, which is the complex product's
  *    d.re l.re - d.im (-l.im) exactly. A bit harness against the kernel
  *    built on complex products found no output bit moved, on random and
  *    template circuits of 1-6 qubits with angles of +-0, +-pi, +-1e-300
@@ -62,10 +68,20 @@
  *    it with the same pass.
  *  - Trig reuse. cos and sin of half of each rotation's angle are computed
  *    once per row (once per call for the nu angles, which no row changes)
- *    and reused by the forward pass, the adjoint's undo and grad_dot. The
- *    undo is the rotation by -angle, applied as (c, -s): glibc's cos is
- *    even and its sin odd bit for bit, so these are the values that
- *    cos(-angle/2) and sin(-angle/2) would return.
+ *    and reused by the forward pass and by undo_rotation, for both its undo
+ *    and its gradient term. The undo is the rotation by -angle, applied as
+ *    (c, -s): glibc's cos is even and its sin odd bit for bit, so these are
+ *    the values that cos(-angle/2) and sin(-angle/2) would return.
+ *  - One pass per rotation. For each amplitude pair, undo_rotation undoes
+ *    the gate on psi, adds the pair's gradient terms from that psi and the
+ *    lam before its undo, then undoes the gate on lam, with the expressions
+ *    of ry and rz. A pair reads and writes only its own two amplitudes, and
+ *    the sum runs over the pairs in index order, so the outputs are those
+ *    of an undo pass on psi, a gradient pass and an undo pass on lam, bit
+ *    for bit.
+ *  - The start state. Applying the leading ops once and copying the result
+ *    gives the same amplitudes as applying them to |0...0> per circuit,
+ *    since they read no angle.
  *  - pow. gcc folds pow(x, 2.0) into x*x even without -ffast-math, but
  *    glibc's pow(x, 2.0), which numpy's float_power(x, 2) calls, differs
  *    from x*x in the last bit for about 1 in 1000 inputs. The exponent is
@@ -109,7 +125,7 @@ static inline amp times(amp a, double x, double y) {
     return a * x + __builtin_shuffle(a, (amp_bits){1, 0}) * (amp){-y, y};
 }
 
-/* (c, s) is (cos, sin) of half the rotation angle, in ry, rz and grad_dot. */
+/* (c, s) is (cos, sin) of half the rotation angle, in ry, rz and undo_rotation. */
 static inline void ry(amp *a, ptrdiff_t dim, int q, double c, double s) {
     ptrdiff_t stride = ((ptrdiff_t)1) << q;
     ptrdiff_t group = stride << 1;
@@ -185,21 +201,28 @@ static inline double re_dot(amp l, amp d) {
     return p[0] + p[1];
 }
 
-/* 2 Re <lam| dU/dangle |psi>, psi being the state *before* the gate; the
- * kind picks the loop, so no loop tests it. */
-static inline double grad_dot(const amp *lam, const amp *psi, ptrdiff_t dim, int kind, int q, double c,
-                              double s) {
+/* Undoes rotation op on psi and on lam in one pass over the amplitude pairs,
+ * as the rotation by -angle, (c, -s). In between, each pair adds its terms
+ * of 2 Re <lam| dU/dangle |psi>, psi being the state *before* the gate,
+ * which the pass returns. The kind picks the loop, so no loop tests it. */
+static inline double undo_rotation(amp *psi, amp *lam, ptrdiff_t dim, int kind, int q, double c, double s) {
     ptrdiff_t stride = ((ptrdiff_t)1) << q;
     ptrdiff_t group = stride << 1;
-    double acc = 0.0;
+    double ns = -s, acc = 0.0;
     if (kind == KIND_RY) {
         for (ptrdiff_t base = 0; base < dim; base += group) {
             for (ptrdiff_t i = 0; i < stride; i++) {
                 ptrdiff_t i0 = base + i, i1 = i0 + stride;
-                amp p0 = psi[i0], p1 = psi[i1];
+                amp a0 = psi[i0], a1 = psi[i1];
+                amp p0 = c * a0 - ns * a1, p1 = ns * a0 + c * a1;
+                psi[i0] = p0;
+                psi[i1] = p1;
                 amp d0 = 0.5 * (-s * p0 - c * p1);
                 amp d1 = 0.5 * (c * p0 - s * p1);
-                acc = acc + re_dot(lam[i0], d0) + re_dot(lam[i1], d1);
+                amp l0 = lam[i0], l1 = lam[i1];
+                acc = acc + re_dot(l0, d0) + re_dot(l1, d1);
+                lam[i0] = c * l0 - ns * l1;
+                lam[i1] = ns * l0 + c * l1;
             }
         }
     } else {
@@ -209,9 +232,14 @@ static inline double grad_dot(const amp *lam, const amp *psi, ptrdiff_t dim, int
         for (ptrdiff_t base = 0; base < dim; base += group) {
             for (ptrdiff_t i = 0; i < stride; i++) {
                 ptrdiff_t i0 = base + i, i1 = i0 + stride;
-                amp d0 = times(psi[i0], hs, -hc);
-                amp d1 = times(psi[i1], hs, hc);
+                amp p0 = times(psi[i0], c, -ns), p1 = times(psi[i1], c, ns);
+                psi[i0] = p0;
+                psi[i1] = p1;
+                amp d0 = times(p0, hs, -hc);
+                amp d1 = times(p1, hs, hc);
                 acc = acc + re_dot(lam[i0], d0) + re_dot(lam[i1], d1);
+                lam[i0] = times(lam[i0], c, -ns);
+                lam[i1] = times(lam[i1], c, ns);
             }
         }
     }
@@ -242,21 +270,43 @@ struct op {
 };
 
 /* A checked gate list compiled for one call, with its scratch: psi holds
- * 2 * dim amplitudes, cs[2g] and cs[2g + 1] the half-angle cosine and sine
- * of rotation g (unset for H and CZ), grads one gradient row for a caller
- * with no block of its own, and signs dim entries per CZ run, one per
- * amplitude: INT64_MIN to negate it, else 0. */
+ * 2 * dim amplitudes, start dim more, the state that the ops before the
+ * first rotation, ops[first], make from |0...0> (all ops when there is no
+ * rotation); cs[2g] and cs[2g + 1] the half-angle cosine and sine of
+ * rotation g (unset for H and CZ), grads one gradient row for a caller with
+ * no block of its own, and signs dim entries per CZ run, one per amplitude:
+ * INT64_MIN to negate it, else 0. */
 struct sim {
-    ptrdiff_t dim, n_ops, n_rot;
+    ptrdiff_t dim, n_ops, n_rot, first;
     const struct op *ops;
     const int64_t *signs;
     amp *psi;
+    const amp *start;
     double *cs, *grads;
 };
 
+/* One H, rotation or CZ run applied to a. H and a CZ run are their own
+ * inverses, and neither reads cs. Forced inline: gcc keeps it out of line
+ * otherwise, and the call per gate cost 3-5 % of the forward-only perfbench
+ * campaigns. */
+static inline __attribute__((always_inline)) void gate(amp *a, const struct sim *sim, struct op op) {
+    if (op.kind == KIND_RY) {
+        const double *cs = sim->cs + 2 * op.at;
+        ry(a, sim->dim, op.q, cs[0], cs[1]);
+    } else if (op.kind == KIND_RZ) {
+        const double *cs = sim->cs + 2 * op.at;
+        rz(a, sim->dim, op.q, cs[0], cs[1]);
+    } else if (op.kind == KIND_H) {
+        h(a, sim->dim, op.q);
+    } else {
+        flip(a, sim->dim, sim->signs + op.at);
+    }
+}
+
 /* Compiles the gate list, which bad_gate has passed, into *sim, in one
- * allocation for free(sim->psi). Returns -1, or -2 when the memory cannot
- * be allocated. */
+ * allocation for free(sim->psi), and applies the ops before the first
+ * rotation to |0...0> into sim->start. Returns -1, or -2 when the memory
+ * cannot be allocated. */
 static ptrdiff_t prepare(struct sim *sim, int n_qubits, const int8_t *kinds, const int32_t *qa,
                          const int32_t *qb, ptrdiff_t n_gates) {
     ptrdiff_t dim = ((ptrdiff_t)1) << n_qubits, n_rot = 0, n_runs = 0;
@@ -265,7 +315,7 @@ static ptrdiff_t prepare(struct sim *sim, int n_qubits, const int8_t *kinds, con
         n_runs += kinds[g] == KIND_CZ && (g == 0 || kinds[g - 1] != KIND_CZ);
     }
     /* The amplitudes first, at malloc's 16-byte alignment. */
-    char *mem = malloc(2 * dim * sizeof(amp) + (2 * n_gates + n_rot) * sizeof(double) +
+    char *mem = malloc(3 * dim * sizeof(amp) + (2 * n_gates + n_rot) * sizeof(double) +
                        n_gates * sizeof(struct op) + n_runs * dim * sizeof(int64_t));
     if (mem == NULL) {
         return -2;
@@ -273,13 +323,17 @@ static ptrdiff_t prepare(struct sim *sim, int n_qubits, const int8_t *kinds, con
     sim->dim = dim;
     sim->n_rot = n_rot;
     sim->psi = (amp *)mem;
-    sim->cs = (double *)(sim->psi + 2 * dim);
+    amp *start = sim->psi + 2 * dim;
+    sim->cs = (double *)(start + dim);
     sim->grads = sim->cs + 2 * n_gates;
     struct op *ops = (struct op *)(sim->grads + n_rot);
     int64_t *signs = (int64_t *)(ops + n_gates);
     memset(signs, 0, n_runs * dim * sizeof(int64_t));
-    ptrdiff_t n_ops = 0, run = -dim;
+    ptrdiff_t n_ops = 0, run = -dim, first = -1;
     for (ptrdiff_t g = 0; g < n_gates; g++) {
+        if (first < 0 && is_rotation(kinds[g])) {
+            first = n_ops;
+        }
         if (kinds[g] != KIND_CZ) {
             ops[n_ops++] = (struct op){kinds[g], qa[g], g};
             continue;
@@ -294,56 +348,49 @@ static ptrdiff_t prepare(struct sim *sim, int n_qubits, const int8_t *kinds, con
         }
     }
     sim->n_ops = n_ops;
+    sim->first = first < 0 ? n_ops : first;
     sim->ops = ops;
     sim->signs = signs;
+    memset(start, 0, dim * sizeof(amp)); /* all +0.0 */
+    start[0] = (amp){1.0, 0.0};
+    for (ptrdiff_t k = 0; k < sim->first; k++) {
+        gate(start, sim, ops[k]);
+    }
+    sim->start = start;
     return -1;
 }
 
-/* One op applied to a, or undone when undo is set. A rotation is undone as
- * (c, -s); H and a CZ run are their own inverses, and neither reads cs.
- * Forced inline: gcc keeps it out of line otherwise, and the call per gate
- * cost 3-5 % of the forward-only perfbench campaigns. */
-static inline __attribute__((always_inline)) void gate(amp *a, const struct sim *sim, struct op op, int undo) {
-    if (op.kind == KIND_RY) {
-        const double *cs = sim->cs + 2 * op.at;
-        ry(a, sim->dim, op.q, cs[0], undo ? -cs[1] : cs[1]);
-    } else if (op.kind == KIND_RZ) {
-        const double *cs = sim->cs + 2 * op.at;
-        rz(a, sim->dim, op.q, cs[0], undo ? -cs[1] : cs[1]);
-    } else if (op.kind == KIND_H) {
-        h(a, sim->dim, op.q);
-    } else {
-        flip(a, sim->dim, sim->signs + op.at);
-    }
-}
-
-/* Reverse sweep from the final state in sim->psi, which it turns back into
- * |0...0>: d<Z^n>/d(angle) into grads, one entry per rotation gate in gate
- * order. The second half of the scratch holds lam. */
+/* Reverse sweep from the final state in sim->psi: d<Z^n>/d(angle) into
+ * grads, one entry per rotation gate in gate order. The second half of the
+ * scratch holds lam. The sweep stops at the first rotation, since nothing
+ * reads psi or lam below it, and so leaves both as they stand there. */
 static void adjoint(const struct sim *sim, double *grads) {
     amp *psi = sim->psi, *lam = psi + sim->dim;
     ptrdiff_t r = sim->n_rot - 1;
     for (ptrdiff_t i = 0; i < sim->dim; i++) {
         lam[i] = parity(i) ? -psi[i] : psi[i];
     }
-    for (ptrdiff_t k = sim->n_ops - 1; k > -1; k--) {
+    for (ptrdiff_t k = sim->n_ops - 1; k >= sim->first; k--) {
         struct op op = sim->ops[k];
-        gate(psi, sim, op, 1);
         if (is_rotation(op.kind)) {
-            grads[r--] = grad_dot(lam, psi, sim->dim, op.kind, op.q, sim->cs[2 * op.at], sim->cs[2 * op.at + 1]);
+            grads[r--] = undo_rotation(psi, lam, sim->dim, op.kind, op.q, sim->cs[2 * op.at], sim->cs[2 * op.at + 1]);
+        } else {
+            gate(psi, sim, op);
+            gate(lam, sim, op);
         }
-        gate(lam, sim, op, 1);
     }
 }
 
 /* <Z^n> of |0...0> evolved through the compiled gates, whose rotations'
- * trig is in sim->cs; unless grads is NULL, also its adjoint gradient. */
+ * trig is in sim->cs: the ops from the first rotation on, applied to a copy
+ * of sim->start; unless grads is NULL, also its adjoint gradient. Every
+ * amplitude of psi is written before it is read, so no call sees what an
+ * earlier one left there. */
 static double circuit(const struct sim *sim, double *grads) {
     amp *psi = sim->psi;
-    memset(psi, 0, sim->dim * sizeof(amp)); /* all +0.0 */
-    psi[0] = (amp){1.0, 0.0};
-    for (ptrdiff_t k = 0; k < sim->n_ops; k++) {
-        gate(psi, sim, sim->ops[k], 0);
+    memcpy(psi, sim->start, sim->dim * sizeof(amp));
+    for (ptrdiff_t k = sim->first; k < sim->n_ops; k++) {
+        gate(psi, sim, sim->ops[k]);
     }
     double e = expval_z(psi, sim->dim);
     if (grads != NULL) {

@@ -80,6 +80,11 @@ class ExperimentConfig:
         if self.command == "curriculum" and self.train.minibatch not in (0, self.train.batch_size):
             raise ConfigurationError(f"train.minibatch: curriculum updates on whole batches, so it must be 0 or "
                                      f"train.batch_size ({self.train.batch_size}), got {self.train.minibatch}")
+        if self.command == "curriculum" and self.curr_validation_threshold >= self.train.horizon:
+            raise ConfigurationError(
+                f"curriculum.validation_threshold ({self.curr_validation_threshold!r}) must be below train.horizon "
+                f"({self.train.horizon}): validation passes only when the mean reward, which is at most the horizon, "
+                f"exceeds the threshold")
         self.curriculum_schedule()  # its checks name the curriculum keys
 
     def curriculum_schedule(self) -> CurriculumSchedule:

@@ -393,6 +393,16 @@ class TestExitCodes:
         assert setting.split("=")[0] in capsys.readouterr().err
         assert not out.exists()
 
+    def test_curriculum_that_can_never_pass_is_config_error_naming_both_keys(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("curriculum", "--seed", "4", "--seeds", "1", "--out", str(out), "--set", "train.horizon=8") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "curriculum.validation_threshold" in err and "train.horizon" in err
+        assert not out.exists()
+        # a training run may have a short horizon
+        assert run_cli(*tiny_train_args(tmp_path / "train", seeds=1, extra=("--set", "train.horizon=8"))) == 0
+
     def test_more_qubits_than_cartpole_features_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         args = ("train", "--seed", "1", "--out", str(out), "--set", "ansatz.n_qubits=5", "--set", "train.epochs=1")

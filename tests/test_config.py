@@ -29,12 +29,20 @@ def _increasing(elements, min_size):
 
 
 @st.composite
-def _run_and_batches(draw):
-    """The keys checked against each other: curriculum takes only whole-batch minibatches."""
+def _run_and_checked_keys(draw):
+    """The command and the keys checked against it, each pair left out or set whole: curriculum takes only
+    whole-batch minibatches, and a validation threshold below the horizon, which caps every mean reward."""
     command = draw(st.sampled_from(COMMANDS))
-    batch = draw(st.integers(1, 64))
-    minibatch = draw(st.sampled_from((0, batch)) if command == "curriculum" else st.integers(0, batch))
-    return {"run.command": command, "train.batch_size": str(batch), "train.minibatch": str(minibatch)}
+    raw = {"run.command": command}
+    if draw(st.booleans()):
+        batch = draw(st.integers(1, 64))
+        minibatch = draw(st.sampled_from((0, batch)) if command == "curriculum" else st.integers(0, batch))
+        raw |= {"train.batch_size": str(batch), "train.minibatch": str(minibatch)}
+    if draw(st.booleans()):
+        horizon = draw(st.integers(1, 500))
+        threshold = draw(_floats(hi=horizon).filter(lambda t: t < horizon) if command == "curriculum" else _floats())
+        raw |= {"train.horizon": str(horizon), "curriculum.validation_threshold": repr(threshold)}
+    return raw
 
 
 def _interval(feature, limit=1e300):
@@ -59,7 +67,6 @@ _SINGLE_KEYS = {
     "train.optimizer": st.sampled_from(("adam", "vanilla")),
     "train.baseline": st.sampled_from(("none", "batch_mean")),
     "train.grad_norm": st.sampled_from(("steps", "episodes")),
-    "train.horizon": st.integers(1, 500).map(str),
     "eval.checkpoints": st.text("abcXYZ019_-./", max_size=12),
     "eval.sigmas": st.lists(_floats(0.0), min_size=1, max_size=5).map(lambda v: ",".join(map(repr, v))),
     "eval.episodes": st.integers(1, 500).map(str),
@@ -69,13 +76,12 @@ _SINGLE_KEYS = {
     "curriculum.ranges": _increasing(_floats(5e-324), 1),
     "curriculum.max_failures": st.integers(0, 5000).map(str),
     "curriculum.validation_episodes": st.integers(1, 500).map(str),
-    "curriculum.validation_threshold": _floats().map(repr),
     "curriculum.validation_period": st.integers(1, 500).map(str),
 }
 
 # Each unit is left out or set whole; the keys of one unit are valid only together.
 _UNITS = [
-    _run_and_batches(),
+    _run_and_checked_keys(),
     _interval("x", X_LIMIT),
     _interval("x_dot"),
     _interval("theta", THETA_INIT_LIMIT),
@@ -206,6 +212,15 @@ class TestStrictParsing:
             assert build_config({"run.command": command, "train.minibatch": minibatch}).train.minibatch == int(minibatch)
         with pytest.raises(ConfigurationError, match="train.minibatch"):
             build_config({"run.command": "curriculum", "train.minibatch": "5"})
+
+    def test_curriculum_threshold_must_lie_below_the_horizon(self):
+        # a mean reward is at most the horizon, so validation against a threshold at or above it never passes
+        for horizon in ("8", "195"):
+            with pytest.raises(ConfigurationError, match="curriculum.validation_threshold .* train.horizon"):
+                build_config({"run.command": "curriculum", "train.horizon": horizon})
+        cfg = build_config({"run.command": "curriculum", "train.horizon": "8", "curriculum.validation_threshold": "7.5"})
+        assert (cfg.train.horizon, cfg.curr_validation_threshold) == (8, 7.5)
+        assert build_config({"run.command": "train", "train.horizon": "8"}).train.horizon == 8
 
     def test_keys_of_one_section_checked_together(self):
         # applied one key at a time, minibatch 20 or x_low 1 would meet the other key's default and fail

@@ -146,6 +146,47 @@ def test_campaigns_leave_openssl_numpy_random_and_the_pool_unloaded(tmp_path):
     assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0, 0], []]
 
 
+def _pinned_circuits(rng):
+    """Gate lists of 1-6 qubits that start with an H layer, a CZ run, both,
+    or a rotation, or that hold no rotation, each with a (6, n_gates) angle
+    block drawn from +-0, +-pi, +-1e-300, +-1e3 and uniform(-7, 7)."""
+    special = np.array([0.0, -0.0, np.pi, -np.pi, 1e-300, -1e-300, 1e3, -1e3])
+    for n_qubits in range(1, 7):
+        layer = [(qsim.KIND_H, q, -1) for q in range(n_qubits)]
+        run = [(qsim.KIND_CZ, q + 1, q) for q in range(n_qubits - 1)]
+        run += [(qsim.KIND_CZ, n_qubits - 1, 0)] if n_qubits > 2 else []  # the ring closed
+        body = []
+        for _ in range(24):
+            kind = int(rng.integers(0, 4 if n_qubits > 1 else 3))  # a CZ needs two qubits
+            q = int(rng.integers(0, n_qubits))
+            partner = (q + 1 + int(rng.integers(0, n_qubits - 1))) % n_qubits if kind == qsim.KIND_CZ else -1
+            body.append((kind, q, partner))
+        rotation = [(qsim.KIND_RY if n_qubits % 2 else qsim.KIND_RZ, n_qubits - 1, -1)]
+        for gates in (layer + body, run + body, layer + run + body, rotation + body, layer + run + layer + run):
+            kinds, qa, qb = (np.array(col, dtype=dt) for col, dt in zip(zip(*gates), (np.int8, np.int32, np.int32)))
+            angles = rng.uniform(-7, 7, (6, len(gates)))
+            picked = rng.random(angles.shape) < 0.5
+            angles[picked] = rng.choice(special, picked.sum())
+            yield n_qubits, kinds, qa, qb, angles
+
+
+@pytest.mark.skipif(qsim.BACKEND != "c", reason="pins the bits of the c backend")
+def test_row_kernel_bits_are_pinned():
+    """The SHA-256 of every output bit of both row calls over a fixed set of
+    circuits. A change to the kernel that moves any bit must update the
+    digest and say why in CHANGES.md."""
+    kernel = qsim._kernel
+    digest = hashlib.sha256()
+    n_rows = 0
+    for n_qubits, kinds, qa, qb, angles in _pinned_circuits(np.random.default_rng(1717)):
+        e, g = kernel.expval_z_and_grad_rows(n_qubits, kinds, qa, qb, angles)
+        for out in (kernel.expval_z_rows(n_qubits, kinds, qa, qb, angles), e, g):
+            digest.update(out.view(np.int64).tobytes())
+        n_rows += len(angles)
+    assert n_rows == 180
+    assert digest.hexdigest() == "2ac7bd5b31cfd0fe0cf60ef0aa347e8eccd960dad9fa84530e8e805b37263075"
+
+
 class TestArgumentChecks:
     """Bad arguments raise before any pointer reaches the C code."""
 

@@ -381,26 +381,32 @@ def _cz_run(n_qubits):
     return [cz(a, b) for a, b in pairs + pairs[:1]]
 
 
+def _assert_rows_agree(n_qubits, kinds, qa, qb, block):
+    """Each row of the compiled kernel's block agrees with the oracle and,
+    alone, gives the bits it gives in the block, in either row order and
+    from either row call."""
+    c, np_ = kernels()
+    alone = [adjoint(c, n_qubits, kinds, qa, qb, row) for row in block]
+    for row, (e_r, g_r) in zip(block, alone):
+        e_np, g_np = adjoint(np_, n_qubits, kinds, qa, qb, row)
+        assert e_r == pytest.approx(e_np, abs=1e-13)
+        np.testing.assert_allclose(g_r, g_np, atol=1e-12)
+    for order in (slice(None), slice(None, None, -1)):
+        e, g = c.expval_z_and_grad_rows(n_qubits, kinds, qa, qb, block[order])
+        forward_only = c.expval_z_rows(n_qubits, kinds, qa, qb, block[order])
+        for r, (e_r, g_r) in enumerate(alone[order]):
+            assert np.float64(e_r).view(np.int64) == e[r].view(np.int64) == forward_only[r].view(np.int64)
+            assert np.array_equal(g_r.view(np.int64), g[r].view(np.int64))
+
+
 class TestCzRuns:
     """Runs of consecutive CZ gates, which the compiled kernel applies as one
     pass of signs, against the numpy oracle, which applies each CZ alone."""
 
-    def _assert_rows_agree(self, n_qubits, kinds, qa, qb, block):
-        # each row agrees with the oracle, and alone gives the bits it gives in the block
-        c, np_ = kernels()
-        e, g = c.expval_z_and_grad_rows(n_qubits, kinds, qa, qb, block)
-        for r, row in enumerate(block):
-            e_np, g_np = adjoint(np_, n_qubits, kinds, qa, qb, row)
-            assert e[r] == pytest.approx(e_np, abs=1e-13)
-            np.testing.assert_allclose(g[r], g_np, atol=1e-12)
-            e_r, g_r = adjoint(c, n_qubits, kinds, qa, qb, row)
-            assert np.array_equal(np.float64(e_r).view(np.int64), e[r].view(np.int64))
-            assert np.array_equal(g_r.view(np.int64), g[r].view(np.int64))
-
     def _assert_agree(self, n_qubits, gates, rng):
         kinds, qa, qb, angles = pack(gates)
         block = np.vstack([angles, rng.uniform(-7, 7, (3, len(angles)))])
-        self._assert_rows_agree(n_qubits, kinds, qa, qb, block)
+        _assert_rows_agree(n_qubits, kinds, qa, qb, block)
 
     @pytest.mark.parametrize("n_qubits", [2, 3, 4, 5, 6, 7, 8])
     def test_run_at_start_middle_and_end(self, n_qubits):
@@ -431,4 +437,24 @@ class TestCzRuns:
             for encoding in ("rz_ry", "rz_rz"):
                 tpl = CircuitTemplate(AnsatzSpec(n_qubits, 3, entangler, encoding))
                 block = rng.uniform(-7, 7, (4, len(tpl.kinds)))
-                self._assert_rows_agree(n_qubits, tpl.kinds, tpl.qa, tpl.qb, block)
+                _assert_rows_agree(n_qubits, tpl.kinds, tpl.qa, tpl.qb, block)
+
+
+def _prefixed(kind, n_qubits, rng):
+    """A random circuit after one kind of leading non-rotation ops, which the
+    compiled kernel applies once per call: none (it starts with a
+    rotation), an H layer, a CZ run, or the whole list, with no rotation."""
+    layer = [h(q) for q in range(n_qubits)]
+    body = [ry(0, rng.uniform(-7, 7))] + random_circuit(rng, n_qubits, n_gates=30)
+    return {"none": body, "h_layer": layer + body, "cz_run": _cz_run(n_qubits) + body,
+            "no_rotation": layer + _cz_run(n_qubits) + layer}[kind]
+
+
+@pytest.mark.parametrize("kind", ["none", "h_layer", "cz_run", "no_rotation"])
+def test_rows_start_clean_after_each_prefix_kind(kind):
+    # the compiled kernel applies the leading non-rotation ops once per call, and its reverse sweep
+    # stops at the first rotation, so each row must start from that state, not from the last row's scratch
+    rng = np.random.default_rng(110)
+    for n_qubits in range(2, 7):
+        kinds, qa, qb, angles = pack(_prefixed(kind, n_qubits, rng))
+        _assert_rows_agree(n_qubits, kinds, qa, qb, np.vstack([angles, rng.uniform(-7, 7, (4, len(angles)))]))
