@@ -89,7 +89,10 @@
  *  - Threads. An episode reads only its own start, noise std and stream,
  *    writes only its own length, stream and [t, i] gradient rows, and runs
  *    on its thread's own scratch, so its operations are the same whichever
- *    thread plays it and whatever the others do.
+ *    thread plays it and whatever the others do. It draws from a private
+ *    copy of its stream, written back when it ends, and no two threads'
+ *    scratch share a cache line: that keeps cores from contending for
+ *    lines, and changes no operation.
  *  - -ffp-contract=off keeps multiply-adds unfused; never -ffast-math or
  *    -march=native, which may change the last bits. gcc runs the 2-wide
  *    vectors on SSE2, which every x86-64 has, with no -march flag. */
@@ -314,9 +317,11 @@ static ptrdiff_t prepare(struct sim *sim, int n_qubits, const int8_t *kinds, con
         n_rot += is_rotation(kinds[g]);
         n_runs += kinds[g] == KIND_CZ && (g == 0 || kinds[g - 1] != KIND_CZ);
     }
-    /* The amplitudes first, at malloc's 16-byte alignment. */
-    char *mem = malloc(3 * dim * sizeof(amp) + (2 * n_gates + n_rot) * sizeof(double) +
-                       n_gates * sizeof(struct op) + n_runs * dim * sizeof(int64_t));
+    /* The amplitudes first. The memory takes whole 64-byte cache lines, so
+     * that the scratch of two threads of play_episodes never shares one. */
+    size_t size = 3 * dim * sizeof(amp) + (2 * n_gates + n_rot) * sizeof(double) +
+                  n_gates * sizeof(struct op) + n_runs * dim * sizeof(int64_t);
+    char *mem = aligned_alloc(64, (size + 63) / 64 * 64);
     if (mem == NULL) {
         return -2;
     }
@@ -649,7 +654,10 @@ struct player {
 /* Takes the batch's next episode until none is left, and plays each: from
  * its start until it goes out of bounds or reaches the horizon, drawing
  * from its stream under its noise std; see play_episodes. A pthread start
- * routine, and the calling thread's share too. */
+ * routine, and the calling thread's share too. Each episode draws from a
+ * private copy of its stream row, written back when it ends: the rows are
+ * 88 bytes long, so neighbouring episodes, which other threads may play,
+ * share cache lines. */
 static void *play(void *arg) {
     struct player *pl = arg;
     struct batch *b = pl->batch;
@@ -657,7 +665,8 @@ static void *play(void *arg) {
     for (ptrdiff_t i; (i = atomic_fetch_add_explicit(&b->next, 1, memory_order_relaxed)) < b->n_episodes;) {
         double s[2][N_FEATURES];
         memcpy(s[0], b->starts + N_FEATURES * i, sizeof s[0]);
-        bitgen_t bg = bitgen(b->streams + i);
+        struct philox stream = b->streams[i];
+        bitgen_t bg = bitgen(&stream);
         ptrdiff_t t = 0;
         for (int out = out_of_bounds(b->cp, s[0]); !out && t < b->horizon; t++) {
             ptrdiff_t row = (t * b->n_episodes + i) * b->n_params;
@@ -667,6 +676,7 @@ static void *play(void *arg) {
             out = cartpole_step(b->cp, s[t % 2], right, b->square, s[(t + 1) % 2]);
         }
         b->lengths[i] = t;
+        b->streams[i] = stream;
     }
     return NULL;
 }

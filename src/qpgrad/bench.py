@@ -11,10 +11,13 @@ microseconds per episode-step: on ``c`` the start call
 ``play_episodes``, on ``numpy`` ``substream``, ``cartpole.reset`` and
 ``trainer.play_episodes``. Each is timed for one row or episode at a time
 and for a block of 100, the size of one validation batch. On ``c`` the
-batches of 100 episodes are timed twice: on one thread and on the kernel's
+batches of 100 episodes are timed on one thread and on the kernel's
 default thread count (``_sv_c.Kernel.threads``), so the gain of the threads
 shows on its own; the row calls run on one thread, and their times are
-given in both rows.
+given in both rows. The two counts are timed in ``ROUNDS`` alternating
+rounds, since a shared machine's speed drifts between two single
+measurements: each row gives its count's median, and the gain is the
+median of the rounds' ratios.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .trainer import play_batch
 
 BATCH_SIZES = (1, 100)
 EPISODE_HORIZON = 20  # the longest horizon of the timed episodes
+ROUNDS = 9  # alternating rounds of one thread and the default count
 
 
 def _available_kernels() -> dict:
@@ -92,16 +96,24 @@ def run_benchmark(repeats: int = 2000, spec: AnsatzSpec = AnsatzSpec(), seed: in
                 for _ in range(calls):
                     fn()
                 row_us[key] = (time.perf_counter() - t0) / (calls * batch) * 1e6
-            for threads in sorted({1, default if batch > 1 else 1}):
-                row = {"backend": name, "batch": batch, "threads": threads, **row_us}
-                if threads != default:
-                    kernel.threads = threads
-                try:
-                    row["episode_us"] = episodes_us(kernel, batch, train=False)
-                    row["train_episode_us"] = episodes_us(kernel, batch, train=True)
-                finally:
+            counts = sorted({1, default if batch > 1 else 1})
+            times = {n: {"episode_us": [], "train_episode_us": []} for n in counts}
+            for r in range(ROUNDS if len(counts) > 1 else 1):
+                for threads in counts if r % 2 == 0 else counts[::-1]:
                     if threads != default:
-                        kernel.threads = default
+                        kernel.threads = threads
+                    try:
+                        for key, train in (("episode_us", False), ("train_episode_us", True)):
+                            times[threads][key].append(episodes_us(kernel, batch, train))
+                    finally:
+                        if threads != default:
+                            kernel.threads = default
+            for threads in counts:
+                row = {"backend": name, "batch": batch, "threads": threads, **row_us}
+                row.update((key, float(np.median(us))) for key, us in times[threads].items())
+                if threads > 1:  # the gain over one thread, per key: the median of the rounds' ratios
+                    row["gain"] = {key: float(np.median(np.divide(times[1][key], us)))
+                                   for key, us in times[threads].items()}
                 rows.append(row)
     return rows
 
@@ -124,12 +136,11 @@ def print_benchmark(repeats: int = 2000) -> None:
                   f"forward+grad x{numpy['forward_grad_us'] / c['forward_grad_us']:.1f}, "
                   f"episodes x{numpy['episode_us'] / c['episode_us']:.1f}, "
                   f"training episodes x{numpy['train_episode_us'] / c['train_episode_us']:.1f}")
-    for (backend, batch, n), row in by_key.items():
-        if n > 1:
-            one = by_key[backend, batch, 1]
-            print(f"{n} threads against one, {backend} at batch {batch}: "
-                  f"episodes x{one['episode_us'] / row['episode_us']:.2f}, "
-                  f"training episodes x{one['train_episode_us'] / row['train_episode_us']:.2f}")
+    for row in rows:
+        if "gain" in row:
+            print(f"{row['threads']} threads against one, {row['backend']} at batch {row['batch']}, median of "
+                  f"{ROUNDS} alternating rounds: episodes x{row['gain']['episode_us']:.2f}, "
+                  f"training episodes x{row['gain']['train_episode_us']:.2f}")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,9 @@ functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import ConfigurationError
@@ -64,11 +66,11 @@ class InitRanges:
         limits = {"x": X_LIMIT, "theta": THETA_INIT_LIMIT}
         for name, (lo, hi) in self.items():
             for end, value in (("low", lo), ("high", hi)):
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise ConfigurationError(f"init.{name}_{end} must be finite, got {value}")
             if lo > hi:
                 raise ConfigurationError(f"init.{name}_low must be <= init.{name}_high, got [{lo}, {hi}]")
-            limit = limits.get(name, np.inf)
+            limit = limits.get(name, math.inf)
             if lo < -limit:
                 raise ConfigurationError(f"init.{name}_low must be >= -{limit}, got {lo}")
             if hi > limit:

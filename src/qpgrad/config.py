@@ -31,11 +31,13 @@ from .policy import ENCODINGS, ENTANGLERS, AnsatzSpec
 from .trainer import (
     BASELINE_BATCH_MEAN,
     BASELINE_NONE,
+    MAX_GRADIENT_BYTES,
     NORM_EPISODES,
     NORM_STEPS,
     OPT_ADAM,
     OPT_VANILLA,
     TrainConfig,
+    gradient_bytes,
 )
 
 COMMANDS = ("train", "curriculum", "eval-robustness", "eval-generalization")
@@ -85,6 +87,12 @@ class ExperimentConfig:
                 f"curriculum.validation_threshold ({self.curr_validation_threshold!r}) must be below train.horizon "
                 f"({self.train.horizon}): validation passes only when the mean reward, which is at most the horizon, "
                 f"exceeds the threshold")
+        blocks = gradient_bytes(self.ansatz, self.train)
+        if self.command in ("train", "curriculum") and blocks > MAX_GRADIENT_BYTES:
+            raise ConfigurationError(
+                f"train.horizon ({self.train.horizon}) is too long: the two gradient blocks of a batch of "
+                f"{self.train.minibatch or self.train.batch_size} episodes would take {blocks / 2**30:.1f} GiB, "
+                f"more than the limit of {MAX_GRADIENT_BYTES // 2**30} GiB")
         self.curriculum_schedule()  # its checks name the curriculum keys
 
     def curriculum_schedule(self) -> CurriculumSchedule:

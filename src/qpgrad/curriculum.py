@@ -25,7 +25,7 @@ from .cartpole import HORIZON, InitRanges
 from .errors import ConfigurationError
 from .policy import AnsatzSpec, PolicyParams
 from .seeding import STREAM_EPISODE, STREAM_VALIDATION, Streams
-from .trainer import AdamState, TrainConfig, apply_update, batch_gradient, play_batch, start_params
+from .trainer import AdamState, Batches, TrainConfig, apply_update, batch_gradient, play_batch, start_params
 
 DEFAULT_THETA_DOT_LIMITS = (0.25, 0.75, 1.25, 1.75)
 VALIDATION_THRESHOLD = 195.0
@@ -125,12 +125,12 @@ def run_curriculum(
     since_validation = 0
     val_tag = 0
     converged = False
+    n = config.batch_size
+    batches = Batches(spec, config, schedule.ranges, n)
 
     while failures < schedule.f_max:
-        n = config.batch_size
         streams = Streams(config.seed, (STREAM_EPISODE,), np.arange(episode, episode + n)[:, None])
-        lengths, (glp_nu, glp_omega) = play_batch(spec, params, streams, [schedule.ranges[range_idx]], config.horizon,
-                                                  grads=True)
+        lengths, (glp_nu, glp_omega) = batches.play(params, streams, range_idx)
         failed = lengths < config.horizon
         # the episode that uses up the budget ends the run; later episodes never happened
         kept = min(n, int(np.searchsorted(failures + np.cumsum(failed), schedule.f_max)) + 1)
@@ -141,7 +141,7 @@ def run_curriculum(
         since_validation += kept
         if kept < n:
             break
-        grad = batch_gradient(lengths, glp_nu, glp_omega, config)
+        grad = batch_gradient(lengths, glp_nu, glp_omega, config, batches.returns)
         params, opt_state = apply_update(params, grad, config, opt_state)
         if since_validation < schedule.validation_period:
             continue

@@ -107,12 +107,12 @@ def significance_label(baseline: tuple[float, float], candidate: tuple[float, fl
     return Significance.NEUTRAL
 
 
-def attraction_rate(episode_rewards, horizon: int = HORIZON) -> float:
-    """Fraction of episodes that collected the full-horizon reward."""
+def attraction_rates(episode_rewards, horizon: int = HORIZON) -> np.ndarray:
+    """Fraction of episodes that collected the full-horizon reward, over the last axis of ``episode_rewards``."""
     rewards = np.asarray(episode_rewards, dtype=np.float64)
-    if rewards.size == 0:
-        raise UsageError("attraction_rate needs at least one episode")
-    return float(np.mean(rewards == float(horizon)))
+    if rewards.ndim == 0 or rewards.shape[-1] == 0:
+        raise UsageError("attraction_rates needs at least one episode per rate")
+    return (rewards == horizon).mean(axis=-1)
 
 
 @dataclass
@@ -229,5 +229,5 @@ def generalization_grid(
     labels, rewards = _play_models("generalization_grid", models, model_labels, workers, spec,
                                    [_sim_cell(a, v, base_ranges) for a, v in cells], [0.0] * len(cells),
                                    grid.episodes_per_cell, horizon, seed)
-    rates = np.array([[attraction_rate(row, horizon) for row in model] for model in rewards])
+    rates = attraction_rates(rewards, horizon)
     return EvalReport(kind="generalization", model_labels=labels, points=cells, values=rates)

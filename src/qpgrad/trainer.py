@@ -25,14 +25,16 @@ episodes are independent of collection order. On the ``c`` backend the
 initial draw is made in C (``start_params``), as ``policy.init_params``
 makes it on ``numpy``.
 
-Every batch of episodes, for training, validation or evaluation, is one
-call of ``play_batch``, which names the episodes by their stream paths
-(``seeding.Streams``) and the init ranges of their groups. On the ``c``
-backend one C call derives every episode's Philox stream and draws its
-start, and one more plays the whole batch, so Python's work per batch does
-not grow with its size. On ``numpy`` each episode's stream is a
-``substream`` generator, its start a ``cartpole.reset``, and every live
-episode takes its t-th step at once (``play_episodes``). A batch is only
+Every batch of episodes, for validation or evaluation, is one call of
+``play_batch``, which names the episodes by their stream paths
+(``seeding.Streams``) and the init ranges of their groups. A training run
+plays its batches through ``Batches``, which builds what they share once
+per run and then plays each as ``play_batch`` would. On the ``c`` backend
+one C call derives every episode's Philox stream and draws its start, and
+one more plays the whole batch, so Python's work per batch does not grow
+with its size. On ``numpy`` each episode's stream is a ``substream``
+generator, its start a ``cartpole.reset``, and every live episode takes
+its t-th step at once (``play_episodes``). A batch is only
 ever held as blocks: its episode lengths (every step pays +1, so a length
 is also a total reward) and, for training, its per-step log-policy
 gradients, indexed by step, then episode. Each episode draws from its own
@@ -224,13 +226,20 @@ def play_batch(spec: AnsatzSpec, params: PolicyParams, streams: Streams, ranges,
     bad = sigmas[~(np.isfinite(sigmas) & (sigmas >= 0))]
     if bad.size:
         raise ConfigurationError(f"noise sigma must be finite and >= 0, got {bad[0]}")
+    shape = (horizon, n, spec.n_params_each)
+    glp = (np.empty(shape), np.empty(shape)) if grads else None
+    return _play(spec, params, streams, bounds, horizon, sigmas, glp), glp
+
+
+def _play(spec, params, streams, bounds, horizon, sigmas, glp) -> np.ndarray:
+    """The episode lengths of the checked batch ``streams``, episode i starting within ``bounds[i]`` ((B, 4, 2));
+    each training step writes its gradients to the blocks ``glp``, unless None."""
+    n = len(streams)
     tpl = pol.get_template(spec)
     nu_flat = params.nu.reshape(-1)
     om_flat = params.omega.reshape(-1)
-    shape = (horizon, n, spec.n_params_each)
-    glp = (np.empty(shape), np.empty(shape)) if grads else None
     # the C call writes whole (horizon, B, P) gradient blocks, so a gradient batch plays in one piece
-    chunk = max(n, 1) if grads else MAX_FORWARD_BATCH
+    chunk = max(n, 1) if glp is not None else MAX_FORWARD_BATCH
     lengths = np.empty(n, dtype=np.int64)
     kernel = qsim.episode_kernel()
     head = None if kernel is None else streams.head()
@@ -244,7 +253,41 @@ def play_batch(spec: AnsatzSpec, params: PolicyParams, streams: Streams, ranges,
             states, starts = kernel.start_episodes(head, streams.suffixes[part], bounds[part])
             lengths[part] = kernel.play_episodes(spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature,
                                                  nu_flat, om_flat, starts, sigmas[part], states, horizon, glp)
-    return lengths, glp
+    return lengths
+
+
+# The most memory the two gradient blocks of a training batch may take: a
+# larger train.horizon is rejected when the config is built, not mid-run.
+MAX_GRADIENT_BYTES = 2**30
+
+
+def gradient_bytes(spec: AnsatzSpec, config: TrainConfig) -> int:
+    """The bytes of the two float64 (horizon, batch, P) gradient blocks of ``config``'s largest batch."""
+    return 2 * 8 * config.horizon * (config.minibatch or config.batch_size) * spec.n_params_each
+
+
+class Batches:
+    """The fixed work of one training run's batches, done once per run.
+
+    It holds the init bounds of each of ``ranges`` for up to ``size``
+    episodes, one memory that every batch's gradient blocks are views of,
+    and the reward-to-go table of the run's horizon and discount. A batch's
+    blocks therefore hold its values only until the next batch is played.
+    """
+
+    def __init__(self, spec: AnsatzSpec, config: TrainConfig, ranges, size: int):
+        self.spec, self.horizon = spec, config.horizon
+        self.bounds = [np.repeat(r.bounds[None], size, axis=0) for r in ranges]
+        self.memory = np.empty(2 * config.horizon * size * spec.n_params_each)
+        self.returns = discounted_returns(np.ones(config.horizon), config.gamma)
+
+    def play(self, params: PolicyParams, streams: Streams, k: int = 0):
+        """``play_batch`` of the noise-free ``streams`` from ``ranges[k]``, with gradients, into the run's
+        memory: ``(lengths, glp)``."""
+        n, n_params = len(streams), self.spec.n_params_each
+        blocks = self.memory[: 2 * self.horizon * n * n_params].reshape(2, self.horizon, n, n_params)
+        glp = (blocks[0], blocks[1])
+        return _play(self.spec, params, streams, self.bounds[k][:n], self.horizon, np.zeros(n), glp), glp
 
 
 def discounted_returns(rewards, gamma: float) -> np.ndarray:
@@ -260,25 +303,28 @@ def discounted_returns(rewards, gamma: float) -> np.ndarray:
     return out
 
 
-def episode_returns(lengths: np.ndarray, gamma: float) -> np.ndarray:
+def episode_returns(lengths: np.ndarray, table: np.ndarray) -> np.ndarray:
     """(B, max(t_max, 1)) reward-to-go of episodes of the given lengths, 0 past each end.
 
-    Every step pays +1, so the returns of an episode of L steps are the
-    last L returns of the longest one.
+    ``table`` is a run's reward-to-go table, ``discounted_returns`` of as
+    many rewards of 1 as its horizon. Every step pays +1, so a return k
+    steps before an episode's end depends only on k, and an episode of L
+    steps takes the table's last L entries, bit for bit.
     """
     t_max = max(int(lengths.max(initial=0)), 1)
-    full = discounted_returns(np.ones(t_max), gamma)
     returns = np.zeros((len(lengths), t_max))
     for i, n_steps in enumerate(lengths.tolist()):
-        returns[i, :n_steps] = full[t_max - n_steps :]
+        returns[i, :n_steps] = table[len(table) - n_steps :]
     return returns
 
 
-def batch_gradient(lengths: np.ndarray, glp_nu: np.ndarray, glp_omega: np.ndarray, config: TrainConfig):
+def batch_gradient(lengths: np.ndarray, glp_nu: np.ndarray, glp_omega: np.ndarray, config: TrainConfig,
+                   table: np.ndarray):
     """REINFORCE estimator sum_ep sum_t G_t grad log pi(a_t|s_t), flat tensors.
 
-    Takes the episode lengths and gradient blocks of ``play_batch``; the
-    discount, baseline and normalizer come from ``config``.
+    Takes the episode lengths and gradient blocks of ``play_batch`` and the
+    reward-to-go ``table`` of ``episode_returns``, made with
+    ``config.gamma``; the baseline and normalizer come from ``config``.
     ``config.grad_norm`` picks the normalizer: "episodes" divides by the
     batch size (the textbook per-episode mean), "steps" by the total step
     count across the batch. The two differ only by a positive scalar, but
@@ -291,7 +337,7 @@ def batch_gradient(lengths: np.ndarray, glp_nu: np.ndarray, glp_omega: np.ndarra
     """
     if len(lengths) == 0:
         raise UsageError("batch_gradient needs at least one episode")
-    returns = episode_returns(lengths, config.gamma)
+    returns = episode_returns(lengths, table)
     if config.baseline == BASELINE_BATCH_MEAN:
         returns -= returns.mean(axis=0)
 
@@ -382,6 +428,7 @@ def train(
     records: list[TrainRecord] = []
     episode = 0
     minibatch = config.minibatch or config.batch_size
+    batches = Batches(spec, config, [ranges], minibatch)
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         epoch_lengths = []
@@ -390,18 +437,18 @@ def train(
             # on-policy: each minibatch is rolled out under the current params
             n = min(minibatch, config.batch_size - collected)
             streams = Streams(config.seed, (STREAM_EPISODE,), np.arange(episode, episode + n)[:, None])
-            lengths, (glp_nu, glp_omega) = play_batch(spec, params, streams, [ranges], config.horizon, grads=True)
+            lengths, (glp_nu, glp_omega) = batches.play(params, streams)
             episode += n
             if collected == 0:
                 penalty_before = pol.regularization_penalty(params, config.lam)
             collected += n
             epoch_lengths.append(lengths)
-            grad = batch_gradient(lengths, glp_nu, glp_omega, config)
+            grad = batch_gradient(lengths, glp_nu, glp_omega, config, batches.returns)
             params, opt_state = apply_update(params, grad, config, opt_state)
 
         lengths = np.concatenate(epoch_lengths)
         mean_reward = float(np.mean(lengths.astype(np.float64)))
-        mean_return = float(np.mean(episode_returns(lengths, config.gamma)[:, 0]))
+        mean_return = float(np.mean(episode_returns(lengths, batches.returns)[:, 0]))
         records.append(
             TrainRecord(
                 epoch=epoch,

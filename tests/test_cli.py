@@ -7,11 +7,12 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from qpgrad import qsim
+from qpgrad import cli, qsim
 from qpgrad.checkpoint import load_checkpoint, save_checkpoint
 from qpgrad.cli import main
 from qpgrad.errors import ConfigurationError
@@ -402,6 +403,19 @@ class TestExitCodes:
         assert not out.exists()
         # a training run may have a short horizon
         assert run_cli(*tiny_train_args(tmp_path / "train", seeds=1, extra=("--set", "train.horizon=8"))) == 0
+
+    def test_horizon_too_long_for_the_gradient_blocks_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # rejected when the config is built, so no run starts and no block is allocated
+        never = mock.Mock(side_effect=AssertionError("a run started"))
+        monkeypatch.setattr(cli, "train", never)
+        monkeypatch.setattr(cli, "run_curriculum", never)
+        for command in ("train", "curriculum"):
+            out = tmp_path / command
+            assert run_cli(command, "--seed", "1", "--out", str(out), "--set", "train.horizon=100000000") == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "train.horizon" in err and "GiB" in err
+            assert not out.exists()
+        never.assert_not_called()
 
     def test_more_qubits_than_cartpole_features_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,7 +1,9 @@
 """Config parsing, defaults, strictness, and round-trip serialization."""
 
+import re
 from dataclasses import fields, is_dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from qpgrad.config import (
     serialize_config,
 )
 from qpgrad.errors import ConfigurationError
+from qpgrad.trainer import MAX_GRADIENT_BYTES
 
 
 def _floats(lo=-1e300, hi=1e300):
@@ -212,6 +215,26 @@ class TestStrictParsing:
             assert build_config({"run.command": command, "train.minibatch": minibatch}).train.minibatch == int(minibatch)
         with pytest.raises(ConfigurationError, match="train.minibatch"):
             build_config({"run.command": "curriculum", "train.minibatch": "5"})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), np.float64("nan")])
+    def test_init_ranges_reject_a_non_finite_end_naming_it(self, value):
+        for name in ("x", "x_dot", "theta", "theta_dot"):
+            for end, pair in (("low", (value, 0.0)), ("high", (0.0, value))):
+                message = re.escape(f"init.{name}_{end} must be finite, got {value}")
+                with pytest.raises(ConfigurationError, match=message):
+                    InitRanges(**{name: pair})
+
+    def test_horizon_whose_gradient_blocks_exceed_the_limit_is_rejected(self):
+        # default batches of 10 episodes on 24 parameters: 2 blocks * 8 bytes * 240 per step of horizon
+        longest = MAX_GRADIENT_BYTES // (2 * 8 * 10 * 24)
+        for command in ("train", "curriculum"):
+            assert build_config({"run.command": command, "train.horizon": str(longest)}).train.horizon == longest
+            with pytest.raises(ConfigurationError, match="train.horizon"):
+                build_config({"run.command": command, "train.horizon": str(longest + 1)})
+        # minibatches size the blocks, and only training keeps them
+        assert build_config({"train.horizon": str(longest + 1), "train.minibatch": "5"}).train.horizon == longest + 1
+        for command in ("eval-robustness", "eval-generalization"):
+            assert build_config({"run.command": command, "train.horizon": "100000000"}).train.horizon == 100000000
 
     def test_curriculum_threshold_must_lie_below_the_horizon(self):
         # a mean reward is at most the horizon, so validation against a threshold at or above it never passes

@@ -10,7 +10,7 @@ from qpgrad.errors import ConfigurationError, UsageError
 from qpgrad.evalharness import (
     EvalGridSpec,
     Significance,
-    attraction_rate,
+    attraction_rates,
     generalization_grid,
     map_jobs,
     robustness_sweep,
@@ -23,24 +23,36 @@ SPEC = AnsatzSpec()
 
 class TestAttractionRate:
     def test_all_full_horizon(self):
-        assert attraction_rate([200.0] * 100) == 1.0
+        assert attraction_rates([200.0] * 100) == 1.0
 
     def test_partial(self):
         rewards = [200.0] * 75 + [143.0] * 25
-        assert attraction_rate(rewards) == 0.75
+        assert attraction_rates(rewards) == 0.75
 
     def test_none(self):
-        assert attraction_rate([199.0, 23.0, 180.0]) == 0.0
+        assert attraction_rates([199.0, 23.0, 180.0]) == 0.0
 
     def test_empty_rejected(self):
-        with pytest.raises(UsageError):
-            attraction_rate([])
+        for empty in ([], np.zeros((3, 0)), 200.0):
+            with pytest.raises(UsageError):
+                attraction_rates(empty)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
         rewards = rng.choice([200.0, 150.0, 60.0], size=50)
         shuffled = rng.permutation(rewards)
-        assert attraction_rate(rewards) == attraction_rate(shuffled)
+        assert attraction_rates(rewards) == attraction_rates(shuffled)
+
+    def test_bulk_rates_are_the_bits_of_one_row_at_a_time(self):
+        # the rates of a (models, points, episodes) block, against the per-row mean the grid took before
+        rng = np.random.default_rng(1)
+        for horizon in (1, 7, 200):
+            for shape in ((1, 1, 1), (2, 6, 2), (3, 143, 100), (4, 5, 7)):
+                rewards = rng.choice([float(horizon), horizon - 0.5, 0.0, horizon + 1.0], size=shape)
+                rows = np.array([[float(np.mean(row == float(horizon))) for row in model] for model in rewards])
+                rates = attraction_rates(rewards, horizon)
+                assert rates.shape == shape[:2]
+                assert np.array_equal(rates.view(np.int64), rows.view(np.int64))
 
 
 class TestSignificanceLabel:

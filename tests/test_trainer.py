@@ -11,14 +11,17 @@ from hypothesis import strategies as st
 from qpgrad import qsim, trainer
 from qpgrad.cartpole import InitRanges
 from qpgrad.checkpoint import save_checkpoint
+from qpgrad.curriculum import default_schedule
 from qpgrad.errors import ConfigurationError, UsageError
 from qpgrad.policy import AnsatzSpec, PolicyParams, init_params, zero_params
 from qpgrad.seeding import STREAM_EPISODE, STREAM_INIT, Streams, derive_run_seeds, substream
 from qpgrad.trainer import (
+    Batches,
     TrainConfig,
     apply_update,
     batch_gradient,
     discounted_returns,
+    episode_returns,
     play_batch,
     train,
 )
@@ -38,7 +41,7 @@ def gradient(trajs, gamma, baseline="none", grad_norm="episodes"):
         for block, glp in zip(blocks, pair):
             block[: len(glp), i] = glp
     config = TrainConfig(gamma=gamma, baseline=baseline, grad_norm=grad_norm)
-    return batch_gradient(lengths, blocks[0], blocks[1], config)
+    return batch_gradient(lengths, blocks[0], blocks[1], config, discounted_returns(np.ones(len(blocks[0])), gamma))
 
 
 class TestDiscountedReturns:
@@ -53,6 +56,69 @@ class TestDiscountedReturns:
         out = discounted_returns([1.0] * 200, 1.0)
         assert out[0] == pytest.approx(200.0)
         assert out[-1] == pytest.approx(1.0)
+
+
+class TestRewardToGoTable:
+    """A run's one table gives every episode the bits of its own ``discounted_returns``."""
+
+    HORIZON = 60
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.99, 1.0])
+    def test_suffixes_are_each_length_own_returns(self, gamma):
+        table = Batches(SPEC, TrainConfig(gamma=gamma, horizon=self.HORIZON), [InitRanges()], 1).returns
+        assert len(table) == self.HORIZON
+        for length in range(self.HORIZON + 1):
+            own = discounted_returns(np.ones(length), gamma)
+            assert np.array_equal(table[self.HORIZON - length :].view(np.int64), own.view(np.int64))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.99, 1.0])
+    def test_baseline_block_and_mean_return_are_each_episode_own_returns(self, gamma):
+        table = discounted_returns(np.ones(self.HORIZON), gamma)
+        rng = np.random.default_rng(9)
+        batches = [np.zeros(3, dtype=np.int64), np.full(12, self.HORIZON), np.array([0, self.HORIZON, 1])]
+        batches += [rng.integers(0, self.HORIZON + 1, int(rng.integers(1, 20))) for _ in range(30)]
+        for lengths in batches:
+            block = episode_returns(lengths, table)
+            padded = np.zeros((len(lengths), max(int(lengths.max()), 1)))
+            for i, length in enumerate(lengths.tolist()):
+                padded[i, :length] = discounted_returns(np.ones(length), gamma)
+            assert np.array_equal(block.view(np.int64), padded.view(np.int64))
+            assert np.array_equal(block.mean(axis=0).view(np.int64), padded.mean(axis=0).view(np.int64))
+            # train's mean_return: the mean over episodes of each one's return from its first step
+            firsts = [discounted_returns(np.ones(length), gamma)[0] if length else 0.0 for length in lengths.tolist()]
+            assert float(np.mean(block[:, 0])) == float(np.mean(firsts))
+
+
+class TestBatches:
+    """A run's batches reuse one memory for their gradient blocks, and no batch reads what another left there."""
+
+    @pytest.mark.parametrize("path", ["train", "curriculum"])
+    def test_reused_blocks_never_leak(self, path):
+        draw = np.random.default_rng(12)
+        spec = AnsatzSpec(n_layers=1)
+        params = PolicyParams(draw.uniform(-np.pi, np.pi, spec.param_shape), draw.normal(0, 1, spec.param_shape))
+        config = TrainConfig(batch_size=5, minibatch=5 if path == "curriculum" else 3, horizon=60, gamma=0.97, seed=5)
+        if path == "train":  # a whole minibatch of 3, then the last 2 episodes of the batch
+            ranges, long, short = [InitRanges()], (0, 3, 0), (3, 2, 0)
+        else:  # a batch from the narrowest range, then one from the widest, where episodes fall sooner
+            ranges = default_schedule(theta_dot_limits=(0.05, 1.75)).ranges
+            long, short = (0, 5, 0), (5, 5, 1)
+        batches = Batches(spec, config, ranges, config.minibatch)
+
+        def streams(first, n):
+            return Streams(config.seed, (STREAM_EPISODE,), np.arange(first, first + n)[:, None])
+
+        for poison in (False, True):
+            batches.play(params, streams(*long[:2]), long[2])
+            if poison:
+                batches.memory[:] = np.nan
+            lengths, glp = batches.play(params, streams(*short[:2]), short[2])
+            fresh, fresh_glp = play_batch(spec, params, streams(*short[:2]), [ranges[short[2]]], 60, grads=True)
+            assert np.array_equal(lengths, fresh)
+            got = batch_gradient(lengths, *glp, config, batches.returns)
+            want = batch_gradient(fresh, *fresh_glp, config, discounted_returns(np.ones(60), config.gamma))
+            for a, b in zip(got, want):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestBatchGradient:
@@ -85,7 +151,7 @@ class TestBatchGradient:
     def test_empty_batch_raises(self):
         with pytest.raises(UsageError):
             empty = np.zeros((200, 0, 48))
-            batch_gradient(np.zeros(0, dtype=np.int64), empty, empty, TrainConfig())
+            batch_gradient(np.zeros(0, dtype=np.int64), empty, empty, TrainConfig(), np.ones(200))
 
     def test_batch_mean_baseline_zeroes_identical_batch(self):
         rng = np.random.default_rng(2)
@@ -351,7 +417,8 @@ class TestTrain:
             for n in (3, 3, 3, 1):
                 streams = Streams(17, (STREAM_EPISODE,), np.arange(episode, episode + n)[:, None])
                 played, glp = play_batch(spec, expected, streams, [InitRanges()], cfg.horizon, grads=True)
-                expected, opt_state = apply_update(expected, batch_gradient(played, *glp, cfg), cfg, opt_state)
+                grad = batch_gradient(played, *glp, cfg, discounted_returns(np.ones(cfg.horizon), cfg.gamma))
+                expected, opt_state = apply_update(expected, grad, cfg, opt_state)
                 lengths.extend(played.tolist())
                 episode += n
             assert record.mean_reward == np.mean(lengths)
