@@ -16,8 +16,10 @@ default thread count (``_sv_c.Kernel.threads``), so the gain of the threads
 shows on its own; the row calls run on one thread, and their times are
 given in both rows. The two counts are timed in ``ROUNDS`` alternating
 rounds, since a shared machine's speed drifts between two single
-measurements: each row gives its count's median, and the gain is the
-median of the rounds' ratios.
+measurements, and each round times ``ROUND_CALLS`` calls, so that a
+call's thread start and join and any single stall weigh on a sample no
+more than on a long run: each row gives its count's median, and the gain
+is the median of the rounds' ratios.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .trainer import play_batch
 BATCH_SIZES = (1, 100)
 EPISODE_HORIZON = 20  # the longest horizon of the timed episodes
 ROUNDS = 9  # alternating rounds of one thread and the default count
+ROUND_CALLS = 10  # the fewest episode calls timed per round
 
 
 def _available_kernels() -> dict:
@@ -69,11 +72,11 @@ def run_benchmark(repeats: int = 2000, spec: AnsatzSpec = AnsatzSpec(), seed: in
     obs = rng.uniform(-1.0, 1.0, (max(BATCH_SIZES), spec.n_qubits))
     gates = (spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb)
 
-    def episodes_us(kernel, batch, train):
-        """Microseconds per episode-step of batches of fresh episodes on ``kernel``."""
+    def episodes_us(kernel, batch, train, calls):
+        """Microseconds per episode-step of at least ``calls`` batches of fresh episodes on ``kernel``."""
         horizon = min(EPISODE_HORIZON, max(1, repeats // batch))
         paths = [Streams(seed, (STREAM_EPISODE,), np.arange(c * batch, (c + 1) * batch)[:, None])
-                 for c in range(max(1, repeats // (batch * horizon)))]
+                 for c in range(max(calls, repeats // (batch * horizon)))]
         t0 = time.perf_counter()
         steps = 0
         for streams in paths:
@@ -98,13 +101,14 @@ def run_benchmark(repeats: int = 2000, spec: AnsatzSpec = AnsatzSpec(), seed: in
                 row_us[key] = (time.perf_counter() - t0) / (calls * batch) * 1e6
             counts = sorted({1, default if batch > 1 else 1})
             times = {n: {"episode_us": [], "train_episode_us": []} for n in counts}
-            for r in range(ROUNDS if len(counts) > 1 else 1):
+            rounds, calls = (ROUNDS, ROUND_CALLS) if len(counts) > 1 else (1, 1)
+            for r in range(rounds):
                 for threads in counts if r % 2 == 0 else counts[::-1]:
                     if threads != default:
                         kernel.threads = threads
                     try:
                         for key, train in (("episode_us", False), ("train_episode_us", True)):
-                            times[threads][key].append(episodes_us(kernel, batch, train))
+                            times[threads][key].append(episodes_us(kernel, batch, train, calls))
                     finally:
                         if threads != default:
                             kernel.threads = default
@@ -139,8 +143,8 @@ def print_benchmark(repeats: int = 2000) -> None:
     for row in rows:
         if "gain" in row:
             print(f"{row['threads']} threads against one, {row['backend']} at batch {row['batch']}, median of "
-                  f"{ROUNDS} alternating rounds: episodes x{row['gain']['episode_us']:.2f}, "
-                  f"training episodes x{row['gain']['train_episode_us']:.2f}")
+                  f"{ROUNDS} alternating rounds of {ROUND_CALLS} or more calls: episodes "
+                  f"x{row['gain']['episode_us']:.2f}, training episodes x{row['gain']['train_episode_us']:.2f}")
 
 
 if __name__ == "__main__":

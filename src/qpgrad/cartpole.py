@@ -84,12 +84,6 @@ class InitRanges:
         """(4, 2) rows of (low, high) in feature order, as ``reset`` takes them."""
         return np.array([r for _, r in self.items()], dtype=np.float64)
 
-    def contains(self, other: "InitRanges") -> bool:
-        return all(
-            lo <= olo and ohi <= hi
-            for (_, (lo, hi)), (_, (olo, ohi)) in zip(self.items(), other.items())
-        )
-
 
 @dataclass(frozen=True)
 class NoiseModel:

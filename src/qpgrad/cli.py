@@ -143,7 +143,7 @@ def _train_job(payload):
 def _curriculum_job(payload):
     config, run_seed = payload
     train_cfg = replace(config.train, seed=run_seed)
-    result = run_curriculum(train_cfg, config.ansatz, config.curriculum_schedule())
+    result = run_curriculum(train_cfg, config.ansatz, config.curriculum, config.init)
     return run_seed, result
 
 

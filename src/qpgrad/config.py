@@ -8,7 +8,10 @@ learning rate 0.05, discount 0.99, 3 layers on 4 qubits.
 
 One table, ``_KEYS``, declares every key once: its parser and the path of
 its field in ``ExperimentConfig``. Parsing, building and serializing all
-read it, so a new key is one line there plus its field.
+read it, so a new key is one line there plus its field, in every section.
+A section, such as ``train``, ``grid`` or ``curriculum``, is the object
+that uses its keys: it holds each value as the config writes it and checks
+it once, in its own constructor, with the key in the message.
 
 ``serialize_config`` emits every key in canonical order with full-precision
 floats, so ``build_config(parse_config_text(serialize_config(c))) == c``. A
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .cartpole import N_FEATURES, InitRanges
-from .curriculum import DEFAULT_THETA_DOT_LIMITS, CurriculumSchedule, default_schedule
+from .curriculum import CurriculumSchedule
 from .errors import ConfigurationError
 from .evalharness import EvalGridSpec
 from .policy import ENCODINGS, ENTANGLERS, AnsatzSpec
@@ -37,6 +40,7 @@ from .trainer import (
     OPT_ADAM,
     OPT_VANILLA,
     TrainConfig,
+    forward_bytes,
     gradient_bytes,
 )
 
@@ -59,11 +63,7 @@ class ExperimentConfig:
     eval_sigmas: tuple = DEFAULT_SIGMAS
     eval_episodes: int = 100
     grid: EvalGridSpec = EvalGridSpec()
-    curr_limits: tuple = DEFAULT_THETA_DOT_LIMITS
-    curr_max_failures: int = CurriculumSchedule.f_max  # the schedule's own defaults
-    curr_validation_episodes: int = CurriculumSchedule.validation_episodes
-    curr_validation_threshold: float = CurriculumSchedule.validation_threshold
-    curr_validation_period: int = CurriculumSchedule.validation_period
+    curriculum: CurriculumSchedule = CurriculumSchedule()
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -82,9 +82,10 @@ class ExperimentConfig:
         if self.command == "curriculum" and self.train.minibatch not in (0, self.train.batch_size):
             raise ConfigurationError(f"train.minibatch: curriculum updates on whole batches, so it must be 0 or "
                                      f"train.batch_size ({self.train.batch_size}), got {self.train.minibatch}")
-        if self.command == "curriculum" and self.curr_validation_threshold >= self.train.horizon:
+        threshold = self.curriculum.validation_threshold
+        if self.command == "curriculum" and threshold >= self.train.horizon:
             raise ConfigurationError(
-                f"curriculum.validation_threshold ({self.curr_validation_threshold!r}) must be below train.horizon "
+                f"curriculum.validation_threshold ({threshold!r}) must be below train.horizon "
                 f"({self.train.horizon}): validation passes only when the mean reward, which is at most the horizon, "
                 f"exceeds the threshold")
         blocks = gradient_bytes(self.ansatz, self.train)
@@ -93,18 +94,21 @@ class ExperimentConfig:
                 f"train.horizon ({self.train.horizon}) is too long: the two gradient blocks of a batch of "
                 f"{self.train.minibatch or self.train.batch_size} episodes would take {blocks / 2**30:.1f} GiB, "
                 f"more than the limit of {MAX_GRADIENT_BYTES // 2**30} GiB")
-        self.curriculum_schedule()  # its checks name the curriculum keys
-
-    def curriculum_schedule(self) -> CurriculumSchedule:
-        return default_schedule(
-            base=self.init,
-            theta_dot_limits=self.curr_limits,
-            f_max=self.curr_max_failures,
-            validation_episodes=self.curr_validation_episodes,
-            validation_threshold=self.curr_validation_threshold,
-            validation_period=self.curr_validation_period,
-        )
-
+        # the forward batch this command plays for one model: its size key and that key's value, the episodes
+        # per unit of that value, and the stream path components that end each episode's stream
+        batch = {
+            "curriculum": ("curriculum.validation_episodes", self.curriculum.validation_episodes, 1, 1),
+            "eval-robustness": ("eval.episodes", self.eval_episodes, len(self.eval_sigmas), 2),
+            "eval-generalization": ("grid.cell_episodes", self.grid.episodes_per_cell, len(self.grid.cells()), 2),
+        }.get(self.command)
+        if batch:
+            key, value, points, path = batch
+            size = forward_bytes(value * points, path)
+            if size > MAX_GRADIENT_BYTES:
+                raise ConfigurationError(
+                    f"{key} ({value}) is too large: one model's batch of {value * points} episodes would hold "
+                    f"{size / 2**30:.1f} GiB of per-episode arrays, more than the limit of "
+                    f"{MAX_GRADIENT_BYTES // 2**30} GiB")
 
 _DEFAULTS = ExperimentConfig()
 
@@ -113,8 +117,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
-        if isinstance(value[0], tuple):  # grid bins are written as their edges
-            value = _bins_to_edges(value)
         return ",".join(_fmt(v) for v in value)
     return str(value)
 
@@ -152,31 +154,6 @@ def _parse_sigmas(key: str, raw: str) -> tuple:
     if min(sigmas) < 0:
         raise ConfigurationError(f"{key}: noise levels must be >= 0, got {raw!r}")
     return sigmas
-
-
-def _parse_limits(key: str, raw: str) -> tuple:
-    limits = _parse_float_list(key, raw)
-    if any(b <= a for a, b in zip(limits, limits[1:])) or limits[0] <= 0:
-        raise ConfigurationError(f"{key} must be positive and strictly increasing")
-    return limits
-
-
-def _edges_to_bins(key: str, raw: str) -> tuple:
-    edges = _parse_float_list(key, raw)
-    if len(edges) < 2:
-        raise ConfigurationError(f"{key}: need at least two edges")
-    if any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ConfigurationError(f"{key}: edges must be strictly increasing")
-    return tuple((lo, hi) for lo, hi in zip(edges, edges[1:]))
-
-
-def _bins_to_edges(bins) -> tuple:
-    edges = [bins[0][0]]
-    for lo, hi in bins:
-        if lo != edges[-1]:
-            raise ConfigurationError("grid bins are not contiguous; cannot serialize as edges")
-        edges.append(hi)
-    return tuple(edges)
 
 
 def _choice(*choices):
@@ -221,14 +198,14 @@ _KEYS: dict = {
     "eval.checkpoints": (_parse_str, ("eval_checkpoints",)),
     "eval.sigmas": (_parse_sigmas, ("eval_sigmas",)),
     "eval.episodes": (_parse_int, ("eval_episodes",)),
-    "grid.angle_edges": (_edges_to_bins, ("grid", "angle_bins")),
-    "grid.velocity_edges": (_edges_to_bins, ("grid", "velocity_bins")),
+    "grid.angle_edges": (_parse_float_list, ("grid", "angle_edges")),
+    "grid.velocity_edges": (_parse_float_list, ("grid", "velocity_edges")),
     "grid.cell_episodes": (_parse_int, ("grid", "episodes_per_cell")),
-    "curriculum.ranges": (_parse_limits, ("curr_limits",)),
-    "curriculum.max_failures": (_parse_int, ("curr_max_failures",)),
-    "curriculum.validation_episodes": (_parse_int, ("curr_validation_episodes",)),
-    "curriculum.validation_threshold": (_parse_float, ("curr_validation_threshold",)),
-    "curriculum.validation_period": (_parse_int, ("curr_validation_period",)),
+    "curriculum.ranges": (_parse_float_list, ("curriculum", "theta_dot_limits")),
+    "curriculum.max_failures": (_parse_int, ("curriculum", "f_max")),
+    "curriculum.validation_episodes": (_parse_int, ("curriculum", "validation_episodes")),
+    "curriculum.validation_threshold": (_parse_float, ("curriculum", "validation_threshold")),
+    "curriculum.validation_period": (_parse_int, ("curriculum", "validation_period")),
 }
 
 

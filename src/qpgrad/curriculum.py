@@ -1,5 +1,11 @@
 """Curriculum training over an expanding schedule of initial-condition ranges.
 
+A ``CurriculumSchedule`` holds the ``curriculum.*`` settings as the config
+writes them: the pole angular-velocity half-widths of ``curriculum.ranges``
+and the four counts. Range k is the run's base ``InitRanges`` (the
+``init.*`` keys) with its ``theta_dot`` interval replaced by
+(-limit k, limit k), so the ranges expand as the limits grow.
+
 Training rolls out one batch of episodes at a time from the current range,
 counting every early-terminated training episode as a failure against a
 global budget ``f_max``. Failures are counted in episode order, and the
@@ -17,7 +23,8 @@ is tracked separately for reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,45 +34,38 @@ from .policy import AnsatzSpec, PolicyParams
 from .seeding import STREAM_EPISODE, STREAM_VALIDATION, Streams
 from .trainer import AdamState, Batches, TrainConfig, apply_update, batch_gradient, play_batch, start_params
 
-DEFAULT_THETA_DOT_LIMITS = (0.25, 0.75, 1.25, 1.75)
 VALIDATION_THRESHOLD = 195.0
-
-
-def default_schedule(
-    base: InitRanges = InitRanges(), theta_dot_limits=DEFAULT_THETA_DOT_LIMITS, **options
-) -> "CurriculumSchedule":
-    """Schedule expanding only the pole angular-velocity interval (raw rad/s).
-
-    ``options`` are the other fields of ``CurriculumSchedule``.
-    """
-    ranges = [
-        InitRanges(x=base.x, x_dot=base.x_dot, theta=base.theta, theta_dot=(-lim, lim))
-        for lim in theta_dot_limits
-    ]
-    return CurriculumSchedule(ranges=ranges, **options)
 
 
 @dataclass(frozen=True)
 class CurriculumSchedule:
-    ranges: tuple
+    """The ``curriculum.*`` settings, as the config writes them. Range k keeps the base ranges of x, x_dot and
+    theta, and takes the pole angular velocity interval (-limit, limit) of ``theta_dot_limits[k]`` (raw rad/s)."""
+
+    theta_dot_limits: tuple = (0.25, 0.75, 1.25, 1.75)
     f_max: int = 1000
     validation_episodes: int = 100
     validation_threshold: float = VALIDATION_THRESHOLD
     validation_period: int = 10
 
     def __post_init__(self):
-        object.__setattr__(self, "ranges", tuple(self.ranges))
-        if not self.ranges:
-            raise ConfigurationError("curriculum needs at least one range")
-        for prev, nxt in zip(self.ranges, self.ranges[1:]):
-            if not nxt.contains(prev):
-                raise ConfigurationError("curriculum ranges must be expanding")
+        limits = tuple(float(lim) for lim in self.theta_dot_limits)
+        object.__setattr__(self, "theta_dot_limits", limits)
+        # finite too: 0 < limits[0] and limits[-1] < inf
+        if not limits or not all(a < b for a, b in zip((0.0, *limits), (*limits, math.inf))):
+            raise ConfigurationError("curriculum.ranges must be positive and strictly increasing")
         if self.f_max < 0:
             raise ConfigurationError("curriculum.max_failures must be >= 0")
         if self.validation_episodes < 1:
             raise ConfigurationError("curriculum.validation_episodes must be >= 1")
+        if not math.isfinite(self.validation_threshold):
+            raise ConfigurationError(f"curriculum.validation_threshold must be finite, got {self.validation_threshold}")
         if self.validation_period < 1:
             raise ConfigurationError("curriculum.validation_period must be >= 1")
+
+    def ranges(self, base: InitRanges) -> list[InitRanges]:
+        """The expanding ranges of the schedule around ``base``."""
+        return [replace(base, theta_dot=(-lim, lim)) for lim in self.theta_dot_limits]
 
 
 @dataclass
@@ -112,13 +112,15 @@ def run_curriculum(
     config: TrainConfig,
     spec: AnsatzSpec,
     schedule: CurriculumSchedule,
+    base: InitRanges = InitRanges(),
     initial_params: PolicyParams | None = None,
 ) -> CurriculumResult:
-    """Train through the schedule until the final range passes or failures hit f_max."""
+    """Train through the schedule's ranges around ``base`` until the final range passes or failures hit f_max."""
     params = start_params(spec, config.seed, initial_params)
     opt_state: AdamState | None = None
 
-    outcomes = [RangeOutcome(ranges=r) for r in schedule.ranges]
+    ranges = schedule.ranges(base)
+    outcomes = [RangeOutcome(ranges=r) for r in ranges]
     failures = 0
     episode = 0
     range_idx = 0
@@ -126,7 +128,7 @@ def run_curriculum(
     val_tag = 0
     converged = False
     n = config.batch_size
-    batches = Batches(spec, config, schedule.ranges, n)
+    batches = Batches(spec, config, ranges, n)
 
     while failures < schedule.f_max:
         streams = Streams(config.seed, (STREAM_EPISODE,), np.arange(episode, episode + n)[:, None])
@@ -149,7 +151,7 @@ def run_curriculum(
         mean, passed, val_failed = validate(
             spec,
             params,
-            schedule.ranges[range_idx],
+            ranges[range_idx],
             schedule.validation_episodes,
             schedule.validation_threshold,
             config.horizon,
@@ -164,7 +166,7 @@ def run_curriculum(
             continue
         out.passed = True
         out.snapshot = params.copy()
-        if range_idx == len(schedule.ranges) - 1:
+        if range_idx == len(ranges) - 1:
             converged = True
             break
         range_idx += 1

@@ -6,6 +6,8 @@ Two campaigns over a set of trained models:
   increasing strength, default initial conditions;
 * generalization grid — attraction rate (fraction of episodes reaching the
   full horizon) over a grid of initial pole angle x angular-velocity bins.
+  ``EvalGridSpec`` holds each axis as the config writes it, as bin edges,
+  and pairs consecutive edges into bins.
 
 Results aggregate across models (mean and population std per point) and can
 be compared with the non-overlap significance rule: candidate considerably
@@ -40,34 +42,28 @@ from .seeding import STREAM_EVAL, Streams
 from .trainer import play_batch
 
 
-def _bins(edges) -> tuple:
-    return tuple(zip(edges, edges[1:]))
-
-
 _DEG = np.pi / 180.0
 
 
 @dataclass(frozen=True)
 class EvalGridSpec:
-    """Initial-condition grid: pole angle bins in degrees, angular-velocity bins in rad/s."""
+    """Initial-condition grid, as the config writes it: pole angle bin edges in degrees, within the admissible
+    initial angles, and angular-velocity bin edges in rad/s. Bin i spans edges i and i + 1."""
 
-    angle_bins: tuple = _bins([round(-2.75 + 0.5 * i, 2) for i in range(12)])
-    velocity_bins: tuple = _bins([round(0.02 * i, 2) for i in range(14)])
+    angle_edges: tuple = tuple(round(-2.75 + 0.5 * i, 2) for i in range(12))
+    velocity_edges: tuple = tuple(round(0.02 * i, 2) for i in range(14))
     episodes_per_cell: int = 100
 
     def __post_init__(self):
-        object.__setattr__(self, "angle_bins", tuple(tuple(b) for b in self.angle_bins))
-        object.__setattr__(self, "velocity_bins", tuple(tuple(b) for b in self.velocity_bins))
-        for name, bins in (("angle", self.angle_bins), ("velocity", self.velocity_bins)):
-            if not bins:
-                raise ConfigurationError(f"grid needs at least one {name} bin")
-            for lo, hi in bins:
-                if lo > hi:
-                    raise ConfigurationError(f"{name} bin [{lo}, {hi}] is inverted")
-            for (_, hi), (lo, _) in zip(bins, bins[1:]):
-                if lo < hi:
-                    raise ConfigurationError(f"{name} bins must be ordered and non-overlapping")
-        for lo, hi in self.angle_bins:
+        for name in ("angle_edges", "velocity_edges"):
+            edges = tuple(float(e) for e in getattr(self, name))
+            object.__setattr__(self, name, edges)
+            if len(edges) < 2:
+                raise ConfigurationError(f"grid.{name}: need at least two edges")
+            # finite too: -inf < edges[0] and edges[-1] < inf
+            if not all(a < b for a, b in zip((-np.inf, *edges), (*edges, np.inf))):
+                raise ConfigurationError(f"grid.{name}: edges must be strictly increasing")
+        for lo, hi in zip(self.angle_edges, self.angle_edges[1:]):
             if lo * _DEG < -THETA_INIT_LIMIT or hi * _DEG > THETA_INIT_LIMIT:
                 raise ConfigurationError(
                     f"grid.angle_edges: bin [{lo}, {hi}] deg leaves the admissible initial pole "
@@ -78,8 +74,9 @@ class EvalGridSpec:
             raise ConfigurationError("grid.cell_episodes must be >= 1")
 
     def cells(self):
-        """(angle_bin, velocity_bin) pairs, angle-major order."""
-        return [(a, v) for a in self.angle_bins for v in self.velocity_bins]
+        """(angle_bin, velocity_bin) pairs of consecutive edges, angle-major order."""
+        a, v = self.angle_edges, self.velocity_edges
+        return [(a_bin, v_bin) for a_bin in zip(a, a[1:]) for v_bin in zip(v, v[1:])]
 
 
 class Significance(enum.Enum):

@@ -53,6 +53,7 @@ import numpy as np
 
 from . import policy as pol
 from . import qsim
+from ._sv_c import STREAM_WORDS
 from .cartpole import HORIZON, InitRanges, NoiseModel, normalize, out_of_bounds, reset, step_batch
 from .errors import ConfigurationError, UsageError
 from .policy import AnsatzSpec, PolicyParams
@@ -256,14 +257,21 @@ def _play(spec, params, streams, bounds, horizon, sigmas, glp) -> np.ndarray:
     return lengths
 
 
-# The most memory the two gradient blocks of a training batch may take: a
-# larger train.horizon is rejected when the config is built, not mid-run.
+# The most memory the two gradient blocks of a training batch, or the
+# per-episode arrays of one model's forward batch, may take: a larger
+# setting is rejected when the config is built, not mid-run.
 MAX_GRADIENT_BYTES = 2**30
 
 
 def gradient_bytes(spec: AnsatzSpec, config: TrainConfig) -> int:
     """The bytes of the two float64 (horizon, batch, P) gradient blocks of ``config``'s largest batch."""
     return 2 * 8 * config.horizon * (config.minibatch or config.batch_size) * spec.n_params_each
+
+
+def forward_bytes(episodes: int, path: int) -> int:
+    """The bytes of the per-episode arrays of a forward batch of ``episodes``, whose streams end in ``path``
+    components: per episode its suffix, init bounds (8 words), noise std, length, start (4) and stream state."""
+    return 8 * episodes * (path + 8 + 1 + 1 + 4 + STREAM_WORDS)
 
 
 class Batches:

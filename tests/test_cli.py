@@ -417,6 +417,26 @@ class TestExitCodes:
             assert not out.exists()
         never.assert_not_called()
 
+    @pytest.mark.parametrize(
+        "command, setting, campaign",
+        [
+            ("eval-robustness", "eval.episodes=100000000", "robustness_sweep"),
+            ("eval-generalization", "grid.cell_episodes=100000000", "generalization_grid"),
+            ("curriculum", "curriculum.validation_episodes=1000000000", "run_curriculum"),
+        ],
+    )
+    def test_forward_batch_too_large_is_config_error(self, tmp_path, capsys, monkeypatch, command, setting, campaign):
+        # rejected when the config is built, so no episode is played and nothing is written
+        never = mock.Mock(side_effect=AssertionError("a campaign started"))
+        monkeypatch.setattr(cli, campaign, never)
+        out = tmp_path / "out"
+        args = ("--seed", "1", "--out", str(out), "--set", "eval.checkpoints=" + str(tmp_path), "--set", setting)
+        assert run_cli(command, *args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and setting.split("=")[0] in err and "GiB" in err
+        assert not out.exists()
+        never.assert_not_called()
+
     def test_more_qubits_than_cartpole_features_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         args = ("train", "--seed", "1", "--out", str(out), "--set", "ansatz.n_qubits=5", "--set", "train.epochs=1")

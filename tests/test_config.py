@@ -5,7 +5,7 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from qpgrad.cartpole import THETA_INIT_LIMIT, X_LIMIT, InitRanges
@@ -19,7 +19,9 @@ from qpgrad.config import (
     parse_config_text,
     serialize_config,
 )
+from qpgrad.curriculum import CurriculumSchedule
 from qpgrad.errors import ConfigurationError
+from qpgrad.evalharness import EvalGridSpec
 from qpgrad.trainer import MAX_GRADIENT_BYTES
 
 
@@ -27,8 +29,12 @@ def _floats(lo=-1e300, hi=1e300):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
+def _increasing_tuples(elements, min_size):
+    return st.lists(elements, min_size=min_size, max_size=5, unique=True).map(sorted).map(tuple)
+
+
 def _increasing(elements, min_size):
-    return st.lists(elements, min_size=min_size, max_size=5, unique=True).map(lambda v: ",".join(map(repr, sorted(v))))
+    return _increasing_tuples(elements, min_size).map(lambda v: ",".join(map(repr, v)))
 
 
 @st.composite
@@ -111,13 +117,13 @@ class TestDefaults:
         assert cfg.ansatz.n_qubits == 4
         assert cfg.train.lam == 0.0
         assert cfg.init.x == (-0.05, 0.05)
-        assert cfg.curr_max_failures == 1000
-        assert cfg.curr_validation_threshold == 195.0
+        assert cfg.curriculum.f_max == 1000
+        assert cfg.curriculum.validation_threshold == 195.0
 
     def test_default_grid_matches_protocol(self):
         cfg = build_config({})
-        assert len(cfg.grid.angle_bins) == 11
-        assert len(cfg.grid.velocity_bins) == 13
+        assert len(cfg.grid.angle_edges) == 11 + 1
+        assert len(cfg.grid.velocity_edges) == 13 + 1
         assert len(cfg.eval_sigmas) == 9
         assert cfg.eval_sigmas[-1] == 0.8
 
@@ -208,7 +214,7 @@ class TestStrictParsing:
 
     def test_angle_edges_at_the_theta_limit_accepted(self):
         cfg = build_config({"grid.angle_edges": "-12.03,0,12.03"})
-        assert cfg.grid.angle_bins == ((-12.03, 0.0), (0.0, 12.03))
+        assert cfg.grid.angle_edges == (-12.03, 0.0, 12.03)
 
     def test_curriculum_takes_only_whole_batch_minibatches(self):
         for command, minibatch in (("curriculum", "0"), ("curriculum", "10"), ("train", "5")):
@@ -236,13 +242,32 @@ class TestStrictParsing:
         for command in ("eval-robustness", "eval-generalization"):
             assert build_config({"run.command": command, "train.horizon": "100000000"}).train.horizon == 100000000
 
+    def test_forward_batch_whose_arrays_exceed_the_limit_is_rejected(self):
+        # 8-byte words per episode: its stream suffix (2 components in eval, 1 in validation), 8 bounds,
+        # noise std, length, 4 start and 11 stream state
+        cases = [
+            ("eval-robustness", "eval.episodes", 9 * 27),  # 9 default noise levels
+            ("eval-generalization", "grid.cell_episodes", 11 * 13 * 27),  # 143 default cells
+            ("curriculum", "curriculum.validation_episodes", 26),
+        ]
+        for command, key, words in cases:
+            longest = MAX_GRADIENT_BYTES // (8 * words)
+            assert build_config({"run.command": command, key: str(longest)}) is not None
+            with pytest.raises(ConfigurationError, match=re.escape(f"{key} ({longest + 1}) is too large")):
+                build_config({"run.command": command, key: str(longest + 1)})
+        # only the command that plays the batch holds it
+        big = {"eval.episodes": "100000000", "grid.cell_episodes": "100000000",
+               "curriculum.validation_episodes": "1000000000"}
+        assert build_config({"run.command": "train", **big}).eval_episodes == 100000000
+        assert build_config({"run.command": "eval-robustness", "grid.cell_episodes": "100000000"}) is not None
+
     def test_curriculum_threshold_must_lie_below_the_horizon(self):
         # a mean reward is at most the horizon, so validation against a threshold at or above it never passes
         for horizon in ("8", "195"):
             with pytest.raises(ConfigurationError, match="curriculum.validation_threshold .* train.horizon"):
                 build_config({"run.command": "curriculum", "train.horizon": horizon})
         cfg = build_config({"run.command": "curriculum", "train.horizon": "8", "curriculum.validation_threshold": "7.5"})
-        assert (cfg.train.horizon, cfg.curr_validation_threshold) == (8, 7.5)
+        assert (cfg.train.horizon, cfg.curriculum.validation_threshold) == (8, 7.5)
         assert build_config({"run.command": "train", "train.horizon": "8"}).train.horizon == 8
 
     def test_keys_of_one_section_checked_together(self):
@@ -253,6 +278,50 @@ class TestStrictParsing:
     def test_curriculum_ranges_must_increase(self):
         with pytest.raises(ConfigurationError, match="curriculum.ranges"):
             build_config({"curriculum.ranges": "0.75,0.25"})
+
+
+class TestSectionChecks:
+    """``EvalGridSpec`` and ``CurriculumSchedule`` check their own values, so a section built directly fails as
+    its keys do."""
+
+    @pytest.mark.parametrize(
+        "section, values, key, raw",
+        [
+            (EvalGridSpec, {"angle_edges": (1.0,)}, "grid.angle_edges", "1.0"),
+            (EvalGridSpec, {"angle_edges": (0.0, 1.0, 0.5)}, "grid.angle_edges", "0,1,0.5"),
+            (EvalGridSpec, {"angle_edges": (-13.0, 0.0, 13.0)}, "grid.angle_edges", "-13,0,13"),
+            (EvalGridSpec, {"velocity_edges": (0.1,)}, "grid.velocity_edges", "0.1"),
+            (EvalGridSpec, {"velocity_edges": (0.1, 0.1)}, "grid.velocity_edges", "0.1,0.1"),
+            (EvalGridSpec, {"episodes_per_cell": 0}, "grid.cell_episodes", "0"),
+            (CurriculumSchedule, {"theta_dot_limits": (0.75, 0.25)}, "curriculum.ranges", "0.75,0.25"),
+            (CurriculumSchedule, {"theta_dot_limits": (0.0, 0.25)}, "curriculum.ranges", "0,0.25"),
+            (CurriculumSchedule, {"f_max": -1}, "curriculum.max_failures", "-1"),
+            (CurriculumSchedule, {"validation_episodes": 0}, "curriculum.validation_episodes", "0"),
+            (CurriculumSchedule, {"validation_period": 0}, "curriculum.validation_period", "0"),
+        ],
+    )
+    def test_bad_section_value_fails_as_its_key_does(self, section, values, key, raw):
+        with pytest.raises(ConfigurationError, match=re.escape(key)) as direct:
+            section(**values)
+        with pytest.raises(ConfigurationError) as parsed:
+            build_config({key: raw})
+        assert str(direct.value) == str(parsed.value)
+
+    @pytest.mark.parametrize(
+        "section, values, key",
+        [
+            (EvalGridSpec, {"angle_edges": (0.0, float("nan"))}, "grid.angle_edges"),
+            (EvalGridSpec, {"velocity_edges": (0.0, float("inf"))}, "grid.velocity_edges"),
+            (EvalGridSpec, {"velocity_edges": (float("-inf"), 0.0)}, "grid.velocity_edges"),
+            (CurriculumSchedule, {"theta_dot_limits": (0.25, float("inf"))}, "curriculum.ranges"),
+            (CurriculumSchedule, {"theta_dot_limits": (float("nan"),)}, "curriculum.ranges"),
+            (CurriculumSchedule, {"validation_threshold": float("nan")}, "curriculum.validation_threshold"),
+        ],
+    )
+    def test_non_finite_section_value_rejected_naming_key(self, section, values, key):
+        # a config never gets this far: its parser rejects every non-finite number
+        with pytest.raises(ConfigurationError, match=re.escape(key)):
+            section(**values)
 
 
 class TestRoundTrip:
@@ -290,6 +359,22 @@ class TestRoundTrip:
         assert again == cfg
         assert serialize_config(again) == text
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(COMMANDS),
+        st.builds(EvalGridSpec, _increasing_tuples(_floats(-12.03, 12.03), 2), _increasing_tuples(_floats(), 2),
+                  st.integers(1, 500)),
+        st.builds(CurriculumSchedule, _increasing_tuples(_floats(5e-324), 1), st.integers(0, 5000),
+                  st.integers(1, 500), _floats(), st.integers(1, 500)),
+    )
+    def test_every_grid_and_schedule_round_trips(self, command, grid, schedule):
+        # each section keeps its settings as the config writes them, so a manifest can always be written
+        try:
+            cfg = ExperimentConfig(command=command, grid=grid, curriculum=schedule)
+        except ConfigurationError:
+            reject()  # a curriculum whose validation threshold is not below the horizon
+        assert build_config(parse_config_text(serialize_config(cfg))) == cfg
+
 
 class TestKeyTable:
     def test_every_field_has_exactly_one_key(self):
@@ -325,9 +410,9 @@ class TestOverrides:
 
 class TestScheduleConstruction:
     def test_curriculum_schedule_from_config(self):
-        cfg = build_config({"curriculum.ranges": "0.25,0.75"})
-        sched = cfg.curriculum_schedule()
-        assert len(sched.ranges) == 2
-        assert sched.ranges[0].theta_dot == (-0.25, 0.25)
-        assert sched.ranges[1].theta_dot == (-0.75, 0.75)
-        assert sched.ranges[0].x == cfg.init.x
+        # each range keeps the init ranges of x, x_dot and theta, and replaces theta_dot's
+        cfg = build_config({"curriculum.ranges": "0.25,0.75", "init.x_low": "-0.1", "init.theta_dot_low": "-9"})
+        ranges = cfg.curriculum.ranges(cfg.init)
+        assert [r.theta_dot for r in ranges] == [(-0.25, 0.25), (-0.75, 0.75)]
+        assert all((r.x, r.x_dot, r.theta) == (cfg.init.x, cfg.init.x_dot, cfg.init.theta) for r in ranges)
+        assert ranges[0].x == (-0.1, 0.05)

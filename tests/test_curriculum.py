@@ -6,7 +6,6 @@ import pytest
 from qpgrad.cartpole import InitRanges
 from qpgrad.curriculum import (
     CurriculumSchedule,
-    default_schedule,
     run_curriculum,
     validate,
 )
@@ -20,13 +19,13 @@ SPEC = AnsatzSpec()
 def tiny_schedule(**kw):
     args = dict(f_max=25, validation_episodes=10, validation_period=10)
     args.update(kw)
-    return default_schedule(theta_dot_limits=(0.25, 0.75), **args)
+    return CurriculumSchedule(theta_dot_limits=(0.25, 0.75), **args)
 
 
 class TestSchedule:
     def test_default_ranges(self):
-        sched = default_schedule()
-        assert [r.theta_dot for r in sched.ranges] == [
+        sched = CurriculumSchedule()
+        assert [r.theta_dot for r in sched.ranges(InitRanges())] == [
             (-0.25, 0.25),
             (-0.75, 0.75),
             (-1.25, 1.25),
@@ -37,14 +36,12 @@ class TestSchedule:
         assert sched.validation_threshold == 195.0
 
     def test_non_expanding_rejected(self):
-        good = InitRanges(theta_dot=(-0.5, 0.5))
-        shrunk = InitRanges(theta_dot=(-0.25, 0.25))
-        with pytest.raises(ConfigurationError):
-            CurriculumSchedule(ranges=(good, shrunk))
+        with pytest.raises(ConfigurationError, match="curriculum.ranges"):
+            CurriculumSchedule(theta_dot_limits=(0.5, 0.25))
 
     def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CurriculumSchedule(ranges=())
+        with pytest.raises(ConfigurationError, match="curriculum.ranges"):
+            CurriculumSchedule(theta_dot_limits=())
 
 
 class TestValidate:
@@ -104,9 +101,7 @@ class TestWithTrainedPolicy:
 
     def test_optimal_policy_passes_immediately(self, trained_policy):
         params, _ = trained_policy
-        sched = default_schedule(
-            theta_dot_limits=(0.05,), f_max=50, validation_episodes=30, validation_period=10
-        )
+        sched = CurriculumSchedule(theta_dot_limits=(0.05,), f_max=50, validation_episodes=30, validation_period=10)
         cfg = TrainConfig(seed=8)
         result = run_curriculum(cfg, SPEC, sched, initial_params=params)
         assert result.converged

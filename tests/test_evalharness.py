@@ -91,22 +91,22 @@ class TestSignificanceLabel:
 
 class TestGridSpec:
     def test_default_bin_counts(self):
-        grid = EvalGridSpec()
-        assert len(grid.angle_bins) == 11
-        assert len(grid.velocity_bins) == 13
-        assert grid.angle_bins[0] == (-2.75, -2.25)
-        assert grid.velocity_bins[-1] == (0.24, 0.26)
+        cells = EvalGridSpec().cells()
+        assert len(cells) == 11 * 13
+        assert cells[0] == ((-2.75, -2.25), (0.0, 0.02))
+        assert cells[-1] == ((2.25, 2.75), (0.24, 0.26))
 
     def test_overlapping_bins_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EvalGridSpec(angle_bins=((0.0, 1.0), (0.5, 1.5)))
+        # edges that turn back make a second bin (1.0, 0.5) that overlaps the first
+        with pytest.raises(ConfigurationError, match="grid.angle_edges"):
+            EvalGridSpec(angle_edges=(0.0, 1.0, 0.5))
 
     def test_inverted_bin_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EvalGridSpec(velocity_bins=((0.04, 0.02),))
+        with pytest.raises(ConfigurationError, match="grid.velocity_edges"):
+            EvalGridSpec(velocity_edges=(0.04, 0.02))
 
     def test_cells_angle_major(self):
-        grid = EvalGridSpec(angle_bins=((0, 1), (1, 2)), velocity_bins=((0, 0.1),))
+        grid = EvalGridSpec(angle_edges=(0, 1, 2), velocity_edges=(0, 0.1))
         assert grid.cells() == [((0, 1), (0, 0.1)), ((1, 2), (0, 0.1))]
 
 
@@ -129,16 +129,18 @@ class TestCampaigns:
         with pytest.raises(UsageError):
             generalization_grid([], EvalGridSpec(), spec=SPEC)
 
-    def test_generalization_zero_width_bins(self):
-        grid = EvalGridSpec(angle_bins=((0.0, 0.0),), velocity_bins=((0.0, 0.0),), episodes_per_cell=4)
+    def test_generalization_narrowest_bins(self):
+        # the narrowest bins that edges can express: two consecutive floats
+        tiny = np.nextafter(0.0, 1.0)
+        grid = EvalGridSpec(angle_edges=(0.0, tiny), velocity_edges=(0.0, tiny), episodes_per_cell=4)
         rep = generalization_grid([zero_params(SPEC)], grid, spec=SPEC, seed=5)
         assert rep.values.shape == (1, 1)
         assert 0.0 <= rep.values[0, 0] <= 1.0
 
     def test_negative_velocity_bin_aliases_reflected_cell(self):
         # the negative-velocity cell must reproduce its point reflection exactly
-        pos = EvalGridSpec(angle_bins=((2.0, 2.5),), velocity_bins=((0.1, 0.2),), episodes_per_cell=6)
-        neg = EvalGridSpec(angle_bins=((-2.5, -2.0),), velocity_bins=((-0.2, -0.1),), episodes_per_cell=6)
+        pos = EvalGridSpec(angle_edges=(2.0, 2.5), velocity_edges=(0.1, 0.2), episodes_per_cell=6)
+        neg = EvalGridSpec(angle_edges=(-2.5, -2.0), velocity_edges=(-0.2, -0.1), episodes_per_cell=6)
         params = zero_params(SPEC)
         r_pos = generalization_grid([params], pos, spec=SPEC, seed=9)
         r_neg = generalization_grid([params], neg, spec=SPEC, seed=9)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qpgrad import qsim, trainer
 from qpgrad.cartpole import InitRanges
 from qpgrad.checkpoint import save_checkpoint
-from qpgrad.curriculum import default_schedule
+from qpgrad.curriculum import CurriculumSchedule
 from qpgrad.errors import ConfigurationError, UsageError
 from qpgrad.policy import AnsatzSpec, PolicyParams, init_params, zero_params
 from qpgrad.seeding import STREAM_EPISODE, STREAM_INIT, Streams, derive_run_seeds, substream
@@ -101,7 +101,7 @@ class TestBatches:
         if path == "train":  # a whole minibatch of 3, then the last 2 episodes of the batch
             ranges, long, short = [InitRanges()], (0, 3, 0), (3, 2, 0)
         else:  # a batch from the narrowest range, then one from the widest, where episodes fall sooner
-            ranges = default_schedule(theta_dot_limits=(0.05, 1.75)).ranges
+            ranges = CurriculumSchedule(theta_dot_limits=(0.05, 1.75)).ranges(InitRanges())
             long, short = (0, 5, 0), (5, 5, 1)
         batches = Batches(spec, config, ranges, config.minibatch)
 
