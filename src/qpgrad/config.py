@@ -76,6 +76,17 @@ class ExperimentConfig:
             raise ConfigurationError("run.workers must be >= 1")
         if self.eval_episodes < 1:
             raise ConfigurationError("eval.episodes must be >= 1")
+        sigmas = tuple(float(s) for s in self.eval_sigmas)
+        object.__setattr__(self, "eval_sigmas", sigmas)
+        if not sigmas:
+            raise ConfigurationError("eval.sigmas: expected a comma-separated list of numbers")
+        if not all(map(math.isfinite, sigmas)):
+            raise ConfigurationError(f"eval.sigmas: expected finite numbers, got {_fmt(sigmas)!r}")
+        if min(sigmas) < 0:
+            raise ConfigurationError(f"eval.sigmas: noise levels must be >= 0, got {_fmt(sigmas)!r}")
+        if len(set(sigmas)) < len(sigmas):
+            # the rows of two equal levels would share every (seed, sigma, episode) key
+            raise ConfigurationError(f"eval.sigmas: noise levels must all differ, got {_fmt(sigmas)!r}")
         if self.ansatz.n_qubits > N_FEATURES:
             raise ConfigurationError(f"ansatz.n_qubits must be <= {N_FEATURES}, one qubit per CartPole feature "
                                      f"(there are {N_FEATURES}), got {self.ansatz.n_qubits}")
@@ -149,13 +160,6 @@ def _parse_str(key: str, raw: str) -> str:
     return raw
 
 
-def _parse_sigmas(key: str, raw: str) -> tuple:
-    sigmas = _parse_float_list(key, raw)
-    if min(sigmas) < 0:
-        raise ConfigurationError(f"{key}: noise levels must be >= 0, got {raw!r}")
-    return sigmas
-
-
 def _choice(*choices):
     def parse(key: str, raw: str) -> str:
         if raw not in choices:
@@ -196,7 +200,7 @@ _KEYS: dict = {
     "init.theta_dot_low": (_parse_float, ("init", "theta_dot", 0)),
     "init.theta_dot_high": (_parse_float, ("init", "theta_dot", 1)),
     "eval.checkpoints": (_parse_str, ("eval_checkpoints",)),
-    "eval.sigmas": (_parse_sigmas, ("eval_sigmas",)),
+    "eval.sigmas": (_parse_float_list, ("eval_sigmas",)),
     "eval.episodes": (_parse_int, ("eval_episodes",)),
     "grid.angle_edges": (_parse_float_list, ("grid", "angle_edges")),
     "grid.velocity_edges": (_parse_float_list, ("grid", "velocity_edges")),

@@ -106,9 +106,6 @@ class Streams:
     def __len__(self) -> int:
         return len(self.suffixes)
 
-    def __getitem__(self, episodes: slice) -> "Streams":
-        return Streams(self.seed, self.prefix, self.suffixes[episodes])
-
     def head(self) -> np.ndarray:
         """The leading entropy words of every stream (uint32), as
         ``SeedSequence`` assembles them: the seed's words, padded with zeros

@@ -34,10 +34,12 @@ one C call derives every episode's Philox stream and draws its start, and
 one more plays the whole batch, so Python's work per batch does not grow
 with its size. On ``numpy`` each episode's stream is a ``substream``
 generator, its start a ``cartpole.reset``, and every live episode takes
-its t-th step at once (``play_episodes``). A batch is only
-ever held as blocks: its episode lengths (every step pays +1, so a length
-is also a total reward) and, for training, its per-step log-policy
-gradients, indexed by step, then episode. Each episode draws from its own
+its t-th step at once (``play_episodes``). Every batch, forward or
+training, is played in one piece; the config bounds its size
+(``gradient_bytes``, ``forward_bytes``). A batch is only ever held as
+blocks: its episode lengths (every step pays +1, so a length is also a
+total reward) and, for training, its per-step log-policy gradients,
+indexed by step, then episode. Each episode draws from its own
 stream exactly what it would draw alone, in the same order, and every
 per-episode value is computed element by element with the expressions of a
 lone episode, so an episode's results do not depend on the batch it runs
@@ -46,6 +48,7 @@ in.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -86,6 +89,9 @@ class TrainConfig:
             raise ConfigurationError("train.epochs must be >= 0")
         if self.batch_size < 1:
             raise ConfigurationError("train.batch_size must be >= 1")
+        for key, value in (("train.learning_rate", self.learning_rate), ("train.lambda", self.lam)):
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{key} must be finite, got {value}")
         if self.learning_rate <= 0:
             raise ConfigurationError("train.learning_rate must be > 0")
         if not 0.0 <= self.gamma <= 1.0:
@@ -132,12 +138,6 @@ class AdamState:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-# The most episodes a forward-only batch plays at once. What it holds grows
-# with the batch (per episode a start, its bounds and its stream: 11 words
-# on c, a Generator on numpy), and chunks change no result, since an
-# episode's values do not depend on its batch.
-MAX_FORWARD_BATCH = 2048
 
 
 def play_episodes(tpl, nu_flat, om_flat, starts, sigmas, rngs, horizon, glp=None) -> np.ndarray:
@@ -203,9 +203,8 @@ def play_batch(spec: AnsatzSpec, params: PolicyParams, streams: Streams, ranges,
     episodes' total rewards. With ``grads``, ``glp`` is the per-step
     log-policy gradients ``(glp_nu, glp_omega)``, each (horizon, B, P):
     entry [t, i] is step t of episode i, set only for t below its length.
-    Without, ``glp`` is None, and batches of more than ``MAX_FORWARD_BATCH``
-    episodes play as consecutive chunks of that many. Every episode gets
-    exactly the values it would get alone.
+    Without, ``glp`` is None. Every episode gets exactly the values it
+    would get alone.
 
     Raises before any episode is played: ``ValueError`` when ``streams``
     is not a ``Streams``, when its episodes do not split into one equal
@@ -235,26 +234,17 @@ def play_batch(spec: AnsatzSpec, params: PolicyParams, streams: Streams, ranges,
 def _play(spec, params, streams, bounds, horizon, sigmas, glp) -> np.ndarray:
     """The episode lengths of the checked batch ``streams``, episode i starting within ``bounds[i]`` ((B, 4, 2));
     each training step writes its gradients to the blocks ``glp``, unless None."""
-    n = len(streams)
     tpl = pol.get_template(spec)
     nu_flat = params.nu.reshape(-1)
     om_flat = params.omega.reshape(-1)
-    # the C call writes whole (horizon, B, P) gradient blocks, so a gradient batch plays in one piece
-    chunk = max(n, 1) if glp is not None else MAX_FORWARD_BATCH
-    lengths = np.empty(n, dtype=np.int64)
     kernel = qsim.episode_kernel()
-    head = None if kernel is None else streams.head()
-    for lo in range(0, n, chunk):
-        part = slice(lo, lo + chunk)
-        if kernel is None:
-            rngs = streams[part].generators()
-            starts = np.array([reset(b, g) for b, g in zip(bounds[part], rngs)]).reshape(-1, 4)
-            lengths[part] = play_episodes(tpl, nu_flat, om_flat, starts, sigmas[part], rngs, horizon, glp)
-        else:
-            states, starts = kernel.start_episodes(head, streams.suffixes[part], bounds[part])
-            lengths[part] = kernel.play_episodes(spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature,
-                                                 nu_flat, om_flat, starts, sigmas[part], states, horizon, glp)
-    return lengths
+    if kernel is None:
+        rngs = streams.generators()
+        starts = np.array([reset(b, g) for b, g in zip(bounds, rngs)]).reshape(-1, 4)
+        return play_episodes(tpl, nu_flat, om_flat, starts, sigmas, rngs, horizon, glp)
+    states, starts = kernel.start_episodes(streams.head(), streams.suffixes, bounds)
+    return kernel.play_episodes(spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature, nu_flat, om_flat,
+                                starts, sigmas, states, horizon, glp)
 
 
 # The most memory the two gradient blocks of a training batch, or the
@@ -270,7 +260,8 @@ def gradient_bytes(spec: AnsatzSpec, config: TrainConfig) -> int:
 
 def forward_bytes(episodes: int, path: int) -> int:
     """The bytes of the per-episode arrays of a forward batch of ``episodes``, whose streams end in ``path``
-    components: per episode its suffix, init bounds (8 words), noise std, length, start (4) and stream state."""
+    components: per episode its suffix, init bounds (8 words), noise std, length, start (4) and stream state, which
+    the two ``c`` calls take and give. On ``numpy`` each episode's ``Generator`` takes about 1 KB instead."""
     return 8 * episodes * (path + 8 + 1 + 1 + 4 + STREAM_WORDS)
 
 

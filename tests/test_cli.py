@@ -437,6 +437,18 @@ class TestExitCodes:
         assert not out.exists()
         never.assert_not_called()
 
+    def test_repeated_noise_level_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # two equal levels would write every (seed, sigma, episode) key twice, from different streams
+        never = mock.Mock(side_effect=AssertionError("a campaign started"))
+        monkeypatch.setattr(cli, "robustness_sweep", never)
+        out = tmp_path / "out"
+        args = ("--seed", "5", "--out", str(out), "--set", "eval.checkpoints=" + str(tmp_path))
+        assert run_cli("eval-robustness", *args, "--set", "eval.sigmas=0.1,0.1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "eval.sigmas" in err
+        assert not out.exists()
+        never.assert_not_called()
+
     def test_more_qubits_than_cartpole_features_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         args = ("train", "--seed", "1", "--out", str(out), "--set", "ansatz.n_qubits=5", "--set", "train.epochs=1")

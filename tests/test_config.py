@@ -1,5 +1,6 @@
 """Config parsing, defaults, strictness, and round-trip serialization."""
 
+import math
 import re
 from dataclasses import fields, is_dataclass
 
@@ -22,11 +23,20 @@ from qpgrad.config import (
 from qpgrad.curriculum import CurriculumSchedule
 from qpgrad.errors import ConfigurationError
 from qpgrad.evalharness import EvalGridSpec
-from qpgrad.trainer import MAX_GRADIENT_BYTES
+from qpgrad.trainer import MAX_GRADIENT_BYTES, TrainConfig
 
 
 def _floats(lo=-1e300, hi=1e300):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _any_floats():
+    """Every float, and often one of the values at or past a limit, or a small one that a list then repeats."""
+    special = (math.nan, math.inf, -math.inf, -0.5, -0.0, 0.0, 5e-324, 0.1, 0.5, 1.0)
+    return st.one_of(st.sampled_from(special), st.floats())
+
+
+_sigma_lists = st.lists(_any_floats(), max_size=4)
 
 
 def _increasing_tuples(elements, min_size):
@@ -77,7 +87,7 @@ _SINGLE_KEYS = {
     "train.baseline": st.sampled_from(("none", "batch_mean")),
     "train.grad_norm": st.sampled_from(("steps", "episodes")),
     "eval.checkpoints": st.text("abcXYZ019_-./", max_size=12),
-    "eval.sigmas": st.lists(_floats(0.0), min_size=1, max_size=5).map(lambda v: ",".join(map(repr, v))),
+    "eval.sigmas": st.lists(_floats(0.0), min_size=1, max_size=5, unique=True).map(lambda v: ",".join(map(repr, v))),
     "eval.episodes": st.integers(1, 500).map(str),
     "grid.angle_edges": _increasing(_floats(-12.03, 12.03), 2),
     "grid.velocity_edges": _increasing(_floats(), 2),
@@ -281,8 +291,8 @@ class TestStrictParsing:
 
 
 class TestSectionChecks:
-    """``EvalGridSpec`` and ``CurriculumSchedule`` check their own values, so a section built directly fails as
-    its keys do."""
+    """``TrainConfig``, ``EvalGridSpec``, ``CurriculumSchedule`` and ``ExperimentConfig`` check their own values,
+    so a section built directly fails as its keys do."""
 
     @pytest.mark.parametrize(
         "section, values, key, raw",
@@ -298,6 +308,9 @@ class TestSectionChecks:
             (CurriculumSchedule, {"f_max": -1}, "curriculum.max_failures", "-1"),
             (CurriculumSchedule, {"validation_episodes": 0}, "curriculum.validation_episodes", "0"),
             (CurriculumSchedule, {"validation_period": 0}, "curriculum.validation_period", "0"),
+            (ExperimentConfig, {"eval_sigmas": (-0.5, 0.0)}, "eval.sigmas", "-0.5,0.0"),
+            (ExperimentConfig, {"eval_sigmas": ()}, "eval.sigmas", ""),
+            (ExperimentConfig, {"eval_sigmas": (0.1, 0.1)}, "eval.sigmas", "0.1,0.1"),
         ],
     )
     def test_bad_section_value_fails_as_its_key_does(self, section, values, key, raw):
@@ -316,6 +329,12 @@ class TestSectionChecks:
             (CurriculumSchedule, {"theta_dot_limits": (0.25, float("inf"))}, "curriculum.ranges"),
             (CurriculumSchedule, {"theta_dot_limits": (float("nan"),)}, "curriculum.ranges"),
             (CurriculumSchedule, {"validation_threshold": float("nan")}, "curriculum.validation_threshold"),
+            (TrainConfig, {"learning_rate": float("nan")}, "train.learning_rate"),
+            (TrainConfig, {"learning_rate": float("inf")}, "train.learning_rate"),
+            (TrainConfig, {"lam": float("nan")}, "train.lambda"),
+            (TrainConfig, {"lam": float("inf")}, "train.lambda"),
+            (ExperimentConfig, {"eval_sigmas": (float("nan"),)}, "eval.sigmas"),
+            (ExperimentConfig, {"eval_sigmas": (float("inf"),)}, "eval.sigmas"),
         ],
     )
     def test_non_finite_section_value_rejected_naming_key(self, section, values, key):
@@ -373,6 +392,26 @@ class TestRoundTrip:
             cfg = ExperimentConfig(command=command, grid=grid, curriculum=schedule)
         except ConfigurationError:
             reject()  # a curriculum whose validation threshold is not below the horizon
+        assert build_config(parse_config_text(serialize_config(cfg))) == cfg
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(
+        st.fixed_dictionaries({}, optional={name: _any_floats() for name in ("learning_rate", "gamma", "lam")}),
+        st.one_of(st.just(ExperimentConfig().eval_sigmas), _sigma_lists, _sigma_lists.map(tuple)),
+    )
+    def test_every_train_config_and_noise_sweep_round_trips(self, train, sigmas):
+        # a config built in Python either fails naming the key of a value that fails alone, or can be re-run
+        names = {"train.learning_rate": "learning_rate", "train.gamma": "gamma", "train.lambda": "lam"}
+        try:
+            cfg = ExperimentConfig(train=TrainConfig(**train), eval_sigmas=sigmas)
+        except ConfigurationError as error:
+            (key,) = [key for key in (*names, "eval.sigmas") if key in str(error)]
+            with pytest.raises(ConfigurationError, match=re.escape(key)):
+                if key == "eval.sigmas":
+                    ExperimentConfig(eval_sigmas=sigmas)
+                else:
+                    TrainConfig(**{names[key]: train[names[key]]})
+            return
         assert build_config(parse_config_text(serialize_config(cfg))) == cfg
 
 

@@ -308,21 +308,56 @@ class TestLockstep:
                     assert rewards[i] == reward_alone[0] == lengths[i]
 
 
-    def test_chunked_forward_batch_equals_one_batch(self, monkeypatch):
+    def test_forward_batch_plays_in_one_piece(self, monkeypatch):
+        # more episodes than any old chunk of 2,048, in two groups, with paths of 2 components
         spec = AnsatzSpec(n_layers=1)
         draw = np.random.default_rng(8)
         params = PolicyParams(draw.uniform(-np.pi, np.pi, spec.param_shape), draw.normal(0, 1, spec.param_shape))
-        ranges = [InitRanges(theta=(-0.2, 0.2), theta_dot=(-1.0, 1.0))] * 11
-        sigmas = [0.0, 0.3, 0.0, 0.0, 0.8, 0.0, 0.1, 0.0, 0.0, 0.5, 0.0]
+        ranges = [InitRanges(theta=(-0.2, 0.2), theta_dot=(-1.0, 1.0)), InitRanges(theta_dot=(-0.5, 0.5))]
+        half = 1030
+        suffixes = np.stack([np.arange(2 * half) // 7, np.arange(2 * half)], axis=1)
+        sigmas = draw.choice([0.0, 0.1, 0.5], 2 * half)
+        kernel = qsim.load_kernel("c")
+        monkeypatch.setattr(qsim, "_kernel", kernel)
+        calls = []
 
-        def rewards():
-            return play_batch(spec, params, Streams(8, (1,), np.arange(11)[:, None]), ranges, 60, sigmas)[0]
+        def spy(name):
+            method = getattr(kernel, name)
 
-        whole = rewards()
-        monkeypatch.setattr(trainer, "MAX_FORWARD_BATCH", 3)
-        assert np.array_equal(rewards().view(np.int64), whole.view(np.int64))
-        with pytest.raises(ValueError):
-            play_batch(spec, params, Streams(8, (1,), np.arange(12)[:, None]), ranges, 60, sigmas + [0.0])
+            def call(*args):
+                out = method(*args)
+                calls.append((name, args, out if isinstance(out, tuple) else (out,)))
+                return out
+
+            return call
+
+        for name in ("start_episodes", "play_episodes"):
+            monkeypatch.setattr(kernel, name, spy(name))
+        whole, _ = play_batch(spec, params, Streams(8, (1,), suffixes), ranges, 30, sigmas)
+        assert [name for name, _, _ in calls] == ["start_episodes", "play_episodes"]
+        # what the two calls take and give per episode: suffix, bounds, stream state, start, noise std and length
+        arrays = {id(a): a for _, args, out in calls for a in (*args, *out)
+                  if isinstance(a, np.ndarray) and a.shape[:1] == (2 * half,)}
+        assert sorted(a.shape[1:] for a in arrays.values()) == [(), (), (2,), (4,), (4, 2), (trainer.STREAM_WORDS,)]
+        assert all(a.itemsize == 8 for a in arrays.values())
+        assert sum(a.nbytes for a in arrays.values()) == trainer.forward_bytes(2 * half, 2)
+        parts = [play_batch(spec, params, Streams(8, (1,), suffixes[k * half : (k + 1) * half]), [ranges[k]], 30,
+                            sigmas[k * half : (k + 1) * half])[0] for k in range(2)]
+        assert whole.dtype == np.int64 and len(np.unique(whole)) > 1
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("backend", ["c", "numpy"])
+    @pytest.mark.parametrize("grads", [False, True])
+    def test_empty_batch_plays_no_episode(self, backend, grads):
+        spec = AnsatzSpec(n_layers=1)
+        with mock.patch.object(qsim, "_kernel", qsim.load_kernel(backend)):
+            lengths, glp = play_batch(spec, zero_params(spec), Streams(8, (1,), np.empty((0, 1), dtype=np.uint64)),
+                                      [InitRanges()], 10, grads=grads)
+        assert lengths.dtype == np.int64 and lengths.shape == (0,)
+        if grads:
+            assert glp[0].shape == glp[1].shape == (10, 0, spec.n_params_each)
+        else:
+            assert glp is None
 
     @pytest.mark.parametrize("backend", ["c", "numpy"])
     def test_bad_streams_and_sigmas_rejected_before_any_draw(self, backend):
