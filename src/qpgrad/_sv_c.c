@@ -1,4 +1,4 @@
-/* Compiled hot path, called through ctypes by _sv_c.py. Four entries, the
+/* Compiled hot path, called through ctypes by _sv_c.py. Five entries, the
  * first two sharing one statevector simulator:
  *
  *   expval_z_and_grad_rows  <Z^n>, and optionally its adjoint gradient, of
@@ -6,8 +6,10 @@
  *                           contract of _sv_numpy's row calls.
  *   play_episodes           a batch of CartPole episodes under the policy
  *                           circuit, on the threads the caller asks for
- *                           (one per core from _sv_c.py), each thread
- *                           taking the next episode no thread has taken.
+ *                           (one per core from _sv_c.py): the caller's and
+ *                           helpers that outlive the call (see team), each
+ *                           thread taking the next episode no thread has
+ *                           taken.
  *                           Each step adds the noise to the normalized
  *                           state, draws the action uniform, runs the
  *                           circuit (plus the adjoint when training),
@@ -17,6 +19,8 @@
  *                           batch, for play_episodes to play.
  *   init_params             a run's initial parameters, drawn from its init
  *                           stream as policy.init_params draws them.
+ *   stop_team               stops and joins play_episodes' helpers, before
+ *                           a fork.
  *
  * Same gates, conventions and packed gate arrays as _sv_numpy; qubit q is
  * bit q of the basis index. Both simulator entries first compile the gate
@@ -92,19 +96,26 @@
  *    thread plays it and whatever the others do. It draws from a private
  *    copy of its stream, written back when it ends, and no two threads'
  *    scratch share a cache line: that keeps cores from contending for
- *    lines, and changes no operation.
+ *    lines, and changes no operation. The helper threads outlive the call:
+ *    after a batch each spins for SPIN_NS, yielding its core at each turn,
+ *    then parks until the next call wakes it; they block every signal, and
+ *    stop_team joins them before a fork. Each call compiles every thread's
+ *    scratch afresh, so no helper carries a value from one call into the
+ *    next.
  *  - -ffp-contract=off keeps multiply-adds unfused; never -ffast-math or
  *    -march=native, which may change the last bits. gcc runs the 2-wide
  *    vectors on SSE2, which every x86-64 has, with no -march flag. */
 
 #include <math.h>
 #include <pthread.h>
+#include <sched.h>
 #include <signal.h>
 #include <stdatomic.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 #include "numpy/random/bitgen.h"
 
@@ -653,13 +664,12 @@ struct player {
 
 /* Takes the batch's next episode until none is left, and plays each: from
  * its start until it goes out of bounds or reaches the horizon, drawing
- * from its stream under its noise std; see play_episodes. A pthread start
- * routine, and the calling thread's share too. Each episode draws from a
- * private copy of its stream row, written back when it ends: the rows are
- * 88 bytes long, so neighbouring episodes, which other threads may play,
- * share cache lines. */
-static void *play(void *arg) {
-    struct player *pl = arg;
+ * from its stream under its noise std; see play_episodes. The calling
+ * thread's share, and each helper's. Each episode draws from a private
+ * copy of its stream row, written back when it ends: the rows are 88 bytes
+ * long, so neighbouring episodes, which other threads may play, share
+ * cache lines. */
+static void play(struct player *pl) {
     struct batch *b = pl->batch;
     double *grads = b->glp_nu == NULL ? NULL : pl->pol.sim.grads;
     for (ptrdiff_t i; (i = atomic_fetch_add_explicit(&b->next, 1, memory_order_relaxed)) < b->n_episodes;) {
@@ -678,11 +688,126 @@ static void *play(void *arg) {
         b->lengths[i] = t;
         b->streams[i] = stream;
     }
-    return NULL;
 }
 
 /* The most threads one call plays on. */
 #define MAX_THREADS 64
+
+/* How long a helper spins for the next batch before it parks. The longest
+ * gap between consecutive play_episodes calls of curriculum --seed 4
+ * --seeds 1 was 1.24 ms (491 calls, median 0.24 ms), so the calls of one
+ * run find their helpers awake, and a process that stops calling holds no
+ * core for longer than this. */
+#define SPIN_NS 2000000
+
+/* The process's helper threads of play_episodes, which outlive the call.
+ * word counts the batches published, times MAX_THREADS, plus the number of
+ * helpers that play the latest one; helper k plays it when k is below that
+ * number, on players[k + 1], and then adds one to done. A helper created
+ * for a call starts from first[k], the word before that call's batch, so it
+ * cannot miss the batch it was created for. call is held by the one call
+ * that uses the team, since ctypes releases the GIL; lock and wake park
+ * the helpers that have spun for SPIN_NS. */
+static struct {
+    pthread_mutex_t call, lock;
+    pthread_cond_t wake;
+    _Atomic uint64_t word;
+    atomic_ptrdiff_t done;
+    atomic_int stop;
+    struct player *players;
+    ptrdiff_t n_helpers;
+    uint64_t first[MAX_THREADS - 1];
+    pthread_t ids[MAX_THREADS - 1];
+} team = {.call = PTHREAD_MUTEX_INITIALIZER, .lock = PTHREAD_MUTEX_INITIALIZER, .wake = PTHREAD_COND_INITIALIZER};
+
+static int64_t now_ns(void) {
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (int64_t)t.tv_sec * 1000000000 + t.tv_nsec;
+}
+
+/* The first word other than seen: spun for up to SPIN_NS, then waited for
+ * on wake. The spin yields the core at each turn, so that the threads of
+ * another process, such as those of a --workers pool, take it when they
+ * want it. */
+static uint64_t next_word(uint64_t seen) {
+    int64_t until = now_ns() + SPIN_NS;
+    uint64_t word;
+    while ((word = atomic_load_explicit(&team.word, memory_order_acquire)) == seen && now_ns() < until) {
+        sched_yield();
+    }
+    if (word == seen) {
+        pthread_mutex_lock(&team.lock);
+        while ((word = atomic_load_explicit(&team.word, memory_order_acquire)) == seen) {
+            pthread_cond_wait(&team.wake, &team.lock);
+        }
+        pthread_mutex_unlock(&team.lock);
+    }
+    return word;
+}
+
+/* Helper k: plays its part of every batch that asks for it, until
+ * stop_team. */
+static void *helper(void *arg) {
+    ptrdiff_t k = (ptrdiff_t)(intptr_t)arg;
+    for (uint64_t word = team.first[k];;) {
+        word = next_word(word);
+        if (atomic_load_explicit(&team.stop, memory_order_relaxed)) {
+            return NULL;
+        }
+        if (k < (ptrdiff_t)(word % MAX_THREADS)) {
+            play(team.players + k + 1);
+            atomic_fetch_add_explicit(&team.done, 1, memory_order_release);
+        }
+    }
+}
+
+/* With team.call held: publishes the next batch, played by helpers
+ * helpers (none: the stop), and wakes any parked helper. */
+static void publish(ptrdiff_t helpers) {
+    uint64_t word = (atomic_load_explicit(&team.word, memory_order_relaxed) / MAX_THREADS + 1) * MAX_THREADS;
+    pthread_mutex_lock(&team.lock);
+    atomic_store_explicit(&team.word, word + helpers, memory_order_release);
+    pthread_cond_broadcast(&team.wake);
+    pthread_mutex_unlock(&team.lock);
+}
+
+/* With team.call held: starts helpers, blocking every signal in them, until
+ * there are wanted; returns how many of the wanted there are, fewer when
+ * one cannot be started. */
+static ptrdiff_t grow_team(ptrdiff_t wanted) {
+    if (team.n_helpers < wanted) {
+        sigset_t all, caller;
+        sigfillset(&all);
+        pthread_sigmask(SIG_SETMASK, &all, &caller); /* the helpers inherit it */
+        while (team.n_helpers < wanted) {
+            ptrdiff_t k = team.n_helpers;
+            team.first[k] = atomic_load_explicit(&team.word, memory_order_relaxed);
+            if (pthread_create(team.ids + k, NULL, helper, (void *)(intptr_t)k) != 0) {
+                break;
+            }
+            team.n_helpers++;
+        }
+        pthread_sigmask(SIG_SETMASK, &caller, NULL);
+    }
+    return team.n_helpers < wanted ? team.n_helpers : wanted;
+}
+
+/* Stops and joins every helper of play_episodes; the next call starts them
+ * again. Call it before a fork, whose child would have none. */
+void stop_team(void) {
+    pthread_mutex_lock(&team.call);
+    if (team.n_helpers > 0) {
+        atomic_store_explicit(&team.stop, 1, memory_order_relaxed);
+        publish(0);
+        for (ptrdiff_t k = 0; k < team.n_helpers; k++) {
+            pthread_join(team.ids[k], NULL);
+        }
+        team.n_helpers = 0;
+        atomic_store_explicit(&team.stop, 0, memory_order_relaxed);
+    }
+    pthread_mutex_unlock(&team.call);
+}
 
 /* Plays episode i of n_episodes from raw state starts[4i..4i+3], drawing
  * from streams[i] under noise std sigmas[i], until it goes out of bounds
@@ -694,13 +819,13 @@ static void *play(void *arg) {
  * glp_omega.
  *
  * The episodes are played on threads threads, clamped to [1, min(n_episodes,
- * MAX_THREADS)], the calling one among them; each takes the next episode
- * no thread has taken. An episode reads and writes only its own start,
- * stream, length and gradient rows, and each thread has its own scratch, so
- * no result depends on the thread count or on which thread played which
- * episode. The other threads block every signal, so that signals reach the
- * caller's thread, and all of them are joined before the call returns. A
- * thread that cannot be started leaves its episodes to the others.
+ * MAX_THREADS)]: the calling one and helpers of the team, each taking the
+ * next episode no thread has taken. An episode reads and writes only its
+ * own start, stream, length and gradient rows, and each thread has its own
+ * scratch, so no result depends on the thread count or on which thread
+ * played which episode. The call returns once every helper has finished its
+ * part; the helpers then wait for the next call (see team). A helper that
+ * cannot be started leaves its episodes to the others.
  *
  * Returns -1; or the index of the first bad gate, parameter or feature,
  * or -2 when the scratch cannot be allocated (nothing computed then). */
@@ -743,19 +868,18 @@ ptrdiff_t play_episodes(int n_qubits, const int8_t *kinds, const int32_t *qa, co
             }
         }
     }
-    pthread_t ids[MAX_THREADS];
-    ptrdiff_t started = 0;
-    sigset_t all, caller;
-    sigfillset(&all);
-    pthread_sigmask(SIG_SETMASK, &all, &caller); /* the threads inherit it */
-    while (started + 1 < n_threads && pthread_create(ids + started, NULL, play, players + started + 1) == 0) {
-        started++;
+    pthread_mutex_lock(&team.call);
+    ptrdiff_t helpers = grow_team(n_threads - 1);
+    if (helpers > 0) {
+        team.players = players;
+        atomic_store_explicit(&team.done, 0, memory_order_relaxed);
+        publish(helpers);
     }
-    pthread_sigmask(SIG_SETMASK, &caller, NULL);
     play(players);
-    for (ptrdiff_t k = 0; k < started; k++) {
-        pthread_join(ids[k], NULL);
+    while (atomic_load_explicit(&team.done, memory_order_acquire) < helpers) {
+        sched_yield();
     }
+    pthread_mutex_unlock(&team.call);
     for (ptrdiff_t k = 0; k < n_threads; k++) {
         free(players[k].pol.sim.psi);
     }

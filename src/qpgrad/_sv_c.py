@@ -12,8 +12,12 @@ parameters in C from its init stream, derived the same way, as
 ``trainer.play_episodes``, which plays the batch and draws its noise and
 action uniforms from those streams with numpy's own C distributions. It
 plays the batch on ``Kernel.threads`` threads, by default one per core this
-process may run on; every thread is joined before the call returns, and no
-result depends on the count. The C code takes raw pointers, so each
+process may run on, and no result depends on the count: the calling thread
+and helpers of the library's one team per process. The helpers outlive the
+call; after a batch each spins for 2 ms, yielding its core to any thread
+that wants it, then parks until the next call. They block every signal, and
+``Kernel.stop_team`` stops and joins them, which ``evalharness.map_jobs``
+does before it forks a pool. The C code takes raw pointers, so each
 argument is checked first: dtype, 1-D gate arrays of equal length, a 2-D
 angle block with one column per gate, and for the episode calls every
 shape, and a stream block and gradient blocks of the batch (and the
@@ -46,7 +50,7 @@ NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 # every target; the kernel's 2-wide vectors need only the SSE2 of every
 # x86-64, and -ffast-math or -march=native could change the last bits. The
 # flags are part of the library's cache name. -pthread: play_episodes
-# starts threads.
+# starts helper threads.
 CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", "-pthread")
 
 
@@ -188,6 +192,15 @@ class Kernel:
         self._init = lib.init_params
         self._init.argtypes = [ptr, size, size, ctypes.c_double, ctypes.c_double, ctypes.c_double, ptr, ptr]
         self._init.restype = None
+        self._stop = lib.stop_team
+        self._stop.argtypes = []
+        self._stop.restype = None
+
+    def stop_team(self) -> None:
+        """Stops and joins the helper threads of ``play_episodes``, which
+        outlive each call; the next call starts them again. A forked child
+        would have none of them, so call this before a fork."""
+        self._stop()
 
     def expval_z_rows(self, n_qubits, kinds, qa, qb, angles) -> np.ndarray:
         """<Z^n> of |0...0> evolved through the packed gate list, for each row
@@ -265,8 +278,9 @@ class Kernel:
         ``sigmas`` (B,) and ``streams`` the (B, ``STREAM_WORDS``) block of
         ``start_episodes``: episode i draws from row i, where the C code
         leaves the state its draws end in. The episodes are played on
-        ``self.threads`` threads (at most one per episode, and 64), which
-        changes no result. Returns the (B,) episode lengths.
+        ``self.threads`` threads (at most one per episode, and 64), the
+        caller's and helpers that outlive the call, which changes no result.
+        Returns the (B,) episode lengths.
         """
         gates = _gates(n_qubits, kinds, qa, qb)
         n_gates = len(kinds)

@@ -16,10 +16,13 @@ default thread count (``_sv_c.Kernel.threads``), so the gain of the threads
 shows on its own; the row calls run on one thread, and their times are
 given in both rows. The two counts are timed in ``ROUNDS`` alternating
 rounds, since a shared machine's speed drifts between two single
-measurements, and each round times ``ROUND_CALLS`` calls, so that a
-call's thread start and join and any single stall weigh on a sample no
-more than on a long run: each row gives its count's median, and the gain
-is the median of the rounds' ratios.
+measurements, and each round times ``ROUND_CALLS`` calls, so that any
+single stall weighs on a sample no more than on a long run: each row gives
+its count's median, and the gain is the median of the rounds' ratios. One
+more line gives the fixed cost of one ``play_episodes`` call on ``c``, the
+cost every call pays whatever its size: a batch of two one-step episodes,
+on one thread and on the kernel's default count, the calling thread and
+its helper team, in alternating rounds too.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ BATCH_SIZES = (1, 100)
 EPISODE_HORIZON = 20  # the longest horizon of the timed episodes
 ROUNDS = 9  # alternating rounds of one thread and the default count
 ROUND_CALLS = 10  # the fewest episode calls timed per round
+CALL_EPISODES = 2  # the batch of the fixed-cost line, of one-step episodes
 
 
 def _available_kernels() -> dict:
@@ -122,6 +126,34 @@ def run_benchmark(repeats: int = 2000, spec: AnsatzSpec = AnsatzSpec(), seed: in
     return rows
 
 
+def call_us(kernel, calls: int) -> dict:
+    """Microseconds of one ``play_episodes`` call of ``kernel`` on a batch of
+    ``CALL_EPISODES`` one-step episodes of the default ansatz, by thread
+    count, one and ``kernel.threads``: the median of ``ROUNDS`` alternating
+    rounds of ``calls`` calls each."""
+    spec = AnsatzSpec()
+    tpl = get_template(spec)
+    nu, omega = np.full(spec.n_params_each, 0.3), np.full(spec.n_params_each, 0.1)
+    streams = Streams(0, (STREAM_EPISODE,), np.arange(CALL_EPISODES)[:, None])
+    states, starts = kernel.start_episodes(streams.head(), streams.suffixes,
+                                           np.tile(InitRanges().bounds, (CALL_EPISODES, 1, 1)))
+    args = (spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature, nu, omega, starts,
+            np.zeros(CALL_EPISODES), states, 1)
+    default = kernel.threads
+    times = {n: [] for n in sorted({1, default})}
+    try:
+        for r in range(ROUNDS):
+            for threads in sorted(times, reverse=r % 2 == 1):
+                kernel.threads = threads
+                t0 = time.perf_counter()
+                for _ in range(calls):
+                    kernel.play_episodes(*args)
+                times[threads].append((time.perf_counter() - t0) / calls * 1e6)
+    finally:
+        kernel.threads = default
+    return {n: float(np.median(us)) for n, us in times.items()}
+
+
 def print_benchmark(repeats: int = 2000) -> None:
     rows = run_benchmark(repeats=repeats)
     threads = getattr(qsim.episode_kernel(), "threads", 1)
@@ -145,6 +177,12 @@ def print_benchmark(repeats: int = 2000) -> None:
             print(f"{row['threads']} threads against one, {row['backend']} at batch {row['batch']}, median of "
                   f"{ROUNDS} alternating rounds of {ROUND_CALLS} or more calls: episodes "
                   f"x{row['gain']['episode_us']:.2f}, training episodes x{row['gain']['train_episode_us']:.2f}")
+    if "c" in {row["backend"] for row in rows}:
+        calls = max(ROUND_CALLS, repeats // 20)
+        cost = call_us(qsim.load_kernel("c"), calls)
+        print(f"fixed cost of one episode call, c, {CALL_EPISODES} one-step episodes, median of {ROUNDS} "
+              f"alternating rounds of {calls} calls: " + ", ".join(f"{us:.1f} us on {n} thread(s)"
+                                                                   for n, us in cost.items()))
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 from .cartpole import N_FEATURES, InitRanges
 from .curriculum import CurriculumSchedule
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_int
 from .evalharness import EvalGridSpec
 from .policy import ENCODINGS, ENTANGLERS, AnsatzSpec
 from .trainer import (
@@ -68,14 +68,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigurationError(f"run.command must be one of {COMMANDS}, got {self.command!r}")
-        if self.seed < 0:
-            raise ConfigurationError("run.seed must be >= 0")
-        if self.n_seeds < 1:
-            raise ConfigurationError("run.seeds must be >= 1")
-        if self.workers < 1:
-            raise ConfigurationError("run.workers must be >= 1")
-        if self.eval_episodes < 1:
-            raise ConfigurationError("eval.episodes must be >= 1")
+        for key, value, low in (("run.seed", self.seed, 0), ("run.seeds", self.n_seeds, 1),
+                                ("run.workers", self.workers, 1), ("eval.episodes", self.eval_episodes, 1)):
+            check_int(key, value, low)
         sigmas = tuple(float(s) for s in self.eval_sigmas)
         object.__setattr__(self, "eval_sigmas", sigmas)
         if not sigmas:

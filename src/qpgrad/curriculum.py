@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cartpole import HORIZON, InitRanges
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_int
 from .policy import AnsatzSpec, PolicyParams
 from .seeding import STREAM_EPISODE, STREAM_VALIDATION, Streams
 from .trainer import AdamState, Batches, TrainConfig, apply_update, batch_gradient, play_batch, start_params
@@ -54,14 +54,11 @@ class CurriculumSchedule:
         # finite too: 0 < limits[0] and limits[-1] < inf
         if not limits or not all(a < b for a, b in zip((0.0, *limits), (*limits, math.inf))):
             raise ConfigurationError("curriculum.ranges must be positive and strictly increasing")
-        if self.f_max < 0:
-            raise ConfigurationError("curriculum.max_failures must be >= 0")
-        if self.validation_episodes < 1:
-            raise ConfigurationError("curriculum.validation_episodes must be >= 1")
+        check_int("curriculum.max_failures", self.f_max, 0)
+        check_int("curriculum.validation_episodes", self.validation_episodes, 1)
         if not math.isfinite(self.validation_threshold):
             raise ConfigurationError(f"curriculum.validation_threshold must be finite, got {self.validation_threshold}")
-        if self.validation_period < 1:
-            raise ConfigurationError("curriculum.validation_period must be >= 1")
+        check_int("curriculum.validation_period", self.validation_period, 1)
 
     def ranges(self, base: InitRanges) -> list[InitRanges]:
         """The expanding ranges of the schedule around ``base``."""

@@ -35,8 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import qsim
 from .cartpole import HORIZON, THETA_INIT_LIMIT, InitRanges
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, UsageError, check_int
 from .policy import AnsatzSpec
 from .seeding import STREAM_EVAL, Streams
 from .trainer import play_batch
@@ -70,8 +71,7 @@ class EvalGridSpec:
                     f"angles [-{THETA_INIT_LIMIT}, {THETA_INIT_LIMIT}] rad "
                     f"(+-{THETA_INIT_LIMIT / _DEG:.2f} deg)"
                 )
-        if self.episodes_per_cell < 1:
-            raise ConfigurationError("grid.cell_episodes must be >= 1")
+        check_int("grid.cell_episodes", self.episodes_per_cell, 1)
 
     def cells(self):
         """(angle_bin, velocity_bin) pairs of consecutive edges, angle-major order."""
@@ -170,12 +170,15 @@ def _play_model(args):
 
 def map_jobs(fn, tasks, workers: int) -> list:
     """``[fn(t) for t in tasks]``, over a pool of ``min(workers, len(tasks))`` processes when that is more
-    than one. Each forked process plays its C episode calls on the thread count it inherits. Only a run that
-    starts a pool imports ``concurrent.futures``."""
+    than one. The pool forks, so the C kernel's helper threads, which outlive each episode call, are stopped
+    and joined first; each forked process starts its own and plays its C episode calls on the thread count it
+    inherits. Only a run that starts a pool imports ``concurrent.futures``."""
     workers = min(workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        if (kernel := qsim.episode_kernel()) is not None:
+            kernel.stop_team()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]

@@ -30,7 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from . import qsim
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_int
 
 # Spectral norm of the generator of RY/RZ under the e^{-i a G} convention.
 GENERATOR_NORM = 0.5
@@ -58,10 +58,8 @@ class AnsatzSpec:
     encoding: str = ENCODING_RZ_RY
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ConfigurationError("ansatz.n_qubits must be >= 1")
-        if self.n_layers < 1:
-            raise ConfigurationError("ansatz.n_layers must be >= 1")
+        check_int("ansatz.n_qubits", self.n_qubits, 1)
+        check_int("ansatz.n_layers", self.n_layers, 1)
         if self.entangler not in ENTANGLERS:
             raise ConfigurationError(f"unknown entangler placement {self.entangler!r}")
         if self.encoding not in ENCODINGS:

@@ -18,8 +18,10 @@ batch of episodes played in lockstep on ``numpy``. On ``c`` the hot path is
 ``episode_kernel``: one call derives the random stream and draws the start
 of each episode of a batch, and one more plays the whole batch of CartPole
 episodes on several threads (``_sv_c.Kernel.threads``, one per core by
-default), each episode drawing from its own stream with numpy's own C
-distributions, so that no result depends on the thread count.
+default: the caller's and helpers that outlive the call, park when idle and
+are joined before ``evalharness.map_jobs`` forks), each episode drawing
+from its own stream with numpy's own C distributions, so that no result
+depends on the thread count.
 ``trainer.play_batch`` makes both calls. The kernel also draws each run's
 initial parameters from its init stream in C (``trainer.start_params``),
 so no ``c`` campaign imports ``numpy.random``.

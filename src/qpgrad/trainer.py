@@ -58,7 +58,7 @@ from . import policy as pol
 from . import qsim
 from ._sv_c import STREAM_WORDS
 from .cartpole import HORIZON, InitRanges, NoiseModel, normalize, out_of_bounds, reset, step_batch
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, UsageError, check_int
 from .policy import AnsatzSpec, PolicyParams
 from .seeding import STREAM_EPISODE, STREAM_INIT, Streams, substream
 
@@ -85,10 +85,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigurationError("train.epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigurationError("train.batch_size must be >= 1")
+        for key, value, low in (("train.epochs", self.epochs, 0), ("train.batch_size", self.batch_size, 1),
+                                ("train.minibatch", self.minibatch, 0), ("train.horizon", self.horizon, 1)):
+            check_int(key, value, low)
         for key, value in (("train.learning_rate", self.learning_rate), ("train.lambda", self.lam)):
             if not math.isfinite(value):
                 raise ConfigurationError(f"{key} must be finite, got {value}")
@@ -104,10 +103,8 @@ class TrainConfig:
             raise ConfigurationError(f"unknown baseline {self.baseline!r}")
         if self.grad_norm not in (NORM_STEPS, NORM_EPISODES):
             raise ConfigurationError(f"unknown gradient normalization {self.grad_norm!r}")
-        if self.minibatch < 0 or self.minibatch > self.batch_size:
+        if self.minibatch > self.batch_size:
             raise ConfigurationError("train.minibatch must be in [0, batch_size]")
-        if self.horizon < 1:
-            raise ConfigurationError("train.horizon must be >= 1")
 
 
 @dataclass

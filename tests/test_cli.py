@@ -338,6 +338,8 @@ class TestBenchCommand:
         assert cells == {(backend, batch, "1") for backend in ("c", "numpy") for batch in ("1", "100")} | {
             ("c", "100", cores)}
         assert all(float(v) > 0 for r in rows[1:] for v in r[3:])
+        (cost,) = [line for line in lines if line.startswith("fixed cost of one episode call, c,")]
+        assert "us on 1 thread(s)" in cost and f"us on {cores} thread(s)" in cost
 
 
 class TestExitCodes:

@@ -2,7 +2,7 @@
 
 import math
 import re
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from qpgrad.config import (
     COMMANDS,
     ExperimentConfig,
     _lookup,
+    _parse_int,
     apply_overrides,
     build_config,
     parse_config_text,
@@ -97,6 +98,25 @@ _SINGLE_KEYS = {
     "curriculum.validation_episodes": st.integers(1, 500).map(str),
     "curriculum.validation_period": st.integers(1, 500).map(str),
 }
+
+# The ints each int key takes, alone and beside any other key's: train.minibatch stays within every batch size.
+_INTS = {"train.batch_size": st.integers(1, 64), "train.minibatch": st.integers(0, 1),
+         "train.horizon": st.integers(1, 500)}
+_INT_KEYS = {key: _INTS[key] if key in _INTS else _SINGLE_KEYS[key].map(int)
+             for key, (parse, _) in _KEYS.items() if parse is _parse_int}
+
+
+def _built(values: dict) -> ExperimentConfig:
+    """The config built in Python with each key of ``values`` set to its value, at the field path that
+    ``_KEYS`` gives, and every other field at its default."""
+    defaults = ExperimentConfig()
+    at: dict = {}
+    for key, value in values.items():
+        *section, field = _KEYS[key][1]
+        at.setdefault(tuple(section), {})[field] = value
+    sections = {path[0]: replace(getattr(defaults, path[0]), **kw) for path, kw in at.items() if path}
+    return replace(defaults, **at.get((), {}), **sections)
+
 
 # Each unit is left out or set whole; the keys of one unit are valid only together.
 _UNITS = [
@@ -396,21 +416,22 @@ class TestRoundTrip:
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(
-        st.fixed_dictionaries({}, optional={name: _any_floats() for name in ("learning_rate", "gamma", "lam")}),
+        st.fixed_dictionaries({}, optional={f"train.{name}": _any_floats() for name in ("learning_rate", "gamma",
+                                                                                          "lambda")}),
+        # an int key also draws its ints as floats, and bools, which must fail naming the key
+        st.fixed_dictionaries({}, optional={key: st.one_of(ints, ints.map(float), st.booleans())
+                                            for key, ints in _INT_KEYS.items()}),
         st.one_of(st.just(ExperimentConfig().eval_sigmas), _sigma_lists, _sigma_lists.map(tuple)),
     )
-    def test_every_train_config_and_noise_sweep_round_trips(self, train, sigmas):
+    def test_every_config_built_in_python_round_trips(self, floats, ints, sigmas):
         # a config built in Python either fails naming the key of a value that fails alone, or can be re-run
-        names = {"train.learning_rate": "learning_rate", "train.gamma": "gamma", "train.lambda": "lam"}
+        values = floats | ints | {"eval.sigmas": sigmas}
         try:
-            cfg = ExperimentConfig(train=TrainConfig(**train), eval_sigmas=sigmas)
+            cfg = _built(values)
         except ConfigurationError as error:
-            (key,) = [key for key in (*names, "eval.sigmas") if key in str(error)]
+            key = str(error).split()[0].rstrip(":")
             with pytest.raises(ConfigurationError, match=re.escape(key)):
-                if key == "eval.sigmas":
-                    ExperimentConfig(eval_sigmas=sigmas)
-                else:
-                    TrainConfig(**{names[key]: train[names[key]]})
+                _built({key: values[key]})
             return
         assert build_config(parse_config_text(serialize_config(cfg))) == cfg
 

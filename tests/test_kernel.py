@@ -1,10 +1,14 @@
 """The compiled kernel's loader and its argument checks."""
 
+import concurrent.futures
 import hashlib
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -14,6 +18,7 @@ import pytest
 import qpgrad
 from qpgrad import _sv_c, _sv_numpy, qsim
 from qpgrad.cartpole import InitRanges
+from qpgrad.evalharness import map_jobs
 from qpgrad.policy import AnsatzSpec, PolicyParams, get_template
 from qpgrad.seeding import Streams
 from qpgrad.trainer import play_batch
@@ -337,7 +342,7 @@ class TestArgumentChecks:
 
 
 class TestThreads:
-    """A batch's results do not depend on how many threads play it, and no thread outlives the call."""
+    """A batch's results do not depend on how many threads play it."""
 
     def test_results_do_not_depend_on_the_thread_count(self, monkeypatch):
         kernel = qsim.load_kernel("c")
@@ -353,7 +358,8 @@ class TestThreads:
         for sigmas in (np.zeros(n), np.array([0.0, 0.1, 0.3, 0.2, 0.0, 0.8, 0.05])):
             for grads in (False, True):
                 runs = []
-                for threads in (1, 2, 3, 8):  # 8 is more than the episodes
+                # 8 is more than the episodes; the team it grows then plays at smaller counts
+                for threads in (2, 8, 1, 3, 2):
                     monkeypatch.setattr(kernel, "threads", threads)
                     # the blocks start at zero, so entries past an episode's end must stay unwritten
                     glp = (np.zeros((horizon, n, n_params)), np.zeros((horizon, n, n_params))) if grads else None
@@ -374,16 +380,70 @@ class TestThreads:
             monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS, which has no affinity mask
         assert _sv_c.Kernel(path).threads == (os.cpu_count() or 1)
 
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
-    def test_no_thread_outlives_the_call(self, monkeypatch):
+
+
+def _threads() -> set:
+    return set(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+class TestTeam:
+    """The helper threads of play_episodes outlive the call: the team grows to the count a call asks for and no
+    further, parks when idle, blocks every signal, and is joined before map_jobs forks a pool."""
+
+    @pytest.fixture
+    def kernel(self, monkeypatch):
         kernel = qsim.load_kernel("c")
+        kernel.stop_team()
         monkeypatch.setattr(kernel, "threads", 4)
         monkeypatch.setattr(qsim, "_kernel", kernel)
+        return kernel
+
+    @staticmethod
+    def _play(grads=False):
         spec = AnsatzSpec(n_layers=1)
         params = PolicyParams(np.full(spec.param_shape, 0.3), np.full(spec.param_shape, 0.7))
-        before = len(os.listdir("/proc/self/task"))
-        for grads in (False, True):
-            lengths, _ = play_batch(spec, params, Streams(3, (1,), np.arange(9)[:, None]), [InitRanges()], 30,
-                                    grads=grads)
-            assert lengths.min() > 0
-            assert len(os.listdir("/proc/self/task")) == before
+        lengths, _ = play_batch(spec, params, Streams(3, (1,), np.arange(9)[:, None]), [InitRanges()], 30,
+                                grads=grads)
+        assert lengths.min() > 0
+
+    def test_repeated_calls_keep_one_team(self, kernel):
+        before = _threads()
+        added = []
+        for grads in (False, True) * 3:
+            self._play(grads)
+            added.append(len(_threads() - before))
+        assert 1 <= added[0] <= 3 and added == added[:1] * len(added)
+
+    def test_idle_helpers_park(self, kernel):
+        self._play()
+        time.sleep(0.02)  # ten spin windows
+        t0 = time.process_time()
+        time.sleep(0.05)
+        assert time.process_time() - t0 < 0.005  # a spinning helper would add about 0.05 s
+
+    def test_helpers_block_every_signal(self, kernel):
+        before = _threads()
+        self._play()
+        helpers = _threads() - before
+        assert helpers
+        blockable = set(signal.valid_signals()) - {signal.SIGKILL, signal.SIGSTOP}
+        for tid in helpers:
+            status = Path(f"/proc/self/task/{tid}/status").read_text()
+            mask = int(re.search(r"^SigBlk:\s*([0-9a-f]+)$", status, re.M).group(1), 16)
+            assert [s for s in blockable if not mask >> (s - 1) & 1] == []
+
+    def test_pool_forks_with_only_the_callers_threads(self, kernel, monkeypatch):
+        alone = len(_threads())
+        self._play()
+        assert len(_threads()) > alone
+        seen = []
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                seen.append(len(_threads()))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        assert map_jobs(abs, [-1, -2], workers=2) == [1, 2]
+        assert seen == [alone]
