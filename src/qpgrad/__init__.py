@@ -9,7 +9,7 @@ driven by a deterministic seeded CLI.
 
 __version__ = "0.1.0"
 
-from .cartpole import InitRanges, NoiseModel
+from .cartpole import InitRanges
 from .policy import AnsatzSpec, PolicyParams
 from .qsim import BACKEND
 from .trainer import TrainConfig
@@ -19,7 +19,6 @@ __all__ = [
     "AnsatzSpec",
     "BACKEND",
     "InitRanges",
-    "NoiseModel",
     "PolicyParams",
     "TrainConfig",
 ]

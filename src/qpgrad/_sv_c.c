@@ -1,4 +1,4 @@
-/* Compiled hot path, called through ctypes by _sv_c.py. Five entries, the
+/* Compiled hot path, called through ctypes by _sv_c.py. Four entries, the
  * first two sharing one statevector simulator:
  *
  *   expval_z_and_grad_rows  <Z^n>, and optionally its adjoint gradient, of
@@ -19,8 +19,6 @@
  *                           batch, for play_episodes to play.
  *   init_params             a run's initial parameters, drawn from its init
  *                           stream as policy.init_params draws them.
- *   stop_team               stops and joins play_episodes' helpers, before
- *                           a fork.
  *
  * Same gates, conventions and packed gate arrays as _sv_numpy; qubit q is
  * bit q of the basis index. Both simulator entries first compile the gate
@@ -98,10 +96,11 @@
  *    scratch share a cache line: that keeps cores from contending for
  *    lines, and changes no operation. The helper threads outlive the call:
  *    after a batch each spins for SPIN_NS, yielding its core at each turn,
- *    then parks until the next call wakes it; they block every signal, and
- *    stop_team joins them before a fork. Each call compiles every thread's
- *    scratch afresh, so no helper carries a value from one call into the
- *    next.
+ *    then parks until the next call wakes it. They block every signal, and
+ *    every fork of the process joins them first (join_team, a pthread_atfork
+ *    handler), so no child waits on helpers it lacks. Each call compiles
+ *    every thread's scratch afresh, so no helper carries a value from one
+ *    call into the next.
  *  - -ffp-contract=off keeps multiply-adds unfused; never -ffast-math or
  *    -march=native, which may change the last bits. gcc runs the 2-wide
  *    vectors on SSE2, which every x86-64 has, with no -march flag. */
@@ -706,8 +705,8 @@ static void play(struct player *pl) {
  * number, on players[k + 1], and then adds one to done. A helper created
  * for a call starts from first[k], the word before that call's batch, so it
  * cannot miss the batch it was created for. call is held by the one call
- * that uses the team, since ctypes releases the GIL; lock and wake park
- * the helpers that have spun for SPIN_NS. */
+ * that uses the team, since ctypes releases the GIL, and across a fork;
+ * lock and wake park the helpers that have spun for SPIN_NS. */
 static struct {
     pthread_mutex_t call, lock;
     pthread_cond_t wake;
@@ -747,7 +746,7 @@ static uint64_t next_word(uint64_t seen) {
 }
 
 /* Helper k: plays its part of every batch that asks for it, until
- * stop_team. */
+ * join_team. */
 static void *helper(void *arg) {
     ptrdiff_t k = (ptrdiff_t)(intptr_t)arg;
     for (uint64_t word = team.first[k];;) {
@@ -793,9 +792,11 @@ static ptrdiff_t grow_team(ptrdiff_t wanted) {
     return team.n_helpers < wanted ? team.n_helpers : wanted;
 }
 
-/* Stops and joins every helper of play_episodes; the next call starts them
- * again. Call it before a fork, whose child would have none. */
-void stop_team(void) {
+/* The prepare handler of every fork: stops and joins every helper of
+ * play_episodes, whose threads a child would lack, and holds team.call
+ * until release_team, so that no call grows the team again before the
+ * fork; the next call after it starts them again. */
+static void join_team(void) {
     pthread_mutex_lock(&team.call);
     if (team.n_helpers > 0) {
         atomic_store_explicit(&team.stop, 1, memory_order_relaxed);
@@ -806,7 +807,20 @@ void stop_team(void) {
         team.n_helpers = 0;
         atomic_store_explicit(&team.stop, 0, memory_order_relaxed);
     }
+}
+
+/* The parent and child handlers of every fork. */
+static void release_team(void) {
     pthread_mutex_unlock(&team.call);
+}
+
+/* Whether the fork handlers are registered; without them play_episodes
+ * plays on the calling thread alone, as a team could strand a forked
+ * child. */
+static int forkable;
+
+__attribute__((constructor)) static void register_fork_handlers(void) {
+    forkable = pthread_atfork(join_team, release_team, release_team) == 0;
 }
 
 /* Plays episode i of n_episodes from raw state starts[4i..4i+3], drawing
@@ -819,13 +833,14 @@ void stop_team(void) {
  * glp_omega.
  *
  * The episodes are played on threads threads, clamped to [1, min(n_episodes,
- * MAX_THREADS)]: the calling one and helpers of the team, each taking the
- * next episode no thread has taken. An episode reads and writes only its
- * own start, stream, length and gradient rows, and each thread has its own
- * scratch, so no result depends on the thread count or on which thread
- * played which episode. The call returns once every helper has finished its
- * part; the helpers then wait for the next call (see team). A helper that
- * cannot be started leaves its episodes to the others.
+ * MAX_THREADS)], or on one when the fork handlers could not be registered:
+ * the calling one and helpers of the team, each taking the next episode no
+ * thread has taken. An episode reads and writes only its own start,
+ * stream, length and gradient rows, and each thread has its own scratch,
+ * so no result depends on the thread count or on which thread played
+ * which episode. The call returns once every helper has finished its part;
+ * the helpers then wait for the next call (see team). A helper that cannot
+ * be started leaves its episodes to the others.
  *
  * Returns -1; or the index of the first bad gate, parameter or feature,
  * or -2 when the scratch cannot be allocated (nothing computed then). */
@@ -847,7 +862,7 @@ ptrdiff_t play_episodes(int n_qubits, const int8_t *kinds, const int32_t *qa, co
     }
     ptrdiff_t n_threads = threads < MAX_THREADS ? threads : MAX_THREADS;
     n_threads = n_threads < n_episodes ? n_threads : n_episodes;
-    n_threads = n_threads > 1 ? n_threads : 1;
+    n_threads = n_threads > 1 && forkable ? n_threads : 1;
     struct batch batch = {.cp = cp, .starts = starts, .sigmas = sigmas, .streams = streams,
                           .n_episodes = n_episodes, .n_params = n_params, .horizon = horizon,
                           .glp_nu = glp_nu, .glp_omega = glp_omega, .lengths = lengths, .square = SQUARE};

@@ -16,8 +16,9 @@ process may run on, and no result depends on the count: the calling thread
 and helpers of the library's one team per process. The helpers outlive the
 call; after a batch each spins for 2 ms, yielding its core to any thread
 that wants it, then parks until the next call. They block every signal, and
-``Kernel.stop_team`` stops and joins them, which ``evalharness.map_jobs``
-does before it forks a pool. The C code takes raw pointers, so each
+every fork of the process joins them first, through a ``pthread_atfork``
+handler the library registers when it loads; the next call starts them
+again. The C code takes raw pointers, so each
 argument is checked first: dtype, 1-D gate arrays of equal length, a 2-D
 angle block with one column per gate, and for the episode calls every
 shape, and a stream block and gradient blocks of the batch (and the
@@ -192,15 +193,6 @@ class Kernel:
         self._init = lib.init_params
         self._init.argtypes = [ptr, size, size, ctypes.c_double, ctypes.c_double, ctypes.c_double, ptr, ptr]
         self._init.restype = None
-        self._stop = lib.stop_team
-        self._stop.argtypes = []
-        self._stop.restype = None
-
-    def stop_team(self) -> None:
-        """Stops and joins the helper threads of ``play_episodes``, which
-        outlive each call; the next call starts them again. A forked child
-        would have none of them, so call this before a fork."""
-        self._stop()
 
     def expval_z_rows(self, n_qubits, kinds, qa, qb, angles) -> np.ndarray:
         """<Z^n> of |0...0> evolved through the packed gate list, for each row

@@ -85,21 +85,6 @@ class InitRanges:
         return np.array([r for _, r in self.items()], dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Std deviation of i.i.d. Gaussian noise added per normalized feature."""
-
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ConfigurationError(f"noise sigma must be >= 0, got {self.sigma}")
-
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """One perturbation of the four normalized features."""
-        return rng.normal(0.0, self.sigma, size=4)
-
-
 def reset(bounds: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Fresh raw state with features drawn independently and uniformly within
     the (4, 2) ``bounds`` of ``InitRanges.bounds``; draw order x, x_dot,

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qsim
 from .cartpole import HORIZON, THETA_INIT_LIMIT, InitRanges
 from .errors import ConfigurationError, UsageError, check_int
 from .policy import AnsatzSpec
@@ -170,15 +169,13 @@ def _play_model(args):
 
 def map_jobs(fn, tasks, workers: int) -> list:
     """``[fn(t) for t in tasks]``, over a pool of ``min(workers, len(tasks))`` processes when that is more
-    than one. The pool forks, so the C kernel's helper threads, which outlive each episode call, are stopped
-    and joined first; each forked process starts its own and plays its C episode calls on the thread count it
-    inherits. Only a run that starts a pool imports ``concurrent.futures``."""
+    than one. The pool forks, and every fork joins the C kernel's helper threads first; each forked process
+    starts its own and plays its C episode calls on the thread count it inherits. Only a run that starts a
+    pool imports ``concurrent.futures``."""
     workers = min(workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        if (kernel := qsim.episode_kernel()) is not None:
-            kernel.stop_team()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]

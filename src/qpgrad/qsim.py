@@ -19,7 +19,7 @@ batch of episodes played in lockstep on ``numpy``. On ``c`` the hot path is
 of each episode of a batch, and one more plays the whole batch of CartPole
 episodes on several threads (``_sv_c.Kernel.threads``, one per core by
 default: the caller's and helpers that outlive the call, park when idle and
-are joined before ``evalharness.map_jobs`` forks), each episode drawing
+are joined before every fork of the process), each episode drawing
 from its own stream with numpy's own C distributions, so that no result
 depends on the thread count.
 ``trainer.play_batch`` makes both calls. The kernel also draws each run's

@@ -57,7 +57,7 @@ import numpy as np
 from . import policy as pol
 from . import qsim
 from ._sv_c import STREAM_WORDS
-from .cartpole import HORIZON, InitRanges, NoiseModel, normalize, out_of_bounds, reset, step_batch
+from .cartpole import HORIZON, InitRanges, normalize, out_of_bounds, reset, step_batch
 from .errors import ConfigurationError, UsageError, check_int
 from .policy import AnsatzSpec, PolicyParams
 from .seeding import STREAM_EPISODE, STREAM_INIT, Streams, substream
@@ -152,7 +152,6 @@ def play_episodes(tpl, nu_flat, om_flat, starts, sigmas, rngs, horizon, glp=None
     kernel's ``play_episodes``, which does the same in one call, bit for bit.
     """
     n = len(starts)
-    noise = [NoiseModel(s) if s > 0 else None for s in sigmas]
     lengths = np.zeros(n, dtype=np.int64)
     ids = np.flatnonzero(~out_of_bounds(starts))
     states = starts[ids]
@@ -161,8 +160,8 @@ def play_episodes(tpl, nu_flat, om_flat, starts, sigmas, rngs, horizon, glp=None
         obs = normalize(states)
         u = np.empty(len(ids))
         for j, i in enumerate(ids.tolist()):
-            if noise[i] is not None:
-                obs[j] += noise[i].draw(rngs[i])
+            if sigmas[i] > 0:
+                obs[j] += rngs[i].normal(0.0, sigmas[i], 4)
             u[j] = rngs[i].random()
         if glp is None:
             e = tpl.expval(nu_flat, om_flat, obs)

@@ -6,10 +6,10 @@ from math import cos, sin
 import numpy as np
 import pytest
 
+from qpgrad import qsim, trainer
 from qpgrad.cartpole import (
     HORIZON,
     InitRanges,
-    NoiseModel,
     normalize,
     out_of_bounds,
     reset,
@@ -144,7 +144,7 @@ class TestNormalize:
 
 
 class TestObserve:
-    """Observation noise: one ``NoiseModel.draw`` per step of a noisy episode."""
+    """Observation noise: one ``Generator.normal`` draw of the four features per step of a noisy episode."""
 
     def test_zero_sigma_identical(self):
         # sigma 0 plays the noise-free episode: no draw, same rewards and gradients
@@ -165,29 +165,62 @@ class TestObserve:
                 assert np.array_equal(a[:n_steps, i], b[:n_steps, i])
 
     def test_seeded_reproducibility(self):
-        a = NoiseModel(0.4).draw(np.random.default_rng(77))
-        b = NoiseModel(0.4).draw(np.random.default_rng(77))
-        np.testing.assert_array_equal(a, b)
+        # a noisy batch replays bit for bit from the same streams; its draws move the episodes off the noise-free ones
+        spec = AnsatzSpec(n_layers=1)
+        params = PolicyParams(np.full(spec.param_shape, 0.3), np.full(spec.param_shape, 0.7))
+
+        def play(seed, sigma):
+            return play_batch(spec, params, Streams(seed, (1,), np.arange(8)[:, None]), [InitRanges()],
+                              sigmas=[sigma] * 8, grads=True)
+
+        lengths, glp = play(77, 0.4)
+        again, glp_again = play(77, 0.4)
+        assert np.array_equal(lengths, again)
+        for a, b in zip(glp, glp_again):
+            for i, n_steps in enumerate(lengths):
+                assert np.array_equal(a[:n_steps, i], b[:n_steps, i])
+        assert not np.array_equal(lengths, play(77, 0.0)[0])
+        assert not np.array_equal(lengths, play(78, 0.4)[0])
+
+    def test_sample_mean_statistics(self, monkeypatch):
+        # the numpy loop draws normal(0, sigma, 4) once per step of a noisy episode and never for a noise-free one
+        spec = AnsatzSpec(n_layers=1)
+        params = PolicyParams(np.full(spec.param_shape, 0.3), np.full(spec.param_shape, 0.7))
+        sigma, n = 0.2, 400
+        draws = [[] for _ in range(n)]
+
+        class Recorded:
+            def __init__(self, rng, i):
+                self.rng, self.i = rng, i
+
+            def normal(self, loc, scale, size):
+                x = self.rng.normal(loc, scale, size)
+                draws[self.i].append(((loc, scale, size), x))
+                return x
+
+            def random(self):
+                return self.rng.random()
+
+        play = trainer.play_episodes
+        monkeypatch.setattr(qsim, "_kernel", qsim.load_kernel("numpy"))
+        monkeypatch.setattr(trainer, "play_episodes", lambda tpl, nu, om, starts, sigmas, rngs, *rest: play(
+            tpl, nu, om, starts, sigmas, [Recorded(g, i) for i, g in enumerate(rngs)], *rest))
+        sigmas = [sigma, 0.0] * (n // 2)
+        lengths, _ = play_batch(spec, params, Streams(123, (1,), np.arange(n)[:, None]), [InitRanges()], sigmas=sigmas)
+        for i, n_steps in enumerate(lengths):
+            assert [args for args, _ in draws[i]] == ([(0.0, sigma, 4)] * n_steps if sigmas[i] else [])
+        noise = np.array([x for d in draws for _, x in d])
+        assert len(noise) > 2000
+        # four standard errors each: sigma / sqrt(m) for the mean, about sigma / sqrt(2m) for the std
+        np.testing.assert_allclose(noise.mean(axis=0), 0.0, atol=4 * sigma / np.sqrt(len(noise)))
+        np.testing.assert_allclose(noise.std(axis=0), sigma, rtol=4 / np.sqrt(2 * len(noise)))
 
     def test_state_not_mutated(self):
         # the noisy observation is a new array, so the state block stays as it was
         states = np.array([[0.3, -0.2, 0.1, 0.05], [0.0, 0.1, -0.1, 0.2]])
         obs = normalize(states)
-        obs += NoiseModel(0.8).draw(np.random.default_rng(5))
+        obs += np.random.default_rng(5).normal(0.0, 0.8, 4)
         assert states.tolist() == [[0.3, -0.2, 0.1, 0.05], [0.0, 0.1, -0.1, 0.2]]
-
-    def test_sample_mean_statistics(self):
-        s = np.array([0.5, 0.1, -0.02, 0.3])
-        sigma, n = 0.2, 100_000
-        rng = np.random.default_rng(123)
-        draws = np.stack([normalize(s) + NoiseModel(sigma).draw(rng) for _ in range(n)])
-        tol = 3 * sigma / np.sqrt(n)
-        np.testing.assert_allclose(draws.mean(axis=0), normalize(s), atol=tol)
-        np.testing.assert_allclose(draws.std(axis=0), sigma, rtol=0.02)
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ConfigurationError):
-            NoiseModel(-0.1)
 
 
 def test_episode_reward_equals_length():

@@ -1,6 +1,5 @@
 """The compiled kernel's loader and its argument checks."""
 
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -386,37 +385,51 @@ def _threads() -> set:
     return set(os.listdir("/proc/self/task"))
 
 
+def _play_batch(seed=3, grads=False):
+    """The lengths of a batch of nine episodes on the active kernel."""
+    spec = AnsatzSpec(n_layers=1)
+    params = PolicyParams(np.full(spec.param_shape, 0.3), np.full(spec.param_shape, 0.7))
+    lengths, _ = play_batch(spec, params, Streams(seed, (1,), np.arange(9)[:, None]), [InitRanges()], 30,
+                            grads=grads)
+    assert lengths.min() > 0
+    return lengths
+
+
+def _fork(child) -> int:
+    """Forks a child that exits with the status ``child()`` returns, 2 if it raises; returns its pid."""
+    pid = os.fork()
+    if pid == 0:
+        status = 2
+        try:
+            status = child()
+        finally:
+            os._exit(status)
+    return pid
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 class TestTeam:
     """The helper threads of play_episodes outlive the call: the team grows to the count a call asks for and no
-    further, parks when idle, blocks every signal, and is joined before map_jobs forks a pool."""
+    further, parks when idle, blocks every signal, and is joined before every fork of the process."""
 
     @pytest.fixture
     def kernel(self, monkeypatch):
         kernel = qsim.load_kernel("c")
-        kernel.stop_team()
+        os.waitpid(_fork(lambda: 0), 0)  # the fork joins the team, so each test starts with none
         monkeypatch.setattr(kernel, "threads", 4)
         monkeypatch.setattr(qsim, "_kernel", kernel)
         return kernel
-
-    @staticmethod
-    def _play(grads=False):
-        spec = AnsatzSpec(n_layers=1)
-        params = PolicyParams(np.full(spec.param_shape, 0.3), np.full(spec.param_shape, 0.7))
-        lengths, _ = play_batch(spec, params, Streams(3, (1,), np.arange(9)[:, None]), [InitRanges()], 30,
-                                grads=grads)
-        assert lengths.min() > 0
 
     def test_repeated_calls_keep_one_team(self, kernel):
         before = _threads()
         added = []
         for grads in (False, True) * 3:
-            self._play(grads)
+            _play_batch(grads=grads)
             added.append(len(_threads() - before))
         assert 1 <= added[0] <= 3 and added == added[:1] * len(added)
 
     def test_idle_helpers_park(self, kernel):
-        self._play()
+        _play_batch()
         time.sleep(0.02)  # ten spin windows
         t0 = time.process_time()
         time.sleep(0.05)
@@ -424,7 +437,7 @@ class TestTeam:
 
     def test_helpers_block_every_signal(self, kernel):
         before = _threads()
-        self._play()
+        _play_batch()
         helpers = _threads() - before
         assert helpers
         blockable = set(signal.valid_signals()) - {signal.SIGKILL, signal.SIGSTOP}
@@ -433,17 +446,22 @@ class TestTeam:
             mask = int(re.search(r"^SigBlk:\s*([0-9a-f]+)$", status, re.M).group(1), 16)
             assert [s for s in blockable if not mask >> (s - 1) & 1] == []
 
-    def test_pool_forks_with_only_the_callers_threads(self, kernel, monkeypatch):
-        alone = len(_threads())
-        self._play()
-        assert len(_threads()) > alone
-        seen = []
+    def test_a_forked_child_grows_its_own_team(self, kernel):
+        before = _threads()
+        expected = _play_batch()
+        assert _threads() > before
+        pid = _fork(lambda: 0 if np.array_equal(_play_batch(), expected) else 1)
+        deadline = time.monotonic() + 20
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:  # a child waiting on helpers it lacks fails the test instead of hanging it
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+        assert _threads() == before  # the fork joined the parent's helpers
 
-        class Pool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                seen.append(len(_threads()))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        assert map_jobs(abs, [-1, -2], workers=2) == [1, 2]
-        assert seen == [alone]
+    def test_pool_workers_play_after_the_parent(self, kernel):
+        expected = [_play_batch(seed) for seed in (0, 1)]
+        got = map_jobs(_play_batch, [0, 1], workers=2)
+        for a, b in zip(got, expected, strict=True):
+            assert np.array_equal(a, b)
