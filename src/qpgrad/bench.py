@@ -42,6 +42,7 @@ EPISODE_HORIZON = 20  # the longest horizon of the timed episodes
 ROUNDS = 9  # alternating rounds of one thread and the default count
 ROUND_CALLS = 10  # the fewest episode calls timed per round
 CALL_EPISODES = 2  # the batch of the fixed-cost line, of one-step episodes
+EPISODE_KEYS = (("episode_us", False), ("train_episode_us", True))  # each timed episode call: (key, training)
 
 
 def _available_kernels() -> dict:
@@ -63,8 +64,26 @@ def _on_kernel(kernel, fn, *args):
         qsim._kernel = active
 
 
-def run_benchmark(repeats: int = 2000, spec: AnsatzSpec = AnsatzSpec(), seed: int = 7) -> list[dict]:
-    """One row per (backend, batch size): microseconds per row of the row
+def _rounds(kernel, counts, rounds: int, measure) -> dict:
+    """``{threads: [measure() of each round]}`` for each thread count of ``counts``, over ``rounds``
+    rounds that alternate the counts' order. ``kernel.threads`` is set only to time a count other than its
+    own, and then restored, so the numpy module, whose one count is 1, is never touched."""
+    default = getattr(kernel, "threads", 1)
+    times = {n: [] for n in sorted(counts)}
+    for r in range(rounds):
+        for threads in sorted(times, reverse=r % 2 == 1):
+            if threads != default:
+                kernel.threads = threads
+            try:
+                times[threads].append(measure())
+            finally:
+                if threads != default:
+                    kernel.threads = default
+    return times
+
+
+def run_benchmark(kernels: dict, repeats: int = 2000, spec: AnsatzSpec = AnsatzSpec(), seed: int = 7) -> list[dict]:
+    """One row per (backend, batch size) of the ``_available_kernels`` ``kernels``: microseconds per row of the row
     calls, each timed over ``repeats`` rows (at least one call), and per
     episode-step of the episode calls, each timed over at most about
     ``repeats`` steps (at least one call) of noise-free episodes from the
@@ -89,7 +108,7 @@ def run_benchmark(repeats: int = 2000, spec: AnsatzSpec = AnsatzSpec(), seed: in
         return (time.perf_counter() - t0) / max(steps, 1) * 1e6
 
     rows = []
-    for name, kernel in _available_kernels().items():
+    for name, kernel in kernels.items():
         default = getattr(kernel, "threads", 1)
         for batch in BATCH_SIZES:
             angles = tpl.angles(nu, omega, obs[:batch])
@@ -103,25 +122,16 @@ def run_benchmark(repeats: int = 2000, spec: AnsatzSpec = AnsatzSpec(), seed: in
                 for _ in range(calls):
                     fn()
                 row_us[key] = (time.perf_counter() - t0) / (calls * batch) * 1e6
-            counts = sorted({1, default if batch > 1 else 1})
-            times = {n: {"episode_us": [], "train_episode_us": []} for n in counts}
+            counts = {1, default if batch > 1 else 1}
             rounds, calls = (ROUNDS, ROUND_CALLS) if len(counts) > 1 else (1, 1)
-            for r in range(rounds):
-                for threads in counts if r % 2 == 0 else counts[::-1]:
-                    if threads != default:
-                        kernel.threads = threads
-                    try:
-                        for key, train in (("episode_us", False), ("train_episode_us", True)):
-                            times[threads][key].append(episodes_us(kernel, batch, train, calls))
-                    finally:
-                        if threads != default:
-                            kernel.threads = default
-            for threads in counts:
+            times = _rounds(kernel, counts, rounds, lambda: {
+                key: episodes_us(kernel, batch, train, calls) for key, train in EPISODE_KEYS})
+            for threads, samples in times.items():
                 row = {"backend": name, "batch": batch, "threads": threads, **row_us}
-                row.update((key, float(np.median(us))) for key, us in times[threads].items())
+                row.update((key, float(np.median([us[key] for us in samples]))) for key, _ in EPISODE_KEYS)
                 if threads > 1:  # the gain over one thread, per key: the median of the rounds' ratios
-                    row["gain"] = {key: float(np.median(np.divide(times[1][key], us)))
-                                   for key, us in times[threads].items()}
+                    row["gain"] = {key: float(np.median([one[key] / us[key] for one, us in zip(times[1], samples)]))
+                                   for key, _ in EPISODE_KEYS}
                 rows.append(row)
     return rows
 
@@ -139,23 +149,19 @@ def call_us(kernel, calls: int) -> dict:
                                            np.tile(InitRanges().bounds, (CALL_EPISODES, 1, 1)))
     args = (spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature, nu, omega, starts,
             np.zeros(CALL_EPISODES), states, 1)
-    default = kernel.threads
-    times = {n: [] for n in sorted({1, default})}
-    try:
-        for r in range(ROUNDS):
-            for threads in sorted(times, reverse=r % 2 == 1):
-                kernel.threads = threads
-                t0 = time.perf_counter()
-                for _ in range(calls):
-                    kernel.play_episodes(*args)
-                times[threads].append((time.perf_counter() - t0) / calls * 1e6)
-    finally:
-        kernel.threads = default
-    return {n: float(np.median(us)) for n, us in times.items()}
+
+    def measure():
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            kernel.play_episodes(*args)
+        return (time.perf_counter() - t0) / calls * 1e6
+
+    return {n: float(np.median(us)) for n, us in _rounds(kernel, {1, kernel.threads}, ROUNDS, measure).items()}
 
 
 def print_benchmark(repeats: int = 2000) -> None:
-    rows = run_benchmark(repeats=repeats)
+    kernels = _available_kernels()
+    rows = run_benchmark(kernels, repeats)
     threads = getattr(qsim.episode_kernel(), "threads", 1)
     print(f"active backend: {qsim.BACKEND}, episode calls on {threads} thread(s)")
     print(f"{'backend':>8} | {'batch':>5} | {'threads':>7} | {'forward us/row':>14} | {'fwd+grad us/row':>15} | "
@@ -177,9 +183,9 @@ def print_benchmark(repeats: int = 2000) -> None:
             print(f"{row['threads']} threads against one, {row['backend']} at batch {row['batch']}, median of "
                   f"{ROUNDS} alternating rounds of {ROUND_CALLS} or more calls: episodes "
                   f"x{row['gain']['episode_us']:.2f}, training episodes x{row['gain']['train_episode_us']:.2f}")
-    if "c" in {row["backend"] for row in rows}:
+    if "c" in kernels:
         calls = max(ROUND_CALLS, repeats // 20)
-        cost = call_us(qsim.load_kernel("c"), calls)
+        cost = call_us(kernels["c"], calls)
         print(f"fixed cost of one episode call, c, {CALL_EPISODES} one-step episodes, median of {ROUNDS} "
               f"alternating rounds of {calls} calls: " + ", ".join(f"{us:.1f} us on {n} thread(s)"
                                                                    for n, us in cost.items()))

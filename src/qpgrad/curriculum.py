@@ -31,7 +31,7 @@ import numpy as np
 from .cartpole import HORIZON, InitRanges
 from .errors import ConfigurationError, check_int
 from .policy import AnsatzSpec, PolicyParams
-from .seeding import STREAM_EPISODE, STREAM_VALIDATION, Streams
+from .seeding import STREAM_VALIDATION, Streams
 from .trainer import AdamState, Batches, TrainConfig, apply_update, batch_gradient, play_batch, start_params
 
 VALIDATION_THRESHOLD = 195.0
@@ -128,8 +128,7 @@ def run_curriculum(
     batches = Batches(spec, config, ranges, n)
 
     while failures < schedule.f_max:
-        streams = Streams(config.seed, (STREAM_EPISODE,), np.arange(episode, episode + n)[:, None])
-        lengths, (glp_nu, glp_omega) = batches.play(params, streams, range_idx)
+        lengths, (glp_nu, glp_omega) = batches.play(params, episode, n, range_idx)
         failed = lengths < config.horizon
         # the episode that uses up the budget ends the run; later episodes never happened
         kept = min(n, int(np.searchsorted(failures + np.cumsum(failed), schedule.f_max)) + 1)

@@ -9,10 +9,11 @@ Two campaigns over a set of trained models:
   ``EvalGridSpec`` holds each axis as the config writes it, as bin edges,
   and pairs consecutive edges into bins.
 
-Results aggregate across models (mean and population std per point) and can
-be compared with the non-overlap significance rule: candidate considerably
-better than baseline when the mean +- std intervals are disjoint, slightly
-better when only the mean +- std/2 intervals are.
+Two arms are compared per point by the mean and population std of their
+models' values, under the non-overlap significance rule of
+``significance_label``: candidate considerably better than baseline when
+the mean +- std intervals are disjoint, slightly better when only the
+mean +- std/2 intervals are.
 
 Both campaigns play, per model, one batch of (point, episode) pairs through
 ``trainer.play_batch``, where a point is an initial-condition range and a
@@ -113,34 +114,17 @@ def attraction_rates(episode_rewards, horizon: int = HORIZON) -> np.ndarray:
 
 @dataclass
 class EvalReport:
-    """Per-model values over evaluation points plus across-model aggregates.
+    """Per-model values over evaluation points.
 
     ``values[m, p]`` is model m's statistic at point p (mean reward for the
     robustness sweep, attraction rate for the grid). ``episode_rewards`` is
-    kept for the sweep so aggregates can be recomputed from persisted rows.
+    kept for the sweep, whose CSV holds every episode's reward.
     """
 
-    kind: str
     model_labels: list[int]
     points: list
     values: np.ndarray
     episode_rewards: np.ndarray | None = None  # (models, points, episodes) for robustness
-
-    @property
-    def means(self) -> np.ndarray:
-        return self.values.mean(axis=0)
-
-    @property
-    def stds(self) -> np.ndarray:
-        return self.values.std(axis=0)
-
-    def significance_against(self, baseline: "EvalReport") -> list[Significance]:
-        if baseline.points != self.points:
-            raise UsageError("reports cover different evaluation points")
-        return [
-            significance_label((bm, bs), (cm, cs))
-            for bm, bs, cm, cs in zip(baseline.means, baseline.stds, self.means, self.stds)
-        ]
 
 
 def _sim_cell(angle_bin, velocity_bin, base: InitRanges) -> InitRanges:
@@ -202,13 +186,11 @@ def robustness_sweep(
     model_labels=None,
     workers: int = 1,
 ) -> EvalReport:
-    """Mean reward per (model, noise level); aggregates across models per level."""
+    """Mean reward per (model, noise level), and each episode's reward."""
     sigmas = [float(s) for s in sigmas]
     labels, rewards = _play_models("robustness_sweep", models, model_labels, workers, spec,
                                    [init_ranges] * len(sigmas), sigmas, episodes_per_point, horizon, seed)
-    return EvalReport(
-        kind="robustness", model_labels=labels, points=sigmas, values=rewards.mean(axis=2), episode_rewards=rewards
-    )
+    return EvalReport(model_labels=labels, points=sigmas, values=rewards.mean(axis=2), episode_rewards=rewards)
 
 
 def generalization_grid(
@@ -221,10 +203,10 @@ def generalization_grid(
     model_labels=None,
     workers: int = 1,
 ) -> EvalReport:
-    """Attraction rate per (model, grid cell); aggregates across models per cell."""
+    """Attraction rate per (model, grid cell)."""
     cells = grid.cells()
     labels, rewards = _play_models("generalization_grid", models, model_labels, workers, spec,
                                    [_sim_cell(a, v, base_ranges) for a, v in cells], [0.0] * len(cells),
                                    grid.episodes_per_cell, horizon, seed)
     rates = attraction_rates(rewards, horizon)
-    return EvalReport(kind="generalization", model_labels=labels, points=cells, values=rates)
+    return EvalReport(model_labels=labels, points=cells, values=rates)

@@ -97,21 +97,11 @@ class PolicyParams:
         return PolicyParams(self.nu.copy(), self.omega.copy())
 
 
-@dataclass(frozen=True)
-class LipschitzBound:
-    per_action: tuple[float, float]
-    total: float
-
-
 def check_params(spec: AnsatzSpec, params: PolicyParams) -> None:
     if params.nu.shape != spec.param_shape:
         raise ConfigurationError(
             f"parameter shape {params.nu.shape} does not match ansatz {spec.param_shape}"
         )
-
-
-def zero_params(spec: AnsatzSpec) -> PolicyParams:
-    return PolicyParams(np.zeros(spec.param_shape), np.zeros(spec.param_shape))
 
 
 def init_params(spec: AnsatzSpec, rng: np.random.Generator) -> PolicyParams:
@@ -239,49 +229,18 @@ def log_policy_coeff(p0, actions) -> np.ndarray:
     return np.where(actions, -1.0, 1.0) / (2.0 * np.maximum(np.where(actions, 1.0 - p0, p0), 1e-12))
 
 
-def _check_obs(spec: AnsatzSpec, obs) -> np.ndarray:
-    obs = np.asarray(obs, dtype=np.float64)
-    if obs.shape != (spec.n_qubits,):
-        raise ConfigurationError(f"observation must have {spec.n_qubits} entries, got {obs.shape}")
-    return obs
-
-
-def policy_probs(spec: AnsatzSpec, params: PolicyParams, obs) -> np.ndarray:
-    """Action distribution [pi(0|obs), pi(1|obs)] for one observation."""
-    check_params(spec, params)
-    obs = _check_obs(spec, obs)
-    e = get_template(spec).expval(params.nu.reshape(-1), params.omega.reshape(-1), obs[None])
-    return probs_from_expectation(e[0])
-
-
-def grad_log_policy(spec: AnsatzSpec, params: PolicyParams, obs, action: int):
-    """Gradient of log pi(action|obs) w.r.t. (nu, omega), tensors shaped like the params.
-
-    The coefficient is ``log_policy_coeff``'s, as in training.
-    """
-    check_params(spec, params)
-    if action not in (0, 1):
-        raise ValueError(f"action must be 0 or 1, got {action}")
-    obs = _check_obs(spec, obs)
-    tpl = get_template(spec)
-    e, gnu, gom = tpl.expval_and_grad(params.nu.reshape(-1), params.omega.reshape(-1), obs[None])
-    coeff = log_policy_coeff(probs_from_expectation(e)[:, 0], action)[0]
-    shape = spec.param_shape
-    return (coeff * gnu[0]).reshape(shape), (coeff * gom[0]).reshape(shape)
-
-
-def lipschitz_bound(spec: AnsatzSpec, params: PolicyParams) -> LipschitzBound:
-    """Certified bound on how fast the policy can change per unit input change.
+def lipschitz_bound(spec: AnsatzSpec, params: PolicyParams) -> float:
+    """Certified bound L = 2 * sum|omega| on how fast the policy can change per unit input change.
 
     Each encoding rotation contributes 2 * ||P_a|| * |omega| * ||H|| to the
-    per-action bound; the total bounds the l1 change of the distribution
-    vector per l2 change of the input. Independent of nu.
+    bound of action a; L, the sum over both actions, bounds the l1 change of
+    the distribution vector per l2 change of the input. Independent of nu.
     """
     check_params(spec, params)
     # Both action projectors (I +- Z^n)/2 are orthogonal projectors of
-    # spectral norm 1, so ||P_a|| drops out of each per-action bound.
+    # spectral norm 1, so ||P_a|| drops out of each action's bound.
     weight_sum = float(np.sum(np.abs(params.omega))) * GENERATOR_NORM * 2.0
-    return LipschitzBound(per_action=(weight_sum, weight_sum), total=weight_sum + weight_sum)
+    return weight_sum + weight_sum
 
 
 def regularization_penalty(params: PolicyParams, lam: float) -> float:
@@ -296,30 +255,3 @@ def penalty_gradient(params: PolicyParams, lam: float) -> np.ndarray:
     if lam < 0:
         raise ConfigurationError(f"regularization rate must be >= 0, got {lam}")
     return 2.0 * lam * GENERATOR_NORM**2 * params.omega
-
-
-def empirical_lipschitz_check(
-    spec: AnsatzSpec, params: PolicyParams, n_pairs: int, rng: np.random.Generator
-) -> float:
-    """Max observed ||pi(.|x) - pi(.|x')||_1 / ||x - x'||_2 over random pairs.
-
-    Pairs are drawn uniformly from [-1, 1]^n; exact collisions are resampled.
-    The result can never exceed ``lipschitz_bound(...).total``.
-    """
-    check_params(spec, params)
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
-    tpl = get_template(spec)
-    nu_flat = params.nu.reshape(-1)
-    om_flat = params.omega.reshape(-1)
-    worst = 0.0
-    for _ in range(n_pairs):
-        x = rng.uniform(-1.0, 1.0, size=spec.n_qubits)
-        x2 = rng.uniform(-1.0, 1.0, size=spec.n_qubits)
-        while np.array_equal(x, x2):
-            x2 = rng.uniform(-1.0, 1.0, size=spec.n_qubits)
-        p, p2 = probs_from_expectation(tpl.expval(nu_flat, om_flat, np.stack([x, x2])))
-        ratio = float(np.sum(np.abs(p - p2)) / np.linalg.norm(x - x2))
-        if ratio > worst:
-            worst = ratio
-    return worst

@@ -51,8 +51,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import _sv_c, _sv_numpy
 
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
@@ -98,16 +96,4 @@ def episode_kernel():
     backend, where ``substream``, ``cartpole.reset`` and
     ``trainer.play_episodes`` do."""
     return None if _kernel is _sv_numpy else _kernel
-
-
-def parameter_shift_gradient(n_qubits, kinds, qa, qb, angles) -> np.ndarray:
-    """d<Z^n>/d(angle) for every rotation gate, in gate order, by the exact
-    +-pi/2 parameter-shift rule; the reference the adjoint gradient is tested against."""
-    rotations = np.flatnonzero((kinds == KIND_RY) | (kinds == KIND_RZ))
-    n, rows = len(rotations), np.arange(len(rotations))
-    plus, minus = np.tile(angles, (n, 1)), np.tile(angles, (n, 1))
-    plus[rows, rotations] += np.pi / 2
-    minus[rows, rotations] -= np.pi / 2
-    e = _kernel.expval_z_rows(n_qubits, kinds, qa, qb, np.vstack([plus, minus]))
-    return 0.5 * (e[:n] - e[n:])
 

@@ -49,12 +49,6 @@ def write_csv(path, header, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_csv(path) -> list[dict]:
-    text = Path(path).read_text().splitlines()
-    header = text[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in text[1:]]
-
-
 def telemetry_rows(seed: int, records):
     for rec in records:
         yield (seed, rec.epoch, rec.mean_reward, rec.reg_objective, rec.lipschitz_total)

@@ -268,18 +268,21 @@ class Batches:
     episodes, one memory that every batch's gradient blocks are views of,
     and the reward-to-go table of the run's horizon and discount. A batch's
     blocks therefore hold its values only until the next batch is played.
+    Training episode j of the run draws from the stream
+    (``config.seed``, ``STREAM_EPISODE``, j).
     """
 
     def __init__(self, spec: AnsatzSpec, config: TrainConfig, ranges, size: int):
-        self.spec, self.horizon = spec, config.horizon
+        self.spec, self.horizon, self.seed = spec, config.horizon, config.seed
         self.bounds = [np.repeat(r.bounds[None], size, axis=0) for r in ranges]
         self.memory = np.empty(2 * config.horizon * size * spec.n_params_each)
         self.returns = discounted_returns(np.ones(config.horizon), config.gamma)
 
-    def play(self, params: PolicyParams, streams: Streams, k: int = 0):
-        """``play_batch`` of the noise-free ``streams`` from ``ranges[k]``, with gradients, into the run's
-        memory: ``(lengths, glp)``."""
-        n, n_params = len(streams), self.spec.n_params_each
+    def play(self, params: PolicyParams, first: int, n: int, k: int = 0):
+        """``play_batch`` of the run's noise-free training episodes ``first`` to ``first + n - 1`` from
+        ``ranges[k]``, with gradients, into the run's memory: ``(lengths, glp)``."""
+        streams = Streams(self.seed, (STREAM_EPISODE,), np.arange(first, first + n)[:, None])
+        n_params = self.spec.n_params_each
         blocks = self.memory[: 2 * self.horizon * n * n_params].reshape(2, self.horizon, n, n_params)
         glp = (blocks[0], blocks[1])
         return _play(self.spec, params, streams, self.bounds[k][:n], self.horizon, np.zeros(n), glp), glp
@@ -431,8 +434,7 @@ def train(
         while collected < config.batch_size:
             # on-policy: each minibatch is rolled out under the current params
             n = min(minibatch, config.batch_size - collected)
-            streams = Streams(config.seed, (STREAM_EPISODE,), np.arange(episode, episode + n)[:, None])
-            lengths, (glp_nu, glp_omega) = batches.play(params, streams)
+            lengths, (glp_nu, glp_omega) = batches.play(params, episode, n)
             episode += n
             if collected == 0:
                 penalty_before = pol.regularization_penalty(params, config.lam)
@@ -449,7 +451,7 @@ def train(
                 epoch=epoch,
                 mean_reward=mean_reward,
                 reg_objective=mean_return - penalty_before,
-                lipschitz_total=pol.lipschitz_bound(spec, params).total,
+                lipschitz_total=pol.lipschitz_bound(spec, params),
                 wall_clock=time.perf_counter() - t0,
             )
         )

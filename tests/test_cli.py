@@ -17,7 +17,13 @@ from qpgrad.checkpoint import load_checkpoint, save_checkpoint
 from qpgrad.cli import main
 from qpgrad.errors import ConfigurationError
 from qpgrad.policy import AnsatzSpec, PolicyParams
-from qpgrad.reports import read_csv
+
+
+def read_csv(path):
+    """The rows of a CSV the campaigns write, as dicts of strings keyed by its header."""
+    text = Path(path).read_text().splitlines()
+    header = text[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in text[1:]]
 
 
 def run_cli(*args):

@@ -10,7 +10,7 @@ from qpgrad.curriculum import (
     validate,
 )
 from qpgrad.errors import ConfigurationError
-from qpgrad.policy import AnsatzSpec, zero_params
+from qpgrad.policy import AnsatzSpec, PolicyParams
 from qpgrad.trainer import TrainConfig
 
 SPEC = AnsatzSpec()
@@ -46,14 +46,15 @@ class TestSchedule:
 
 class TestValidate:
     def test_random_policy_fails_validation(self):
-        mean, passed, failures = validate(SPEC, zero_params(SPEC), InitRanges(), 30, seed=5)
+        params = PolicyParams(np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))
+        mean, passed, failures = validate(SPEC, params, InitRanges(), 30, seed=5)
         assert not passed
         assert mean < 100.0
         assert 0 < failures <= 30
 
     def test_needs_episodes(self):
         with pytest.raises(ConfigurationError):
-            validate(SPEC, zero_params(SPEC), InitRanges(), 0)
+            validate(SPEC, PolicyParams(np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape)), InitRanges(), 0)
 
 
 class TestRunCurriculum:

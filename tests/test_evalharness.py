@@ -16,7 +16,7 @@ from qpgrad.evalharness import (
     robustness_sweep,
     significance_label,
 )
-from qpgrad.policy import AnsatzSpec, zero_params
+from qpgrad.policy import AnsatzSpec, PolicyParams
 
 SPEC = AnsatzSpec()
 
@@ -112,7 +112,7 @@ class TestGridSpec:
 
 class TestCampaigns:
     def test_robustness_report_structure_and_determinism(self):
-        models = [zero_params(SPEC), zero_params(SPEC)]
+        models = [PolicyParams(np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))] * 2
         sigmas = [0.0, 0.4]
         rep1 = robustness_sweep(models, sigmas, 5, spec=SPEC, seed=3, model_labels=[11, 22])
         rep2 = robustness_sweep(models, sigmas, 5, spec=SPEC, seed=3, model_labels=[11, 22])
@@ -120,8 +120,6 @@ class TestCampaigns:
         assert rep1.episode_rewards.shape == (2, 2, 5)
         np.testing.assert_array_equal(rep1.episode_rewards, rep2.episode_rewards)
         assert rep1.model_labels == [11, 22]
-        # identical models get identical per-model streams only if indices differ
-        assert rep1.means.shape == (2,)
 
     def test_empty_models_rejected(self):
         with pytest.raises(UsageError):
@@ -133,7 +131,8 @@ class TestCampaigns:
         # the narrowest bins that edges can express: two consecutive floats
         tiny = np.nextafter(0.0, 1.0)
         grid = EvalGridSpec(angle_edges=(0.0, tiny), velocity_edges=(0.0, tiny), episodes_per_cell=4)
-        rep = generalization_grid([zero_params(SPEC)], grid, spec=SPEC, seed=5)
+        params = PolicyParams(np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))
+        rep = generalization_grid([params], grid, spec=SPEC, seed=5)
         assert rep.values.shape == (1, 1)
         assert 0.0 <= rep.values[0, 0] <= 1.0
 
@@ -141,23 +140,10 @@ class TestCampaigns:
         # the negative-velocity cell must reproduce its point reflection exactly
         pos = EvalGridSpec(angle_edges=(2.0, 2.5), velocity_edges=(0.1, 0.2), episodes_per_cell=6)
         neg = EvalGridSpec(angle_edges=(-2.5, -2.0), velocity_edges=(-0.2, -0.1), episodes_per_cell=6)
-        params = zero_params(SPEC)
+        params = PolicyParams(np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))
         r_pos = generalization_grid([params], pos, spec=SPEC, seed=9)
         r_neg = generalization_grid([params], neg, spec=SPEC, seed=9)
         np.testing.assert_array_equal(r_pos.values, r_neg.values)
-
-    def test_significance_against_requires_same_points(self):
-        models = [zero_params(SPEC)]
-        a = robustness_sweep(models, [0.0], 2, spec=SPEC, seed=1)
-        b = robustness_sweep(models, [0.1], 2, spec=SPEC, seed=1)
-        with pytest.raises(UsageError):
-            a.significance_against(b)
-
-    def test_report_labels_against_baseline(self):
-        models = [zero_params(SPEC)]
-        a = robustness_sweep(models, [0.0], 3, spec=SPEC, seed=1)
-        labels = a.significance_against(a)
-        assert labels == [Significance.NEUTRAL]
 
 
 class TestMapJobs:

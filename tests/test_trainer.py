@@ -13,7 +13,7 @@ from qpgrad.cartpole import InitRanges
 from qpgrad.checkpoint import save_checkpoint
 from qpgrad.curriculum import CurriculumSchedule
 from qpgrad.errors import ConfigurationError, UsageError
-from qpgrad.policy import AnsatzSpec, PolicyParams, init_params, zero_params
+from qpgrad.policy import AnsatzSpec, PolicyParams, init_params
 from qpgrad.seeding import STREAM_EPISODE, STREAM_INIT, Streams, derive_run_seeds, substream
 from qpgrad.trainer import (
     Batches,
@@ -109,10 +109,10 @@ class TestBatches:
             return Streams(config.seed, (STREAM_EPISODE,), np.arange(first, first + n)[:, None])
 
         for poison in (False, True):
-            batches.play(params, streams(*long[:2]), long[2])
+            batches.play(params, *long)
             if poison:
                 batches.memory[:] = np.nan
-            lengths, glp = batches.play(params, streams(*short[:2]), short[2])
+            lengths, glp = batches.play(params, *short)
             fresh, fresh_glp = play_batch(spec, params, streams(*short[:2]), [ranges[short[2]]], 60, grads=True)
             assert np.array_equal(lengths, fresh)
             got = batch_gradient(lengths, *glp, config, batches.returns)
@@ -196,7 +196,7 @@ class TestBatchGradient:
 
 class TestApplyUpdate:
     def test_zero_gradient_no_lambda_is_identity(self):
-        params = zero_params(SPEC)
+        params = PolicyParams(np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))
         params.nu += 0.3
         params.omega += 0.2
         zero = (np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))
@@ -208,7 +208,7 @@ class TestApplyUpdate:
 
     def test_vanilla_decay_value(self):
         # omega 1.0, lambda 0.1, alpha 0.05 -> 1 - 2*0.05*0.1*0.25 = 0.9975
-        params = zero_params(SPEC)
+        params = PolicyParams(np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))
         params.omega[0, 0, 0] = 1.0
         cfg = TrainConfig(optimizer="vanilla", lam=0.1, learning_rate=0.05)
         zero = (np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))
@@ -246,7 +246,7 @@ class TestApplyUpdate:
 
 class TestRollout:
     def test_trajectory_shape_consistency(self):
-        params = zero_params(SPEC)
+        params = PolicyParams(np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))
         lengths, (glp_nu, glp_omega) = play_batch(SPEC, params, Streams(1, (1,), [[0]]), [InitRanges()], grads=True)
         (n_steps,) = lengths
         assert 0 < n_steps <= 200
@@ -254,7 +254,7 @@ class TestRollout:
         assert np.all(np.isfinite(glp_nu[:n_steps])) and np.all(np.isfinite(glp_omega[:n_steps]))
 
     def test_rollout_deterministic_per_stream(self):
-        params = zero_params(SPEC)
+        params = PolicyParams(np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))
         a = play_batch(SPEC, params, Streams(9, (1,), [[3]]), [InitRanges()], grads=True)
         b = play_batch(SPEC, params, Streams(9, (1,), [[3]]), [InitRanges()], grads=True)
         (n_steps,) = a[0]
@@ -350,8 +350,9 @@ class TestLockstep:
     @pytest.mark.parametrize("grads", [False, True])
     def test_empty_batch_plays_no_episode(self, backend, grads):
         spec = AnsatzSpec(n_layers=1)
+        params = PolicyParams(np.zeros(spec.param_shape), np.zeros(spec.param_shape))
         with mock.patch.object(qsim, "_kernel", qsim.load_kernel(backend)):
-            lengths, glp = play_batch(spec, zero_params(spec), Streams(8, (1,), np.empty((0, 1), dtype=np.uint64)),
+            lengths, glp = play_batch(spec, params, Streams(8, (1,), np.empty((0, 1), dtype=np.uint64)),
                                       [InitRanges()], 10, grads=grads)
         assert lengths.dtype == np.int64 and lengths.shape == (0,)
         if grads:
@@ -362,7 +363,7 @@ class TestLockstep:
     @pytest.mark.parametrize("backend", ["c", "numpy"])
     def test_bad_streams_and_sigmas_rejected_before_any_draw(self, backend):
         spec = AnsatzSpec(n_layers=1)
-        params = zero_params(spec)
+        params = PolicyParams(np.zeros(spec.param_shape), np.zeros(spec.param_shape))
         ranges = [InitRanges()] * 3
         three = np.arange(3)[:, None]
 
@@ -430,7 +431,7 @@ class TestTrain:
 
         cfg = TrainConfig(epochs=2, seed=13)
         params, records = train(cfg, SPEC, InitRanges())
-        assert records[-1].lipschitz_total == lipschitz_bound(SPEC, params).total
+        assert records[-1].lipschitz_total == lipschitz_bound(SPEC, params)
 
     def test_minibatches_update_on_consecutive_episode_substreams(self):
         # a batch of 10 in minibatches of 3 makes 4 updates per epoch, on 3, 3, 3 and 1 episodes
