@@ -7,12 +7,13 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from qpgrad import cli, qsim
+from qpgrad import bench, cli, qsim
 from qpgrad.checkpoint import load_checkpoint, save_checkpoint
 from qpgrad.cli import main
 from qpgrad.errors import ConfigurationError
@@ -346,6 +347,39 @@ class TestBenchCommand:
         assert all(float(v) > 0 for r in rows[1:] for v in r[3:])
         (cost,) = [line for line in lines if line.startswith("fixed cost of one episode call, c,")]
         assert "us on 1 thread(s)" in cost and f"us on {cores} thread(s)" in cost
+
+
+class TestBenchRounds:
+    """``bench._rounds``, which both the episode rows and the fixed-cost line time their thread counts through."""
+
+    def test_rounds_alternate_the_counts_and_restore_the_default(self):
+        kernel = SimpleNamespace(threads=4)
+        seen = []
+
+        def measure():
+            seen.append(kernel.threads)
+            return kernel.threads
+
+        times = bench._rounds(kernel, {1, 4}, 3, measure)
+        assert seen == [1, 4, 4, 1, 1, 4]
+        assert times == {1: [1, 1, 1], 4: [4, 4, 4]}
+        assert kernel.threads == 4
+
+    def test_rounds_restore_the_default_when_a_round_fails(self):
+        kernel = SimpleNamespace(threads=4)
+
+        def measure():
+            raise RuntimeError("round failed")
+
+        with pytest.raises(RuntimeError):
+            bench._rounds(kernel, {1, 4}, 1, measure)
+        assert kernel.threads == 4
+
+    def test_rounds_never_set_threads_on_a_kernel_without_them(self):
+        kernel = SimpleNamespace()  # like the numpy module, whose one count is 1
+        times = bench._rounds(kernel, {1}, 2, lambda: 7.0)
+        assert times == {1: [7.0, 7.0]}
+        assert not hasattr(kernel, "threads")
 
 
 class TestExitCodes:
