@@ -70,6 +70,8 @@ class InitRanges:
                     raise ConfigurationError(f"init.{name}_{end} must be finite, got {value}")
             if lo > hi:
                 raise ConfigurationError(f"init.{name}_low must be <= init.{name}_high, got [{lo}, {hi}]")
+            if not math.isfinite(hi - lo):  # a start is drawn as lo + (hi - lo) * u
+                raise ConfigurationError(f"init.{name}_low/high: the width of [{lo}, {hi}] overflows a float")
             limit = limits.get(name, math.inf)
             if lo < -limit:
                 raise ConfigurationError(f"init.{name}_low must be >= -{limit}, got {lo}")

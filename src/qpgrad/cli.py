@@ -205,33 +205,33 @@ def run_experiment(config: ExperimentConfig) -> None:
         reports.write_csv(out_dir / "curriculum.csv", reports.CURRICULUM_HEADER, rows)
     elif config.command == "eval-robustness":
         models, labels = _load_models(config)
-        report = robustness_sweep(
+        rewards = robustness_sweep(
             models,
+            labels,
             config.eval_sigmas,
             config.eval_episodes,
             spec=config.ansatz,
             init_ranges=config.init,
             horizon=config.train.horizon,
             seed=config.seed,
-            model_labels=labels,
             workers=config.workers,
         )
-        reports.write_csv(out_dir / "robustness.csv", reports.ROBUSTNESS_HEADER, reports.robustness_rows(report))
+        rows = reports.robustness_rows(labels, config.eval_sigmas, rewards)
+        reports.write_csv(out_dir / "robustness.csv", reports.ROBUSTNESS_HEADER, rows)
     else:  # eval-generalization
         models, labels = _load_models(config)
-        report = generalization_grid(
+        rates = generalization_grid(
             models,
+            labels,
             config.grid,
             spec=config.ansatz,
             base_ranges=config.init,
             horizon=config.train.horizon,
             seed=config.seed,
-            model_labels=labels,
             workers=config.workers,
         )
-        reports.write_csv(
-            out_dir / "generalization.csv", reports.GENERALIZATION_HEADER, reports.generalization_rows(report)
-        )
+        rows = reports.generalization_rows(labels, config.grid.cells(), rates)
+        reports.write_csv(out_dir / "generalization.csv", reports.GENERALIZATION_HEADER, rows)
 
     _write_manifest(out_dir, config, run_seeds, started)
 

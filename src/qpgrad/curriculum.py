@@ -54,6 +54,8 @@ class CurriculumSchedule:
         # finite too: 0 < limits[0] and limits[-1] < inf
         if not limits or not all(a < b for a, b in zip((0.0, *limits), (*limits, math.inf))):
             raise ConfigurationError("curriculum.ranges must be positive and strictly increasing")
+        if not math.isfinite(2 * limits[-1]):  # the width of (-limit, limit)
+            raise ConfigurationError(f"curriculum.ranges: the width of (-{limits[-1]}, {limits[-1]}) overflows a float")
         check_int("curriculum.max_failures", self.f_max, 0)
         check_int("curriculum.validation_episodes", self.validation_episodes, 1)
         if not math.isfinite(self.validation_threshold):
@@ -97,8 +99,6 @@ def validate(
 
     Passes iff the mean reward strictly exceeds ``threshold``.
     """
-    if n_episodes < 1:
-        raise ConfigurationError("validation needs at least one episode")
     streams = Streams(seed, (STREAM_VALIDATION, tag), np.arange(n_episodes)[:, None])
     lengths, _ = play_batch(spec, params, streams, [ranges], horizon)
     mean = float(lengths.mean())
@@ -110,10 +110,10 @@ def run_curriculum(
     spec: AnsatzSpec,
     schedule: CurriculumSchedule,
     base: InitRanges = InitRanges(),
-    initial_params: PolicyParams | None = None,
 ) -> CurriculumResult:
-    """Train through the schedule's ranges around ``base`` until the final range passes or failures hit f_max."""
-    params = start_params(spec, config.seed, initial_params)
+    """Train through the schedule's ranges around ``base``, from ``start_params(spec, config.seed)``, until the
+    final range passes or failures hit f_max."""
+    params = start_params(spec, config.seed)
     opt_state: AdamState | None = None
 
     ranges = schedule.ranges(base)

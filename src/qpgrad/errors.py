@@ -1,14 +1,12 @@
-"""Exception types shared across the package, and the integer check of every config section."""
+"""The exception of bad input, and the integer check of every config section. A value from outside is checked
+once, where it enters (a config section, ``load_checkpoint``, the CLI, the C wrapper); the code behind that
+boundary does not check it again."""
 
 import numbers
 
 
 class ConfigurationError(ValueError):
     """A config file, flag, checkpoint, or parameter shape is invalid."""
-
-
-class UsageError(RuntimeError):
-    """An operation was called in a state it does not support."""
 
 
 def check_int(key: str, value, low: int) -> None:

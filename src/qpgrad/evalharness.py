@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cartpole import HORIZON, THETA_INIT_LIMIT, InitRanges
-from .errors import ConfigurationError, UsageError, check_int
+from .errors import ConfigurationError, check_int
 from .policy import AnsatzSpec
 from .seeding import STREAM_EVAL, Streams
 from .trainer import play_batch
@@ -64,6 +64,9 @@ class EvalGridSpec:
             # finite too: -inf < edges[0] and edges[-1] < inf
             if not all(a < b for a, b in zip((-np.inf, *edges), (*edges, np.inf))):
                 raise ConfigurationError(f"grid.{name}: edges must be strictly increasing")
+            for lo, hi in zip(edges, edges[1:]):
+                if not np.isfinite(hi - lo):
+                    raise ConfigurationError(f"grid.{name}: the width of bin [{lo}, {hi}] overflows a float")
         for lo, hi in zip(self.angle_edges, self.angle_edges[1:]):
             if lo * _DEG < -THETA_INIT_LIMIT or hi * _DEG > THETA_INIT_LIMIT:
                 raise ConfigurationError(
@@ -106,25 +109,7 @@ def significance_label(baseline: tuple[float, float], candidate: tuple[float, fl
 
 def attraction_rates(episode_rewards, horizon: int = HORIZON) -> np.ndarray:
     """Fraction of episodes that collected the full-horizon reward, over the last axis of ``episode_rewards``."""
-    rewards = np.asarray(episode_rewards, dtype=np.float64)
-    if rewards.ndim == 0 or rewards.shape[-1] == 0:
-        raise UsageError("attraction_rates needs at least one episode per rate")
-    return (rewards == horizon).mean(axis=-1)
-
-
-@dataclass
-class EvalReport:
-    """Per-model values over evaluation points.
-
-    ``values[m, p]`` is model m's statistic at point p (mean reward for the
-    robustness sweep, attraction rate for the grid). ``episode_rewards`` is
-    kept for the sweep, whose CSV holds every episode's reward.
-    """
-
-    model_labels: list[int]
-    points: list
-    values: np.ndarray
-    episode_rewards: np.ndarray | None = None  # (models, points, episodes) for robustness
+    return (np.asarray(episode_rewards, dtype=np.float64) == horizon).mean(axis=-1)
 
 
 def _sim_cell(angle_bin, velocity_bin, base: InitRanges) -> InitRanges:
@@ -165,48 +150,43 @@ def map_jobs(fn, tasks, workers: int) -> list:
     return [fn(t) for t in tasks]
 
 
-def _play_models(name, models, model_labels, workers, spec, ranges, sigmas, episodes, horizon, seed):
-    """The labels of ``models`` and their (models, points, episodes) rewards, one ``_play_model`` task per
-    model."""
-    if len(models) == 0:
-        raise UsageError(f"{name} needs at least one model")
-    labels = list(model_labels) if model_labels is not None else list(range(len(models)))
-    tasks = [(spec, p, label, ranges, sigmas, episodes, horizon, seed) for label, p in zip(labels, models, strict=True)]
-    return labels, np.stack(map_jobs(_play_model, tasks, workers))
+def _play_models(models, model_labels, workers, spec, ranges, sigmas, episodes, horizon, seed) -> np.ndarray:
+    """The (models, points, episodes) rewards of ``models``, one ``_play_model`` task per model."""
+    tasks = [(spec, p, label, ranges, sigmas, episodes, horizon, seed)
+             for label, p in zip(model_labels, models, strict=True)]
+    return np.stack(map_jobs(_play_model, tasks, workers))
 
 
 def robustness_sweep(
     models,
+    model_labels,
     sigmas,
     episodes_per_point: int,
     spec: AnsatzSpec,
     init_ranges: InitRanges = InitRanges(),
     horizon: int = HORIZON,
     seed: int = 0,
-    model_labels=None,
     workers: int = 1,
-) -> EvalReport:
-    """Mean reward per (model, noise level), and each episode's reward."""
-    sigmas = [float(s) for s in sigmas]
-    labels, rewards = _play_models("robustness_sweep", models, model_labels, workers, spec,
-                                   [init_ranges] * len(sigmas), sigmas, episodes_per_point, horizon, seed)
-    return EvalReport(model_labels=labels, points=sigmas, values=rewards.mean(axis=2), episode_rewards=rewards)
+) -> np.ndarray:
+    """The (models, noise levels, episodes) block of episode rewards: model m, labelled ``model_labels[m]``,
+    at noise std ``sigmas[k]``, from ``init_ranges``."""
+    return _play_models(models, model_labels, workers, spec, [init_ranges] * len(sigmas),
+                        [float(s) for s in sigmas], episodes_per_point, horizon, seed)
 
 
 def generalization_grid(
     models,
+    model_labels,
     grid: EvalGridSpec,
     spec: AnsatzSpec,
     base_ranges: InitRanges = InitRanges(),
     horizon: int = HORIZON,
     seed: int = 0,
-    model_labels=None,
     workers: int = 1,
-) -> EvalReport:
-    """Attraction rate per (model, grid cell)."""
+) -> np.ndarray:
+    """The (models, cells) block of attraction rates: model m, labelled ``model_labels[m]``, noise-free on cell c
+    of ``grid.cells()``."""
     cells = grid.cells()
-    labels, rewards = _play_models("generalization_grid", models, model_labels, workers, spec,
-                                   [_sim_cell(a, v, base_ranges) for a, v in cells], [0.0] * len(cells),
-                                   grid.episodes_per_cell, horizon, seed)
-    rates = attraction_rates(rewards, horizon)
-    return EvalReport(model_labels=labels, points=cells, values=rates)
+    rewards = _play_models(models, model_labels, workers, spec, [_sim_cell(a, v, base_ranges) for a, v in cells],
+                           [0.0] * len(cells), grid.episodes_per_cell, horizon, seed)
+    return attraction_rates(rewards, horizon)

@@ -245,13 +245,9 @@ def lipschitz_bound(spec: AnsatzSpec, params: PolicyParams) -> float:
 
 def regularization_penalty(params: PolicyParams, lam: float) -> float:
     """lambda * sum_g omega_g^2 * ||H||^2, the term subtracted from the objective."""
-    if lam < 0:
-        raise ConfigurationError(f"regularization rate must be >= 0, got {lam}")
     return float(lam * GENERATOR_NORM**2 * np.sum(params.omega**2))
 
 
 def penalty_gradient(params: PolicyParams, lam: float) -> np.ndarray:
     """Gradient of the penalty w.r.t. omega: 2 * lambda * ||H||^2 * omega."""
-    if lam < 0:
-        raise ConfigurationError(f"regularization rate must be >= 0, got {lam}")
     return 2.0 * lam * GENERATOR_NORM**2 * params.omega

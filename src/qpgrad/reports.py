@@ -54,24 +54,26 @@ def telemetry_rows(seed: int, records):
         yield (seed, rec.epoch, rec.mean_reward, rec.reg_objective, rec.lipschitz_total)
 
 
-def robustness_rows(report):
-    """(seed, sigma, episode, reward) in model-major, sigma, episode order."""
-    for m, label in enumerate(report.model_labels):
-        for k, sigma in enumerate(report.points):
-            for e in range(report.episode_rewards.shape[2]):
-                yield (label, float(sigma), e, float(report.episode_rewards[m, k, e]))
+def robustness_rows(labels, sigmas, rewards):
+    """(seed, sigma, episode, reward) of the (models, sigmas, episodes) block ``rewards``, in model-major, sigma,
+    episode order; model m's seed is ``labels[m]``."""
+    for m, label in enumerate(labels):
+        for k, sigma in enumerate(sigmas):
+            for e in range(rewards.shape[2]):
+                yield (label, float(sigma), e, float(rewards[m, k, e]))
 
 
-def generalization_rows(report):
-    for m, label in enumerate(report.model_labels):
-        for c, (angle_bin, vel_bin) in enumerate(report.points):
+def generalization_rows(labels, cells, rates):
+    """(seed, angle bin, velocity bin, rate) of the (models, cells) block ``rates``, model-major."""
+    for m, label in enumerate(labels):
+        for c, (angle_bin, vel_bin) in enumerate(cells):
             yield (
                 label,
                 float(angle_bin[0]),
                 float(angle_bin[1]),
                 float(vel_bin[0]),
                 float(vel_bin[1]),
-                float(report.values[m, c]),
+                float(rates[m, c]),
             )
 
 

@@ -58,7 +58,7 @@ from . import policy as pol
 from . import qsim
 from ._sv_c import STREAM_WORDS
 from .cartpole import HORIZON, InitRanges, normalize, out_of_bounds, reset, step_batch
-from .errors import ConfigurationError, UsageError, check_int
+from .errors import ConfigurationError, check_int
 from .policy import AnsatzSpec, PolicyParams
 from .seeding import STREAM_EPISODE, STREAM_INIT, Streams, substream
 
@@ -290,8 +290,6 @@ class Batches:
 
 def discounted_returns(rewards, gamma: float) -> np.ndarray:
     """Reward-to-go G_t = sum_{t'>=t} gamma^(t'-t) r_t', by one backward pass."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ConfigurationError("gamma must be in [0, 1]")
     rewards = np.asarray(rewards, dtype=np.float64)
     out = np.empty_like(rewards)
     acc = 0.0
@@ -333,8 +331,6 @@ def batch_gradient(lengths: np.ndarray, glp_nu: np.ndarray, glp_omega: np.ndarra
     subtracted (episodes shorter than t contribute 0 to the mean), so a
     batch of identical-length episodes produces exactly zero gradient.
     """
-    if len(lengths) == 0:
-        raise UsageError("batch_gradient needs at least one episode")
     returns = episode_returns(lengths, table)
     if config.baseline == BASELINE_BATCH_MEAN:
         returns -= returns.mean(axis=0)
@@ -399,12 +395,9 @@ def apply_update(
     return PolicyParams(nu, omega), opt_state
 
 
-def start_params(spec: AnsatzSpec, seed: int, initial_params: PolicyParams | None = None) -> PolicyParams:
-    """A run's first parameters: a checked copy of ``initial_params``, or fresh ones,
-    ``init_params(spec, substream(seed, STREAM_INIT))``, which on ``c`` the kernel draws."""
-    if initial_params is not None:
-        pol.check_params(spec, initial_params)
-        return initial_params.copy()
+def start_params(spec: AnsatzSpec, seed: int) -> PolicyParams:
+    """A run's first parameters, ``init_params(spec, substream(seed, STREAM_INIT))``, which on ``c`` the kernel
+    draws."""
     kernel = qsim.episode_kernel()
     if kernel is None:
         return pol.init_params(spec, substream(seed, STREAM_INIT))
@@ -414,14 +407,10 @@ def start_params(spec: AnsatzSpec, seed: int, initial_params: PolicyParams | Non
     return PolicyParams(nu.reshape(spec.param_shape), omega.reshape(spec.param_shape))
 
 
-def train(
-    config: TrainConfig,
-    spec: AnsatzSpec,
-    ranges: InitRanges,
-    initial_params: PolicyParams | None = None,
-) -> tuple[PolicyParams, list[TrainRecord]]:
-    """Full training run: returns final parameters and one record per epoch."""
-    params = start_params(spec, config.seed, initial_params)
+def train(config: TrainConfig, spec: AnsatzSpec, ranges: InitRanges) -> tuple[PolicyParams, list[TrainRecord]]:
+    """Full training run from ``start_params(spec, config.seed)``: returns final parameters and one record per
+    epoch."""
+    params = start_params(spec, config.seed)
     opt_state: AdamState | None = None
     records: list[TrainRecord] = []
     episode = 0

@@ -198,6 +198,13 @@ class TestEvalCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["eval-robustness", "eval-generalization"])
+    def test_directory_without_checkpoints_is_runtime_error(self, tmp_path, capsys, command):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert run_cli(command, "--out", str(tmp_path / "out"), "--set", f"eval.checkpoints={empty}") == 2
+        assert f"no checkpoint_*.json files under {empty}" in capsys.readouterr().err
+
     def test_robustness_csv_schema_and_recompute(self, tmp_path):
         train_out = tmp_path / "train"
         assert run_cli(*tiny_train_args(train_out, seeds=1)) == 0
@@ -420,6 +427,23 @@ class TestExitCodes:
         assert run_cli(*tiny_train_args(tmp_path / "out", extra=("--set", setting))) == 1
         assert setting.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, settings, key",
+        [
+            ("train", ("init.x_dot_low=-1e308", "init.x_dot_high=1e308"), "init.x_dot_low/high"),
+            ("eval-robustness", ("init.theta_dot_low=-1e308", "init.theta_dot_high=1e308"), "init.theta_dot_low/high"),
+            ("eval-generalization", ("grid.velocity_edges=-1e308,1e308",), "grid.velocity_edges"),
+            ("curriculum", ("curriculum.ranges=0.25,1e308",), "curriculum.ranges"),
+        ],
+    )
+    def test_interval_whose_width_overflows_is_config_error_naming_key(self, tmp_path, capsys, command, settings,
+                                                                       key):
+        out = tmp_path / "out"
+        sets = [arg for kv in settings for arg in ("--set", kv)]
+        assert run_cli(command, "--out", str(out), *sets) == 1
+        assert f"config error: {key}: the width of" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "setting",

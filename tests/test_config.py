@@ -362,6 +362,35 @@ class TestSectionChecks:
         with pytest.raises(ConfigurationError, match=re.escape(key)):
             section(**values)
 
+    @pytest.mark.parametrize(
+        "section, values, raw, key",
+        [
+            (InitRanges, {"x_dot": (-1e308, 1e308)}, {"init.x_dot_low": "-1e308", "init.x_dot_high": "1e308"},
+             "init.x_dot_low/high"),
+            (InitRanges, {"theta_dot": (-1e308, 1e308)},
+             {"init.theta_dot_low": "-1e308", "init.theta_dot_high": "1e308"}, "init.theta_dot_low/high"),
+            (CurriculumSchedule, {"theta_dot_limits": (0.25, 1e308)}, {"curriculum.ranges": "0.25,1e308"},
+             "curriculum.ranges"),
+            (EvalGridSpec, {"velocity_edges": (-1e308, 1e308)}, {"grid.velocity_edges": "-1e308,1e308"},
+             "grid.velocity_edges"),
+            (EvalGridSpec, {"velocity_edges": (-1.5e308, -1e308, 8e307)},
+             {"grid.velocity_edges": "-1.5e308,-1e308,8e307"}, "grid.velocity_edges"),
+        ],
+    )
+    def test_interval_whose_width_overflows_rejected_naming_key(self, section, values, raw, key):
+        # a start is drawn as lo + (hi - lo) * u, which an infinite width makes infinite
+        for make in (lambda: section(**values), lambda: build_config(raw)):
+            with pytest.raises(ConfigurationError, match=re.escape(f"{key}: the width of")):
+                make()
+
+    def test_huge_interval_of_finite_width_accepted(self):
+        # only each interval's own width counts: the edges -1e308, 0, 1e308 span more than the largest float
+        cfg = build_config({"init.theta_dot_low": "-1e300", "init.theta_dot_high": "1e300",
+                            "curriculum.ranges": "0.25,8e307", "grid.velocity_edges": "-1e308,0,1e308"})
+        assert (cfg.init.theta_dot, cfg.curriculum.theta_dot_limits[-1]) == ((-1e300, 1e300), 8e307)
+        assert cfg.grid.velocity_edges == (-1e308, 0.0, 1e308)
+        assert build_config({"grid.velocity_edges": "1e308,1.7e308"}).grid.velocity_edges == (1e308, 1.7e308)
+
 
 class TestRoundTrip:
     def test_default_round_trip(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qpgrad import curriculum
 from qpgrad.cartpole import InitRanges
 from qpgrad.curriculum import (
     CurriculumSchedule,
@@ -52,10 +53,6 @@ class TestValidate:
         assert mean < 100.0
         assert 0 < failures <= 30
 
-    def test_needs_episodes(self):
-        with pytest.raises(ConfigurationError):
-            validate(SPEC, PolicyParams(np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape)), InitRanges(), 0)
-
 
 class TestRunCurriculum:
     def test_zero_budget_short_circuits(self):
@@ -100,11 +97,13 @@ class TestRunCurriculum:
 class TestWithTrainedPolicy:
     """Cases that need a policy already solving the default conditions."""
 
-    def test_optimal_policy_passes_immediately(self, trained_policy):
+    def test_optimal_policy_passes_immediately(self, trained_policy, monkeypatch):
         params, _ = trained_policy
+        # the run starts from the trained policy instead of a fresh draw
+        monkeypatch.setattr(curriculum, "start_params", lambda spec, seed: params.copy())
         sched = CurriculumSchedule(theta_dot_limits=(0.05,), f_max=50, validation_episodes=30, validation_period=10)
         cfg = TrainConfig(seed=8)
-        result = run_curriculum(cfg, SPEC, sched, initial_params=params)
+        result = run_curriculum(cfg, SPEC, sched)
         assert result.converged
         assert result.total_failures == 0
         assert result.per_range[0].passed

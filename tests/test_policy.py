@@ -278,11 +278,6 @@ class TestPenalty:
         params.omega[0, 1, 1] = 2.0
         assert regularization_penalty(params, 0.1) == pytest.approx(0.1)
 
-    def test_negative_lambda_rejected(self):
-        spec = AnsatzSpec()
-        with pytest.raises(ConfigurationError):
-            regularization_penalty(zero_params(spec), -0.5)
-
     def test_gradient_matches_finite_difference(self):
         from qpgrad.policy import penalty_gradient
 

@@ -35,18 +35,41 @@ def references(tree):
             yield node.name, node.lineno
 
 
-def test_every_definition_has_a_caller_in_src():
+def scan():
+    """The parsed modules of ``src/qpgrad``, and the (module, line) of each read of each name in them."""
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
     refs = {}
     for module, tree in trees.items():
         for name, line in references(tree):
             refs.setdefault(name, []).append((module, line))
+    return trees, refs
+
+
+def callers(module, node, refs):
+    """The reads of ``node``'s name outside ``node`` itself: a recursive call does not count."""
+    return [(where, line) for where, line in refs.get(node.name, [])
+            if not (where == module and node.lineno <= line <= node.end_lineno)]
+
+
+def test_every_definition_has_a_caller_in_src():
+    trees, refs = scan()
     unused = [
         f"{module}: {node.name}"
         for module, tree in trees.items()
         for node in definitions(tree)
-        # a reference inside the definition itself, such as a recursive call, does not count
-        if node.name not in ALLOWED and all(where == module and node.lineno <= line <= node.end_lineno
-                                            for where, line in refs.get(node.name, []))
+        if node.name not in ALLOWED and not callers(module, node, refs)
     ]
     assert unused == [], f"used by no code in src/qpgrad: {', '.join(unused)}"
+
+
+def test_every_allowed_name_is_defined_in_src_and_has_no_caller_yet():
+    # a name that is gone, or that code in src/ now calls, leaves the list in the same change
+    trees, refs = scan()
+    found = {}
+    for module, tree in trees.items():
+        for node in definitions(tree):
+            if node.name in ALLOWED:
+                found.setdefault(node.name, []).extend(callers(module, node, refs))
+    assert sorted(set(ALLOWED) - set(found)) == [], "ALLOWED names no definition in src/qpgrad"
+    called = {name: where for name, where in found.items() if where}
+    assert called == {}, f"ALLOWED names definitions that src/qpgrad now calls: {called}"

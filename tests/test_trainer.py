@@ -12,7 +12,7 @@ from qpgrad import qsim, trainer
 from qpgrad.cartpole import InitRanges
 from qpgrad.checkpoint import save_checkpoint
 from qpgrad.curriculum import CurriculumSchedule
-from qpgrad.errors import ConfigurationError, UsageError
+from qpgrad.errors import ConfigurationError
 from qpgrad.policy import AnsatzSpec, PolicyParams, init_params
 from qpgrad.seeding import STREAM_EPISODE, STREAM_INIT, Streams, derive_run_seeds, substream
 from qpgrad.trainer import (
@@ -147,11 +147,6 @@ class TestBatchGradient:
         g1 = gradient(trajs, 0.95)
         g2 = gradient(trajs[::-1], 0.95)
         np.testing.assert_allclose(g1[0], g2[0], atol=1e-12)
-
-    def test_empty_batch_raises(self):
-        with pytest.raises(UsageError):
-            empty = np.zeros((200, 0, 48))
-            batch_gradient(np.zeros(0, dtype=np.int64), empty, empty, TrainConfig(), np.ones(200))
 
     def test_batch_mean_baseline_zeroes_identical_batch(self):
         rng = np.random.default_rng(2)
