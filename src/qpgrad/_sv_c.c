@@ -31,10 +31,10 @@
  * inverses. undo_rotation() undoes a rotation on both sweeps' states and
  * takes its gradient term in one pass over the amplitude pairs, and the
  * reverse sweep stops at the first rotation. The circuit's parameters come
- * from the template's one map, param and feature per gate
- * (CircuitTemplate): rotation g takes nu[param[g]] when feature[g] is -1,
- * else omega[param[g]] * obs[feature[g]], and each flat parameter drives
- * one variational and one encoding rotation.
+ * from one vector theta, nu's entries then omega's, through the template's
+ * one map, param and feature per gate (CircuitTemplate): rotation g takes
+ * theta[param[g]] when feature[g] is -1, else theta[param[g]] *
+ * obs[feature[g]], and each entry of theta drives one rotation.
  *
  * play_episodes reproduces, bit for bit, trainer.play_episodes running on
  * expval_z_and_grad_rows: each expression below is the Python one
@@ -69,11 +69,12 @@
  *    turn. The run is diagonal and its own inverse, so the adjoint undoes
  *    it with the same pass.
  *  - Trig reuse. cos and sin of half of each rotation's angle are computed
- *    once per row (once per call for the nu angles, which no row changes)
- *    and reused by the forward pass and by undo_rotation, for both its undo
- *    and its gradient term. The undo is the rotation by -angle, applied as
- *    (c, -s): glibc's cos is even and its sin odd bit for bit, so these are
- *    the values that cos(-angle/2) and sin(-angle/2) would return.
+ *    once per row (once per call for the variational angles, which no row
+ *    changes) and reused by the forward pass and by undo_rotation, for both
+ *    its undo and its gradient term. The undo is the rotation by -angle,
+ *    applied as (c, -s): glibc's cos is even and its sin odd bit for bit,
+ *    so these are the values that cos(-angle/2) and sin(-angle/2) would
+ *    return.
  *  - One pass per rotation. For each amplitude pair, undo_rotation undoes
  *    the gate on psi, adds the pair's gradient terms from that psi and the
  *    lam before its undo, then undoes the gate on lam, with the expressions
@@ -89,7 +90,7 @@
  *    from x*x in the last bit for about 1 in 1000 inputs. The exponent is
  *    read from a volatile, so the call stays a call.
  *  - Threads. An episode reads only its own start, noise std and stream,
- *    writes only its own length, stream and [t, i] gradient rows, and runs
+ *    writes only its own length, stream and [t, i] gradient row, and runs
  *    on its thread's own scratch, so its operations are the same whichever
  *    thread plays it and whatever the others do. It draws from a private
  *    copy of its stream, written back when it ends, and no two threads'
@@ -590,23 +591,24 @@ static bitgen_t bitgen(struct philox *st) {
     return (bitgen_t){.state = st, .next_uint64 = philox_next, .next_double = philox_double, .next_raw = philox_next};
 }
 
-/* The policy circuit, compiled, with gate g's parameter and the feature it
- * reads (-1: a nu angle). */
+/* The policy circuit, compiled, with gate g's entry of theta and the
+ * feature it reads (-1: a variational angle). */
 struct policy {
     struct sim sim;
-    ptrdiff_t n_gates, n_params;
+    ptrdiff_t n_gates;
     const int8_t *kinds;
     const int32_t *param, *feature;
-    const double *omega;
+    const double *theta;
 };
 
 /* One step in raw state s (see trainer.play_episodes): the observation,
  * plus 4 draws of N(0, sigma) from bg when sigma > 0, the action uniform u
- * drawn next, then <Z^n>, the nu angles' trig already in pol->sim.cs.
- * Returns the action: right unless u < p0. Unless grads is NULL, the
- * adjoint runs too and coeff * d<Z^n>/d(param) go to glp_nu and glp_omega. */
+ * drawn next, then <Z^n>, the variational angles' trig already in
+ * pol->sim.cs. Returns the action: right unless u < p0. Unless grads is
+ * NULL, the adjoint runs too and coeff * d<Z^n>/d(theta) goes to the row
+ * glp. */
 static int policy_step(const struct policy *pol, const struct cartpole *cp, double *grads, const double *s,
-                       double sigma, bitgen_t *bg, double *glp_nu, double *glp_omega) {
+                       double sigma, bitgen_t *bg, double *glp) {
     double obs[N_FEATURES];
     for (int k = 0; k < N_FEATURES; k++) {
         obs[k] = s[k] / cp->norm_factors[k];
@@ -617,7 +619,7 @@ static int policy_step(const struct policy *pol, const struct cartpole *cp, doub
     double u = bg->next_double(bg->state);
     for (ptrdiff_t g = 0; g < pol->n_gates; g++) {
         if (is_rotation(pol->kinds[g]) && pol->feature[g] >= 0) {
-            half_angle_trig(pol->sim.cs + 2 * g, pol->omega[pol->param[g]] * obs[pol->feature[g]]);
+            half_angle_trig(pol->sim.cs + 2 * g, pol->theta[pol->param[g]] * obs[pol->feature[g]]);
         }
     }
     double e = circuit(&pol->sim, grads);
@@ -630,10 +632,9 @@ static int policy_step(const struct policy *pol, const struct cartpole *cp, doub
         pa = pa < 1e-12 ? 1e-12 : pa;
         double coeff = (right ? -1.0 : 1.0) / (2.0 * pa);
         for (ptrdiff_t g = 0, k = 0; g < pol->n_gates; g++) {
-            if (is_rotation(pol->kinds[g]) && pol->feature[g] < 0) {
-                glp_nu[pol->param[g]] = coeff * grads[k++];
-            } else if (is_rotation(pol->kinds[g])) {
-                glp_omega[pol->param[g]] = coeff * (grads[k++] * obs[pol->feature[g]]);
+            if (is_rotation(pol->kinds[g])) {
+                double d = grads[k++];
+                glp[pol->param[g]] = coeff * (pol->feature[g] < 0 ? d : d * obs[pol->feature[g]]);
             }
         }
     }
@@ -648,7 +649,7 @@ struct batch {
     const double *starts, *sigmas;
     struct philox *streams;
     ptrdiff_t n_episodes, n_params, horizon;
-    double *glp_nu, *glp_omega;
+    double *glp;
     int64_t *lengths;
     double square;
     atomic_ptrdiff_t next;
@@ -670,7 +671,7 @@ struct player {
  * cache lines. */
 static void play(struct player *pl) {
     struct batch *b = pl->batch;
-    double *grads = b->glp_nu == NULL ? NULL : pl->pol.sim.grads;
+    double *grads = b->glp == NULL ? NULL : pl->pol.sim.grads;
     for (ptrdiff_t i; (i = atomic_fetch_add_explicit(&b->next, 1, memory_order_relaxed)) < b->n_episodes;) {
         double s[2][N_FEATURES];
         memcpy(s[0], b->starts + N_FEATURES * i, sizeof s[0]);
@@ -680,8 +681,7 @@ static void play(struct player *pl) {
         for (int out = out_of_bounds(b->cp, s[0]); !out && t < b->horizon; t++) {
             ptrdiff_t row = (t * b->n_episodes + i) * b->n_params;
             int right = policy_step(&pl->pol, b->cp, grads, s[t % 2], b->sigmas[i], &bg,
-                                    grads == NULL ? NULL : b->glp_nu + row,
-                                    grads == NULL ? NULL : b->glp_omega + row);
+                                    grads == NULL ? NULL : b->glp + row);
             out = cartpole_step(b->cp, s[t % 2], right, b->square, s[(t + 1) % 2]);
         }
         b->lengths[i] = t;
@@ -827,10 +827,9 @@ __attribute__((constructor)) static void register_fork_handlers(void) {
  * from streams[i] under noise std sigmas[i], until it goes out of bounds
  * or reaches the horizon, and puts its step count, 0 for a start out of
  * bounds, in lengths[i], and leaves streams[i] where its draws end; param
- * and feature map the parameters onto the rotations (see the top of this
- * file). Unless glp_nu is NULL, step t of episode i writes its grad log pi
- * to [t, i] of the (horizon, n_episodes, n_params) blocks glp_nu and
- * glp_omega.
+ * and feature map the n_params entries of theta onto the rotations (see the
+ * top of this file). Unless glp is NULL, step t of episode i writes its
+ * grad log pi to [t, i] of the (horizon, n_episodes, n_params) block glp.
  *
  * The episodes are played on threads threads, clamped to [1, min(n_episodes,
  * MAX_THREADS)], or on one when the fork handlers could not be registered:
@@ -846,10 +845,10 @@ __attribute__((constructor)) static void register_fork_handlers(void) {
  * or -2 when the scratch cannot be allocated (nothing computed then). */
 ptrdiff_t play_episodes(int n_qubits, const int8_t *kinds, const int32_t *qa, const int32_t *qb,
                         const int32_t *param, const int32_t *feature, ptrdiff_t n_gates,
-                        const double *nu, const double *omega, ptrdiff_t n_params,
-                        ptrdiff_t n_episodes, const double *starts, const double *sigmas,
-                        struct philox *streams, ptrdiff_t horizon, double *glp_nu,
-                        double *glp_omega, const struct cartpole *cp, int64_t *lengths, int threads) {
+                        const double *theta, ptrdiff_t n_params, ptrdiff_t n_episodes,
+                        const double *starts, const double *sigmas, struct philox *streams,
+                        ptrdiff_t horizon, double *glp, const struct cartpole *cp, int64_t *lengths,
+                        int threads) {
     ptrdiff_t bad = bad_gate(n_qubits, kinds, qa, qb, n_gates);
     if (bad >= 0) {
         return bad;
@@ -865,12 +864,12 @@ ptrdiff_t play_episodes(int n_qubits, const int8_t *kinds, const int32_t *qa, co
     n_threads = n_threads > 1 && forkable ? n_threads : 1;
     struct batch batch = {.cp = cp, .starts = starts, .sigmas = sigmas, .streams = streams,
                           .n_episodes = n_episodes, .n_params = n_params, .horizon = horizon,
-                          .glp_nu = glp_nu, .glp_omega = glp_omega, .lengths = lengths, .square = SQUARE};
+                          .glp = glp, .lengths = lengths, .square = SQUARE};
     atomic_init(&batch.next, 0);
     struct player players[MAX_THREADS];
     for (ptrdiff_t k = 0; k < n_threads; k++) {
-        players[k] = (struct player){.batch = &batch, .pol = {.n_gates = n_gates, .n_params = n_params,
-                                     .kinds = kinds, .param = param, .feature = feature, .omega = omega}};
+        players[k] = (struct player){.batch = &batch, .pol = {.n_gates = n_gates, .kinds = kinds,
+                                     .param = param, .feature = feature, .theta = theta}};
         if (prepare(&players[k].pol.sim, n_qubits, kinds, qa, qb, n_gates) == -2) {
             while (k-- > 0) {
                 free(players[k].pol.sim.psi);
@@ -879,7 +878,7 @@ ptrdiff_t play_episodes(int n_qubits, const int8_t *kinds, const int32_t *qa, co
         }
         for (ptrdiff_t g = 0; g < n_gates; g++) {
             if (is_rotation(kinds[g]) && feature[g] < 0) {
-                half_angle_trig(players[k].pol.sim.cs + 2 * g, nu[param[g]]);
+                half_angle_trig(players[k].pol.sim.cs + 2 * g, theta[param[g]]);
             }
         }
     }
@@ -945,17 +944,18 @@ void start_episodes(const uint32_t *head, ptrdiff_t n_head, const uint64_t *suff
 }
 
 /* policy.init_params on the stream whose entropy is the n_head words of
- * head (seeding.substream(seed, STREAM_INIT)): first the n_params entries
- * of nu, each Generator.uniform(lo, hi), then those of omega, each
- * random_normal(0, std) as Generator.normal(0, std) draws it. */
+ * head (seeding.substream(seed, STREAM_INIT)), into the 2 n_params entries
+ * of theta: first the n_params of nu, each Generator.uniform(lo, hi), then
+ * those of omega, each random_normal(0, std) as Generator.normal(0, std)
+ * draws it. */
 void init_params(const uint32_t *head, ptrdiff_t n_head, ptrdiff_t n_params, double lo, double hi, double std,
-                 double *nu, double *omega) {
+                 double *theta) {
     struct philox st = philox_seeded(seeded(head, n_head));
     bitgen_t bg = bitgen(&st);
     for (ptrdiff_t i = 0; i < n_params; i++) {
-        nu[i] = uniform(&st, lo, hi);
+        theta[i] = uniform(&st, lo, hi);
     }
-    for (ptrdiff_t i = 0; i < n_params; i++) {
-        omega[i] = random_normal(&bg, 0.0, std);
+    for (ptrdiff_t i = n_params; i < 2 * n_params; i++) {
+        theta[i] = random_normal(&bg, 0.0, std);
     }
 }

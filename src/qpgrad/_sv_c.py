@@ -6,22 +6,23 @@ installed numpy's ``libnpyrandom.a``, and ``Kernel`` wraps the library:
 ``_sv_numpy``; ``start_episodes``, which derives the Philox stream of each
 episode of a batch and draws its start, as ``seeding.substream`` and
 ``cartpole.reset`` would; ``init_params``, which draws a run's initial
-parameters in C from its init stream, derived the same way, as
+parameter vector theta in C from its init stream, derived the same way, as
 ``policy.init_params`` would, so that no ``c`` campaign imports
 ``numpy.random``; and ``play_episodes``, the one-call form of
-``trainer.play_episodes``, which plays the batch and draws its noise and
-action uniforms from those streams with numpy's own C distributions. It
-plays the batch on ``Kernel.threads`` threads, by default one per core this
-process may run on, and no result depends on the count: the calling thread
-and helpers of the library's one team per process. The helpers outlive the
-call; after a batch each spins for 2 ms, yielding its core to any thread
-that wants it, then parks until the next call. They block every signal, and
+``trainer.play_episodes``, which plays the batch under flat theta and
+draws its noise and action uniforms from those streams with numpy's own C
+distributions. It plays the batch on ``Kernel.threads`` threads, by
+default one per core this process may run on, and no result depends on
+the count: the calling thread and helpers of the library's one team per
+process. The helpers outlive the call; after a batch each spins for 2 ms,
+yielding its core to any thread that wants it, then parks until the next
+call. They block every signal, and
 every fork of the process joins them first, through a ``pthread_atfork``
 handler the library registers when it loads; the next call starts them
 again. The C code takes raw pointers, so each
 argument is checked first: dtype, 1-D gate arrays of equal length, a 2-D
 angle block with one column per gate, and for the episode calls every
-shape, and a stream block and gradient blocks of the batch (and the
+shape, and a stream block and gradient block of the batch (and the
 horizon), which must be C-contiguous and writable.
 Inputs reach the C code as C-contiguous copies, and the C code itself
 rejects unknown gate kinds, qubits outside the register, a CZ on one qubit
@@ -160,16 +161,6 @@ def _output(arr, dtype: np.dtype, name: str, shape: tuple):
     return _Memory.from_buffer(arr)
 
 
-def _gradient_blocks(glp, shape: tuple):
-    """Pointers to the gradient blocks ``glp``, after checking that both have
-    ``shape``, (horizon, episodes, n_params)."""
-    if glp is None:
-        return None, None
-    if not (isinstance(glp, tuple) and len(glp) == 2):
-        raise ValueError(f"glp must be a pair of writable C-contiguous float64 arrays of shape {shape}")
-    return tuple(_output(b, _F64, "glp", shape) for b in glp)
-
-
 class Kernel:
     """The compiled kernel loaded from the library at ``path``."""
 
@@ -184,14 +175,14 @@ class Kernel:
         self._rows.argtypes = [n, ptr, ptr, ptr, ptr, size, size, ptr, ptr]
         self._rows.restype = size
         self._play = lib.play_episodes
-        self._play.argtypes = [n, ptr, ptr, ptr, ptr, ptr, size, ptr, ptr, size, size, ptr, ptr, ptr, size,
-                               ptr, ptr, ptr, ptr, n]
+        self._play.argtypes = [n, ptr, ptr, ptr, ptr, ptr, size, ptr, size, size, ptr, ptr, ptr, size, ptr, ptr,
+                               ptr, n]
         self._play.restype = size
         self._start = lib.start_episodes
         self._start.argtypes = [ptr, size, ptr, size, size, ptr, ptr, ptr]
         self._start.restype = None
         self._init = lib.init_params
-        self._init.argtypes = [ptr, size, size, ctypes.c_double, ctypes.c_double, ctypes.c_double, ptr, ptr]
+        self._init.argtypes = [ptr, size, size, ctypes.c_double, ctypes.c_double, ctypes.c_double, ptr]
         self._init.restype = None
 
     def expval_z_rows(self, n_qubits, kinds, qa, qb, angles) -> np.ndarray:
@@ -250,26 +241,27 @@ class Kernel:
         """``policy.init_params`` on the stream whose entropy words are
         ``head`` (uint32, ``seeding.Streams.head``), in one call: ``n_params``
         draws of nu from ``Generator.uniform(*nu_range)``, then ``n_params``
-        of omega from ``Generator.normal(0, omega_std)``. Returns the flat
-        ``(nu, omega)``.
+        of omega from ``Generator.normal(0, omega_std)``. Returns flat theta,
+        the ``2 * n_params`` draws in that order.
         """
         head_data = _input(head, _U32, "head")
-        nu, omega = np.empty(n_params), np.empty(n_params)
-        self._init(head_data, len(head), n_params, *nu_range, omega_std, _Memory.from_buffer(nu),
-                   _Memory.from_buffer(omega))
-        return nu, omega
+        theta = np.empty(2 * n_params)
+        self._init(head_data, len(head), n_params, *nu_range, omega_std, _Memory.from_buffer(theta))
+        return theta
 
-    def play_episodes(self, n_qubits, kinds, qa, qb, param, feature, nu, omega, starts, sigmas, streams, horizon,
+    def play_episodes(self, n_qubits, kinds, qa, qb, param, feature, theta, starts, sigmas, streams, horizon,
                       glp=None) -> np.ndarray:
         """``trainer.play_episodes`` in one call, bit for bit.
 
         The template arrives as its gate arrays plus ``param`` and
         ``feature`` (int32, one entry per gate): rotation g takes the angle
-        ``nu[param[g]]`` when ``feature[g]`` is -1, else
-        ``omega[param[g]] * obs[feature[g]]``. ``starts`` is (B, 4),
-        ``sigmas`` (B,) and ``streams`` the (B, ``STREAM_WORDS``) block of
-        ``start_episodes``: episode i draws from row i, where the C code
-        leaves the state its draws end in. The episodes are played on
+        ``theta[param[g]]`` of the flat parameters ``theta`` when
+        ``feature[g]`` is -1, else ``theta[param[g]] * obs[feature[g]]``.
+        ``starts`` is (B, 4), ``sigmas`` (B,) and ``streams`` the (B,
+        ``STREAM_WORDS``) block of ``start_episodes``: episode i draws from
+        row i, where the C code leaves the state its draws end in. Given the
+        (horizon, B, ``len(theta)``) block ``glp``, step t of episode i
+        writes its grad log pi to ``glp[t, i]``. The episodes are played on
         ``self.threads`` threads (at most one per episode, and 64), the
         caller's and helpers that outlive the call, which changes no result.
         Returns the (B,) episode lengths.
@@ -277,18 +269,17 @@ class Kernel:
         gates = _gates(n_qubits, kinds, qa, qb)
         n_gates = len(kinds)
         sources = (_shaped(param, _I32, "param", (n_gates,)), _shaped(feature, _I32, "feature", (n_gates,)))
-        params = (_input(nu, _F64, "nu"), _shaped(omega, _F64, "omega", nu.shape))
-        n_params = len(nu)
+        theta_data = _input(theta, _F64, "theta")
+        n_params = len(theta)
         n = len(starts)
         start_data = _shaped(starts, _F64, "starts", (n, 4))
         sigma_data = _shaped(sigmas, _F64, "sigmas", (n,))
         if not (isinstance(horizon, (int, np.integer)) and horizon >= 1):
             raise ValueError(f"horizon must be an int >= 1, got {horizon!r}")
         stream_data = _output(streams, _U64, "streams", (n, STREAM_WORDS))
-        glp_nu, glp_omega = _gradient_blocks(glp, (horizon, n, n_params))
+        glp_data = None if glp is None else _output(glp, _F64, "glp", (horizon, n, n_params))
         lengths = np.empty(n, dtype=np.int64)
-        status = self._play(*gates, *sources, n_gates, *params, n_params, n, start_data, sigma_data,
-                            stream_data, horizon, glp_nu, glp_omega, _CARTPOLE, _Memory.from_buffer(lengths),
-                            self.threads)
+        status = self._play(*gates, *sources, n_gates, theta_data, n_params, n, start_data, sigma_data,
+                            stream_data, horizon, glp_data, _CARTPOLE, _Memory.from_buffer(lengths), self.threads)
         _check_status(status, n_qubits)
         return lengths

@@ -90,8 +90,9 @@ def run_benchmark(kernels: dict, repeats: int = 2000, spec: AnsatzSpec = AnsatzS
     default initial ranges, with a horizon of up to ``EPISODE_HORIZON``."""
     tpl = get_template(spec)
     rng = np.random.default_rng(seed)
-    params = PolicyParams(rng.uniform(-np.pi, np.pi, spec.param_shape), rng.normal(0.0, 0.1, spec.param_shape))
-    nu, omega = params.nu.reshape(-1), params.omega.reshape(-1)
+    params = PolicyParams(np.stack([rng.uniform(-np.pi, np.pi, spec.param_shape),
+                                    rng.normal(0.0, 0.1, spec.param_shape)]))
+    theta = params.theta.reshape(-1)
     obs = rng.uniform(-1.0, 1.0, (max(BATCH_SIZES), spec.n_qubits))
     gates = (spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb)
 
@@ -111,7 +112,7 @@ def run_benchmark(kernels: dict, repeats: int = 2000, spec: AnsatzSpec = AnsatzS
     for name, kernel in kernels.items():
         default = getattr(kernel, "threads", 1)
         for batch in BATCH_SIZES:
-            angles = tpl.angles(nu, omega, obs[:batch])
+            angles = tpl.angles(theta, obs[:batch])
             calls = max(1, repeats // batch)
             row_us = {}
             for key, fn in (
@@ -143,11 +144,11 @@ def call_us(kernel, calls: int) -> dict:
     rounds of ``calls`` calls each."""
     spec = AnsatzSpec()
     tpl = get_template(spec)
-    nu, omega = np.full(spec.n_params_each, 0.3), np.full(spec.n_params_each, 0.1)
+    theta = np.repeat([0.3, 0.1], spec.n_params_each)
     streams = Streams(0, (STREAM_EPISODE,), np.arange(CALL_EPISODES)[:, None])
     states, starts = kernel.start_episodes(streams.head(), streams.suffixes,
                                            np.tile(InitRanges().bounds, (CALL_EPISODES, 1, 1)))
-    args = (spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature, nu, omega, starts,
+    args = (spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature, theta, starts,
             np.zeros(CALL_EPISODES), states, 1)
 
     def measure():

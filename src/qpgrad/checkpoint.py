@@ -1,9 +1,10 @@
 """Policy checkpoint persistence.
 
-A checkpoint is a small JSON document holding the ansatz shape, both
-parameter tensors flattened in row-major layer/qubit/slot order at full
-double precision (JSON floats round-trip exactly), the regularization rate
-used in training, and the RNG seed of the run that produced it. It also
+A checkpoint is a small JSON document holding the ansatz shape, the two
+halves of theta, ``nu`` and ``omega``, each flattened in row-major
+layer/qubit/slot order at full double precision (JSON floats round-trip
+exactly), the regularization rate used in training, and the RNG seed of
+the run that produced it. It also
 records the norm of the rotation generators, which is fixed at 0.5; a
 checkpoint with any other value is rejected.
 """
@@ -100,7 +101,6 @@ def load_checkpoint(path) -> Checkpoint:
         encoding=_field(path, doc, "encoding", rule=(ENCODINGS.__contains__, f"one of {ENCODINGS}")),
     )
     _field(path, doc, "generator_norm", _is_number, (lambda value: value == GENERATOR_NORM, GENERATOR_NORM))
-    shape = ansatz.param_shape
     n = ansatz.n_params_each
     nu = np.asarray(_field(path, doc, "nu", _is_numbers), dtype=np.float64)
     omega = np.asarray(_field(path, doc, "omega", _is_numbers), dtype=np.float64)
@@ -112,7 +112,7 @@ def load_checkpoint(path) -> Checkpoint:
     for name, values in (("nu", nu), ("omega", omega)):
         if not np.all(np.isfinite(values)):  # json.loads accepts NaN and Infinity
             raise ConfigurationError(f"checkpoint {path}: field {name!r} must hold finite numbers only")
-    params = PolicyParams(nu.reshape(shape), omega.reshape(shape))
+    params = PolicyParams(np.stack([nu, omega]).reshape(ansatz.theta_shape))
     # the seed keys random streams, whose path components must be >= 0
     seed = _field(path, doc, "seed", _is_int, (lambda value: value >= 0, ">= 0"))
     return Checkpoint(ansatz=ansatz, params=params, lam=lam, seed=seed)

@@ -149,7 +149,7 @@ def _curriculum_job(payload):
 
 def _load_models(config: ExperimentConfig):
     ckpt_dir = Path(config.eval_checkpoints)
-    if not config.eval_checkpoints or not ckpt_dir.is_dir():
+    if not ckpt_dir.is_dir():
         raise ConfigurationError(
             f"eval.checkpoints must name a directory of checkpoints, got {config.eval_checkpoints!r}"
         )

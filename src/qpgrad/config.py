@@ -68,6 +68,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigurationError(f"run.command must be one of {COMMANDS}, got {self.command!r}")
+        if not self.out_dir:  # "" would write into the working directory; "." says so
+            raise ConfigurationError("run.out must name an output directory, got ''")
+        if self.command.startswith("eval-") and not self.eval_checkpoints:
+            raise ConfigurationError(f"eval.checkpoints must name a directory of checkpoints for {self.command}, "
+                                     "got ''")
         for key, value, low in (("run.seed", self.seed, 0), ("run.seeds", self.n_seeds, 1),
                                 ("run.workers", self.workers, 1), ("eval.episodes", self.eval_episodes, 1)):
             check_int(key, value, low)
@@ -97,7 +102,7 @@ class ExperimentConfig:
         blocks = gradient_bytes(self.ansatz, self.train)
         if self.command in ("train", "curriculum") and blocks > MAX_GRADIENT_BYTES:
             raise ConfigurationError(
-                f"train.horizon ({self.train.horizon}) is too long: the two gradient blocks of a batch of "
+                f"train.horizon ({self.train.horizon}) is too long: the gradient block of a batch of "
                 f"{self.train.minibatch or self.train.batch_size} episodes would take {blocks / 2**30:.1f} GiB, "
                 f"more than the limit of {MAX_GRADIENT_BYTES // 2**30} GiB")
         # the forward batch this command plays for one model: its size key and that key's value, the episodes

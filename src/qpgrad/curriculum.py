@@ -128,7 +128,7 @@ def run_curriculum(
     batches = Batches(spec, config, ranges, n)
 
     while failures < schedule.f_max:
-        lengths, (glp_nu, glp_omega) = batches.play(params, episode, n, range_idx)
+        lengths, glp = batches.play(params, episode, n, range_idx)
         failed = lengths < config.horizon
         # the episode that uses up the budget ends the run; later episodes never happened
         kept = min(n, int(np.searchsorted(failures + np.cumsum(failed), schedule.f_max)) + 1)
@@ -139,7 +139,7 @@ def run_curriculum(
         since_validation += kept
         if kept < n:
             break
-        grad = batch_gradient(lengths, glp_nu, glp_omega, config, batches.returns)
+        grad = batch_gradient(lengths, glp, config, batches.returns)
         params, opt_state = apply_update(params, grad, config, opt_state)
         if since_validation < schedule.validation_period:
             continue

@@ -1,7 +1,9 @@
 """Two-action policy realized by a layered rotation ansatz with trainable encoding.
 
-Circuit structure (n qubits, L layers): H on every qubit, then per layer and
-per qubit an encoding block followed by a variational block,
+The policy trains one vector theta = (nu, omega): variational angles nu and
+input-scaling weights omega. Circuit structure (n qubits, L layers): H on
+every qubit, then per layer and per qubit an encoding block followed by a
+variational block,
 
     RZ(omega[j,i,0] * s_i), RY(omega[j,i,1] * s_i), RZ(nu[j,i,0]), RY(nu[j,i,1]),
 
@@ -10,8 +12,8 @@ expectation ``e`` maps to action probabilities [(e+1)/2, (1-e)/2].
 
 The circuit exists only in packed form: ``CircuitTemplate`` lays it out once
 per ``AnsatzSpec`` as the parallel gate arrays (kind, qubit, CZ partner) the
-kernels in ``qsim`` take, plus each gate's parameter and feature index, the
-one map from nu, omega and the observation to the angles.
+kernels in ``qsim`` take, plus each gate's index into flat theta and its
+feature index, the one map from theta and the observation to the angles.
 
 The ``rz_rz`` encoding variant applies the second encoding rotation around Z
 as well; two successive RZ collapse to one effective angle, which makes one
@@ -19,7 +21,8 @@ weight per qubit-layer redundant, so ``rz_ry`` is the default.
 
 Because every rotation generator has spectral norm 1/2 and both projectors
 (I +- Z^n)/2 have norm 1, the certified Lipschitz bound of the policy reduces
-to sums of |omega| entries; see ``lipschitz_bound``.
+to sums of |omega| entries; see ``lipschitz_bound``. Only omega enters the
+bound and the penalty.
 """
 
 from __future__ import annotations
@@ -70,37 +73,45 @@ class AnsatzSpec:
         return (self.n_layers, self.n_qubits, PARAM_SLOTS)
 
     @property
+    def theta_shape(self) -> tuple[int, int, int, int]:
+        return (2, *self.param_shape)
+
+    @property
     def n_params_each(self) -> int:
         return self.n_layers * self.n_qubits * PARAM_SLOTS
 
 
 @dataclass
 class PolicyParams:
-    """Trainable angles: ``nu`` (variational) and ``omega`` (encoding weights).
-
-    Both tensors have shape (layers, qubits, slots) and row-major
-    layer/qubit/slot flattening order.
+    """The trainable vector ``theta``, one (2, layers, qubits, slots) array
+    whose halves are ``nu`` (variational angles) and ``omega`` (encoding
+    weights), each in row-major layer/qubit/slot order; flat theta is nu's
+    P entries, then omega's.
     """
 
-    nu: np.ndarray
-    omega: np.ndarray
+    theta: np.ndarray
 
     def __post_init__(self):
-        self.nu = np.asarray(self.nu, dtype=np.float64)
-        self.omega = np.asarray(self.omega, dtype=np.float64)
-        if self.nu.shape != self.omega.shape:
-            raise ConfigurationError("nu and omega must have identical shapes")
-        if not (np.all(np.isfinite(self.nu)) and np.all(np.isfinite(self.omega))):
+        self.theta = np.asarray(self.theta, dtype=np.float64)
+        if not np.all(np.isfinite(self.theta)):
             raise ConfigurationError("policy parameters must be finite")
 
+    @property
+    def nu(self) -> np.ndarray:
+        return self.theta[0]
+
+    @property
+    def omega(self) -> np.ndarray:
+        return self.theta[1]
+
     def copy(self) -> "PolicyParams":
-        return PolicyParams(self.nu.copy(), self.omega.copy())
+        return PolicyParams(self.theta.copy())
 
 
 def check_params(spec: AnsatzSpec, params: PolicyParams) -> None:
-    if params.nu.shape != spec.param_shape:
+    if params.theta.shape != spec.theta_shape:
         raise ConfigurationError(
-            f"parameter shape {params.nu.shape} does not match ansatz {spec.param_shape}"
+            f"parameter shape {params.theta.shape} does not match ansatz {spec.theta_shape}"
         )
 
 
@@ -111,7 +122,7 @@ def init_params(spec: AnsatzSpec, rng: np.random.Generator) -> PolicyParams:
     (``_sv_c.Kernel.init_params``); this is their oracle."""
     nu = rng.uniform(*NU_INIT_RANGE, size=spec.param_shape)
     omega = rng.normal(0.0, OMEGA_INIT_STD, size=spec.param_shape)
-    return PolicyParams(nu, omega)
+    return PolicyParams(np.stack([nu, omega]))
 
 
 class CircuitTemplate:
@@ -119,32 +130,34 @@ class CircuitTemplate:
 
     ``kinds``, ``qa`` and ``qb`` are the gate arrays the kernels take, and
     ``param`` and ``feature`` beside them are the template's one parameter
-    map: rotation g takes the variational angle ``nu[param[g]]`` when
-    ``feature[g]`` is -1, else the encoding angle
-    ``omega[param[g]] * s[feature[g]]``; both are -1 on H and CZ. Each flat
-    parameter drives exactly one variational and one encoding rotation, and
-    the encoding rotations on qubit q read feature q. ``angles`` fills the
-    per-gate angle vectors from parameter tensors and a block of
-    observations, one row per observation; ``grad_to_params`` scatters
-    per-rotation angle gradients back onto nu/omega (chain factor s_i for
-    encoding weights), row by row. The C episode loop reads the same map.
+    map: rotation g takes the variational angle ``theta[param[g]]`` of flat
+    theta when ``feature[g]`` is -1, else the encoding angle
+    ``theta[param[g]] * s[feature[g]]``; both are -1 on H and CZ. A
+    variational rotation reads nu's flat index k, the encoding rotation of
+    the same layer, qubit and slot omega's, P + k, and the encoding
+    rotations on qubit q read feature q, so each entry of theta drives
+    exactly one rotation. ``angles`` fills the per-gate angle vectors from
+    flat theta and a block of observations, one row per observation;
+    ``grad_to_params`` scatters per-rotation angle gradients back onto flat
+    theta (chain factor s_i for encoding weights), row by row. The C episode
+    loop reads the same map.
     """
 
     def __init__(self, spec: AnsatzSpec):
         self.spec = spec
-        n = spec.n_qubits
+        n, p = spec.n_qubits, spec.n_params_each  # omega's entries start at P in flat theta
         second_enc = qsim.KIND_RZ if spec.encoding == ENCODING_RZ_RZ else qsim.KIND_RY
         kinds, qa, qb = [qsim.KIND_H] * n, list(range(n)), [-1] * n
         param, feature = [-1] * n, [-1] * n
         for layer in range(spec.n_layers):
             for q in range(n):
                 flat = (layer * n + q) * PARAM_SLOTS
-                for kind, slot, reads in ((qsim.KIND_RZ, 0, q), (second_enc, 1, q), (qsim.KIND_RZ, 0, -1),
-                                          (qsim.KIND_RY, 1, -1)):
+                for kind, index, reads in ((qsim.KIND_RZ, p + flat, q), (second_enc, p + flat + 1, q),
+                                           (qsim.KIND_RZ, flat, -1), (qsim.KIND_RY, flat + 1, -1)):
                     kinds.append(kind)
                     qa.append(q)
                     qb.append(-1)
-                    param.append(flat + slot)
+                    param.append(index)
                     feature.append(reads)
             if spec.entangler == ENTANGLE_EVERY or layer < spec.n_layers - 1:
                 # CZ is symmetric and CZs commute, so lexicographic pair order is canonical.
@@ -165,38 +178,35 @@ class CircuitTemplate:
         self._variational = np.flatnonzero((self.param >= 0) & (self.feature < 0))
         self._encoding = np.flatnonzero(self.feature >= 0)
 
-    def angles(self, nu_flat: np.ndarray, omega_flat: np.ndarray, obs: np.ndarray) -> np.ndarray:
-        """Gate angles for observations ``obs`` of shape (..., n_qubits): shape (..., n_gates)."""
+    def angles(self, theta: np.ndarray, obs: np.ndarray) -> np.ndarray:
+        """Gate angles for flat ``theta`` and observations ``obs`` of shape (..., n_qubits): shape (..., n_gates)."""
         var, enc = self._variational, self._encoding
         a = np.zeros(obs.shape[:-1] + (self.n_gates,))
-        a[..., var] = nu_flat[self.param[var]]
-        a[..., enc] = omega_flat[self.param[enc]] * obs[..., self.feature[enc]]
+        a[..., var] = theta[self.param[var]]
+        a[..., enc] = theta[self.param[enc]] * obs[..., self.feature[enc]]
         return a
 
-    def expval(self, nu_flat, omega_flat, obs) -> np.ndarray:
+    def expval(self, theta, obs) -> np.ndarray:
         """<Z^n> for each row of the (B, n_qubits) observations: shape (B,)."""
-        a = self.angles(nu_flat, omega_flat, obs)
+        a = self.angles(theta, obs)
         return qsim._kernel.expval_z_rows(self.spec.n_qubits, self.kinds, self.qa, self.qb, a)
 
-    def expval_and_grad(self, nu_flat, omega_flat, obs):
-        """For (B, n_qubits) observations: (expectations (B,), nu-flat
-        gradients (B, P), omega-flat gradients (B, P))."""
-        a = self.angles(nu_flat, omega_flat, obs)
+    def expval_and_grad(self, theta, obs):
+        """For (B, n_qubits) observations: (expectations (B,), flat theta gradients (B, 2P))."""
+        a = self.angles(theta, obs)
         e, grot = qsim._kernel.expval_z_and_grad_rows(self.spec.n_qubits, self.kinds, self.qa, self.qb, a)
-        gnu, gom = self.grad_to_params(grot, obs)
-        return e, gnu, gom
+        return e, self.grad_to_params(grot, obs)
 
-    def grad_to_params(self, grad_rot: np.ndarray, obs: np.ndarray):
-        """(B, rotations) angle gradients as (B, P) nu and omega gradients.
+    def grad_to_params(self, grad_rot: np.ndarray, obs: np.ndarray) -> np.ndarray:
+        """(B, rotations) angle gradients as (B, 2P) flat theta gradients.
 
-        A scatter, which sets every entry because each flat parameter drives
-        exactly one rotation of each kind."""
+        A scatter, which sets every entry because each entry of theta drives
+        exactly one rotation."""
         var, enc = self._variational, self._encoding
-        gnu = np.empty((len(grad_rot), self.spec.n_params_each))
-        gom = np.empty_like(gnu)
-        gnu[:, self.param[var]] = grad_rot[:, self._column[var]]
-        gom[:, self.param[enc]] = grad_rot[:, self._column[enc]] * obs[:, self.feature[enc]]
-        return gnu, gom
+        g = np.empty((len(grad_rot), 2 * self.spec.n_params_each))
+        g[:, self.param[var]] = grad_rot[:, self._column[var]]
+        g[:, self.param[enc]] = grad_rot[:, self._column[enc]] * obs[:, self.feature[enc]]
+        return g
 
 
 _templates: dict[AnsatzSpec, CircuitTemplate] = {}

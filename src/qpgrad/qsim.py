@@ -17,14 +17,15 @@ the other rows. ``policy.CircuitTemplate`` calls them, once per step of a
 batch of episodes played in lockstep on ``numpy``. On ``c`` the hot path is
 ``episode_kernel``: one call derives the random stream and draws the start
 of each episode of a batch, and one more plays the whole batch of CartPole
-episodes on several threads (``_sv_c.Kernel.threads``, one per core by
-default: the caller's and helpers that outlive the call, park when idle and
-are joined before every fork of the process), each episode drawing
-from its own stream with numpy's own C distributions, so that no result
-depends on the thread count.
+episodes under one parameter vector theta = (nu, omega), writing one
+gradient block for training, on several threads (``_sv_c.Kernel.threads``,
+one per core by default: the caller's and helpers that outlive the call,
+park when idle and are joined before every fork of the process), each
+episode drawing from its own stream with numpy's own C distributions, so
+that no result depends on the thread count.
 ``trainer.play_batch`` makes both calls. The kernel also draws each run's
-initial parameters from its init stream in C (``trainer.start_params``),
-so no ``c`` campaign imports ``numpy.random``.
+initial theta from its init stream in C (``trainer.start_params``), so no
+``c`` campaign imports ``numpy.random``.
 
 The heavy lifting happens in one of two interchangeable kernel backends:
 

@@ -1,7 +1,11 @@
 """Regularized policy-gradient training loop.
 
-One epoch rolls out a batch of full episodes and applies gradient ascent on
-the regularized objective
+The policy's parameters are one vector theta = (nu, omega)
+(``policy.PolicyParams``), and training carries theta whole: one gradient
+block per batch and one optimizer state. Only the penalty below acts on
+omega alone, and ``batch_gradient`` multiplies the two halves apart, which
+keeps the bits. One epoch rolls out a batch of full episodes and applies
+gradient ascent on the regularized objective
 
     J_reg = J - lambda * sum_g omega_g^2 * ||H||^2.
 
@@ -38,12 +42,12 @@ its t-th step at once (``play_episodes``). Every batch, forward or
 training, is played in one piece; the config bounds its size
 (``gradient_bytes``, ``forward_bytes``). A batch is only ever held as
 blocks: its episode lengths (every step pays +1, so a length is also a
-total reward) and, for training, its per-step log-policy gradients,
-indexed by step, then episode. Each episode draws from its own
-stream exactly what it would draw alone, in the same order, and every
-per-episode value is computed element by element with the expressions of a
-lone episode, so an episode's results do not depend on the batch it runs
-in.
+total reward) and, for training, its per-step log-policy gradients of
+theta, one block indexed by step, then episode. Each episode draws from
+its own stream exactly what it would draw alone, in the same order, and
+every per-episode value is computed element by element with the
+expressions of a lone episode, so an episode's results do not depend on
+the batch it runs in.
 """
 
 from __future__ import annotations
@@ -121,15 +125,11 @@ class TrainRecord:
 
 @dataclass
 class AdamState:
-    m_nu: np.ndarray
-    v_nu: np.ndarray
-    m_omega: np.ndarray
-    v_omega: np.ndarray
-    t: int = 0
+    """Adam's moments of theta and its step count."""
 
-    @classmethod
-    def zeros(cls, shape) -> "AdamState":
-        return cls(np.zeros(shape), np.zeros(shape), np.zeros(shape), np.zeros(shape))
+    m: np.ndarray
+    v: np.ndarray
+    t: int = 0
 
 
 ADAM_BETA1 = 0.9
@@ -137,15 +137,16 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def play_episodes(tpl, nu_flat, om_flat, starts, sigmas, rngs, horizon, glp=None) -> np.ndarray:
-    """Plays episode i from the raw state ``starts[i]`` under the policy circuit ``tpl``, in lockstep.
+def play_episodes(tpl, theta, starts, sigmas, rngs, horizon, glp=None) -> np.ndarray:
+    """Plays episode i from the raw state ``starts[i]`` under the policy circuit ``tpl`` and flat ``theta``, in
+    lockstep.
 
     Episode i sees observation noise of std ``sigmas[i]`` (none unless
     positive) and draws from ``rngs[i]``: per step its noise draw if noisy,
     then the action uniform u; it pushes left (action 0) where u is below
     pi(0|s). It ends when it goes out of bounds or reaches ``horizon``; a
-    start already out of bounds plays no step. Given the (horizon, B, P)
-    blocks ``glp``, step t of episode i writes its grad log pi to ``[t, i]``.
+    start already out of bounds plays no step. Given the (horizon, B, 2P)
+    block ``glp``, step t of episode i writes its grad log pi to ``[t, i]``.
     Returns the (B,) episode lengths.
 
     This is the numpy backend's loop, and the oracle of the compiled
@@ -164,15 +165,13 @@ def play_episodes(tpl, nu_flat, om_flat, starts, sigmas, rngs, horizon, glp=None
                 obs[j] += rngs[i].normal(0.0, sigmas[i], 4)
             u[j] = rngs[i].random()
         if glp is None:
-            e = tpl.expval(nu_flat, om_flat, obs)
+            e = tpl.expval(theta, obs)
         else:
-            e, gnu, gom = tpl.expval_and_grad(nu_flat, om_flat, obs)
+            e, g = tpl.expval_and_grad(theta, obs)
         p0 = pol.probs_from_expectation(e)[:, 0]
         right = ~(u < p0)
         if glp is not None:
-            coeff = pol.log_policy_coeff(p0, right)[:, None]
-            glp[0][t][ids] = coeff * gnu
-            glp[1][t][ids] = coeff * gom
+            glp[t][ids] = pol.log_policy_coeff(p0, right)[:, None] * g
         states, out = step_batch(states, right)
         t += 1
         done = out | (t >= horizon)
@@ -196,9 +195,9 @@ def play_batch(spec: AnsatzSpec, params: PolicyParams, streams: Streams, ranges,
     ``play_episodes``, their oracle.
 
     ``lengths`` is the (B,) int64 episode lengths, which are also the
-    episodes' total rewards. With ``grads``, ``glp`` is the per-step
-    log-policy gradients ``(glp_nu, glp_omega)``, each (horizon, B, P):
-    entry [t, i] is step t of episode i, set only for t below its length.
+    episodes' total rewards. With ``grads``, ``glp`` is the (horizon, B, 2P)
+    block of per-step log-policy gradients of flat theta: entry [t, i] is
+    step t of episode i, set only for t below its length.
     Without, ``glp`` is None. Every episode gets exactly the values it
     would get alone.
 
@@ -222,36 +221,34 @@ def play_batch(spec: AnsatzSpec, params: PolicyParams, streams: Streams, ranges,
     bad = sigmas[~(np.isfinite(sigmas) & (sigmas >= 0))]
     if bad.size:
         raise ConfigurationError(f"noise sigma must be finite and >= 0, got {bad[0]}")
-    shape = (horizon, n, spec.n_params_each)
-    glp = (np.empty(shape), np.empty(shape)) if grads else None
+    glp = np.empty((horizon, n, 2 * spec.n_params_each)) if grads else None
     return _play(spec, params, streams, bounds, horizon, sigmas, glp), glp
 
 
 def _play(spec, params, streams, bounds, horizon, sigmas, glp) -> np.ndarray:
     """The episode lengths of the checked batch ``streams``, episode i starting within ``bounds[i]`` ((B, 4, 2));
-    each training step writes its gradients to the blocks ``glp``, unless None."""
+    each training step writes its gradients to the block ``glp``, unless None."""
     tpl = pol.get_template(spec)
-    nu_flat = params.nu.reshape(-1)
-    om_flat = params.omega.reshape(-1)
+    theta = params.theta.reshape(-1)
     kernel = qsim.episode_kernel()
     if kernel is None:
         rngs = streams.generators()
         starts = np.array([reset(b, g) for b, g in zip(bounds, rngs)]).reshape(-1, 4)
-        return play_episodes(tpl, nu_flat, om_flat, starts, sigmas, rngs, horizon, glp)
+        return play_episodes(tpl, theta, starts, sigmas, rngs, horizon, glp)
     states, starts = kernel.start_episodes(streams.head(), streams.suffixes, bounds)
-    return kernel.play_episodes(spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature, nu_flat, om_flat,
-                                starts, sigmas, states, horizon, glp)
+    return kernel.play_episodes(spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature, theta, starts,
+                                sigmas, states, horizon, glp)
 
 
-# The most memory the two gradient blocks of a training batch, or the
+# The most memory the gradient block of a training batch, or the
 # per-episode arrays of one model's forward batch, may take: a larger
 # setting is rejected when the config is built, not mid-run.
 MAX_GRADIENT_BYTES = 2**30
 
 
 def gradient_bytes(spec: AnsatzSpec, config: TrainConfig) -> int:
-    """The bytes of the two float64 (horizon, batch, P) gradient blocks of ``config``'s largest batch."""
-    return 2 * 8 * config.horizon * (config.minibatch or config.batch_size) * spec.n_params_each
+    """The bytes of the float64 (horizon, batch, 2P) gradient block of ``config``'s largest batch."""
+    return 8 * config.horizon * (config.minibatch or config.batch_size) * 2 * spec.n_params_each
 
 
 def forward_bytes(episodes: int, path: int) -> int:
@@ -265,9 +262,9 @@ class Batches:
     """The fixed work of one training run's batches, done once per run.
 
     It holds the init bounds of each of ``ranges`` for up to ``size``
-    episodes, one memory that every batch's gradient blocks are views of,
+    episodes, one memory that every batch's gradient block is a view of,
     and the reward-to-go table of the run's horizon and discount. A batch's
-    blocks therefore hold its values only until the next batch is played.
+    block therefore holds its values only until the next batch is played.
     Training episode j of the run draws from the stream
     (``config.seed``, ``STREAM_EPISODE``, j).
     """
@@ -275,16 +272,15 @@ class Batches:
     def __init__(self, spec: AnsatzSpec, config: TrainConfig, ranges, size: int):
         self.spec, self.horizon, self.seed = spec, config.horizon, config.seed
         self.bounds = [np.repeat(r.bounds[None], size, axis=0) for r in ranges]
-        self.memory = np.empty(2 * config.horizon * size * spec.n_params_each)
+        self.width = 2 * spec.n_params_each
+        self.memory = np.empty(config.horizon * size * self.width)
         self.returns = discounted_returns(np.ones(config.horizon), config.gamma)
 
     def play(self, params: PolicyParams, first: int, n: int, k: int = 0):
         """``play_batch`` of the run's noise-free training episodes ``first`` to ``first + n - 1`` from
         ``ranges[k]``, with gradients, into the run's memory: ``(lengths, glp)``."""
         streams = Streams(self.seed, (STREAM_EPISODE,), np.arange(first, first + n)[:, None])
-        n_params = self.spec.n_params_each
-        blocks = self.memory[: 2 * self.horizon * n * n_params].reshape(2, self.horizon, n, n_params)
-        glp = (blocks[0], blocks[1])
+        glp = self.memory[: self.horizon * n * self.width].reshape(self.horizon, n, self.width)
         return _play(self.spec, params, streams, self.bounds[k][:n], self.horizon, np.zeros(n), glp), glp
 
 
@@ -314,11 +310,10 @@ def episode_returns(lengths: np.ndarray, table: np.ndarray) -> np.ndarray:
     return returns
 
 
-def batch_gradient(lengths: np.ndarray, glp_nu: np.ndarray, glp_omega: np.ndarray, config: TrainConfig,
-                   table: np.ndarray):
-    """REINFORCE estimator sum_ep sum_t G_t grad log pi(a_t|s_t), flat tensors.
+def batch_gradient(lengths: np.ndarray, glp: np.ndarray, config: TrainConfig, table: np.ndarray) -> np.ndarray:
+    """REINFORCE estimator sum_ep sum_t G_t grad log pi(a_t|s_t), of flat theta.
 
-    Takes the episode lengths and gradient blocks of ``play_batch`` and the
+    Takes the episode lengths and gradient block of ``play_batch`` and the
     reward-to-go ``table`` of ``episode_returns``, made with
     ``config.gamma``; the baseline and normalizer come from ``config``.
     ``config.grad_norm`` picks the normalizer: "episodes" divides by the
@@ -330,69 +325,64 @@ def batch_gradient(lengths: np.ndarray, glp_nu: np.ndarray, glp_omega: np.ndarra
     With the batch-mean baseline, each G_t has the per-timestep batch mean
     subtracted (episodes shorter than t contribute 0 to the mean), so a
     batch of identical-length episodes produces exactly zero gradient.
+
+    Each episode takes one product per half of theta, nu's P columns and
+    omega's, from a contiguous copy of that half of the block's live steps.
+    One product over all 2P columns rounds some columns differently when P
+    is not a multiple of 4 (OpenBLAS 0.3.31; P = 2, 6 and 18 all moved the
+    bytes of a training run), and numpy picks another routine for a
+    contiguous slice than for a strided one, so this keeps the bits of every
+    ansatz shape.
     """
     returns = episode_returns(lengths, table)
     if config.baseline == BASELINE_BATCH_MEAN:
         returns -= returns.mean(axis=0)
 
-    gnu = np.zeros(glp_nu.shape[-1])
-    gom = np.zeros(glp_omega.shape[-1])
+    p = glp.shape[-1] // 2
+    grad = np.zeros(2 * p)
+    live = glp[: returns.shape[1]]
+    halves = [(grad[cols], np.ascontiguousarray(live[..., cols])) for cols in (slice(p), slice(p, None))]
     for i, n_steps in enumerate(lengths.tolist()):
         if n_steps == 0:
             continue
-        g = returns[i, :n_steps]
-        gnu += g @ glp_nu[:n_steps, i]
-        gom += g @ glp_omega[:n_steps, i]
+        for out, block in halves:
+            out += returns[i, :n_steps] @ block[:n_steps, i]
     if config.grad_norm == NORM_STEPS:
         denom = max(int(lengths.sum()), 1)
     else:
         denom = len(lengths)
-    gnu /= denom
-    gom /= denom
-    return gnu, gom
+    grad /= denom
+    return grad
 
 
-def apply_update(
-    params: PolicyParams,
-    grad: tuple[np.ndarray, np.ndarray],
-    config: TrainConfig,
-    opt_state: AdamState | None = None,
-) -> tuple[PolicyParams, AdamState | None]:
+def apply_update(params: PolicyParams, grad: np.ndarray, config: TrainConfig,
+                 opt_state: AdamState | None = None) -> tuple[PolicyParams, AdamState | None]:
     """One ascent step on the regularized objective; returns new params and optimizer state.
 
-    ``grad`` is the task gradient (grad J). The penalty contributes the
-    closed-form linear term -2*alpha*lambda*||H||^2*omega to the update of
-    omega under both optimizers; under the adaptive optimizer it is applied
+    ``grad`` is the task gradient (grad J) of theta, flat or in theta's
+    shape. The penalty contributes the closed-form linear term
+    -2*alpha*lambda*||H||^2*omega to the update of omega, the second half of
+    theta, under both optimizers; under the adaptive optimizer it is applied
     decoupled from the moment estimates (weight-decay style), so its pull is
     proportional to lambda instead of being renormalized away. nu never sees
     the penalty.
     """
-    shape = params.nu.shape
-    gnu = np.asarray(grad[0], dtype=np.float64).reshape(shape)
-    gom = np.asarray(grad[1], dtype=np.float64).reshape(shape)
+    g = np.asarray(grad, dtype=np.float64).reshape(params.theta.shape)
     lr = config.learning_rate
-    decay = lr * pol.penalty_gradient(params, config.lam)
-
     if config.optimizer == OPT_VANILLA:
-        nu = params.nu + lr * gnu
-        omega = params.omega + lr * gom - decay
-        return PolicyParams(nu, omega), opt_state
-
-    if opt_state is None:
-        opt_state = AdamState.zeros(shape)
-    opt_state.t += 1
-    t = opt_state.t
-
-    def adam_step(value, g, m, v):
+        theta = params.theta + lr * g
+    else:
+        if opt_state is None:
+            opt_state = AdamState(np.zeros(g.shape), np.zeros(g.shape))
+        opt_state.t += 1
+        m, v, t = opt_state.m, opt_state.v, opt_state.t
         m[...] = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
         v[...] = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
         m_hat = m / (1 - ADAM_BETA1**t)
         v_hat = v / (1 - ADAM_BETA2**t)
-        return value + lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-
-    nu = adam_step(params.nu, gnu, opt_state.m_nu, opt_state.v_nu)
-    omega = adam_step(params.omega, gom, opt_state.m_omega, opt_state.v_omega) - decay
-    return PolicyParams(nu, omega), opt_state
+        theta = params.theta + lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    theta[1] -= lr * pol.penalty_gradient(params, config.lam)
+    return PolicyParams(theta), opt_state
 
 
 def start_params(spec: AnsatzSpec, seed: int) -> PolicyParams:
@@ -403,8 +393,8 @@ def start_params(spec: AnsatzSpec, seed: int) -> PolicyParams:
         return pol.init_params(spec, substream(seed, STREAM_INIT))
     # the entropy words of substream(seed, STREAM_INIT): a path of one component, all in the prefix
     head = Streams(seed, (STREAM_INIT,), np.empty((1, 0), dtype=np.uint64)).head()
-    nu, omega = kernel.init_params(head, spec.n_params_each, pol.NU_INIT_RANGE, pol.OMEGA_INIT_STD)
-    return PolicyParams(nu.reshape(spec.param_shape), omega.reshape(spec.param_shape))
+    theta = kernel.init_params(head, spec.n_params_each, pol.NU_INIT_RANGE, pol.OMEGA_INIT_STD)
+    return PolicyParams(theta.reshape(spec.theta_shape))
 
 
 def train(config: TrainConfig, spec: AnsatzSpec, ranges: InitRanges) -> tuple[PolicyParams, list[TrainRecord]]:
@@ -423,13 +413,13 @@ def train(config: TrainConfig, spec: AnsatzSpec, ranges: InitRanges) -> tuple[Po
         while collected < config.batch_size:
             # on-policy: each minibatch is rolled out under the current params
             n = min(minibatch, config.batch_size - collected)
-            lengths, (glp_nu, glp_omega) = batches.play(params, episode, n)
+            lengths, glp = batches.play(params, episode, n)
             episode += n
             if collected == 0:
                 penalty_before = pol.regularization_penalty(params, config.lam)
             collected += n
             epoch_lengths.append(lengths)
-            grad = batch_gradient(lengths, glp_nu, glp_omega, config, batches.returns)
+            grad = batch_gradient(lengths, glp, config, batches.returns)
             params, opt_state = apply_update(params, grad, config, opt_state)
 
         lengths = np.concatenate(epoch_lengths)

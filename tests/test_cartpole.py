@@ -149,7 +149,7 @@ class TestObserve:
     def test_zero_sigma_identical(self):
         # sigma 0 plays the noise-free episode: no draw, same rewards and gradients
         spec = AnsatzSpec(n_layers=1)
-        params = PolicyParams(np.full(spec.param_shape, 0.3), np.full(spec.param_shape, 0.7))
+        params = PolicyParams(np.stack([np.full(spec.param_shape, 0.3), np.full(spec.param_shape, 0.7)]))
 
         streams = Streams(6, (1,), np.arange(3)[:, None])
         ranges = [InitRanges()]
@@ -160,14 +160,13 @@ class TestObserve:
         lengths, zero_sigma = play_batch(spec, params, streams, ranges, sigmas=[0.0] * 3, grads=True)
         same_lengths, noise_free = play_batch(spec, params, streams, ranges, grads=True)
         assert np.array_equal(lengths, same_lengths)
-        for a, b in zip(zero_sigma, noise_free):
-            for i, n_steps in enumerate(lengths):
-                assert np.array_equal(a[:n_steps, i], b[:n_steps, i])
+        for i, n_steps in enumerate(lengths):
+            assert np.array_equal(zero_sigma[:n_steps, i], noise_free[:n_steps, i])
 
     def test_seeded_reproducibility(self):
         # a noisy batch replays bit for bit from the same streams; its draws move the episodes off the noise-free ones
         spec = AnsatzSpec(n_layers=1)
-        params = PolicyParams(np.full(spec.param_shape, 0.3), np.full(spec.param_shape, 0.7))
+        params = PolicyParams(np.stack([np.full(spec.param_shape, 0.3), np.full(spec.param_shape, 0.7)]))
 
         def play(seed, sigma):
             return play_batch(spec, params, Streams(seed, (1,), np.arange(8)[:, None]), [InitRanges()],
@@ -176,16 +175,15 @@ class TestObserve:
         lengths, glp = play(77, 0.4)
         again, glp_again = play(77, 0.4)
         assert np.array_equal(lengths, again)
-        for a, b in zip(glp, glp_again):
-            for i, n_steps in enumerate(lengths):
-                assert np.array_equal(a[:n_steps, i], b[:n_steps, i])
+        for i, n_steps in enumerate(lengths):
+            assert np.array_equal(glp[:n_steps, i], glp_again[:n_steps, i])
         assert not np.array_equal(lengths, play(77, 0.0)[0])
         assert not np.array_equal(lengths, play(78, 0.4)[0])
 
     def test_sample_mean_statistics(self, monkeypatch):
         # the numpy loop draws normal(0, sigma, 4) once per step of a noisy episode and never for a noise-free one
         spec = AnsatzSpec(n_layers=1)
-        params = PolicyParams(np.full(spec.param_shape, 0.3), np.full(spec.param_shape, 0.7))
+        params = PolicyParams(np.stack([np.full(spec.param_shape, 0.3), np.full(spec.param_shape, 0.7)]))
         sigma, n = 0.2, 400
         draws = [[] for _ in range(n)]
 
@@ -203,8 +201,8 @@ class TestObserve:
 
         play = trainer.play_episodes
         monkeypatch.setattr(qsim, "_kernel", qsim.load_kernel("numpy"))
-        monkeypatch.setattr(trainer, "play_episodes", lambda tpl, nu, om, starts, sigmas, rngs, *rest: play(
-            tpl, nu, om, starts, sigmas, [Recorded(g, i) for i, g in enumerate(rngs)], *rest))
+        monkeypatch.setattr(trainer, "play_episodes", lambda tpl, theta, starts, sigmas, rngs, *rest: play(
+            tpl, theta, starts, sigmas, [Recorded(g, i) for i, g in enumerate(rngs)], *rest))
         sigmas = [sigma, 0.0] * (n // 2)
         lengths, _ = play_batch(spec, params, Streams(123, (1,), np.arange(n)[:, None]), [InitRanges()], sigmas=sigmas)
         for i, n_steps in enumerate(lengths):
@@ -226,7 +224,7 @@ class TestObserve:
 def test_episode_reward_equals_length():
     # a lone episode's reward counts its steps up to the bounds or the horizon
     spec = AnsatzSpec(n_layers=1)
-    params = PolicyParams(np.full(spec.param_shape, 0.4), np.full(spec.param_shape, -0.9))
+    params = PolicyParams(np.stack([np.full(spec.param_shape, 0.4), np.full(spec.param_shape, -0.9)]))
     ranges = InitRanges(theta=(-0.2, 0.2), theta_dot=(-1.0, 1.0))
     for k in range(20):
         (reward,), _ = play_batch(spec, params, Streams(31, (1,), [[k]]), [ranges])

@@ -16,6 +16,7 @@ import pytest
 from qpgrad import bench, cli, qsim
 from qpgrad.checkpoint import load_checkpoint, save_checkpoint
 from qpgrad.cli import main
+from qpgrad.config import COMMANDS
 from qpgrad.errors import ConfigurationError
 from qpgrad.policy import AnsatzSpec, PolicyParams
 
@@ -46,13 +47,37 @@ def tiny_train_args(out, seeds=2, extra=()):
     )
 
 
+def tiny_campaign_args(command, models):
+    """The arguments, but --out, of a run of ``command`` that takes seconds: two seeds, or for the eval commands
+    the checkpoints under ``models``."""
+    checkpoints = f"eval.checkpoints={models}"
+    return {
+        "train": ("train", "--seed", "99", "--seeds", "2", "--set", "train.epochs=2"),
+        "curriculum": ("curriculum", "--seed", "42", "--seeds", "2", "--set", "curriculum.max_failures=15",
+                       "--set", "curriculum.validation_episodes=5", "--set", "curriculum.ranges=0.25,0.75"),
+        "eval-robustness": ("eval-robustness", "--seed", "5", "--set", checkpoints,
+                            "--set", "eval.sigmas=0.0,0.4", "--set", "eval.episodes=3"),
+        "eval-generalization": ("eval-generalization", "--seed", "6", "--set", checkpoints,
+                                "--set", "grid.angle_edges=-2,0,2", "--set", "grid.velocity_edges=0.0,0.1",
+                                "--set", "grid.cell_episodes=3"),
+    }[command]
+
+
+def assert_same_outputs(outs, label):
+    """Both directories of ``outs`` hold the same files, manifests aside, byte for byte."""
+    written = [sorted(p.name for p in out.iterdir() if p.name != "manifest.txt") for out in outs]
+    assert written[0] == written[1] and written[0], label
+    for name in written[0]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (label, name)
+
+
 class TestCheckpointRoundTrip:
     def test_save_load_identity(self, tmp_path):
         spec = AnsatzSpec()
         rng = np.random.default_rng(0)
-        params = PolicyParams(
+        params = PolicyParams(np.stack([
             rng.uniform(-np.pi, np.pi, spec.param_shape), rng.normal(0, 0.3, spec.param_shape)
-        )
+        ]))
         path = tmp_path / "checkpoint_1.json"
         save_checkpoint(path, spec, params, lam=0.2, seed=123)
         ck = load_checkpoint(path)
@@ -65,7 +90,7 @@ class TestCheckpointRoundTrip:
     def test_shape_mismatch_rejected(self, tmp_path):
         spec = AnsatzSpec(n_layers=2)
         path = tmp_path / "checkpoint_2.json"
-        save_checkpoint(path, spec, PolicyParams(np.zeros((2, 4, 2)), np.zeros((2, 4, 2))), 0.0, 7)
+        save_checkpoint(path, spec, PolicyParams(np.zeros((2, 2, 4, 2))), 0.0, 7)
         text = path.read_text().replace('"n_layers": 2', '"n_layers": 3')
         path.write_text(text)
         with pytest.raises(ConfigurationError):
@@ -84,7 +109,7 @@ class TestCheckpointRoundTrip:
     def test_more_qubits_than_cartpole_features_rejected(self, tmp_path):
         spec = AnsatzSpec(n_qubits=5)
         path = tmp_path / "checkpoint_5.json"
-        save_checkpoint(path, spec, PolicyParams(np.zeros(spec.param_shape), np.zeros(spec.param_shape)), 0.1, 5)
+        save_checkpoint(path, spec, PolicyParams(np.zeros(spec.theta_shape)), 0.1, 5)
         with pytest.raises(ConfigurationError, match=r"checkpoint_5\.json: field 'n_qubits' must be <= 4.*got 5"):
             load_checkpoint(path)
 
@@ -94,7 +119,7 @@ class TestCheckpointRoundTrip:
     def test_missing_or_mistyped_field_named(self, tmp_path, field):
         spec = AnsatzSpec()
         path = tmp_path / "checkpoint_3.json"
-        save_checkpoint(path, spec, PolicyParams(np.zeros(spec.param_shape), np.zeros(spec.param_shape)), 0.1, 5)
+        save_checkpoint(path, spec, PolicyParams(np.zeros(spec.theta_shape)), 0.1, 5)
         doc = json.loads(path.read_text())
         not_finite = (float("nan"), float("inf"), float("-inf"), 10**400)  # 10**400 overflows a float
         out_of_range = {
@@ -166,25 +191,23 @@ class TestTrainCommand:
         # each campaign has two seeds or two checkpoints, so two workers split it
         models = tmp_path / "models"
         assert run_cli(*tiny_train_args(models)) == 0
-        checkpoints = f"eval.checkpoints={models}"
-        campaigns = {
-            "train": ("train", "--seed", "99", "--seeds", "2", "--set", "train.epochs=2"),
-            "curriculum": ("curriculum", "--seed", "42", "--seeds", "2", "--set", "curriculum.max_failures=15",
-                           "--set", "curriculum.validation_episodes=5", "--set", "curriculum.ranges=0.25,0.75"),
-            "eval-robustness": ("eval-robustness", "--seed", "5", "--set", checkpoints,
-                                "--set", "eval.sigmas=0.0,0.4", "--set", "eval.episodes=3"),
-            "eval-generalization": ("eval-generalization", "--seed", "6", "--set", checkpoints,
-                                    "--set", "grid.angle_edges=-2,0,2", "--set", "grid.velocity_edges=0.0,0.1",
-                                    "--set", "grid.cell_episodes=3"),
-        }
-        for command, args in campaigns.items():
+        for command in COMMANDS:
             outs = [tmp_path / command / f"workers{w}" for w in (1, 2)]
             for workers, out in zip((1, 2), outs):
-                assert run_cli(*args, "--out", str(out), "--workers", str(workers)) == 0
-            written = [sorted(p.name for p in out.iterdir() if p.name != "manifest.txt") for out in outs]
-            assert written[0] == written[1] and written[0], command
-            for name in written[0]:
-                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (command, name)
+                assert run_cli(*tiny_campaign_args(command, models), "--out", str(out), "--workers", str(workers)) == 0
+            assert_same_outputs(outs, command)
+
+
+@pytest.mark.parametrize("command", ["curriculum", "eval-robustness", "eval-generalization"])
+def test_manifest_rerun_of_every_other_command_is_byte_identical(tmp_path, command):
+    # train's own re-run test is TestTrainCommand.test_manifest_rerun_is_byte_identical; the eval commands read two
+    # tiny training runs
+    models = tmp_path / "models"
+    assert run_cli(*tiny_train_args(models)) == 0
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run_cli(*tiny_campaign_args(command, models), "--out", str(first)) == 0
+    assert run_cli(command, "--config", str(first / "manifest.txt"), "--out", str(again)) == 0
+    assert_same_outputs((first, again), command)
 
 
 class TestEvalCommands:
@@ -419,6 +442,28 @@ class TestExitCodes:
                               timeout=120)
         assert done.returncode == 0
         assert "{train,curriculum,eval-robustness,eval-generalization,bench}" in done.stdout
+
+    @pytest.mark.parametrize("args", [("--set", "run.out="), ("--out", ""), ("--out", "", "--set", "run.out=x")])
+    def test_empty_out_is_config_error_writing_nothing(self, tmp_path, capsys, monkeypatch, args):
+        # "" would name the working directory; "." does so on purpose
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("train", "--seeds", "1", "--set", "train.epochs=1", *args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "run.out" in err
+        assert not any(tmp_path.iterdir())
+        assert run_cli("train", "--seeds", "1", "--set", "train.epochs=1", "--out", ".") == 0
+        assert (tmp_path / "manifest.txt").is_file() and (tmp_path / "telemetry.csv").is_file()
+
+    @pytest.mark.parametrize("command", ["eval-robustness", "eval-generalization"])
+    @pytest.mark.parametrize("args", [(), ("--set", "eval.checkpoints=")])
+    def test_eval_without_checkpoints_is_config_error_creating_nothing(self, tmp_path, capsys, monkeypatch, command,
+                                                                       args):
+        # the default eval.checkpoints is empty; a bare eval command used to create ./results, then exit 2
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(command, *args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "eval.checkpoints" in err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "setting", ["eval.sigmas=-0.5,0.0", "train.learning_rate=nan", "grid.angle_edges=-13,0,13"]

@@ -48,12 +48,18 @@ def _increasing(elements, min_size):
     return _increasing_tuples(elements, min_size).map(lambda v: ",".join(map(repr, v)))
 
 
+_PATHS = st.text("abcXYZ019_-./", min_size=1, max_size=12)
+
+
 @st.composite
 def _run_and_checked_keys(draw):
     """The command and the keys checked against it, each pair left out or set whole: curriculum takes only
-    whole-batch minibatches, and a validation threshold below the horizon, which caps every mean reward."""
+    whole-batch minibatches, and a validation threshold below the horizon, which caps every mean reward; the
+    two eval commands always name their checkpoints, which the others may leave empty."""
     command = draw(st.sampled_from(COMMANDS))
     raw = {"run.command": command}
+    if command.startswith("eval-") or draw(st.booleans()):
+        raw["eval.checkpoints"] = draw(_PATHS if command.startswith("eval-") else st.one_of(st.just(""), _PATHS))
     if draw(st.booleans()):
         batch = draw(st.integers(1, 64))
         minibatch = draw(st.sampled_from((0, batch)) if command == "curriculum" else st.integers(0, batch))
@@ -74,7 +80,7 @@ def _interval(feature, limit=1e300):
 _SINGLE_KEYS = {
     "run.seed": st.integers(0, 2**64 - 1).map(str),
     "run.seeds": st.integers(1, 50).map(str),
-    "run.out": st.text("abcXYZ019_-./", max_size=12),
+    "run.out": _PATHS,
     "run.workers": st.integers(1, 8).map(str),
     "ansatz.n_qubits": st.integers(1, 4).map(str),
     "ansatz.n_layers": st.integers(1, 6).map(str),
@@ -87,7 +93,6 @@ _SINGLE_KEYS = {
     "train.optimizer": st.sampled_from(("adam", "vanilla")),
     "train.baseline": st.sampled_from(("none", "batch_mean")),
     "train.grad_norm": st.sampled_from(("steps", "episodes")),
-    "eval.checkpoints": st.text("abcXYZ019_-./", max_size=12),
     "eval.sigmas": st.lists(_floats(0.0), min_size=1, max_size=5, unique=True).map(lambda v: ",".join(map(repr, v))),
     "eval.episodes": st.integers(1, 500).map(str),
     "grid.angle_edges": _increasing(_floats(-12.03, 12.03), 2),
@@ -246,6 +251,22 @@ class TestStrictParsing:
         cfg = build_config({"grid.angle_edges": "-12.03,0,12.03"})
         assert cfg.grid.angle_edges == (-12.03, 0.0, 12.03)
 
+    def test_empty_out_rejected_naming_key(self):
+        # the round trips draw only non-empty outputs, since "" would write into the working directory
+        for command in COMMANDS:
+            with pytest.raises(ConfigurationError, match="run.out"):
+                build_config({"run.command": command, "eval.checkpoints": "models", "run.out": ""})
+        assert build_config({"run.out": "."}).out_dir == "."
+
+    def test_eval_commands_need_checkpoints_naming_key(self):
+        for command in ("eval-robustness", "eval-generalization"):
+            with pytest.raises(ConfigurationError, match="eval.checkpoints"):
+                build_config({"run.command": command})
+            with pytest.raises(ConfigurationError, match="eval.checkpoints"):
+                ExperimentConfig(command=command)
+        for command in ("train", "curriculum"):  # which read no checkpoints
+            assert build_config({"run.command": command}).eval_checkpoints == ""
+
     def test_curriculum_takes_only_whole_batch_minibatches(self):
         for command, minibatch in (("curriculum", "0"), ("curriculum", "10"), ("train", "5")):
             assert build_config({"run.command": command, "train.minibatch": minibatch}).train.minibatch == int(minibatch)
@@ -261,16 +282,17 @@ class TestStrictParsing:
                     InitRanges(**{name: pair})
 
     def test_horizon_whose_gradient_blocks_exceed_the_limit_is_rejected(self):
-        # default batches of 10 episodes on 24 parameters: 2 blocks * 8 bytes * 240 per step of horizon
-        longest = MAX_GRADIENT_BYTES // (2 * 8 * 10 * 24)
+        # default batches of 10 episodes on theta's 2 * 24 entries: 8 bytes * 480 per step of horizon
+        longest = MAX_GRADIENT_BYTES // (8 * 10 * 2 * 24)
         for command in ("train", "curriculum"):
             assert build_config({"run.command": command, "train.horizon": str(longest)}).train.horizon == longest
             with pytest.raises(ConfigurationError, match="train.horizon"):
                 build_config({"run.command": command, "train.horizon": str(longest + 1)})
-        # minibatches size the blocks, and only training keeps them
+        # minibatches size the block, and only training keeps it
         assert build_config({"train.horizon": str(longest + 1), "train.minibatch": "5"}).train.horizon == longest + 1
         for command in ("eval-robustness", "eval-generalization"):
-            assert build_config({"run.command": command, "train.horizon": "100000000"}).train.horizon == 100000000
+            raw = {"run.command": command, "eval.checkpoints": "models", "train.horizon": "100000000"}
+            assert build_config(raw).train.horizon == 100000000
 
     def test_forward_batch_whose_arrays_exceed_the_limit_is_rejected(self):
         # 8-byte words per episode: its stream suffix (2 components in eval, 1 in validation), 8 bounds,
@@ -282,14 +304,16 @@ class TestStrictParsing:
         ]
         for command, key, words in cases:
             longest = MAX_GRADIENT_BYTES // (8 * words)
-            assert build_config({"run.command": command, key: str(longest)}) is not None
+            raw = {"run.command": command, "eval.checkpoints": "models"}
+            assert build_config({**raw, key: str(longest)}) is not None
             with pytest.raises(ConfigurationError, match=re.escape(f"{key} ({longest + 1}) is too large")):
-                build_config({"run.command": command, key: str(longest + 1)})
+                build_config({**raw, key: str(longest + 1)})
         # only the command that plays the batch holds it
         big = {"eval.episodes": "100000000", "grid.cell_episodes": "100000000",
                "curriculum.validation_episodes": "1000000000"}
         assert build_config({"run.command": "train", **big}).eval_episodes == 100000000
-        assert build_config({"run.command": "eval-robustness", "grid.cell_episodes": "100000000"}) is not None
+        assert build_config({"run.command": "eval-robustness", "eval.checkpoints": "models",
+                             "grid.cell_episodes": "100000000"}) is not None
 
     def test_curriculum_threshold_must_lie_below_the_horizon(self):
         # a mean reward is at most the horizon, so validation against a threshold at or above it never passes
@@ -438,7 +462,7 @@ class TestRoundTrip:
     def test_every_grid_and_schedule_round_trips(self, command, grid, schedule):
         # each section keeps its settings as the config writes them, so a manifest can always be written
         try:
-            cfg = ExperimentConfig(command=command, grid=grid, curriculum=schedule)
+            cfg = ExperimentConfig(command=command, eval_checkpoints="models", grid=grid, curriculum=schedule)
         except ConfigurationError:
             reject()  # a curriculum whose validation threshold is not below the horizon
         assert build_config(parse_config_text(serialize_config(cfg))) == cfg

@@ -47,7 +47,7 @@ class TestSchedule:
 
 class TestValidate:
     def test_random_policy_fails_validation(self):
-        params = PolicyParams(np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))
+        params = PolicyParams(np.zeros(SPEC.theta_shape))
         mean, passed, failures = validate(SPEC, params, InitRanges(), 30, seed=5)
         assert not passed
         assert mean < 100.0

@@ -106,7 +106,7 @@ class TestGridSpec:
 
 class TestCampaigns:
     def test_robustness_block_shape_and_determinism(self):
-        models = [PolicyParams(np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))] * 2
+        models = [PolicyParams(np.zeros(SPEC.theta_shape))] * 2
         sigmas = [0.0, 0.4]
         rewards = robustness_sweep(models, [11, 22], sigmas, 5, spec=SPEC, seed=3)
         again = robustness_sweep(models, [11, 22], sigmas, 5, spec=SPEC, seed=3)
@@ -114,7 +114,7 @@ class TestCampaigns:
         np.testing.assert_array_equal(rewards, again)
 
     def test_generalization_block_shape_and_determinism(self):
-        models = [PolicyParams(np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))] * 2
+        models = [PolicyParams(np.zeros(SPEC.theta_shape))] * 2
         grid = EvalGridSpec(angle_edges=(-2.0, 0.0, 2.0), velocity_edges=(0.0, 0.1, 0.2), episodes_per_cell=3)
         rates = generalization_grid(models, [11, 22], grid, spec=SPEC, seed=4)
         again = generalization_grid(models, [11, 22], grid, spec=SPEC, seed=4)
@@ -125,7 +125,7 @@ class TestCampaigns:
         # the narrowest bins that edges can express: two consecutive floats
         tiny = np.nextafter(0.0, 1.0)
         grid = EvalGridSpec(angle_edges=(0.0, tiny), velocity_edges=(0.0, tiny), episodes_per_cell=4)
-        params = PolicyParams(np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))
+        params = PolicyParams(np.zeros(SPEC.theta_shape))
         rates = generalization_grid([params], [0], grid, spec=SPEC, seed=5)
         assert rates.shape == (1, 1)
         assert 0.0 <= rates[0, 0] <= 1.0
@@ -134,7 +134,7 @@ class TestCampaigns:
         # the negative-velocity cell must reproduce its point reflection exactly
         pos = EvalGridSpec(angle_edges=(2.0, 2.5), velocity_edges=(0.1, 0.2), episodes_per_cell=6)
         neg = EvalGridSpec(angle_edges=(-2.5, -2.0), velocity_edges=(-0.2, -0.1), episodes_per_cell=6)
-        params = PolicyParams(np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))
+        params = PolicyParams(np.zeros(SPEC.theta_shape))
         r_pos = generalization_grid([params], [0], pos, spec=SPEC, seed=9)
         r_neg = generalization_grid([params], [0], neg, spec=SPEC, seed=9)
         np.testing.assert_array_equal(r_pos, r_neg)

@@ -12,7 +12,7 @@ give the same bits, compared as int64 views so that -0.0 against 0.0 counts
 as a difference. The composition runs on the C row kernel, as the numpy
 backend's loop would with that kernel plugged in.
 
-The contract covers the lengths, every gradient entry (the blocks start at
+The contract covers the lengths, every gradient entry (the block starts at
 zero, so entries past an episode's end must stay unwritten) and the final
 state of each episode's stream: the block the C call writes back must hold
 the ``bit_generator.state`` that the numpy loop leaves in each episode's
@@ -88,21 +88,20 @@ def _stream_block(rngs) -> np.ndarray:
     return np.array(rows, dtype=np.uint64).reshape(len(rngs), STREAM_WORDS)
 
 
-def _play(which, tpl, nu, omega, starts, sigmas, horizon, train, seed, buffers=None):
-    """``(lengths, glp, streams)`` of one backend: the gradient blocks (None
+def _play(which, tpl, theta, starts, sigmas, horizon, train, seed, buffers=None):
+    """``(lengths, glp, streams)`` of one backend: the gradient block (None
     unless ``train``) and the final stream block, which the numpy loop
     leaves in the generators' states and the C call writes back."""
     n = len(starts)
     rngs = _generators(seed, n, buffers)
-    shape = (horizon, n, len(nu))
-    glp = (np.zeros(shape), np.zeros(shape)) if train else None
+    glp = np.zeros((horizon, n, len(theta))) if train else None
     if which == "oracle":
         with mock.patch.object(qsim, "_kernel", c_kernel()):
-            lengths = play_episodes(tpl, nu, omega, starts, sigmas, rngs, horizon, glp)
+            lengths = play_episodes(tpl, theta, starts, sigmas, rngs, horizon, glp)
         return lengths, glp, _stream_block(rngs)
     streams = _stream_block(rngs)
     lengths = c_kernel().play_episodes(tpl.spec.n_qubits, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature,
-                                       nu, omega, starts, sigmas, streams, horizon, glp)
+                                       theta, starts, sigmas, streams, horizon, glp)
     return lengths, glp, streams
 
 
@@ -110,8 +109,7 @@ def _assert_same(oracle, compiled):
     assert oracle[0].dtype == compiled[0].dtype == np.int64
     assert np.array_equal(oracle[0], compiled[0])
     if oracle[1] is not None:
-        for a, b in zip(oracle[1], compiled[1]):
-            assert np.array_equal(_bits(a), _bits(b))
+        assert np.array_equal(_bits(oracle[1]), _bits(compiled[1]))
     assert np.array_equal(oracle[2].view(np.int64), compiled[2].view(np.int64))
 
 
@@ -133,13 +131,13 @@ def test_step_matches_numpy_composition_bit_for_bit(train):
                 spec = AnsatzSpec(n_qubits, 1 + n_qubits % 3, entangler, encoding)
                 tpl = _template(spec)
                 for n_episodes in (1, 3, 17, 200):
-                    nu = _sprinkle(rng, rng.uniform(-np.pi, np.pi, spec.n_params_each), 0.1)
-                    omega = _sprinkle(rng, rng.normal(0.0, 1.0, spec.n_params_each), 0.1)
+                    theta = np.concatenate([_sprinkle(rng, rng.uniform(-np.pi, np.pi, spec.n_params_each), 0.1),
+                                            _sprinkle(rng, rng.normal(0.0, 1.0, spec.n_params_each), 0.1)])
                     # about 1 start in 10 is out of bounds already: |x| > 2.4 or |theta| > 0.2095
                     starts = rng.uniform([-2.5, -2.0, -0.22, -2.0], [2.5, 2.0, 0.22, 2.0], (n_episodes, 4))
                     sigmas = rng.choice(SIGMAS, n_episodes)
                     horizon = int(rng.integers(1, 61))
-                    lengths = _run_both(tpl, nu, omega, starts, sigmas, horizon, train, int(rng.integers(2**32)))[0]
+                    lengths = _run_both(tpl, theta, starts, sigmas, horizon, train, int(rng.integers(2**32)))[0]
                     steps += int(lengths.sum())
                     out_of_bounds += int(np.count_nonzero(lengths == 0))
                     played_sigmas.update(sigmas[lengths > 0].tolist())
@@ -152,14 +150,13 @@ def test_step_clamps_improbable_actions_as_numpy_does():
     # hand, make the uniforms 1 - 2**-53 or 0.0, which pick the action of
     # probability ~0 at the first step, so both backends must clamp it alike
     tpl = _template(AnsatzSpec(1, 1))
-    omega = np.zeros(2)
     for b, u_bits in ((-np.pi / 2 + 1e-7, 2**64 - 1), (np.pi / 2 - 1e-7, 0)):
-        nu = np.array([0.0, b])
-        p0 = pol.probs_from_expectation(tpl.expval(nu, omega, np.zeros((1, 4))))[:, 0]
+        theta = np.array([0.0, b, 0.0, 0.0])
+        p0 = pol.probs_from_expectation(tpl.expval(theta, np.zeros((1, 4))))[:, 0]
         right = np.array([u_bits > 0])  # u >= pi(0|s) pushes right
         assert abs(pol.log_policy_coeff(p0, right)[0]) == 1 / (2 * 1e-12)
         buffers = [[u_bits] * 4, [u_bits, 2**63, u_bits, 1]]
-        oracle = _run_both(tpl, nu, omega, np.zeros((2, 4)), np.zeros(2), 4, True, 65, buffers=buffers)
+        oracle = _run_both(tpl, theta, np.zeros((2, 4)), np.zeros(2), 4, True, 65, buffers=buffers)
         assert np.array_equal(oracle[0], [4, 4])
 
 
@@ -178,12 +175,12 @@ def test_cartpole_matches_step_batch_where_pow_is_not_a_product():
         rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n), -np.sign(theta_dot) * 0.2, theta_dot,
     ])
     tpl = _template(AnsatzSpec())
-    nu, omega = rng.normal(0.0, 1.0, (2, tpl.spec.n_params_each))
-    oracle = _run_both(tpl, nu, omega, starts, np.zeros(n), 2, True, 66)
+    theta = rng.normal(0.0, 1.0, 2 * tpl.spec.n_params_each)
+    oracle = _run_both(tpl, theta, starts, np.zeros(n), 2, True, 66)
     assert np.count_nonzero(oracle[0] == 2) > n // 2
     with mock.patch.object(np, "float_power", lambda x, _: x * x):
-        folded = _play("oracle", tpl, nu, omega, starts, np.zeros(n), 2, True, 66)
-    assert not all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(oracle[1], folded[1]))
+        folded = _play("oracle", tpl, theta, starts, np.zeros(n), 2, True, 66)
+    assert not np.array_equal(_bits(oracle[1]), _bits(folded[1]))
 
 
 # Word-boundary values of SeedSequence's 32-bit split, and random ones; the
@@ -246,6 +243,5 @@ def test_initial_draw_matches_init_params(seed, spec):
     with mock.patch.object(qsim, "_kernel", c_kernel()):
         drawn = start_params(spec, seed)
     expected = pol.init_params(spec, substream(seed, STREAM_INIT))
-    for got, want in ((drawn.nu, expected.nu), (drawn.omega, expected.omega)):
-        assert got.shape == want.shape == spec.param_shape
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert drawn.theta.shape == expected.theta.shape == spec.theta_shape
+    assert np.array_equal(drawn.theta.view(np.int64), expected.theta.view(np.int64))

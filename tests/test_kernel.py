@@ -247,12 +247,12 @@ class TestArgumentChecks:
 
     def test_bad_episode_arguments_rejected(self, kernel, monkeypatch):
         tpl = get_template(AnsatzSpec(n_qubits=2, n_layers=1))
-        n_params = tpl.spec.n_params_each
+        n_params = 2 * tpl.spec.n_params_each
         rng = np.random.default_rng(0)
-        glp = (np.zeros((3, 4, n_params)), np.zeros((3, 4, n_params)))
+        glp = np.zeros((3, 4, n_params))
         good = dict(
             n_qubits=2, kinds=tpl.kinds, qa=tpl.qa, qb=tpl.qb, param=tpl.param, feature=tpl.feature,
-            nu=rng.normal(size=n_params), omega=rng.normal(size=n_params), starts=rng.normal(0, 0.1, (4, 4)),
+            theta=rng.normal(size=n_params), starts=rng.normal(0, 0.1, (4, 4)),
             sigmas=np.array([0.1, 0.0, 0.3, 0.0]), streams=np.zeros((4, _sv_c.STREAM_WORDS), dtype=np.uint64),
             horizon=3, glp=glp,
         )
@@ -260,8 +260,7 @@ class TestArgumentChecks:
         bad = dict(
             param=[tpl.param.astype(np.int64), tpl.param[:-1]],
             feature=[tpl.feature.astype(np.int8), tpl.feature[None]],
-            nu=[good["nu"].astype(np.float32), good["nu"][:-1], list(good["nu"])],
-            omega=[good["omega"][:-1], good["omega"][None]],
+            theta=[good["theta"].astype(np.float32), good["theta"][None], list(good["theta"])],
             starts=[good["starts"].astype(np.float32), good["starts"][:, :3], good["starts"].ravel(), [[0.0] * 4] * 4],
             sigmas=[good["sigmas"][:3], good["sigmas"].astype(np.float32), list(good["sigmas"])],
             streams=[
@@ -274,19 +273,19 @@ class TestArgumentChecks:
             ],
             horizon=[0, -1, 3.0, None],
             glp=[
-                glp[0],
-                (glp[0], glp[1][:, :3]),
-                (glp[0], glp[1][:2]),
-                (glp[0], glp[1].astype(np.float32)),
-                (glp[0][:, :, :-1].copy(), glp[1][:, :, :-1].copy()),
-                (glp[0], np.asfortranarray(glp[1])),
-                (glp[0], np.zeros((3, 8, n_params))[:, ::2]),
-                (glp[0], glp[1], glp[1]),
+                glp[:, :3],
+                glp[:2],
+                glp.astype(np.float32),
+                glp[:, :, :-1].copy(),
+                np.asfortranarray(glp),
+                np.zeros((3, 8, n_params))[:, ::2],
+                (glp[..., : n_params // 2].copy(), glp[..., n_params // 2 :].copy()),
+                list(glp),
             ],
         )
-        read_only = glp[1].copy()
+        read_only = glp.copy()
         read_only.setflags(write=False)
-        bad["glp"].append((glp[0], read_only))
+        bad["glp"].append(read_only)
         read_only = good["streams"].copy()
         read_only.setflags(write=False)
         bad["streams"].append(read_only)
@@ -317,8 +316,8 @@ class TestArgumentChecks:
 
     def test_bad_episode_template_rejected_before_anything_is_written(self, kernel):
         tpl = get_template(AnsatzSpec(n_qubits=2, n_layers=1))
-        n_params = tpl.spec.n_params_each
-        glp = (np.zeros((1, 2, n_params)), np.zeros((1, 2, n_params)))
+        n_params = 2 * tpl.spec.n_params_each
+        glp = np.zeros((1, 2, n_params))
         rotation = int(np.flatnonzero(tpl.feature >= 0)[0])
         bad = []
         for field, value in (("param", -1), ("param", n_params), ("feature", 4), ("feature", -2)):
@@ -334,9 +333,8 @@ class TestArgumentChecks:
                                                     np.zeros((2, 4, 2)))
             drawn = streams.copy()
             with pytest.raises(ValueError):
-                kernel.play_episodes(2, *gates, np.ones(n_params), np.ones(n_params), starts,
-                                     np.full(2, 0.5), streams, 1, glp)
-            assert not glp[0].any() and not glp[1].any()
+                kernel.play_episodes(2, *gates, np.ones(n_params), starts, np.full(2, 0.5), streams, 1, glp)
+            assert not glp.any()
             assert np.array_equal(streams, drawn)
 
 
@@ -348,7 +346,7 @@ class TestThreads:
         tpl = get_template(AnsatzSpec())
         n_params = tpl.spec.n_params_each
         rng = np.random.default_rng(14)
-        nu, omega = rng.uniform(-np.pi, np.pi, n_params), rng.normal(0.0, 1.0, n_params)
+        theta = np.concatenate([rng.uniform(-np.pi, np.pi, n_params), rng.normal(0.0, 1.0, n_params)])
         n, horizon = 7, 40
         head = Streams(14, (1,), np.zeros((n, 1), dtype=np.int64)).head()
         streams, starts = kernel.start_episodes(head, np.arange(n, dtype=np.uint64)[:, None],
@@ -360,12 +358,12 @@ class TestThreads:
                 # 8 is more than the episodes; the team it grows then plays at smaller counts
                 for threads in (2, 8, 1, 3, 2):
                     monkeypatch.setattr(kernel, "threads", threads)
-                    # the blocks start at zero, so entries past an episode's end must stay unwritten
-                    glp = (np.zeros((horizon, n, n_params)), np.zeros((horizon, n, n_params))) if grads else None
+                    # the block starts at zero, so entries past an episode's end must stay unwritten
+                    glp = np.zeros((horizon, n, 2 * n_params)) if grads else None
                     drawn = streams.copy()
-                    lengths = kernel.play_episodes(4, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature, nu, omega,
+                    lengths = kernel.play_episodes(4, tpl.kinds, tpl.qa, tpl.qb, tpl.param, tpl.feature, theta,
                                                    starts, sigmas, drawn, horizon, glp)
-                    runs.append([lengths, drawn] + ([] if glp is None else [b.view(np.int64) for b in glp]))
+                    runs.append([lengths, drawn] + ([] if glp is None else [glp.view(np.int64)]))
                 first = runs[0]
                 assert first[0][3] == 0 and first[0].max() > 1
                 for other in runs[1:]:
@@ -388,7 +386,7 @@ def _threads() -> set:
 def _play_batch(seed=3, grads=False):
     """The lengths of a batch of nine episodes on the active kernel."""
     spec = AnsatzSpec(n_layers=1)
-    params = PolicyParams(np.full(spec.param_shape, 0.3), np.full(spec.param_shape, 0.7))
+    params = PolicyParams(np.stack([np.full(spec.param_shape, 0.3), np.full(spec.param_shape, 0.7)]))
     lengths, _ = play_batch(spec, params, Streams(seed, (1,), np.arange(9)[:, None]), [InitRanges()], 30,
                             grads=grads)
     assert lengths.min() > 0

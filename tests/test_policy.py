@@ -27,28 +27,28 @@ from qpgrad.qsim import KIND_CZ, KIND_H, KIND_RY, KIND_RZ
 
 
 def random_params(spec, rng, omega_scale=1.0):
-    return PolicyParams(
+    return PolicyParams(np.stack([
         rng.uniform(-np.pi, np.pi, spec.param_shape),
         rng.normal(0.0, omega_scale, spec.param_shape),
-    )
+    ]))
 
 
 def zero_params(spec):
-    return PolicyParams(np.zeros(spec.param_shape), np.zeros(spec.param_shape))
+    return PolicyParams(np.zeros(spec.theta_shape))
 
 
 def policy_probs(spec, params, obs):
     """[pi(0|obs), pi(1|obs)] for one observation, from the template's forward call."""
-    e = get_template(spec).expval(params.nu.reshape(-1), params.omega.reshape(-1), np.asarray(obs)[None])
+    e = get_template(spec).expval(params.theta.reshape(-1), np.asarray(obs)[None])
     return probs_from_expectation(e[0])
 
 
 def grad_log_policy(spec, params, obs, action):
-    """grad log pi(action|obs) as (nu, omega) tensors, with the coefficient training applies."""
-    e, gnu, gom = get_template(spec).expval_and_grad(params.nu.reshape(-1), params.omega.reshape(-1),
-                                                     np.asarray(obs)[None])
+    """grad log pi(action|obs) in theta's shape, whose halves are the nu and omega gradients, with the
+    coefficient training applies."""
+    e, g = get_template(spec).expval_and_grad(params.theta.reshape(-1), np.asarray(obs)[None])
     coeff = log_policy_coeff(probs_from_expectation(e)[:, 0], action)[0]
-    return (coeff * gnu[0]).reshape(spec.param_shape), (coeff * gom[0]).reshape(spec.param_shape)
+    return (coeff * g[0]).reshape(spec.theta_shape)
 
 
 def empirical_lipschitz_check(spec, params, n_pairs, rng):
@@ -58,14 +58,14 @@ def empirical_lipschitz_check(spec, params, n_pairs, rng):
     The result can never exceed ``lipschitz_bound``.
     """
     tpl = get_template(spec)
-    nu_flat, om_flat = params.nu.reshape(-1), params.omega.reshape(-1)
+    theta = params.theta.reshape(-1)
     worst = 0.0
     for _ in range(n_pairs):
         x = rng.uniform(-1.0, 1.0, size=spec.n_qubits)
         x2 = rng.uniform(-1.0, 1.0, size=spec.n_qubits)
         while np.array_equal(x, x2):
             x2 = rng.uniform(-1.0, 1.0, size=spec.n_qubits)
-        p, p2 = probs_from_expectation(tpl.expval(nu_flat, om_flat, np.stack([x, x2])))
+        p, p2 = probs_from_expectation(tpl.expval(theta, np.stack([x, x2])))
         worst = max(worst, float(np.sum(np.abs(p - p2)) / np.linalg.norm(x - x2)))
     return worst
 
@@ -95,17 +95,18 @@ class TestBuildCircuit:
         assert tpl.qb.tolist() == [-1, -1] + ([-1] * 8 + [0]) * 2  # ... partner 0
         assert (tpl.kinds.dtype, tpl.qa.dtype, tpl.qb.dtype) == (np.int8, np.int32, np.int32)
 
-    def test_each_parameter_drives_one_rotation_of_each_kind(self):
-        # grad_to_params scatters, which sets every entry only under this invariant
+    def test_each_entry_of_theta_drives_one_rotation(self):
+        # grad_to_params scatters, which sets every entry only under this invariant: nu's entries 0..P-1 drive
+        # the variational rotations, omega's P..2P-1 the encoding ones
         for n_qubits, n_layers, entangler, encoding in product(
             range(1, 6), range(1, 4), (ENTANGLE_BETWEEN, ENTANGLE_EVERY), (ENCODING_RZ_RY, ENCODING_RZ_RZ)
         ):
             tpl = CircuitTemplate(AnsatzSpec(n_qubits, n_layers, entangler, encoding))
             rotation = (tpl.kinds == KIND_RY) | (tpl.kinds == KIND_RZ)
             variational, encoding_rot = rotation & (tpl.feature == -1), rotation & (tpl.feature != -1)
-            every = list(range(tpl.spec.n_params_each))
-            assert sorted(tpl.param[variational].tolist()) == every
-            assert sorted(tpl.param[encoding_rot].tolist()) == every
+            n = tpl.spec.n_params_each
+            assert sorted(tpl.param[variational].tolist()) == list(range(n))
+            assert sorted(tpl.param[encoding_rot].tolist()) == list(range(n, 2 * n))
             assert tpl.feature[encoding_rot].tolist() == tpl.qa[encoding_rot].tolist()
             assert tpl.param[~rotation].tolist() == tpl.feature[~rotation].tolist() == [-1] * int((~rotation).sum())
             assert (tpl.param.dtype, tpl.feature.dtype) == (np.int32, np.int32)
@@ -113,7 +114,7 @@ class TestBuildCircuit:
     def test_gate_order_within_layer(self):
         # per qubit: encoding RZ, encoding RY, variational RZ, variational RY
         tpl = CircuitTemplate(AnsatzSpec(n_qubits=1, n_layers=1))
-        angles = tpl.angles(np.array([10.0, 20.0]), np.array([1.0, 2.0]), np.array([3.0]))
+        angles = tpl.angles(np.array([10.0, 20.0, 1.0, 2.0]), np.array([3.0]))
         np.testing.assert_array_equal(angles, [0.0, 3.0, 6.0, 10.0, 20.0])
 
     def test_double_rz_encoding_variant(self):
@@ -130,14 +131,14 @@ class TestBuildCircuit:
         spec = AnsatzSpec()
         tpl = CircuitTemplate(spec)
         params = random_params(spec, np.random.default_rng(0))
-        nu, omega = params.nu.reshape(-1), params.omega.reshape(-1)
-        no_omega = np.zeros_like(omega)
-        np.testing.assert_array_equal(tpl.angles(nu, omega, np.zeros(4)), tpl.angles(nu, no_omega, np.zeros(4)))
-        assert not np.array_equal(tpl.angles(nu, omega, np.ones(4)), tpl.angles(nu, no_omega, np.ones(4)))
+        theta = params.theta.reshape(-1)
+        no_omega = np.concatenate([params.nu.reshape(-1), np.zeros(spec.n_params_each)])
+        np.testing.assert_array_equal(tpl.angles(theta, np.zeros(4)), tpl.angles(no_omega, np.zeros(4)))
+        assert not np.array_equal(tpl.angles(theta, np.ones(4)), tpl.angles(no_omega, np.ones(4)))
 
     def test_param_shape_checked(self):
         spec = AnsatzSpec()
-        bad = PolicyParams(np.zeros((2, 4, 2)), np.zeros((2, 4, 2)))
+        bad = PolicyParams(np.zeros((2, 2, 4, 2)))
         with pytest.raises(ConfigurationError):
             lipschitz_bound(spec, bad)
 
@@ -216,12 +217,10 @@ class TestGradLogPolicy:
             params = zero_params(spec)
             params.nu[0, 0, 1] = angle
             assert policy_probs(spec, params, obs)[action] < 1e-12
-            nu, omega = params.nu.reshape(-1), params.omega.reshape(-1)
-            _, dz_nu, dz_omega = get_template(spec).expval_and_grad(nu, omega, obs[None])
-            gnu, gom = grad_log_policy(spec, params, obs, action)
-            assert np.all(np.isfinite(gnu)) and np.all(np.isfinite(gom))
-            assert np.array_equal(gnu.reshape(-1), sign / (2.0 * 1e-12) * dz_nu[0])
-            assert np.array_equal(gom.reshape(-1), sign / (2.0 * 1e-12) * dz_omega[0])
+            _, dz = get_template(spec).expval_and_grad(params.theta.reshape(-1), obs[None])
+            g = grad_log_policy(spec, params, obs, action)
+            assert np.all(np.isfinite(g))
+            assert np.array_equal(g.reshape(-1), sign / (2.0 * 1e-12) * dz[0])
 
 
 class TestLipschitz:
@@ -299,5 +298,5 @@ class TestPenalty:
         params = random_params(spec, np.random.default_rng(5))
         base = regularization_penalty(params, 0.2)
         assert regularization_penalty(params, 0.4) == pytest.approx(2 * base)
-        doubled = PolicyParams(params.nu, 2.0 * params.omega)
+        doubled = PolicyParams(np.stack([params.nu, 2.0 * params.omega]))
         assert regularization_penalty(doubled, 0.2) == pytest.approx(4 * base)

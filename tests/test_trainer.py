@@ -29,19 +29,19 @@ from qpgrad.trainer import (
 SPEC = AnsatzSpec()
 
 
-def make_traj(glp_nu, glp_omega):
-    return np.asarray(glp_nu, dtype=np.float64), np.asarray(glp_omega, dtype=np.float64)
+def make_traj(nu, omega):
+    return np.asarray(nu, dtype=np.float64), np.asarray(omega, dtype=np.float64)
 
 
 def gradient(trajs, gamma, baseline="none", grad_norm="episodes"):
-    """``batch_gradient`` of per-episode (T_i, P) gradient arrays, laid out as ``play_batch`` returns them."""
+    """The nu and omega halves of ``batch_gradient`` of per-episode pairs of (T_i, P) gradient arrays, laid out
+    side by side in one block as ``play_batch`` returns it."""
     lengths = np.array([len(nu) for nu, _ in trajs], dtype=np.int64)
-    blocks = np.zeros((2, max(lengths.max(), 1), len(trajs), trajs[0][0].shape[1]))
+    block = np.zeros((max(lengths.max(), 1), len(trajs), 2 * trajs[0][0].shape[1]))
     for i, pair in enumerate(trajs):
-        for block, glp in zip(blocks, pair):
-            block[: len(glp), i] = glp
+        block[: lengths[i], i] = np.hstack(pair)
     config = TrainConfig(gamma=gamma, baseline=baseline, grad_norm=grad_norm)
-    return batch_gradient(lengths, blocks[0], blocks[1], config, discounted_returns(np.ones(len(blocks[0])), gamma))
+    return np.split(batch_gradient(lengths, block, config, discounted_returns(np.ones(len(block)), gamma)), 2)
 
 
 class TestDiscountedReturns:
@@ -96,7 +96,9 @@ class TestBatches:
     def test_reused_blocks_never_leak(self, path):
         draw = np.random.default_rng(12)
         spec = AnsatzSpec(n_layers=1)
-        params = PolicyParams(draw.uniform(-np.pi, np.pi, spec.param_shape), draw.normal(0, 1, spec.param_shape))
+        params = PolicyParams(np.stack([
+            draw.uniform(-np.pi, np.pi, spec.param_shape), draw.normal(0, 1, spec.param_shape)
+        ]))
         config = TrainConfig(batch_size=5, minibatch=5 if path == "curriculum" else 3, horizon=60, gamma=0.97, seed=5)
         if path == "train":  # a whole minibatch of 3, then the last 2 episodes of the batch
             ranges, long, short = [InitRanges()], (0, 3, 0), (3, 2, 0)
@@ -115,10 +117,9 @@ class TestBatches:
             lengths, glp = batches.play(params, *short)
             fresh, fresh_glp = play_batch(spec, params, streams(*short[:2]), [ranges[short[2]]], 60, grads=True)
             assert np.array_equal(lengths, fresh)
-            got = batch_gradient(lengths, *glp, config, batches.returns)
-            want = batch_gradient(fresh, *fresh_glp, config, discounted_returns(np.ones(60), config.gamma))
-            for a, b in zip(got, want):
-                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+            got = batch_gradient(lengths, glp, config, batches.returns)
+            want = batch_gradient(fresh, fresh_glp, config, discounted_returns(np.ones(60), config.gamma))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestBatchGradient:
@@ -163,6 +164,34 @@ class TestBatchGradient:
         g_st = gradient(trajs, 0.9, grad_norm="steps")
         np.testing.assert_allclose(g_st[0] * 10, g_ep[0] * 2, atol=1e-12)
 
+    @pytest.mark.parametrize("spec", [SPEC, AnsatzSpec(1, 1), AnsatzSpec(3, 1), AnsatzSpec(3, 3), AnsatzSpec(2, 5)],
+                             ids=lambda spec: f"P={spec.n_params_each}")
+    def test_theta_block_gives_the_bits_of_two_half_blocks(self, spec):
+        # the bits every training run rests on: the products of separate contiguous (horizon, B, P) blocks of
+        # nu's and omega's gradients, per episode; one product over theta's 2P columns differs when P % 4 != 0
+        rng = np.random.default_rng(27)
+        p, horizon = spec.n_params_each, 200
+        for trial in range(12):
+            n = 1 if trial < 4 else int(rng.integers(2, 12))
+            ends = [(0, horizon)[trial % 2]] if n == 1 else [0, horizon]
+            lengths = rng.permutation(np.concatenate([ends, rng.integers(0, horizon + 1, n - len(ends))]))
+            glp = rng.normal(size=(horizon, n, 2 * p)) * np.exp(rng.normal(0.0, 3.0, (horizon, n, 2 * p)))
+            halves = (np.ascontiguousarray(glp[..., :p]), np.ascontiguousarray(glp[..., p:]))
+            for baseline in ("none", "batch_mean"):
+                for grad_norm in ("episodes", "steps"):
+                    config = TrainConfig(gamma=0.99, baseline=baseline, grad_norm=grad_norm)
+                    table = discounted_returns(np.ones(horizon), config.gamma)
+                    returns = episode_returns(lengths, table)
+                    if baseline == "batch_mean":
+                        returns -= returns.mean(axis=0)
+                    want = [np.zeros(p), np.zeros(p)]
+                    for i, k in enumerate(lengths.tolist()):
+                        for half, block in zip(want, halves):
+                            if k:
+                                half += returns[i, :k] @ block[:k, i]
+                    want = np.concatenate(want) / (max(lengths.sum(), 1) if grad_norm == "steps" else n)
+                    got = batch_gradient(lengths, glp, config, table)
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_matches_per_episode_reference(self):
         # the block form gives the bits of one contiguous array per episode,
@@ -191,10 +220,8 @@ class TestBatchGradient:
 
 class TestApplyUpdate:
     def test_zero_gradient_no_lambda_is_identity(self):
-        params = PolicyParams(np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))
-        params.nu += 0.3
-        params.omega += 0.2
-        zero = (np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))
+        params = PolicyParams(np.stack([np.full(SPEC.param_shape, 0.3), np.full(SPEC.param_shape, 0.2)]))
+        zero = np.zeros(SPEC.theta_shape)
         for opt in ("vanilla", "adam"):
             cfg = TrainConfig(optimizer=opt, lam=0.0)
             out, _ = apply_update(params, zero, cfg)
@@ -203,26 +230,26 @@ class TestApplyUpdate:
 
     def test_vanilla_decay_value(self):
         # omega 1.0, lambda 0.1, alpha 0.05 -> 1 - 2*0.05*0.1*0.25 = 0.9975
-        params = PolicyParams(np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))
+        params = PolicyParams(np.zeros(SPEC.theta_shape))
         params.omega[0, 0, 0] = 1.0
         cfg = TrainConfig(optimizer="vanilla", lam=0.1, learning_rate=0.05)
-        zero = (np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))
+        zero = np.zeros(SPEC.theta_shape)
         out, _ = apply_update(params, zero, cfg)
         assert out.omega[0, 0, 0] == pytest.approx(0.9975)
 
     def test_nu_never_sees_regularizer(self):
         rng = np.random.default_rng(4)
-        params = PolicyParams(rng.normal(size=SPEC.param_shape), rng.normal(size=SPEC.param_shape))
-        zero = (np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))
+        params = PolicyParams(np.stack([rng.normal(size=SPEC.param_shape), rng.normal(size=SPEC.param_shape)]))
+        zero = np.zeros(SPEC.theta_shape)
         for opt in ("vanilla", "adam"):
             out, _ = apply_update(params, zero, TrainConfig(optimizer=opt, lam=0.7))
             np.testing.assert_array_equal(out.nu, params.nu)
 
     def test_omega_norm_strictly_decreases_under_decay(self):
         rng = np.random.default_rng(5)
-        zero = (np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))
+        zero = np.zeros(SPEC.theta_shape)
         for opt in ("vanilla", "adam"):
-            params = PolicyParams(np.zeros(SPEC.param_shape), rng.normal(size=SPEC.param_shape))
+            params = PolicyParams(np.stack([np.zeros(SPEC.param_shape), rng.normal(size=SPEC.param_shape)]))
             cfg = TrainConfig(optimizer=opt, lam=0.3)
             state = None
             for _ in range(5):
@@ -234,28 +261,27 @@ class TestApplyUpdate:
         # without the penalty, omega follows the same rule as nu
         rng = np.random.default_rng(6)
         g = rng.normal(size=SPEC.param_shape)
-        params = PolicyParams(np.full(SPEC.param_shape, 0.1), np.full(SPEC.param_shape, 0.1))
-        out, _ = apply_update(params, (g, g), TrainConfig(optimizer="vanilla", lam=0.0))
+        params = PolicyParams(np.stack([np.full(SPEC.param_shape, 0.1), np.full(SPEC.param_shape, 0.1)]))
+        out, _ = apply_update(params, np.stack([g, g]), TrainConfig(optimizer="vanilla", lam=0.0))
         np.testing.assert_allclose(out.nu, out.omega)
 
 
 class TestRollout:
     def test_trajectory_shape_consistency(self):
-        params = PolicyParams(np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))
-        lengths, (glp_nu, glp_omega) = play_batch(SPEC, params, Streams(1, (1,), [[0]]), [InitRanges()], grads=True)
+        params = PolicyParams(np.zeros(SPEC.theta_shape))
+        lengths, glp = play_batch(SPEC, params, Streams(1, (1,), [[0]]), [InitRanges()], grads=True)
         (n_steps,) = lengths
         assert 0 < n_steps <= 200
-        assert glp_nu.shape == glp_omega.shape == (200, 1, SPEC.n_params_each)
-        assert np.all(np.isfinite(glp_nu[:n_steps])) and np.all(np.isfinite(glp_omega[:n_steps]))
+        assert glp.shape == (200, 1, 2 * SPEC.n_params_each)
+        assert np.all(np.isfinite(glp[:n_steps]))
 
     def test_rollout_deterministic_per_stream(self):
-        params = PolicyParams(np.zeros(SPEC.param_shape), np.zeros(SPEC.param_shape))
+        params = PolicyParams(np.zeros(SPEC.theta_shape))
         a = play_batch(SPEC, params, Streams(9, (1,), [[3]]), [InitRanges()], grads=True)
         b = play_batch(SPEC, params, Streams(9, (1,), [[3]]), [InitRanges()], grads=True)
         (n_steps,) = a[0]
         assert np.array_equal(a[0], b[0])
-        for x, y in zip(a[1], b[1]):
-            assert np.array_equal(x[:n_steps], y[:n_steps])
+        assert np.array_equal(a[1][:n_steps], b[1][:n_steps])
 
 
 # One episode's settings: its stream index, observation-noise std and the
@@ -277,7 +303,9 @@ class TestLockstep:
     def test_episode_alone_equals_episode_in_batch(self, param_seed, horizon, episodes):
         spec = AnsatzSpec(n_layers=1)
         draw = np.random.default_rng(param_seed)
-        params = PolicyParams(draw.uniform(-np.pi, np.pi, spec.param_shape), draw.normal(0, 1, spec.param_shape))
+        params = PolicyParams(np.stack([
+            draw.uniform(-np.pi, np.pi, spec.param_shape), draw.normal(0, 1, spec.param_shape)
+        ]))
         ranges = [InitRanges(theta=(-w, w), theta_dot=(-v, v)) for _, _, w, v in episodes]
         sigmas = [sigma for _, sigma, _, _ in episodes]
 
@@ -287,18 +315,17 @@ class TestLockstep:
         everyone = range(len(episodes))
         for kernel in (qsim.load_kernel("c"), qsim.load_kernel("numpy")):
             with mock.patch.object(qsim, "_kernel", kernel):
-                lengths, (glp_nu, glp_omega) = play_batch(
+                lengths, glp = play_batch(
                     spec, params, streams(everyone), ranges, horizon, sigmas, grads=True
                 )
                 rewards, _ = play_batch(spec, params, streams(everyone), ranges, horizon, sigmas)
                 for i in everyone:
-                    alone, (nu_alone, omega_alone) = play_batch(
+                    alone, glp_alone = play_batch(
                         spec, params, streams([i]), [ranges[i]], horizon, [sigmas[i]], grads=True
                     )
                     n_steps = lengths[i]
                     assert n_steps == alone[0]
-                    assert np.array_equal(glp_nu[:n_steps, i], nu_alone[:n_steps, 0])
-                    assert np.array_equal(glp_omega[:n_steps, i], omega_alone[:n_steps, 0])
+                    assert np.array_equal(glp[:n_steps, i], glp_alone[:n_steps, 0])
                     reward_alone, _ = play_batch(spec, params, streams([i]), [ranges[i]], horizon, [sigmas[i]])
                     assert rewards[i] == reward_alone[0] == lengths[i]
 
@@ -307,7 +334,9 @@ class TestLockstep:
         # more episodes than any old chunk of 2,048, in two groups, with paths of 2 components
         spec = AnsatzSpec(n_layers=1)
         draw = np.random.default_rng(8)
-        params = PolicyParams(draw.uniform(-np.pi, np.pi, spec.param_shape), draw.normal(0, 1, spec.param_shape))
+        params = PolicyParams(np.stack([
+            draw.uniform(-np.pi, np.pi, spec.param_shape), draw.normal(0, 1, spec.param_shape)
+        ]))
         ranges = [InitRanges(theta=(-0.2, 0.2), theta_dot=(-1.0, 1.0)), InitRanges(theta_dot=(-0.5, 0.5))]
         half = 1030
         suffixes = np.stack([np.arange(2 * half) // 7, np.arange(2 * half)], axis=1)
@@ -345,20 +374,20 @@ class TestLockstep:
     @pytest.mark.parametrize("grads", [False, True])
     def test_empty_batch_plays_no_episode(self, backend, grads):
         spec = AnsatzSpec(n_layers=1)
-        params = PolicyParams(np.zeros(spec.param_shape), np.zeros(spec.param_shape))
+        params = PolicyParams(np.zeros(spec.theta_shape))
         with mock.patch.object(qsim, "_kernel", qsim.load_kernel(backend)):
             lengths, glp = play_batch(spec, params, Streams(8, (1,), np.empty((0, 1), dtype=np.uint64)),
                                       [InitRanges()], 10, grads=grads)
         assert lengths.dtype == np.int64 and lengths.shape == (0,)
         if grads:
-            assert glp[0].shape == glp[1].shape == (10, 0, spec.n_params_each)
+            assert glp.shape == (10, 0, 2 * spec.n_params_each)
         else:
             assert glp is None
 
     @pytest.mark.parametrize("backend", ["c", "numpy"])
     def test_bad_streams_and_sigmas_rejected_before_any_draw(self, backend):
         spec = AnsatzSpec(n_layers=1)
-        params = PolicyParams(np.zeros(spec.param_shape), np.zeros(spec.param_shape))
+        params = PolicyParams(np.zeros(spec.theta_shape))
         ranges = [InitRanges()] * 3
         three = np.arange(3)[:, None]
 
@@ -448,7 +477,7 @@ class TestTrain:
             for n in (3, 3, 3, 1):
                 streams = Streams(17, (STREAM_EPISODE,), np.arange(episode, episode + n)[:, None])
                 played, glp = play_batch(spec, expected, streams, [InitRanges()], cfg.horizon, grads=True)
-                grad = batch_gradient(played, *glp, cfg, discounted_returns(np.ones(cfg.horizon), cfg.gamma))
+                grad = batch_gradient(played, glp, cfg, discounted_returns(np.ones(cfg.horizon), cfg.gamma))
                 expected, opt_state = apply_update(expected, grad, cfg, opt_state)
                 lengths.extend(played.tolist())
                 episode += n
